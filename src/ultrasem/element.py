@@ -12,6 +12,7 @@ dense boundary-condition rows, and the bordered system is solved with a
 banded LU plus a low-rank Woodbury correction.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,11 +139,18 @@ class CoeffVector2D:
 # variable), and the banded part keeps unit diagonal entries there.
 
 
+def interior_equation_rows(n):
+    """(n-2)^2 rows of the full stacked operator holding the interior
+    equations: entry ``i + (n-2)*j`` is row ``i + n*j`` of equation
+    ``(i, j)``."""
+    k = np.arange(n - 2)
+    return (k[:, None] + n * k[None, :]).ravel(order="F")
+
+
 def interior_slot_map(n):
     """(n-2)^2 stacked slot indices: entry ``i + (n-2)*j`` is the slot of
     interior equation ``(i, j)``."""
-    i, j = np.meshgrid(np.arange(n - 2), np.arange(n - 2), indexing="ij")
-    return ((i + 2) + n * (j + 2)).ravel(order="F")
+    return interior_equation_rows(n) + 2 * (n + 1)
 
 
 def boundary_slots(n):
@@ -205,7 +213,7 @@ def _edge_of_point(r, s):
         return 0
     if r == -1.0 and s > -1.0:
         return 1
-    if s == -1.0:
+    if s == -1.0 and r < 1.0:
         return 2
     if r == 1.0:
         return 3
@@ -311,6 +319,35 @@ def mult2d(cheb_table, lam, n):
     return out
 
 
+_PDE_FIELDS = ("a11", "a12", "a22", "b1", "b2", "c")
+
+
+def pulled_pde(pde, bm):
+    """The PDE coefficient tables composed with the bilinear map: a dict of
+    monomial tables in (r, s), one per :class:`PdeCoefficients` field."""
+    return {name: _pullback(getattr(pde, name), bm) for name in _PDE_FIELDS}
+
+
+@functools.lru_cache(maxsize=8)
+def _kron_factors(n):
+    """Geometry-independent Kronecker factors of the interior operator,
+    one per reference derivative.  Shared by every caller: read only."""
+    S0 = ultra.conversion_operator(0, n)
+    S1 = ultra.conversion_operator(1, n)
+    D1 = ultra.diff_operator(1, n)
+    D2 = ultra.diff_operator(2, n)
+    SS = (S1 @ S0).tocsr()
+    S1D1 = (S1 @ D1).tocsr()
+    return {
+        "rr": sp.kron(D2, SS, format="csr"),
+        "rs": sp.kron(S1D1, S1D1, format="csr"),
+        "ss": sp.kron(SS, D2, format="csr"),
+        "r": sp.kron(S1D1, SS, format="csr"),
+        "s": sp.kron(SS, S1D1, format="csr"),
+        "id": sp.kron(SS, SS, format="csr"),
+    }
+
+
 def element_interior_operator(pde, quad, n):
     """Full n^2-by-n^2 operator taking stacked Chebyshev coefficients of u
     to stacked parameter-2 ultraspherical coefficients of
@@ -321,8 +358,7 @@ def element_interior_operator(pde, quad, n):
         quad = Quad(quad)
     bm = bilinear_coeffs(quad)
     tc = transformed_derivative_coeffs(bm)
-    pulled = {name: _pullback(getattr(pde, name), bm)
-              for name in ("a11", "a12", "a22", "b1", "b2", "c")}
+    pulled = pulled_pde(pde, bm)
 
     paths = {}
     for ref in ("rr", "rs", "ss"):
@@ -340,21 +376,7 @@ def element_interior_operator(pde, quad, n):
         paths[ref] = poly2d_add(second, first)
     paths["id"] = poly2d_mul(pulled["c"], tc.det3)
 
-    S0 = ultra.conversion_operator(0, n)
-    S1 = ultra.conversion_operator(1, n)
-    D1 = ultra.diff_operator(1, n)
-    D2 = ultra.diff_operator(2, n)
-    SS = (S1 @ S0).tocsr()
-    S1D1 = (S1 @ D1).tocsr()
-    kron_factors = {
-        "rr": sp.kron(D2, SS, format="csr"),
-        "rs": sp.kron(S1D1, S1D1, format="csr"),
-        "ss": sp.kron(SS, D2, format="csr"),
-        "r": sp.kron(S1D1, SS, format="csr"),
-        "s": sp.kron(SS, S1D1, format="csr"),
-        "id": sp.kron(SS, SS, format="csr"),
-    }
-
+    kron_factors = _kron_factors(n)
     L = sp.csr_matrix((n * n, n * n))
     for ref, table in paths.items():
         C = _chop(_mono_to_cheb_table(poly2d_trim(table, rel=1e-15)))
@@ -515,33 +537,24 @@ def assemble_element_operator(pde, quad, n, rows=None, scale=True):
     if rows.shape != (4 * n - 4, nn):
         raise ValueError("expected the 4n-4 boundary rows of the traversal")
 
-    # place interior equation (i, j) at slot (i+2, j+2)
+    # place interior equation (i, j) at slot (i+2, j+2); the boundary slot
+    # rows of P @ L stay empty and get exact unit diagonal entries
     keep = interior_slot_map(n)
-    src = (np.arange(n - 2)[:, None] + n * np.arange(n - 2)[None, :]).ravel(order="F")
-    P = sp.csr_matrix((np.ones(keep.size), (keep, src)), shape=(nn, nn))
-    A = (P @ L).tolil()
-    for t, m in enumerate(slots):
-        A.rows[m] = [int(m)]
-        A.data[m] = [1.0]
-    A = A.tocsr()
+    P = sp.csr_matrix((np.ones(keep.size), (keep, interior_equation_rows(n))),
+                      shape=(nn, nn))
+    PL = P @ L
 
     if scale:
-        row_max = np.abs(A).max(axis=1).toarray().ravel()
-        brow_max = np.max(np.abs(rows), axis=1)
-        row_max[slots] = np.maximum(brow_max, 0.0)
+        row_max = np.abs(PL).max(axis=1).toarray().ravel()
+        row_max[slots] = np.max(np.abs(rows), axis=1)
         if np.any(row_max == 0.0):
             raise SingularOperatorError(
                 f"row {int(np.argmin(row_max))} of the bordered operator is zero")
         s = 1.0 / row_max
     else:
         s = np.ones(nn)
-    A = sp.diags(s) @ A
-    # restore exact unit diagonal entries at boundary slots
-    A = A.tolil()
-    for t, m in enumerate(slots):
-        A.rows[m] = [int(m)]
-        A.data[m] = [1.0]
-    A = A.tocsr()
+    unit = sp.csr_matrix((np.ones(slots.size), (slots, slots)), shape=(nn, nn))
+    A = (sp.diags(s) @ PL + unit).tocsr()
     V = s[slots][:, None] * rows
     V[np.arange(slots.size), slots] -= 1.0
     return AlmostBandedMatrix(A, slots, V, s)
@@ -566,8 +579,7 @@ def element_rhs_operator(quad, n):
         quad = Quad(quad)
     bm = bilinear_coeffs(quad)
     det3 = _mono_to_cheb_table(transformed_derivative_coeffs(bm).det3)
-    SS = ultra.cheb_to_ultra(2, n)
-    return (sp.kron(SS, SS, format="csr") @ mult2d(det3, 0, n)).tocsr()
+    return (_kron_factors(n)["id"] @ mult2d(det3, 0, n)).tocsr()
 
 
 def element_rhs(quad, n, f, rhs_op=None):
@@ -601,9 +613,7 @@ def project_rhs(rhs_full, boundary_values, n):
     their shifted slots, boundary rows carry ``boundary_values`` in
     traversal order."""
     b = np.zeros(n * n)
-    keep = interior_slot_map(n)
-    src = (np.arange(n - 2)[:, None] + n * np.arange(n - 2)[None, :]).ravel(order="F")
-    b[keep] = np.asarray(rhs_full, dtype=float)[src]
+    b[interior_slot_map(n)] = np.asarray(rhs_full, dtype=float)[interior_equation_rows(n)]
     b[boundary_slots(n)] = boundary_values
     return b
 

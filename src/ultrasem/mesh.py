@@ -19,6 +19,7 @@ The text format is line oriented::
 """
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -391,9 +392,12 @@ def mesh_from_string(text, name="<string>"):
             if len(parts) != 3:
                 raise MeshFormatError("vertex line needs 'v x y'", ln)
             try:
-                vertices.append((float(parts[1]), float(parts[2])))
+                xy = (float(parts[1]), float(parts[2]))
             except ValueError:
                 raise MeshFormatError("vertex coordinates must be numbers", ln)
+            if not all(map(math.isfinite, xy)):
+                raise MeshFormatError("vertex coordinates must be finite", ln)
+            vertices.append(xy)
         elif tag in ("q", "t"):
             want = 5 if tag == "q" else 4
             if len(parts) != want:

@@ -17,6 +17,13 @@ Eliminating the element blocks yields the interface complement
 (the interface/interface block is zero), a banded matrix once interfaces
 are ordered well.  Solving it gives the interface values; every element
 solve then decouples and reuses its cached factorization.
+
+Elements whose inputs are bitwise equal (translation-free map
+coefficients, PDE tables pulled back to the element, and boundary row
+kinds with their outward normals) share one operator, factorization,
+right-hand-side operator, W block per coupled-slot set and unscaled
+interface rows.  Sharing never rounds, so results are bit-identical to
+building every element alone.
 """
 
 from dataclasses import dataclass
@@ -30,13 +37,16 @@ from .element import (
     CoeffVector2D,
     assemble_element_operator,
     boundary_point_traversal,
+    boundary_rows,
     boundary_slots,
     element_rhs,
     element_rhs_operator,
+    interior_equation_rows,
     interior_slot_map,
     point_derivative_rows,
     point_value_row,
     outward_normal,
+    pulled_pde,
 )
 from .errors import BookkeepingError, SingularOperatorError
 from .mesh import order_interfaces
@@ -87,8 +97,36 @@ def _normal_derivative_row(bm, n, r, s, alpha, beta):
     return beta * ux - alpha * uy
 
 
+def _element_rows(quad, n, trav, normals):
+    """The 4n-4 boundary rows of an element in traversal order: a value row
+    where ``normals`` holds None, an outward normal-derivative row
+    elsewhere."""
+    rows = np.empty((len(trav), n * n))
+    for kind, neumann in (("value", False), ("normal-derivative", True)):
+        pick = [k for k, v in enumerate(normals) if (v is not None) == neumann]
+        if pick:
+            rows[pick] = boundary_rows(quad, n, kind, [trav[k][2:] for k in pick])
+    return rows
+
+
+def _edge_rows(bm, n, local_edge, aligned, params):
+    """Rows of one element side of an interface edge: the physical
+    derivative rows ``(u_x, u_y)`` at every interface point, each of shape
+    (n, n^2), and the value rows at the two endpoints."""
+    pts = [_edge_reference_point(local_edge, aligned, t) for t in params]
+    ux, uy = np.array([point_derivative_rows(bm, n, r, s) for r, s in pts]).transpose(1, 0, 2)
+    ends = np.array([point_value_row(n, *pts[0]), point_value_row(n, *pts[-1])])
+    return ux, uy, ends
+
+
 class SchurSystem:
-    """Factored global solver for one mesh, operator and resolution."""
+    """Factored global solver for one mesh, operator and resolution.
+
+    ``ops``, ``rhs_ops`` and ``W`` are per-element lists whose entries
+    are shared between elements with equal inputs; ``n_distinct`` counts
+    the distinct element operators.  ``maps`` holds each element's own
+    bilinear map.
+    """
 
     def __init__(self, mesh, pde, n, bc=None, pin_value_point=False):
         self.mesh = mesh
@@ -125,11 +163,12 @@ class SchurSystem:
     def _build_elements(self):
         mesh, n = self.mesh, self.n
         self.maps = [bilinear_coeffs(mesh.element_quad(f)) for f in range(mesh.n_quads)]
-        self.rhs_ops = [element_rhs_operator(mesh.element_quad(f), n)
-                        for f in range(mesh.n_quads)]
-        self.ops = []
+        self.ops, self.rhs_ops = [], []
         self.coupling = []   # per element: (slots, gamma cols) arrays
         self.data_points = []  # per element: list of (slot, kind, edge, x, y)
+        self._op_index = []  # per element: index of its distinct operator
+        index = {}  # element key -> index into distinct
+        distinct = []  # (operator, right-hand-side operator) per key
         slots_all = boundary_slots(n)
         trav = boundary_point_traversal(n)
         pinned = False
@@ -138,39 +177,50 @@ class SchurSystem:
         for f in range(mesh.n_quads):
             quad = mesh.element_quad(f)
             bm = self.maps[f]
-            rows = np.empty((4 * n - 4, n * n))
+            normals = []  # per traversal point: None (value row) or outward normal
             c_slots, c_cols = [], []
             dpts = []
             for k, (l, a, r, s) in enumerate(trav):
                 e = mesh.local_edge(f, l)
                 slot = slots_all[k]
+                normal = None
                 if not mesh.boundary_edge[e]:
                     aligned = mesh.quad_edge_aligned[f, l]
                     m = a if aligned else n - 1 - a
-                    rows[k] = point_value_row(n, r, s)
                     c_slots.append(slot)
                     c_cols.append(self.gamma_col(e, m))
-                elif self.bc[e] == "neumann" and not (self._pin and not pinned):
-                    nx, ny = outward_normal(quad, l)
-                    ux, uy = point_derivative_rows(bm, n, r, s)
-                    rows[k] = nx * ux + ny * uy
-                    x, y = bm(r, s)
-                    dpts.append((slot, "neumann", e, float(x), float(y)))
                 else:
-                    rows[k] = point_value_row(n, r, s)
                     x, y = bm(r, s)
                     kind = "dirichlet"
-                    if self.bc[e] == "neumann":  # pinned point of an all-Neumann solve
+                    if self.bc[e] == "neumann" and not (self._pin and not pinned):
+                        normal = outward_normal(quad, l)
+                        kind = "neumann"
+                    elif self.bc[e] == "neumann":  # pinned point of an all-Neumann solve
                         kind = "pin"
                         pinned = True
                     dpts.append((slot, kind, e, float(x), float(y)))
-            op = assemble_element_operator(self.pde, quad, n, rows=rows)
+                normals.append(normal)
+            # Exact bytes of everything the operator, its boundary rows and
+            # its right-hand-side operator are computed from (n is fixed
+            # per system); equal keys give bitwise equal results.
+            key = (np.array([bm.b1, bm.c1, bm.d1, bm.b2, bm.c2, bm.d2]).tobytes(),
+                   tuple((t.shape, t.tobytes()) for t in pulled_pde(self.pde, bm).values()),
+                   tuple(None if v is None else v.tobytes() for v in normals))
+            i = index.setdefault(key, len(index))
+            if i == len(distinct):
+                rows = _element_rows(quad, n, trav, normals)
+                distinct.append((assemble_element_operator(self.pde, quad, n, rows=rows),
+                                 element_rhs_operator(quad, n)))
+            op, rhs_op = distinct[i]
+            self._op_index.append(i)
             self.ops.append(op)
+            self.rhs_ops.append(rhs_op)
             c_slots = np.asarray(c_slots, dtype=int)
             c_cols = np.asarray(c_cols, dtype=int)
             coupling_count[c_cols] += 1
             self.coupling.append((c_slots, c_cols))
             self.data_points.append(dpts)
+        self.n_distinct = len(distinct)
 
         if self.n_gamma:
             interior_pts = np.ones(self.n_gamma, dtype=bool)
@@ -200,38 +250,33 @@ class SchurSystem:
 
     def _build_gamma_rows(self):
         mesh, n = self.mesh, self.n
-        # per element: list of (first gamma row, sign, dense (n, n^2) block)
+        # per element: list of (first gamma row, dense (n, n^2) block)
         self.gamma_blocks = [[] for _ in range(mesh.n_quads)]
+        shared = {}  # (distinct operator, local edge, orientation) -> _edge_rows
         for k, e in enumerate(mesh.interior_edges):
             geom = self.geometry[k]
             base = n * self.block_pos[k]
             sides = mesh.edge_quads[e]  # two (quad, local edge, aligned), quad ascending
-            blocks = [np.empty((n, n * n)), np.empty((n, n * n))]
-            vlo, vhi = mesh.edges[e]
-            for m in range(n):
-                t = geom.params[m]
-                endpoint = None
-                if m == 0:
-                    endpoint = vlo
-                elif m == n - 1:
-                    endpoint = vhi
-                use_derivative = endpoint is None or (
-                    not mesh.boundary_vertex[endpoint]
-                    and mesh.vertex_edge[endpoint] == e)
-                for side, (f, l, aligned) in enumerate(sides):
-                    r, s = _edge_reference_point(l, aligned, t)
-                    if use_derivative:
-                        row = _normal_derivative_row(self.maps[f], n, r, s,
-                                                     geom.alpha, geom.beta)
-                    else:
-                        row = point_value_row(n, r, s)
-                    blocks[side][m] = row if side == 0 else -row
-                # one shared scale per matching row keeps it one equation
-                sup = max(np.abs(blocks[0][m]).max(), np.abs(blocks[1][m]).max())
-                blocks[0][m] /= sup
-                blocks[1][m] /= sup
-            for side, (f, l, aligned) in enumerate(sides):
-                self.gamma_blocks[f].append((base, blocks[side]))
+            blocks = []
+            for f, l, aligned in sides:
+                key = (self._op_index[f], int(l), bool(aligned))
+                if key not in shared:
+                    shared[key] = _edge_rows(self.maps[f], n, l, aligned, geom.params)
+                ux, uy, ends = shared[key]
+                rows = geom.beta * ux - geom.alpha * uy
+                # an endpoint matches derivatives only at an interior vertex
+                # that marks this edge; elsewhere it matches values
+                for m, v, end in ((0, mesh.edges[e][0], ends[0]),
+                                  (n - 1, mesh.edges[e][1], ends[1])):
+                    if mesh.boundary_vertex[v] or mesh.vertex_edge[v] != e:
+                        rows[m] = end
+                blocks.append(rows)
+            blocks[1] = -blocks[1]
+            # one shared scale per matching row keeps it one equation
+            sup = np.maximum(np.abs(blocks[0]).max(axis=1),
+                             np.abs(blocks[1]).max(axis=1))[:, None]
+            for (f, _, _), rows in zip(sides, blocks):
+                self.gamma_blocks[f].append((base, rows / sup))
 
     def interface_matching_rows(self, e):
         """The two dense row blocks (for the lower- and higher-numbered
@@ -266,14 +311,18 @@ class SchurSystem:
             self.sigma_bandwidth = 0
             return
         sigma = np.zeros((self.n_gamma, self.n_gamma))
+        shared = {}  # (distinct operator, coupled slots) -> W
         for f, op in enumerate(self.ops):
             slots, cols = self.coupling[f]
             if slots.size == 0 and not self.gamma_blocks[f]:
                 self.W.append(None)
                 continue
-            rhs = np.zeros((n * n, slots.size))
-            rhs[slots, np.arange(slots.size)] = -op.scale[slots]
-            W = op.solve_raw(rhs) if slots.size else np.zeros((n * n, 0))
+            key = (self._op_index[f], slots.tobytes())
+            if key not in shared:
+                rhs = np.zeros((n * n, slots.size))
+                rhs[slots, np.arange(slots.size)] = -op.scale[slots]
+                shared[key] = op.solve_raw(rhs) if slots.size else np.zeros((n * n, 0))
+            W = shared[key]
             self.W.append(W)
             for base, rows in self.gamma_blocks[f]:
                 contrib = rows @ W
@@ -320,9 +369,7 @@ class SchurSystem:
         if fsrc is not None:
             vals = element_rhs(mesh.element_quad(f), n, fsrc,
                                rhs_op=self.rhs_ops[f])
-            src = (np.arange(n - 2)[:, None]
-                   + n * np.arange(n - 2)[None, :]).ravel(order="F")
-            b[interior_slot_map(n)] = vals[src]
+            b[interior_slot_map(n)] = vals[interior_equation_rows(n)]
         for slot, kind, e, x, y in self.data_points[f]:
             if kind == "pin":
                 b[slot] = 0.0

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,16 @@ class TestSolve:
         code = main(["solve", "--mesh", str(p)])
         assert code == EXIT_FORMAT
         assert "line 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("coord", ["nan", "inf"])
+    def test_nonfinite_vertex_exit_code_and_line(self, coord, tmp_path, capsys):
+        p = tmp_path / "nonfinite.txt"
+        p.write_text(f"quadmesh 1\nv 0 0\nv 1 0\nv {coord} 1\nv 0 1\nq 1 2 3 4\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["solve", "--mesh", str(p)])
+        assert code == EXIT_FORMAT
+        assert "line 4: vertex coordinates must be finite" in capsys.readouterr().err
 
     def test_missing_file_is_io_error(self, tmp_path):
         from ultrasem.cli import EXIT_IO

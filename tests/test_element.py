@@ -147,6 +147,15 @@ class TestBoundaryRows:
         # outward normal at r=1 edge is +x, d(x^2)/dx = 2
         assert abs(rows[0] @ c - 2.0) < 1e-12
 
+    def test_normal_rows_at_corners_use_edge_starting_there(self):
+        # counterclockwise ownership, as in boundary_point_traversal: each
+        # corner takes the outward normal of the edge that starts at it
+        n = 6
+        c = coeffs_of(lambda x, y: x + 2 * y, n)
+        corners = [(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)]
+        rows = boundary_rows(SQUARE, n, "normal-derivative", corners)
+        assert np.allclose(rows @ c, [2.0, -1.0, -2.0, 1.0], rtol=0, atol=1e-12)
+
     def test_off_boundary_rejected(self):
         with pytest.raises(ValueError):
             boundary_rows(SQUARE, 6, "value", [(0.5, 0.5)])

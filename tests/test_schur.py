@@ -3,7 +3,14 @@ import time
 import numpy as np
 import pytest
 
-from ultrasem.element import PdeCoefficients
+from ultrasem.cli import _general_pde
+from ultrasem.element import (
+    PdeCoefficients,
+    assemble_element_operator,
+    boundary_point_traversal,
+    boundary_rows,
+    boundary_slots,
+)
 from ultrasem.errors import BookkeepingError
 from ultrasem.mesh import build_mesh, grid_mesh, mesh_from_string
 from ultrasem.schur import assemble_schur, solve_mesh
@@ -331,3 +338,74 @@ class TestErrors:
         e = mesh.interior_edges[0]
         with pytest.raises(BookkeepingError):
             assemble_schur(mesh, POISSON, 6, bc={int(e): "dirichlet"})
+
+
+def _fresh_element(sys, f):
+    """Element ``f``'s operator built on its own from :func:`boundary_rows`,
+    and its W from its own solve."""
+    n, quad = sys.n, sys.mesh.element_quad(f)
+    neumann = {slot for slot, kind, *_ in sys.data_points[f] if kind == "neumann"}
+    rows = np.array([
+        boundary_rows(quad, n, "normal-derivative" if slot in neumann else "value",
+                      [(r, s)])[0]
+        for slot, (_, _, r, s) in zip(boundary_slots(n), boundary_point_traversal(n))])
+    op = assemble_element_operator(sys.pde, quad, n, rows=rows)
+    slots, _ = sys.coupling[f]
+    rhs = np.zeros((n * n, slots.size))
+    rhs[slots, np.arange(slots.size)] = -op.scale[slots]
+    return op, op.solve_raw(rhs)
+
+
+def _grid_with_neumann_bottom():
+    mesh = grid_mesh(4, 4)
+    bottom = {int(e) for e in range(mesh.n_edges) if mesh.boundary_edge[e]
+              and np.all(mesh.vertices[mesh.edges[e], 1] == 0.0)}
+    return mesh, bottom
+
+
+class TestSharedElements:
+    def test_distinct_count_grid_with_neumann_side(self):
+        mesh, bottom = _grid_with_neumann_bottom()
+        sys = assemble_schur(mesh, POISSON, 6, bc={e: "neumann" for e in bottom})
+        # dyadic spacing: every element has the same shape, so elements
+        # differ only in which local edges carry Neumann rows
+        classes = {(mesh.vertices[q] - mesh.vertices[q[0]]).tobytes()
+                   + bytes([mesh.local_edge(f, l) in bottom for l in range(4)])
+                   for f, q in enumerate(mesh.quads)}
+        assert len(classes) == 2
+        assert sys.n_distinct == len(classes)
+        assert len({id(op) for op in sys.ops}) == sys.n_distinct
+
+    def test_distinct_count_variable_coefficients(self):
+        mesh = mixed_mesh()
+        pde = _general_pde("general:a11=1+0.5*x^2;a22=2+y;b1=x;c=-1", mesh)
+        sys = assemble_schur(mesh, pde, 6)
+        # position-dependent coefficients: an element is its own class
+        classes = {mesh.vertices[q].tobytes() for q in mesh.quads}
+        assert sys.n_distinct == len(classes) == mesh.n_quads
+
+    def test_congruent_grid_shares_one_operator(self):
+        sys = assemble_schur(grid_mesh(8, 8), POISSON, 6)
+        assert sys.n_distinct == 1
+
+    @pytest.mark.parametrize("case", ["neumann-side", "varcoef", "pinned"])
+    def test_shared_values_equal_unshared(self, case):
+        if case == "neumann-side":
+            mesh, bottom = _grid_with_neumann_bottom()
+            sys = assemble_schur(mesh, POISSON, 6, bc={e: "neumann" for e in bottom})
+        elif case == "varcoef":
+            mesh = mixed_mesh()
+            pde = _general_pde("general:a11=1+0.5*x^2;a22=2+y;b1=x;c=-1", mesh)
+            sys = assemble_schur(mesh, pde, 6)
+        else:
+            mesh = grid_mesh(2, 2)
+            bc = {e: "neumann" for e in range(mesh.n_edges) if mesh.boundary_edge[e]}
+            sys = assemble_schur(mesh, POISSON, 6, bc=bc, pin_value_point=True)
+        for f in range(mesh.n_quads):
+            op, W = _fresh_element(sys, f)
+            assert np.array_equal(sys.ops[f].to_dense(), op.to_dense())
+            assert np.array_equal(sys.ops[f].scale, op.scale)
+            if sys.W[f] is None:  # an element with no interior edge
+                assert W.size == 0 and not sys.gamma_blocks[f]
+            else:
+                assert np.array_equal(sys.W[f], W)
