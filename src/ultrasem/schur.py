@@ -26,6 +26,7 @@ interface rows.  Sharing never rounds, so results are bit-identical to
 building every element alone.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -340,8 +341,9 @@ class SchurSystem:
                 f"exceeds the ordering bound {bound}")
         try:
             if self.n_gamma <= 400:
-                self._sigma_lu = lu_factor(sigma)
-                self._sigma_solve = lambda b: lu_solve(self._sigma_lu, b)
+                # a partial, not a closure over self: a reference cycle
+                # would keep a dropped system alive until a full collection
+                self._sigma_solve = functools.partial(lu_solve, lu_factor(sigma))
             else:
                 banded = BandedLU(sp.csr_matrix(sigma), name="interface complement")
                 self._sigma_solve = banded.solve

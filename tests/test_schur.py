@@ -1,4 +1,6 @@
+import gc
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -242,6 +244,19 @@ class TestSolves:
             solve_mesh(sys, f=g, dirichlet=0.0)
         t_each = (time.perf_counter() - t0) / 100
         assert t_each * 10 < t_build
+
+    def test_dropped_system_freed_without_collection(self):
+        # no reference cycle: the last reference going frees the system and
+        # its factorizations at once, not at the next full gc collection
+        sys = assemble_schur(grid_mesh(2, 2), POISSON, 6)
+        sys.solve(f=None, dirichlet=0.0)
+        ref = weakref.ref(sys)
+        gc.disable()
+        try:
+            del sys
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_threaded_back_substitution_bitwise_identical(self):
         # factored element operators are immutable; concurrent solves with
