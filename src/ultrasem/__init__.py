@@ -13,7 +13,6 @@ from .element import (
     operator_condition,
     row_scale,
     solve_element_dirichlet,
-    woodbury_solve,
 )
 from .errors import (
     BookkeepingError,
@@ -55,14 +54,12 @@ from .quadmap import (
     TransformedCoeffs,
     bilinear_coeffs,
     det_polynomial,
-    map_point,
     transformed_derivative_coeffs,
 )
 from .schur import (
     InterfaceEdgeGeometry,
     SchurSystem,
     assemble_schur,
-    solve_mesh,
 )
 from .ultra import (
     cheb_points,

@@ -1,8 +1,8 @@
-"""Thin wrappers around LAPACK banded LU with cached factorizations."""
+"""LAPACK banded LU with a cached factorization."""
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbcon, dgbtrf, dgbtrs
 
 from .errors import SingularOperatorError
 
@@ -32,7 +32,7 @@ class BandedLU:
         ab[self.kl + self.ku + A.row - A.col, A.col] = A.data
         lu, piv, info = dgbtrf(ab, self.kl, self.ku)
         if info < 0:
-            raise LinAlgInternal(info, name)
+            raise SingularOperatorError(f"{name}: illegal LAPACK argument {-info}")
         if info > 0:
             raise SingularOperatorError(
                 f"{name}: singular to working precision (zero pivot at {info})"
@@ -48,6 +48,10 @@ class BandedLU:
             raise SingularOperatorError(f"{self.name}: back-substitution failed")
         return x
 
-
-def LinAlgInternal(info, name):
-    return SingularOperatorError(f"{name}: illegal LAPACK argument {-info}")
+    def rcond(self, anorm):
+        """Reciprocal 1-norm condition estimate (``gbcon``) from the held
+        factors, given the 1-norm ``anorm`` of the factored matrix."""
+        rc, info = dgbcon(self.kl, self.ku, self._lu, self._piv, anorm)
+        if info != 0:
+            raise SingularOperatorError(f"{self.name}: illegal LAPACK argument {-info}")
+        return float(rc)

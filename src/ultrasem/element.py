@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_solve
+from scipy.linalg.lapack import dgetrf
 
 from ._linalg import BandedLU
 from .errors import SingularOperatorError
@@ -450,13 +451,12 @@ class AlmostBandedMatrix:
             E[self.slots, np.arange(self.k)] = 1.0
             Z = self._lu.solve(E)
             cap = np.eye(self.k) + self.V @ Z
-            try:
-                self._cap = lu_factor(cap)
-            except Exception as exc:  # LinAlgError from LAPACK
-                raise SingularOperatorError(
-                    f"capacitance matrix singular: {exc}") from exc
-            if not np.all(np.isfinite(self._cap[0])):
+            lu, piv, info = dgetrf(cap)
+            # info > 0 is an exact zero pivot; non-finite factors come
+            # from non-finite entries
+            if info != 0 or not np.all(np.isfinite(lu)):
                 raise SingularOperatorError("capacitance matrix singular")
+            self._cap = (lu, piv)
             self._Z = Z
 
     def solve_raw(self, rhs):
@@ -558,13 +558,6 @@ def assemble_element_operator(pde, quad, n, rows=None, scale=True):
     V = s[slots][:, None] * rows
     V[np.arange(slots.size), slots] -= 1.0
     return AlmostBandedMatrix(A, slots, V, s)
-
-
-def woodbury_solve(m, rhs):
-    """Solve the bordered system through its banded LU plus the low-rank
-    Woodbury correction; the factorization is cached on ``m``."""
-    x = m.solve(rhs)
-    return CoeffVector2D(int(round(np.sqrt(m.nn))), x) if np.asarray(rhs).ndim == 1 else x
 
 
 # ----------------------------------------------------------------------

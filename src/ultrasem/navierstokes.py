@@ -336,21 +336,6 @@ class TunnelSolver:
         return state
 
 
-# module-level forms of the stepper operations
-
-
-def advection_term(solver, state):
-    return solver.advection_term(state)
-
-
-def time_step(solver, state):
-    return solver.time_step(state)
-
-
-def vorticity(solver, state):
-    return solver.vorticity(state)
-
-
 def tunnel_mesh(nx=4, ny=3, width=0.03, height=0.01, hole=(1, 1)):
     """Rectangular wind-tunnel mesh with one cell removed as the test
     object (flow runs left to right)."""

@@ -191,11 +191,6 @@ def bilinear_coeffs(quad):
     )
 
 
-def map_point(bm, r, s):
-    """Evaluate the bilinear map at reference coordinates."""
-    return bm(r, s)
-
-
 def det_polynomial(bm):
     """Jacobian determinant of the map as a linear polynomial in (r, s)."""
     return DetPolynomial(
@@ -271,10 +266,6 @@ class TransformedCoeffs:
             "s": trim(ddy_cleared(Xr)),
         }
         self.det3 = trim(poly2d_mul(det2, D))
-
-    def for_target(self, name):
-        """Tables for one physical derivative: 'x', 'y', 'xx', 'xy' or 'yy'."""
-        return getattr(self, name)
 
 
 def transformed_derivative_coeffs(bm):

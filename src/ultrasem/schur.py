@@ -26,11 +26,10 @@ interface rows.  Sharing never rounds, so results are bit-identical to
 building every element alone.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+import scipy.sparse as sp
 
 from . import ultra
 from ._linalg import BandedLU
@@ -52,7 +51,6 @@ from .element import (
 from .errors import BookkeepingError, SingularOperatorError
 from .mesh import order_interfaces
 from .quadmap import bilinear_coeffs, reference_corner
-import scipy.sparse as sp
 
 
 @dataclass
@@ -307,11 +305,11 @@ class SchurSystem:
         n = self.n
         self.W = []
         if self.n_gamma == 0:
-            self.sigma = None
+            self._sigma = None
             self._sigma_solve = None
             self.sigma_bandwidth = 0
             return
-        sigma = np.zeros((self.n_gamma, self.n_gamma))
+        r, c, v = [], [], []
         shared = {}  # (distinct operator, coupled slots) -> W
         for f, op in enumerate(self.ops):
             slots, cols = self.coupling[f]
@@ -326,12 +324,18 @@ class SchurSystem:
             W = shared[key]
             self.W.append(W)
             for base, rows in self.gamma_blocks[f]:
-                contrib = rows @ W
-                sigma[base:base + n][:, cols] -= contrib
-        # Sigma = -sum A_gamma_j inv(A_jj) A_j_gamma; signs folded above
-        self.sigma = sigma
-        nz = np.nonzero(sigma)
-        self.sigma_bandwidth = int(np.max(np.abs(nz[0] - nz[1]))) if nz[0].size else 0
+                r.append(np.repeat(np.arange(base, base + n), cols.size))
+                c.append(np.tile(cols, n))
+                v.append(-(rows @ W).ravel())
+        # Sigma = -sum A_gamma_j inv(A_jj) A_j_gamma; signs folded above.
+        # An entry gets at most two contributions, so summing the
+        # duplicates is exact in any order.
+        sigma = sp.csr_matrix((np.concatenate(v), (np.concatenate(r), np.concatenate(c))),
+                              shape=(self.n_gamma, self.n_gamma))
+        sigma.eliminate_zeros()
+        self._sigma = sigma
+        coo = sigma.tocoo()
+        self.sigma_bandwidth = int(np.abs(coo.row - coo.col).max()) if coo.nnz else 0
         from .mesh import interface_bandwidth
 
         bound = (interface_bandwidth(self.mesh, self.block_pos) + 1) * n
@@ -340,18 +344,21 @@ class SchurSystem:
                 f"interface complement bandwidth {self.sigma_bandwidth} "
                 f"exceeds the ordering bound {bound}")
         try:
-            if self.n_gamma <= 400:
-                # a partial, not a closure over self: a reference cycle
-                # would keep a dropped system alive until a full collection
-                self._sigma_solve = functools.partial(lu_solve, lu_factor(sigma))
-            else:
-                banded = BandedLU(sp.csr_matrix(sigma), name="interface complement")
-                self._sigma_solve = banded.solve
-        except SingularOperatorError as exc:
+            banded = BandedLU(sigma, name="interface complement")
+            rcond = banded.rcond(abs(sigma).sum(axis=0).max())
+        except SingularOperatorError:
+            rcond = 0.0
+        if rcond < np.finfo(float).eps:
             raise SingularOperatorError(
                 "interface complement is singular; likely redundant interface "
-                "constraints or an all-Neumann problem without a pinned value"
-            ) from exc
+                "constraints or an all-Neumann problem without a pinned value")
+        # a bound method of the factorization holds no reference to self
+        self._sigma_solve = banded.solve
+
+    @property
+    def sigma(self):
+        """Dense view of the interface complement (None without interfaces)."""
+        return None if self._sigma is None else self._sigma.toarray()
 
     # -- right-hand sides and solving --------------------------------------
 
@@ -489,9 +496,3 @@ def assemble_schur(mesh, pde, n, bc=None, pin_value_point=False):
     """Assemble and factor the coupled mesh solver (element operators,
     coupling blocks and the banded interface complement)."""
     return SchurSystem(mesh, pde, n, bc=bc, pin_value_point=pin_value_point)
-
-
-def solve_mesh(system, f=None, dirichlet=0.0, neumann=0.0, **kw):
-    """Two-phase solve: interface values first, then the independent
-    per-element back-substitutions."""
-    return system.solve(f=f, dirichlet=dirichlet, neumann=neumann, **kw)

@@ -7,7 +7,6 @@ import scipy.sparse as sp
 from ultrasem import ultra
 from ultrasem.element import (
     AlmostBandedMatrix,
-    CoeffVector2D,
     PdeCoefficients,
     assemble_element_operator,
     boundary_point_traversal,
@@ -21,7 +20,6 @@ from ultrasem.element import (
     point_value_row,
     row_scale,
     solve_element_dirichlet,
-    woodbury_solve,
 )
 from ultrasem.errors import GeometryError, SingularOperatorError
 from ultrasem.quadmap import Quad, bilinear_coeffs
@@ -225,6 +223,14 @@ class TestAlmostBanded:
         x = rng.standard_normal(49)
         assert np.max(np.abs(op.matvec(x) - op.to_dense() @ x)) < 1e-12
 
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_exactly_singular_capacitance_raises(self):
+        # the dense row cancels the unit row it replaces: the capacitance
+        # matrix is exactly zero, while its LU factors are finite
+        m = AlmostBandedMatrix(sp.eye(3), [0], [[-1.0, 0.0, 0.0]], np.ones(3))
+        with pytest.raises(SingularOperatorError, match="capacitance matrix singular"):
+            m.solve_raw(np.ones(3))
+
 
 class TestWoodbury:
     def test_plain_banded_no_dense_rows(self, rng):
@@ -253,13 +259,6 @@ class TestWoodbury:
         x = op.solve_raw(b)
         r = op.matvec(x) - b
         assert np.abs(r).max() <= 1e-11 * np.abs(b).max()
-
-    def test_woodbury_solve_wrapper(self, rng):
-        n = 8
-        op = assemble_element_operator(POISSON, SQUARE, n)
-        b = rng.standard_normal(n * n)
-        out = woodbury_solve(op, op.scale ** -1 * 0 + b / op.scale)
-        assert isinstance(out, CoeffVector2D)
 
     def test_repeated_rhs_much_faster_than_refactor(self, rng):
         n = 20

@@ -10,11 +10,8 @@ from ultrasem.navierstokes import (
     NsConfig,
     TunnelBoundary,
     TunnelSolver,
-    advection_term,
     classify_tunnel_boundary,
-    time_step,
     tunnel_mesh,
-    vorticity,
 )
 
 
@@ -85,7 +82,7 @@ class TestAdvection:
         st = FlowState(u=field_from(lambda x, y: 1.0 + 0 * x, solver),
                        v=field_from(lambda x, y: 0 * x, solver),
                        p=field_from(lambda x, y: 0 * x, solver))
-        ax, ay = advection_term(solver, st)
+        ax, ay = solver.advection_term(st)
         assert np.abs(ax[0]).max() < 1e-13
         assert np.abs(ay[0]).max() < 1e-13
 
@@ -94,7 +91,7 @@ class TestAdvection:
         st = FlowState(u=field_from(lambda x, y: y, solver),
                        v=field_from(lambda x, y: 0 * x, solver),
                        p=field_from(lambda x, y: 0 * x, solver))
-        ax, ay = advection_term(solver, st)
+        ax, ay = solver.advection_term(st)
         assert np.abs(ax[0]).max() < 1e-13
         assert np.abs(ay[0]).max() < 1e-13
 
@@ -105,7 +102,7 @@ class TestAdvection:
             st = FlowState(u=field_from(lambda x, y: x, solver),
                            v=field_from(lambda x, y: -y, solver),
                            p=field_from(lambda x, y: 0 * x, solver))
-            ax, ay = advection_term(solver, st)
+            ax, ay = solver.advection_term(st)
             t = ultra.cheb_points(solver.n)
             R, S = np.meshgrid(t, t)
             X, Y = solver.helm_u.maps[0](R, S)
@@ -119,7 +116,7 @@ class TestVorticity:
         st = FlowState(u=field_from(lambda x, y: -y, solver),
                        v=field_from(lambda x, y: x, solver),
                        p=field_from(lambda x, y: 0 * x, solver))
-        w = vorticity(solver, st)
+        w = solver.vorticity(st)
         assert np.max(np.abs(w[0] - 2.0)) < 1e-12
 
     def test_uniform_flow(self):
@@ -127,14 +124,14 @@ class TestVorticity:
         st = FlowState(u=field_from(lambda x, y: 1.0 + 0 * x, solver),
                        v=field_from(lambda x, y: 0 * x, solver),
                        p=field_from(lambda x, y: 0 * x, solver))
-        assert np.max(np.abs(vorticity(solver, st)[0])) < 1e-13
+        assert np.max(np.abs(solver.vorticity(st)[0])) < 1e-13
 
     def test_shear(self):
         solver = single_square_solver()
         st = FlowState(u=field_from(lambda x, y: y, solver),
                        v=field_from(lambda x, y: 0 * x, solver),
                        p=field_from(lambda x, y: 0 * x, solver))
-        assert np.max(np.abs(vorticity(solver, st)[0] + 1.0)) < 1e-12
+        assert np.max(np.abs(solver.vorticity(st)[0] + 1.0)) < 1e-12
 
 
 class TestTimeStepping:
@@ -145,7 +142,7 @@ class TestTimeStepping:
                               classify_tunnel_boundary(mesh, (0.0, 0.0)))
         st = FlowState.rest(mesh, 6)
         for _ in range(100):
-            st = time_step(solver, st)
+            st = solver.time_step(st)
         assert st.max_speed() <= 1e-12
         assert max(np.abs(p.data).max() for p in st.p) <= 1e-12
 

@@ -13,9 +13,9 @@ from ultrasem.element import (
     boundary_rows,
     boundary_slots,
 )
-from ultrasem.errors import BookkeepingError
+from ultrasem.errors import BookkeepingError, SingularOperatorError
 from ultrasem.mesh import build_mesh, grid_mesh, mesh_from_string
-from ultrasem.schur import assemble_schur, solve_mesh
+from ultrasem.schur import assemble_schur
 
 from conftest import eval_on_grid, skinny_pair_mesh
 
@@ -241,7 +241,7 @@ class TestSolves:
                  for _ in range(100)]
         t0 = time.perf_counter()
         for g in grids:
-            solve_mesh(sys, f=g, dirichlet=0.0)
+            sys.solve(f=g, dirichlet=0.0)
         t_each = (time.perf_counter() - t0) / 100
         assert t_each * 10 < t_build
 
@@ -353,6 +353,18 @@ class TestErrors:
         e = mesh.interior_edges[0]
         with pytest.raises(BookkeepingError):
             assemble_schur(mesh, POISSON, 6, bc={int(e): "dirichlet"})
+
+    def test_all_neumann_unpinned_raises(self):
+        # without a pinned value Sigma is singular only to rounding
+        # (rcond about 1.6e-16); its LU succeeds, so the condition
+        # estimate is what catches it
+        mesh = grid_mesh(2, 1)
+        bc = {e: "neumann" for e in range(mesh.n_edges) if mesh.boundary_edge[e]}
+        with pytest.raises(SingularOperatorError,
+                           match="all-Neumann problem without a pinned value"):
+            assemble_schur(mesh, POISSON, 8, bc=bc)
+        sys = assemble_schur(mesh, POISSON, 8, bc=bc, pin_value_point=True)
+        assert np.all(np.isfinite(sys.solve(f=lambda x, y: 1.0 + 0 * x)[0].data))
 
 
 def _fresh_element(sys, f):
