@@ -182,24 +182,42 @@ def boundary_point_traversal(n):
     return out
 
 
+def _traversal_points(n):
+    """Reference coordinates ``(r, s)`` of the traversal points, as two
+    arrays in traversal order."""
+    return np.array([p[2:] for p in boundary_point_traversal(n)]).T
+
+
 # ----------------------------------------------------------------------
 # dense boundary-condition rows
 
 
+def _tensor_rows(a, b):
+    """``np.kron`` of matching rows of ``a`` and ``b``, batched over their
+    leading axes."""
+    rows = a[..., :, None] * b[..., None, :]
+    return rows.reshape(rows.shape[:-2] + (rows.shape[-2] * rows.shape[-1],))
+
+
 def point_value_row(n, r, s):
-    """Dense row of length n^2 evaluating a coefficient vector at (r, s)."""
-    return np.kron(ultra.eval_row(r, n), ultra.eval_row(s, n))
+    """Dense rows of length n^2 evaluating a coefficient vector at the
+    points (r, s): one row per point of broadcast arrays, a 1-D row for
+    scalars."""
+    r, s = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(s, dtype=float))
+    return _tensor_rows(ultra.eval_row(r, n), ultra.eval_row(s, n))
 
 
 def point_derivative_rows(bm, n, r, s):
-    """Dense rows evaluating the physical derivatives (u_x, u_y) at a
-    reference point, using the pointwise inverse-map factors (plain
-    scalars, including 1/det at the point)."""
-    det = det_polynomial(bm)(r, s)
+    """Dense rows evaluating the physical derivatives (u_x, u_y) at
+    reference points (shaped as in :func:`point_value_row`), using the
+    pointwise inverse-map factors (including 1/det at each point)."""
+    r, s = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(s, dtype=float))
     er, es = ultra.eval_row(r, n), ultra.eval_row(s, n)
     dr, ds = ultra.deriv_eval_row(r, n), ultra.deriv_eval_row(s, n)
-    row_ur = np.kron(dr, es)
-    row_us = np.kron(er, ds)
+    row_ur = _tensor_rows(dr, es)
+    row_us = _tensor_rows(er, ds)
+    det = det_polynomial(bm)(r, s)[..., None]
+    r, s = r[..., None], s[..., None]
     ux = ((bm.c2 + bm.d2 * r) * row_ur - (bm.b2 + bm.d2 * s) * row_us) / det
     uy = (-(bm.c1 + bm.d1 * r) * row_ur + (bm.b1 + bm.d1 * s) * row_us) / det
     return ux, uy
@@ -209,16 +227,10 @@ _EDGE_CORNERS = ((0, 1), (1, 2), (2, 3), (3, 0))  # local edge -> (start, end)
 
 
 def _edge_of_point(r, s):
-    # corner points belong to the edge that starts at them (CCW ownership)
-    if s == 1.0 and r > -1.0:
-        return 0
-    if r == -1.0 and s > -1.0:
-        return 1
-    if s == -1.0 and r < 1.0:
-        return 2
-    if r == 1.0:
-        return 3
-    raise ValueError(f"point ({r}, {s}) is not on the reference boundary")
+    """Local edge of each reference boundary point (arrays): corner points
+    belong to the edge that starts at them (counterclockwise ownership)."""
+    return np.select([(s == 1.0) & (r > -1.0), (r == -1.0) & (s > -1.0),
+                      (s == -1.0) & (r < 1.0)], [0, 1, 2], 3)
 
 
 def outward_normal(quad, local_edge):
@@ -236,22 +248,20 @@ def boundary_rows(quad, n, kind, points):
     (outward normal, Neumann).  Points must lie on the boundary of the
     reference square.
     """
+    if kind not in ("value", "normal-derivative"):
+        raise ValueError("kind must be 'value' or 'normal-derivative'")
     if not isinstance(quad, Quad):
         quad = Quad(quad)
-    bm = bilinear_coeffs(quad)
-    rows = np.empty((len(points), n * n))
-    for k, (r, s) in enumerate(points):
-        if max(abs(r), abs(s)) != 1.0 or max(abs(r), abs(s)) > 1.0:
-            raise ValueError(f"point ({r}, {s}) is not on the reference boundary")
-        if kind == "value":
-            rows[k] = point_value_row(n, r, s)
-        elif kind == "normal-derivative":
-            nx, ny = outward_normal(quad, _edge_of_point(r, s))
-            ux, uy = point_derivative_rows(bm, n, r, s)
-            rows[k] = nx * ux + ny * uy
-        else:
-            raise ValueError("kind must be 'value' or 'normal-derivative'")
-    return rows
+    r, s = np.asarray(points, dtype=float).reshape(-1, 2).T
+    off = np.maximum(np.abs(r), np.abs(s)) != 1.0
+    if np.any(off):
+        k = int(np.argmax(off))
+        raise ValueError(f"point ({r[k]}, {s[k]}) is not on the reference boundary")
+    if kind == "value":
+        return point_value_row(n, r, s)
+    normals = np.array([outward_normal(quad, l) for l in range(4)])[_edge_of_point(r, s)]
+    ux, uy = point_derivative_rows(bilinear_coeffs(quad), n, r, s)
+    return normals[:, :1] * ux + normals[:, 1:] * uy
 
 
 # ----------------------------------------------------------------------
@@ -516,7 +526,7 @@ def row_scale(matrix):
     return m * scale[:, None], scale
 
 
-def assemble_element_operator(pde, quad, n, rows=None, scale=True):
+def assemble_element_operator(pde, quad, n, rows=None):
     """Bordered, row-scaled element operator.
 
     ``rows`` supplies the 4n-4 dense boundary rows in the counterclockwise
@@ -531,8 +541,7 @@ def assemble_element_operator(pde, quad, n, rows=None, scale=True):
     nn = n * n
     slots = boundary_slots(n)
     if rows is None:
-        rows = np.array([point_value_row(n, r, s)
-                         for (_, _, r, s) in boundary_point_traversal(n)])
+        rows = point_value_row(n, *_traversal_points(n))
     rows = np.asarray(rows, dtype=float)
     if rows.shape != (4 * n - 4, nn):
         raise ValueError("expected the 4n-4 boundary rows of the traversal")
@@ -544,15 +553,12 @@ def assemble_element_operator(pde, quad, n, rows=None, scale=True):
                       shape=(nn, nn))
     PL = P @ L
 
-    if scale:
-        row_max = np.abs(PL).max(axis=1).toarray().ravel()
-        row_max[slots] = np.max(np.abs(rows), axis=1)
-        if np.any(row_max == 0.0):
-            raise SingularOperatorError(
-                f"row {int(np.argmin(row_max))} of the bordered operator is zero")
-        s = 1.0 / row_max
-    else:
-        s = np.ones(nn)
+    row_max = np.abs(PL).max(axis=1).toarray().ravel()
+    row_max[slots] = np.max(np.abs(rows), axis=1)
+    if np.any(row_max == 0.0):
+        raise SingularOperatorError(
+            f"row {int(np.argmin(row_max))} of the bordered operator is zero")
+    s = 1.0 / row_max
     unit = sp.csr_matrix((np.ones(slots.size), (slots, slots)), shape=(nn, nn))
     A = (sp.diags(s) @ PL + unit).tocsr()
     V = s[slots][:, None] * rows
@@ -575,30 +581,28 @@ def element_rhs_operator(quad, n):
     return (_kron_factors(n)["id"] @ mult2d(det3, 0, n)).tocsr()
 
 
-def element_rhs(quad, n, f, rhs_op=None):
-    """Parameter-2 coefficients of ``det^3 * f`` on the element.
-
-    ``f`` may be a callable of physical coordinates or an n-by-n array of
-    grid values ``F[i, j] = f`` at ``(r_j, s_i)``.  Sampling happens on
-    the mapped tensor grid; ``rhs_op`` reuses a cached
-    :func:`element_rhs_operator`.
-    """
-    if not isinstance(quad, Quad):
-        quad = Quad(quad)
-    bm = bilinear_coeffs(quad)
+def sample_on_grid(bm, n, f):
+    """Grid values ``F[i, j] = f`` at ``(r_j, s_i)``: a callable of
+    physical coordinates is sampled on the tensor grid mapped by ``bm``,
+    an n-by-n array of values is checked and returned."""
     if callable(f):
         t = ultra.cheb_points(n)
         R, S = np.meshgrid(t, t)
         X, Y = bm(R, S)
-        F = np.asarray(f(X, Y), dtype=float) + np.zeros_like(X)
-    else:
-        F = np.asarray(f, dtype=float)
-        if F.shape != (n, n):
-            raise ValueError("grid values must be n-by-n")
-    coeffs = ultra.vals_to_coeffs_2d(F).ravel(order="F")
-    if rhs_op is None:
-        rhs_op = element_rhs_operator(quad, n)
-    return rhs_op @ coeffs
+        return np.asarray(f(X, Y), dtype=float) + np.zeros_like(X)
+    F = np.asarray(f, dtype=float)
+    if F.shape != (n, n):
+        raise ValueError("grid values must be n-by-n")
+    return F
+
+
+def element_rhs(quad, n, f):
+    """Parameter-2 coefficients of ``det^3 * f`` on the element, for ``f``
+    as in :func:`sample_on_grid`."""
+    if not isinstance(quad, Quad):
+        quad = Quad(quad)
+    F = sample_on_grid(bilinear_coeffs(quad), n, f)
+    return element_rhs_operator(quad, n) @ ultra.vals_to_coeffs_2d(F).ravel(order="F")
 
 
 def project_rhs(rhs_full, boundary_values, n):
@@ -620,10 +624,8 @@ def solve_element_dirichlet(pde, quad, n, f, g):
     bm = bilinear_coeffs(quad)
     op = assemble_element_operator(pde, quad, n)
     rhs_full = element_rhs(quad, n, f)
-    gv = np.empty(4 * n - 4)
-    for k, (_, _, r, s) in enumerate(boundary_point_traversal(n)):
-        x, y = bm(r, s)
-        gv[k] = g(x, y)
+    x, y = bm(*_traversal_points(n))
+    gv = np.asarray(g(x, y), dtype=float) + np.zeros_like(x)
     b = project_rhs(rhs_full, gv, n)
     return CoeffVector2D(n, op.solve(b))
 

@@ -18,6 +18,7 @@ The text format is line oriented::
     t i1 i2 i3         (triangle; split into 3 quads on read)
 """
 
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -132,6 +133,11 @@ class QuadMesh:
     def n_interior_edges(self):
         return len(self.interior_edges)
 
+    @functools.cached_property
+    def _interface_order(self):
+        # computed once per mesh: hand out copies through order_interfaces
+        return _compute_interface_order(self)
+
     def element_quad(self, f):
         """Geometry of element ``f`` as a :class:`Quad`."""
         return Quad(self.vertices[self.quads[f]])
@@ -242,19 +248,27 @@ def _exact_min_bandwidth(m, pairs, upper):
     return best
 
 
-def order_interfaces(mesh, exact_limit=13):
+# meshes with at most this many interior edges get the exact ordering
+_EXACT_LIMIT = 13
+
+
+def order_interfaces(mesh):
     """Deterministic renumbering of interior edges that keeps interfaces
     sharing a quad close together, bounding the interface-complement
     bandwidth by ``(max |a - b| + 1) n``.
 
     Reverse Cuthill-McKee on the interface adjacency graph (interfaces are
     adjacent when a quad contains both); for meshes with at most
-    ``exact_limit`` interior edges the ordering is refined to the exact
-    minimum by backtracking search.
+    ``_EXACT_LIMIT`` interior edges the ordering is refined to the exact
+    minimum by backtracking search.  It is computed once per mesh.
 
-    Returns an array ``pos`` with the new block position of each interior
+    Returns a new array ``pos`` with the block position of each interior
     edge (indexed like ``mesh.interior_edges``).
     """
+    return mesh._interface_order.copy()
+
+
+def _compute_interface_order(mesh):
     m, pairs = _edge_adjacency(mesh)
     if m == 0:
         return np.zeros(0, dtype=int)
@@ -265,7 +279,7 @@ def order_interfaces(mesh, exact_limit=13):
     pos = np.empty(m, dtype=int)
     pos[order] = np.arange(m)
     bw = _bandwidth_of(pairs, pos)
-    if m <= exact_limit and bw > 0:
+    if m <= _EXACT_LIMIT and bw > 0:
         better = _exact_min_bandwidth(m, pairs, bw)
         if better is not None:
             pos = better

@@ -15,7 +15,7 @@ velocity), outlet (fixed pressure, zero velocity gradient), free-slip
 walls (axis aligned) and no-slip test objects.
 """
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from . import ultra
 from .element import CoeffVector2D, PdeCoefficients
 from .errors import GeometryError, InstabilityError, MeshError
 from .mesh import grid_mesh
-from .quadmap import det_polynomial
+from .quadmap import BilinearMap, det_polynomial
 from .schur import assemble_schur
 
 
@@ -109,53 +109,16 @@ class FlowState:
         return cls(u=z(), v=z(), p=z())
 
     def max_speed(self):
-        m = 0.0
-        for cu, cv in zip(self.u, self.v):
-            m = max(m, np.abs(cu.grid_values()).max(),
-                    np.abs(cv.grid_values()).max())
-        return m
+        return float(np.abs(ultra.coeffs_to_vals_2d(_stack(self.u + self.v))).max())
 
     def finite(self):
         return all(np.all(np.isfinite(c.data))
                    for comp in (self.u, self.v, self.p) for c in comp)
 
 
-class _ElementGeometry:
-    """Pointwise inverse-map factors on the element's tensor grids."""
-
-    def __init__(self, bm, n, fine=None):
-        self.bm = bm
-        self.grids = {}
-        for m in {n} | ({fine} if fine else set()):
-            t = ultra.cheb_points(m)
-            R, S = np.meshgrid(t, t)
-            det = det_polynomial(bm)(R, S)
-            self.grids[m] = {
-                "rx": (bm.c2 + bm.d2 * R) / det,
-                "sx": -(bm.b2 + bm.d2 * S) / det,
-                "ry": -(bm.c1 + bm.d1 * R) / det,
-                "sy": (bm.b1 + bm.d1 * S) / det,
-            }
-
-
-def _pad(coeffs, m):
-    n = coeffs.shape[0]
-    if m == n:
-        return coeffs
-    out = np.zeros((m, m))
-    out[:n, :n] = coeffs
-    return out
-
-
-def _grid_gradient(cv, geom, m=None):
-    """Physical-gradient values (u_x, u_y) of a coefficient field on the
-    element's m-by-m grid (defaults to the field's own resolution)."""
-    A = cv.matrix
-    m = m or cv.n
-    g = geom.grids[m]
-    ur = ultra.coeffs_to_vals_2d(_pad(ultra.cheb_diff(A, axis=1), m))
-    us = ultra.coeffs_to_vals_2d(_pad(ultra.cheb_diff(A, axis=0), m))
-    return ur * g["rx"] + us * g["sx"], ur * g["ry"] + us * g["sy"]
+def _stack(fields):
+    """Stacked (F, n, n) coefficient matrices of per-element fields."""
+    return np.stack([c.matrix for c in fields])
 
 
 class TunnelSolver:
@@ -203,71 +166,69 @@ class TunnelSolver:
         self.helm_v = assemble_schur(mesh, helm, n, bc=bc_v)
         self.pois_p = assemble_schur(mesh, pois, n, bc=bc_p, pin_value_point=True)
 
-        fine = 2 * n if config.dealias else None
-        self.geometry = [_ElementGeometry(self.helm_u.maps[f], n, fine)
-                         for f in range(mesh.n_quads)]
-        self._object_edges = set(boundary.edges("object"))
+        # per grid size m (n, and 2n when dealiasing): value and derivative
+        # rows of the n Chebyshev modes at the m grid points, and the
+        # inverse-map factors r_x, s_x, r_y, s_y stacked over the elements
+        # (from one BilinearMap whose fields are (F, 1, 1) arrays)
+        bm = BilinearMap(*np.array([astuple(b) for b in self.helm_u.maps]).T[..., None, None])
+        self._grids = {}
+        for m in {n, 2 * n if config.dealias else n}:
+            t = ultra.cheb_points(m)
+            R, S = np.meshgrid(t, t)
+            det = det_polynomial(bm)(R, S)
+            self._grids[m] = (ultra.eval_row(t, n), ultra.deriv_eval_row(t, n),
+                              (bm.c2 + bm.d2 * R) / det, -(bm.b2 + bm.d2 * S) / det,
+                              -(bm.c1 + bm.d1 * R) / det, (bm.b1 + bm.d1 * S) / det)
+        # grid points on no-slip object edges: row s = 1, column r = -1,
+        # row s = -1 and column r = 1 for local edges 0..3
+        self._on_object = np.zeros((mesh.n_quads, n, n), dtype=bool)
+        sides = ((-1, slice(None)), (slice(None), 0), (0, slice(None)), (slice(None), -1))
+        for e in boundary.edges("object"):
+            for f, l, _ in mesh.edge_quads[e]:
+                self._on_object[(f,) + sides[l]] = True
 
     # -- spectral derivative helpers ------------------------------------
 
-    def gradient_values(self, fields, m=None):
-        """Per-element (d/dx, d/dy) grid values of a coefficient field."""
-        return [_grid_gradient(cv, self.geometry[f], m)
-                for f, cv in enumerate(fields)]
+    def _gradient(self, A, m=None):
+        """Physical-gradient values (u_x, u_y) on the m-by-m grids of
+        stacked coefficients ``A`` (defaults to the field resolution)."""
+        T, dT, rx, sx, ry, sy = self._grids[m or self.n]
+        ur = T @ A @ dT.T
+        us = dT @ A @ T.T
+        return ur * rx + us * sx, ur * ry + us * sy
 
     def divergence_values(self, ufields, vfields):
-        out = []
-        for f, (cu, cv) in enumerate(zip(ufields, vfields)):
-            ux, _ = _grid_gradient(cu, self.geometry[f])
-            _, vy = _grid_gradient(cv, self.geometry[f])
-            out.append(ux + vy)
-        return out
+        """Grid values of ``du/dx + dv/dy``, stacked (F, n, n)."""
+        ux, _ = self._gradient(_stack(ufields))
+        _, vy = self._gradient(_stack(vfields))
+        return ux + vy
 
     def advection_term(self, state):
-        """Grid values of ``(u . grad) u`` per element, for each component.
-        With dealiasing enabled the pointwise products are formed on a 2n
-        grid and truncated back to n."""
+        """Grid values of ``(u . grad) u``, stacked (F, n, n), for each
+        component.  With dealiasing enabled the pointwise products are
+        formed on a 2n grid and truncated back to n."""
         n = self.n
         m = 2 * n if self.config.dealias else n
-        ax, ay = [], []
-        for f, (cu, cv) in enumerate(zip(state.u, state.v)):
-            ux, uy = _grid_gradient(cu, self.geometry[f], m)
-            vx, vy = _grid_gradient(cv, self.geometry[f], m)
-            uvals = ultra.coeffs_to_vals_2d(_pad(cu.matrix, m))
-            vvals = ultra.coeffs_to_vals_2d(_pad(cv.matrix, m))
-            tx = uvals * ux + vvals * uy
-            ty = uvals * vx + vvals * vy
-            if m != n:
-                tx = ultra.coeffs_to_vals_2d(ultra.vals_to_coeffs_2d(tx)[:n, :n])
-                ty = ultra.coeffs_to_vals_2d(ultra.vals_to_coeffs_2d(ty)[:n, :n])
-            ax.append(tx)
-            ay.append(ty)
-        return ax, ay
+        U, V = _stack(state.u), _stack(state.v)
+        ux, uy = self._gradient(U, m)
+        vx, vy = self._gradient(V, m)
+        T = self._grids[m][0]
+        u, v = T @ U @ T.T, T @ V @ T.T
+        terms = np.stack([u * ux + v * uy, u * vx + v * vy])
+        if m != n:
+            terms = ultra.coeffs_to_vals_2d(ultra.vals_to_coeffs_2d(terms)[..., :n, :n])
+        return terms[0], terms[1]
 
     def vorticity(self, state):
-        """Grid values of ``dv/dx - du/dy`` per element."""
-        out = []
-        for f, (cu, cv) in enumerate(zip(state.u, state.v)):
-            _, uy = _grid_gradient(cu, self.geometry[f])
-            vx, _ = _grid_gradient(cv, self.geometry[f])
-            out.append(vx - uy)
-        return out
+        """Grid values of ``dv/dx - du/dy``, stacked (F, n, n)."""
+        _, uy = self._gradient(_stack(state.u))
+        vx, _ = self._gradient(_stack(state.v))
+        return vx - uy
 
     def no_slip_residual(self, ufields, vfields):
         """Largest velocity magnitude at object-boundary grid points."""
-        n, worst = self.n, 0.0
-        for f in range(self.mesh.n_quads):
-            locs = [l for l in range(4)
-                    if self.mesh.local_edge(f, l) in self._object_edges]
-            if not locs:
-                continue
-            uu = ufields[f].grid_values()
-            vv = vfields[f].grid_values()
-            sel = {0: (slice(n - 1, n), slice(None)), 1: (slice(None), slice(0, 1)),
-                   2: (slice(0, 1), slice(None)), 3: (slice(None), slice(n - 1, n))}
-            for l in locs:
-                worst = max(worst, np.abs(uu[sel[l]]).max(), np.abs(vv[sel[l]]).max())
-        return worst
+        uv = ultra.coeffs_to_vals_2d(np.stack([_stack(ufields), _stack(vfields)]))
+        return float(np.abs(uv[:, self._on_object]).max(initial=0.0))
 
     # -- stepping -----------------------------------------------------------
 
@@ -281,25 +242,20 @@ class TunnelSolver:
                 f"non-finite values entering step {state.step + 1}",
                 step=state.step + 1, cfl=None)
         ax, ay = self.advection_term(state)
-        rhs_u = [ax[f] - state.u[f].grid_values() / dt
-                 for f in range(self.mesh.n_quads)]
-        rhs_v = [ay[f] - state.v[f].grid_values() / dt
-                 for f in range(self.mesh.n_quads)]
-        u_star = self.helm_u.solve(f=rhs_u, dirichlet=self._dir_u, neumann=0.0)
-        v_star = self.helm_v.solve(f=rhs_v, dirichlet=self._dir_v, neumann=0.0)
+        u, v = ultra.coeffs_to_vals_2d(np.stack([_stack(state.u), _stack(state.v)]))
+        u_star = self.helm_u.solve(f=ax - u / dt, dirichlet=self._dir_u, neumann=0.0)
+        v_star = self.helm_v.solve(f=ay - v / dt, dirichlet=self._dir_v, neumann=0.0)
         self.last_star = (u_star, v_star)
         self.last_no_slip = self.no_slip_residual(u_star, v_star)
 
         div = self.divergence_values(u_star, v_star)
-        p = self.pois_p.solve(f=[d / dt for d in div], dirichlet=0.0, neumann=0.0)
+        p = self.pois_p.solve(f=div / dt, dirichlet=0.0, neumann=0.0)
 
-        unew, vnew = [], []
-        for f in range(self.mesh.n_quads):
-            px, py = _grid_gradient(p[f], self.geometry[f])
-            uvals = u_star[f].grid_values() - dt * px
-            vvals = v_star[f].grid_values() - dt * py
-            unew.append(CoeffVector2D.from_matrix(ultra.vals_to_coeffs_2d(uvals)))
-            vnew.append(CoeffVector2D.from_matrix(ultra.vals_to_coeffs_2d(vvals)))
+        # the projection: one transform to grid values and one back
+        uv = ultra.coeffs_to_vals_2d(np.stack([_stack(u_star), _stack(v_star)])) \
+            - dt * np.stack(self._gradient(_stack(p)))
+        unew, vnew = ([CoeffVector2D.from_matrix(a) for a in c]
+                      for c in ultra.vals_to_coeffs_2d(uv))
         new = FlowState(u=unew, v=vnew, p=p, t=state.t + dt, step=state.step + 1)
         if not new.finite():
             raise InstabilityError(
@@ -332,7 +288,7 @@ class TunnelSolver:
                 on_frame(state)
             if diagnostics is not None and state.step % 100 == 0:
                 div = self.divergence_values(state.u, state.v)
-                diagnostics(state, max(np.abs(d).max() for d in div))
+                diagnostics(state, float(np.abs(div).max()))
         return state
 
 

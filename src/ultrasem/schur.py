@@ -39,7 +39,6 @@ from .element import (
     boundary_point_traversal,
     boundary_rows,
     boundary_slots,
-    element_rhs,
     element_rhs_operator,
     interior_equation_rows,
     interior_slot_map,
@@ -47,6 +46,7 @@ from .element import (
     point_value_row,
     outward_normal,
     pulled_pde,
+    sample_on_grid,
 )
 from .errors import BookkeepingError, SingularOperatorError
 from .mesh import order_interfaces
@@ -81,14 +81,14 @@ class InterfaceEdgeGeometry:
 
 
 def _edge_reference_point(local_edge, aligned, t):
-    """Reference coordinates of the interface point with edge parameter
-    ``t`` (measured from the lower-numbered endpoint) on a quad's local
-    edge."""
+    """Reference coordinates ``(r, s)`` of the interface points with edge
+    parameter ``t`` (scalar or array, measured from the lower-numbered
+    endpoint) on a quad's local edge."""
     ca = reference_corner(local_edge)
     cb = reference_corner((local_edge + 1) % 4)
     tau = t if aligned else -t
-    ref = 0.5 * (1 - tau) * ca + 0.5 * (1 + tau) * cb
-    return float(ref[0]), float(ref[1])
+    a, b = 0.5 * (1 - tau), 0.5 * (1 + tau)
+    return a * ca[0] + b * cb[0], a * ca[1] + b * cb[1]
 
 
 def _normal_derivative_row(bm, n, r, s, alpha, beta):
@@ -112,9 +112,9 @@ def _edge_rows(bm, n, local_edge, aligned, params):
     """Rows of one element side of an interface edge: the physical
     derivative rows ``(u_x, u_y)`` at every interface point, each of shape
     (n, n^2), and the value rows at the two endpoints."""
-    pts = [_edge_reference_point(local_edge, aligned, t) for t in params]
-    ux, uy = np.array([point_derivative_rows(bm, n, r, s) for r, s in pts]).transpose(1, 0, 2)
-    ends = np.array([point_value_row(n, *pts[0]), point_value_row(n, *pts[-1])])
+    r, s = _edge_reference_point(local_edge, aligned, params)
+    ux, uy = point_derivative_rows(bm, n, r, s)
+    ends = point_value_row(n, r[[0, -1]], s[[0, -1]])
     return ux, uy, ends
 
 
@@ -373,19 +373,21 @@ class SchurSystem:
         return f
 
     def _element_rhs_vector(self, f, fsrc, dirichlet, neumann):
-        n, mesh = self.n, self.mesh
+        n = self.n
         b = np.zeros(n * n)
         if fsrc is not None:
-            vals = element_rhs(mesh.element_quad(f), n, fsrc,
-                               rhs_op=self.rhs_ops[f])
+            F = sample_on_grid(self.maps[f], n, fsrc)
+            if not np.all(np.isfinite(F)):
+                raise ValueError(f"forcing is not finite on element {f}")
+            vals = self.rhs_ops[f] @ ultra.vals_to_coeffs_2d(F).ravel(order="F")
             b[interior_slot_map(n)] = vals[interior_equation_rows(n)]
         for slot, kind, e, x, y in self.data_points[f]:
             if kind == "pin":
-                b[slot] = 0.0
-            elif kind == "dirichlet":
-                b[slot] = _bc_value(dirichlet, e, x, y)
-            else:
-                b[slot] = _bc_value(neumann, e, x, y)
+                continue
+            b[slot] = _bc_value(dirichlet if kind == "dirichlet" else neumann, e, x, y)
+            if not np.isfinite(b[slot]):
+                raise ValueError(f"boundary data is not finite on element {f}, "
+                                 f"edge {e} at ({x:g}, {y:g})")
         return b
 
     def solve(self, f=None, dirichlet=0.0, neumann=0.0, return_info=False):

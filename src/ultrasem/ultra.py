@@ -190,36 +190,40 @@ def coeffs_to_vals(coeffs, n=None):
 
 
 def vals_to_coeffs_2d(values):
-    """Tensor Chebyshev coefficients ``A[i, j]`` (of ``T_i(s) T_j(r)``) from
-    grid values ``V[i, j] = u(r_j, s_i)`` on the ascending tensor grid."""
+    """Tensor Chebyshev coefficients ``A[..., i, j]`` (of ``T_i(s) T_j(r)``)
+    from grid values ``V[..., i, j] = u(r_j, s_i)`` on the ascending tensor
+    grid; leading axes index a stack of grids."""
     v = np.asarray(values, dtype=float)
-    if v.ndim != 2:
-        raise ValueError("expected a 2-D value array")
-    return _vals_to_coeffs_along(_vals_to_coeffs_along(v, 0), 1)
+    if v.ndim < 2:
+        raise ValueError("expected an array of 2-D value grids")
+    return _vals_to_coeffs_along(_vals_to_coeffs_along(v, -2), -1)
 
 
 def coeffs_to_vals_2d(coeffs):
-    """Grid values from tensor Chebyshev coefficients; inverse of
-    :func:`vals_to_coeffs_2d`."""
+    """Grid values from tensor Chebyshev coefficients over the last two
+    axes; inverse of :func:`vals_to_coeffs_2d`."""
     c = np.asarray(coeffs, dtype=float)
-    if c.ndim != 2:
-        raise ValueError("expected a 2-D coefficient array")
-    return _coeffs_to_vals_along(_coeffs_to_vals_along(c, 0), 1)
+    if c.ndim < 2:
+        raise ValueError("expected an array of 2-D coefficient grids")
+    return _coeffs_to_vals_along(_coeffs_to_vals_along(c, -2), -1)
 
 
 def eval_row(x, n):
-    """Row vector ``[T_0(x), ..., T_{n-1}(x)]`` so that ``row @ coeffs``
-    evaluates a Chebyshev series at ``x in [-1, 1]``."""
-    if abs(x) > 1.0:
+    """Rows ``[T_0(x), ..., T_{n-1}(x)]`` so that ``row @ coeffs``
+    evaluates a Chebyshev series at ``x in [-1, 1]``: one row per point of
+    an array ``x`` (shape ``x.shape + (n,)``), a 1-D row for a scalar."""
+    x = np.asarray(x, dtype=float)
+    if np.any(np.abs(x) > 1.0):
         raise ValueError("evaluation point must lie in [-1, 1]")
-    return np.cos(np.arange(n) * math.acos(x))
+    return np.cos(np.arange(n) * np.arccos(x)[..., None])
 
 
 def deriv_eval_row(x, n):
-    """Row vector evaluating the derivative of a Chebyshev series at ``x``.
+    """Rows evaluating the derivative of a Chebyshev series at the points
+    ``x`` (shaped as in :func:`eval_row`).
 
-    Computed as ``eval_row(x) @ inv(S_0) @ D_1`` with a banded triangular
-    solve against ``S_0``; no inverse is ever formed.
+    Computed as ``eval_row(x) @ inv(S_0) @ D_1`` with one banded triangular
+    solve against ``S_0`` for all points; no inverse is ever formed.
     """
     e = eval_row(x, n)
     # solve y S0 = e, i.e. S0^T y = e; S0^T is lower banded with (l, u) = (2, 0)
@@ -227,17 +231,7 @@ def deriv_eval_row(x, n):
     ab[0, :] = 0.5
     ab[0, 0] = 1.0
     ab[2, : n - 2] = -0.5
-    y = solve_banded((2, 0), ab, e)
-    row = np.zeros(n)
-    row[1:] = y[:-1] * np.arange(1, n)
+    y = solve_banded((2, 0), ab, e.reshape(-1, n).T).T.reshape(e.shape)
+    row = np.zeros_like(e)
+    row[..., 1:] = y[..., :-1] * np.arange(1, n)
     return row
-
-
-def cheb_diff(coeffs, axis=0):
-    """Chebyshev coefficients of the derivative along ``axis``, zero padded
-    back to the input length."""
-    c = np.asarray(coeffs, dtype=float)
-    d = np.polynomial.chebyshev.chebder(c, 1, axis=axis)
-    pad = [(0, 0)] * c.ndim
-    pad[axis] = (0, 1)
-    return np.pad(d, pad)

@@ -96,6 +96,19 @@ class TestSolve:
         assert code == EXIT_FORMAT
         assert "line 4: vertex coordinates must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--rhs", "forcing is not finite on element 0"),
+        ("--bc", "boundary data is not finite on element 0, edge 0 at (0, 0)"),
+    ])
+    def test_nonfinite_data_exit_code_and_message(self, flag, message, tmp_path, capsys):
+        # 1/x is infinite on the x = 0 side of the unit square
+        p = tmp_path / "unit.txt"
+        p.write_text("quadmesh 1\nv 0 0\nv 1 0\nv 1 1\nv 0 1\nq 1 2 3 4\n")
+        with np.errstate(divide="ignore"):
+            code = main(["solve", "--mesh", str(p), "--n", "6", flag, "1/x"])
+        assert code == EXIT_FORMAT
+        assert message in capsys.readouterr().err
+
     def test_missing_file_is_io_error(self, tmp_path):
         from ultrasem.cli import EXIT_IO
 

@@ -157,6 +157,39 @@ class TestBoundaryRows:
     def test_off_boundary_rejected(self):
         with pytest.raises(ValueError):
             boundary_rows(SQUARE, 6, "value", [(0.5, 0.5)])
+        with pytest.raises(ValueError, match="0.5, 0.5"):
+            boundary_rows(SQUARE, 6, "normal-derivative", [(1.0, 0.2), (0.5, 0.5)])
+
+    def test_point_arrays_match_chebvander(self, rng):
+        n = 7
+        quad = Quad(random_convex_quad(rng))
+        bm = bilinear_coeffs(quad)
+        r, s = rng.uniform(-1, 1, (2, 5))
+        vr = np.polynomial.chebyshev.chebvander(r, n - 1)
+        vs = np.polynomial.chebyshev.chebvander(s, n - 1)
+        rows = point_value_row(n, r, s)
+        assert rows.shape == (5, n * n)
+        for k in range(5):
+            assert np.max(np.abs(rows[k] - np.kron(vr[k], vs[k]))) < 1e-14
+        # derivative rows against chebder of a random coefficient matrix
+        A = rng.standard_normal((n, n))  # A[i, j] multiplies T_i(s) T_j(r)
+        cheb = np.polynomial.chebyshev
+        ur = cheb.chebval2d(s, r, cheb.chebder(A, axis=1))
+        us = cheb.chebval2d(s, r, cheb.chebder(A, axis=0))
+        det = (bm.b1 + bm.d1 * s) * (bm.c2 + bm.d2 * r) \
+            - (bm.b2 + bm.d2 * s) * (bm.c1 + bm.d1 * r)
+        want_x = ((bm.c2 + bm.d2 * r) * ur - (bm.b2 + bm.d2 * s) * us) / det
+        want_y = (-(bm.c1 + bm.d1 * r) * ur + (bm.b1 + bm.d1 * s) * us) / det
+        ux, uy = point_derivative_rows(bm, n, r, s)
+        a = A.ravel(order="F")
+        scale = np.abs(A).sum()
+        assert np.max(np.abs(ux @ a - want_x)) < 1e-12 * scale
+        assert np.max(np.abs(uy @ a - want_y)) < 1e-12 * scale
+        # broadcasting a scalar coordinate against an array
+        edge = point_value_row(n, 1.0, s)
+        assert np.array_equal(edge, point_value_row(n, np.ones(5), s))
+        for kind in ("value", "normal-derivative"):
+            assert boundary_rows(quad, n, kind, []).shape == (0, n * n)
 
 
 class TestEllipticityDiagnostic:

@@ -134,6 +134,58 @@ class TestVorticity:
         assert np.max(np.abs(solver.vorticity(st)[0] + 1.0)) < 1e-12
 
 
+class TestStackedElements:
+    # two different non-affine quads: each element needs its own
+    # inverse-map factors; u = x^2 + xy - y, v = y^2 - 2xy + x
+    U = staticmethod(lambda x, y: x * x + x * y - y)
+    V = staticmethod(lambda x, y: y * y - 2 * x * y + x)
+
+    def solver_and_state(self, dealias):
+        verts = [(0, 0), (1, 0.1), (2.2, 0), (0.1, 1.1), (1.2, 0.9), (2, 1.3)]
+        mesh = build_mesh(verts, [(0, 1, 4, 3), (1, 2, 5, 4)])
+        cfg = NsConfig(dt=1e-3, steps=1, dealias=dealias)
+        solver = TunnelSolver(mesh, 8, cfg, classify_tunnel_boundary(mesh))
+        st = FlowState(u=field_from(self.U, solver), v=field_from(self.V, solver),
+                       p=field_from(lambda x, y: 0 * x, solver))
+        t = ultra.cheb_points(8)
+        R, S = np.meshgrid(t, t)
+        XY = [solver.helm_u.maps[f](R, S) for f in range(2)]
+        return solver, st, XY
+
+    def test_divergence_and_vorticity(self):
+        solver, st, XY = self.solver_and_state(False)
+        div = solver.divergence_values(st.u, st.v)
+        w = solver.vorticity(st)
+        for f, (X, Y) in enumerate(XY):
+            assert np.max(np.abs(div[f] - 3 * Y)) < 1e-11
+            assert np.max(np.abs(w[f] - (2 - 2 * Y - X))) < 1e-11
+
+    def test_dealiased_advection(self):
+        for dealias in (False, True):
+            solver, st, XY = self.solver_and_state(dealias)
+            ax, ay = solver.advection_term(st)
+            for f, (X, Y) in enumerate(XY):
+                u, v = self.U(X, Y), self.V(X, Y)
+                assert np.max(np.abs(ax[f] - (u * (2 * X + Y) + v * (X - 1)))) < 1e-11
+                assert np.max(np.abs(ay[f] - (u * (1 - 2 * Y) + v * (2 * Y - 2 * X)))) < 1e-11
+
+    def test_interface_order_computed_once(self, monkeypatch):
+        import ultrasem.mesh
+
+        calls = []
+        search = ultrasem.mesh._exact_min_bandwidth
+        monkeypatch.setattr(ultrasem.mesh, "_exact_min_bandwidth",
+                            lambda *a: calls.append(1) or search(*a))
+        mesh = tunnel_mesh(nx=4, ny=3, hole=(1, 1))
+        solver = TunnelSolver(mesh, 6, NsConfig(dt=1e-3),
+                              classify_tunnel_boundary(mesh, (0.6, 0.0)))
+        assert len(calls) == 1
+        # callers get copies: changing one leaves the mesh's order alone
+        pos = ultrasem.mesh.order_interfaces(mesh)
+        pos[:] = 0
+        assert np.array_equal(ultrasem.mesh.order_interfaces(mesh), solver.helm_u.block_pos)
+
+
 class TestTimeStepping:
     def test_zero_input_fixed_point(self):
         mesh = tunnel_mesh(nx=3, ny=2, width=0.003, height=0.001, hole=None)

@@ -117,7 +117,7 @@ class TestDerivativeExactness:
             # oracle: differentiate in Chebyshev space, then convert bases
             dc = c.copy()
             for _ in range(lam):
-                dc = ultra.cheb_diff(dc)
+                dc = np.append(np.polynomial.chebyshev.chebder(dc), 0.0)
             want = ultra.cheb_to_ultra(lam, n) @ dc
             got = ultra.diff_operator(lam, n) @ c
             assert np.max(np.abs(got - want)) < 1e-13 * max(1, np.abs(want).max())
@@ -236,6 +236,36 @@ class TestEvalRows:
             ultra.eval_row(1.5, 4)
         with pytest.raises(ValueError):
             ultra.deriv_eval_row(-2.0, 4)
+
+    def test_point_arrays_match_chebvander(self):
+        x = np.array([-1.0, -0.7, 0.0, 0.31, 1.0])
+        n = 9
+        assert ultra.eval_row(x, n).shape == (5, n)
+        assert np.max(np.abs(ultra.eval_row(x, n)
+                             - np.polynomial.chebyshev.chebvander(x, n - 1))) < 1e-14
+        # derivative rows: vander of the derivative times chebder's matrix
+        D = np.polynomial.chebyshev.chebder(np.eye(n))
+        want = np.polynomial.chebyshev.chebvander(x, n - 2) @ D
+        assert np.max(np.abs(ultra.deriv_eval_row(x, n) - want)) < 1e-12
+        grid = x.reshape(1, 5) * np.ones((2, 1))
+        assert ultra.deriv_eval_row(grid, n).shape == (2, 5, n)
+        assert np.array_equal(ultra.deriv_eval_row(grid, n)[1], ultra.deriv_eval_row(x, n))
+
+    def test_domain_check_on_every_point(self):
+        for bad in ([0.0, 0.5, 1.0 + 1e-12], [-1.5, 0.0]):
+            with pytest.raises(ValueError):
+                ultra.eval_row(np.array(bad), 4)
+            with pytest.raises(ValueError):
+                ultra.deriv_eval_row(np.array(bad), 4)
+
+    def test_stacked_2d_transforms(self):
+        rng = np.random.default_rng(4)
+        V = rng.standard_normal((3, 2, 6, 6))
+        C = ultra.vals_to_coeffs_2d(V)
+        assert C.shape == V.shape
+        for idx in np.ndindex(3, 2):
+            assert np.max(np.abs(C[idx] - ultra.vals_to_coeffs_2d(V[idx]))) < 1e-14
+        assert np.max(np.abs(ultra.coeffs_to_vals_2d(C) - V)) < 1e-13
 
 
 class TestMultOperator:
