@@ -157,14 +157,8 @@ def write_fields_file(path, mesh_path, n, names, elements, time=None):
 
 
 def _element_grids(system, sols):
-    n = system.n
-    t = ultra.cheb_points(n)
-    R, S = np.meshgrid(t, t)
-    out = []
-    for f, s in enumerate(sols):
-        X, Y = system.maps[f](R, S)
-        out.append({"x": X, "y": Y, "u": s.grid_values()})
-    return out
+    return [{"x": X, "y": Y, "u": s.grid_values()}
+            for X, Y, s in zip(system.grid_x, system.grid_y, sols)]
 
 
 # ----------------------------------------------------------------------
@@ -275,20 +269,15 @@ def cmd_ns_run(args):
     state = FlowState.rest(mesh, args.n)
     outdir = args.out or "frames"
     os.makedirs(outdir, exist_ok=True)
-    t = ultra.cheb_points(args.n)
-    R, S = np.meshgrid(t, t)
+    coords = solver.helm_u  # every system of the solver holds the grid coordinates
 
     def frame_path(step):
         return os.path.join(outdir, f"frame_{step:06d}.txt")
 
     def write_frame(st):
-        w = solver.vorticity(st)
-        grids = []
-        for f in range(mesh.n_quads):
-            X, Y = solver.helm_u.maps[f](R, S)
-            grids.append({"x": X, "y": Y, "u": st.u[f].grid_values(),
-                          "v": st.v[f].grid_values(), "p": st.p[f].grid_values(),
-                          "omega": w[f]})
+        fields = zip(coords.grid_x, coords.grid_y, st.u, st.v, st.p, solver.vorticity(st))
+        grids = [{"x": X, "y": Y, "u": u.grid_values(), "v": v.grid_values(),
+                  "p": p.grid_values(), "omega": w} for X, Y, u, v, p, w in fields]
         write_fields_file(frame_path(st.step), args.mesh, args.n,
                           ["u", "v", "p", "omega"], grids, time=st.t)
 

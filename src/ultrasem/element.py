@@ -83,10 +83,7 @@ class PdeCoefficients:
         """Sampled uniform-ellipticity diagnostic: the minimum over an
         m-by-m grid of ``min(a11, a11*a22 - a12^2)``.  Positive means the
         operator looks uniformly elliptic on the element."""
-        bm = bilinear_coeffs(quad)
-        t = ultra.cheb_points(m)
-        R, S = np.meshgrid(t, t)
-        X, Y = bm(R, S)
+        X, Y = grid_points(bilinear_coeffs(quad), m)
         a11 = poly2d_eval(self.a11, X, Y)
         a12 = poly2d_eval(self.a12, X, Y)
         a22 = poly2d_eval(self.a22, X, Y)
@@ -182,7 +179,7 @@ def boundary_point_traversal(n):
     return out
 
 
-def _traversal_points(n):
+def traversal_points(n):
     """Reference coordinates ``(r, s)`` of the traversal points, as two
     arrays in traversal order."""
     return np.array([p[2:] for p in boundary_point_traversal(n)]).T
@@ -541,7 +538,7 @@ def assemble_element_operator(pde, quad, n, rows=None):
     nn = n * n
     slots = boundary_slots(n)
     if rows is None:
-        rows = point_value_row(n, *_traversal_points(n))
+        rows = point_value_row(n, *traversal_points(n))
     rows = np.asarray(rows, dtype=float)
     if rows.shape != (4 * n - 4, nn):
         raise ValueError("expected the 4n-4 boundary rows of the traversal")
@@ -581,37 +578,42 @@ def element_rhs_operator(quad, n):
     return (_kron_factors(n)["id"] @ mult2d(det3, 0, n)).tocsr()
 
 
-def sample_on_grid(bm, n, f):
-    """Grid values ``F[i, j] = f`` at ``(r_j, s_i)``: a callable of
-    physical coordinates is sampled on the tensor grid mapped by ``bm``,
-    an n-by-n array of values is checked and returned."""
+def grid_points(bm, n):
+    """Physical coordinates ``(X, Y)`` of the n-by-n tensor grid,
+    ``X[..., i, j]`` at ``(r_j, s_i)``."""
+    t = ultra.cheb_points(n)
+    return bm(*np.meshgrid(t, t))
+
+
+def sample_on_grid(X, Y, f):
+    """Forcing values on grid coordinates ``(X, Y)``: a callable of
+    physical coordinates is evaluated once on the whole arrays, an array
+    of values must have their shape."""
     if callable(f):
-        t = ultra.cheb_points(n)
-        R, S = np.meshgrid(t, t)
-        X, Y = bm(R, S)
         return np.asarray(f(X, Y), dtype=float) + np.zeros_like(X)
     F = np.asarray(f, dtype=float)
-    if F.shape != (n, n):
-        raise ValueError("grid values must be n-by-n")
+    if F.shape != X.shape:
+        raise ValueError(f"grid values must have shape {X.shape}, not {F.shape}")
     return F
 
 
 def element_rhs(quad, n, f):
     """Parameter-2 coefficients of ``det^3 * f`` on the element, for ``f``
-    as in :func:`sample_on_grid`."""
+    a callable of physical coordinates or an n-by-n value grid."""
     if not isinstance(quad, Quad):
         quad = Quad(quad)
-    F = sample_on_grid(bilinear_coeffs(quad), n, f)
+    F = sample_on_grid(*grid_points(bilinear_coeffs(quad), n), f)
     return element_rhs_operator(quad, n) @ ultra.vals_to_coeffs_2d(F).ravel(order="F")
 
 
 def project_rhs(rhs_full, boundary_values, n):
-    """Assemble the full stacked right-hand side: interior equations go to
-    their shifted slots, boundary rows carry ``boundary_values`` in
-    traversal order."""
-    b = np.zeros(n * n)
-    b[interior_slot_map(n)] = np.asarray(rhs_full, dtype=float)[interior_equation_rows(n)]
-    b[boundary_slots(n)] = boundary_values
+    """Assemble full stacked right-hand sides over any leading axes:
+    interior equations go to their shifted slots, boundary rows carry
+    ``boundary_values`` in traversal order."""
+    rhs_full = np.asarray(rhs_full, dtype=float)
+    b = np.zeros(rhs_full.shape[:-1] + (n * n,))
+    b[..., interior_slot_map(n)] = rhs_full[..., interior_equation_rows(n)]
+    b[..., boundary_slots(n)] = boundary_values
     return b
 
 
@@ -624,7 +626,7 @@ def solve_element_dirichlet(pde, quad, n, f, g):
     bm = bilinear_coeffs(quad)
     op = assemble_element_operator(pde, quad, n)
     rhs_full = element_rhs(quad, n, f)
-    x, y = bm(*_traversal_points(n))
+    x, y = bm(*traversal_points(n))
     gv = np.asarray(g(x, y), dtype=float) + np.zeros_like(x)
     b = project_rhs(rhs_full, gv, n)
     return CoeffVector2D(n, op.solve(b))
@@ -634,13 +636,16 @@ def solve_element_dirichlet(pde, quad, n, f, g):
 # condition numbers
 
 
-def operator_condition(abm, dense_threshold=256):
+_DENSE_CONDITION_LIMIT = 256  # unknowns up to which condition numbers are exact
+
+
+def operator_condition(abm):
     """Condition numbers ``(kappa_1, kappa_inf)`` of the row-scaled
     bordered operator; exact through dense inverses up to
-    ``dense_threshold`` unknowns, 1-norm estimation on the cached
+    ``_DENSE_CONDITION_LIMIT`` unknowns, 1-norm estimation on the cached
     factorization beyond that."""
     nn = abm.nn
-    if nn <= dense_threshold:
+    if nn <= _DENSE_CONDITION_LIMIT:
         B = abm.to_dense()
         Binv = np.linalg.inv(B)
         k1 = np.abs(B).sum(axis=0).max() * np.abs(Binv).sum(axis=0).max()

@@ -36,20 +36,20 @@ from ._linalg import BandedLU
 from .element import (
     CoeffVector2D,
     assemble_element_operator,
-    boundary_point_traversal,
     boundary_rows,
     boundary_slots,
     element_rhs_operator,
-    interior_equation_rows,
-    interior_slot_map,
+    grid_points,
     point_derivative_rows,
     point_value_row,
     outward_normal,
+    project_rhs,
     pulled_pde,
     sample_on_grid,
+    traversal_points,
 )
 from .errors import BookkeepingError, SingularOperatorError
-from .mesh import order_interfaces
+from .mesh import interface_bandwidth, order_interfaces
 from .quadmap import bilinear_coeffs, reference_corner
 
 
@@ -96,15 +96,15 @@ def _normal_derivative_row(bm, n, r, s, alpha, beta):
     return beta * ux - alpha * uy
 
 
-def _element_rows(quad, n, trav, normals):
-    """The 4n-4 boundary rows of an element in traversal order: a value row
-    where ``normals`` holds None, an outward normal-derivative row
+def _element_rows(quad, n, neumann):
+    """The 4n-4 boundary rows of an element in traversal order: an outward
+    normal-derivative row where the mask ``neumann`` is set, a value row
     elsewhere."""
-    rows = np.empty((len(trav), n * n))
-    for kind, neumann in (("value", False), ("normal-derivative", True)):
-        pick = [k for k, v in enumerate(normals) if (v is not None) == neumann]
-        if pick:
-            rows[pick] = boundary_rows(quad, n, kind, [trav[k][2:] for k in pick])
+    points = traversal_points(n).T
+    rows = np.empty((4 * n - 4, n * n))
+    for kind, pick in (("value", ~neumann), ("normal-derivative", neumann)):
+        if pick.any():
+            rows[pick] = boundary_rows(quad, n, kind, points[pick])
     return rows
 
 
@@ -124,7 +124,11 @@ class SchurSystem:
     ``ops``, ``rhs_ops`` and ``W`` are per-element lists whose entries
     are shared between elements with equal inputs; ``n_distinct`` counts
     the distinct element operators.  ``maps`` holds each element's own
-    bilinear map.
+    bilinear map, and ``grid_x``, ``grid_y`` the physical coordinates of
+    every element's tensor grid as (F, n, n) arrays.  The 4n-4 boundary
+    points of every element are held as (F, 4n-4) arrays in traversal
+    order: ``point_kind`` ("coupled", "dirichlet", "neumann" or "pin"),
+    ``point_edge`` (global edge) and ``point_x``, ``point_y``.
     """
 
     def __init__(self, mesh, pde, n, bc=None, pin_value_point=False):
@@ -139,14 +143,18 @@ class SchurSystem:
                          for e in mesh.interior_edges]
 
         bc = dict(bc or {})
+        for e, kind in bc.items():
+            if kind not in ("dirichlet", "neumann"):
+                raise BookkeepingError(f"edge {e}: unknown boundary condition {kind!r}")
+            if e not in range(mesh.n_edges):
+                raise BookkeepingError(f"edge {e} ({kind}) is not an edge of the mesh")
+            if not mesh.boundary_edge[e]:
+                raise BookkeepingError(f"edge {e} ({kind}) is interior, not a boundary edge")
         for e in range(mesh.n_edges):
             if mesh.boundary_edge[e]:
                 bc.setdefault(e, "dirichlet")
-            elif e in bc:
-                raise BookkeepingError(f"edge {e} is interior, not a boundary edge")
         self.bc = bc
-        self._pin = pin_value_point and not any(
-            v == "dirichlet" for k, v in bc.items() if mesh.boundary_edge[k])
+        self._pin = pin_value_point and "dirichlet" not in bc.values()
 
         self._build_elements()
         self._build_gamma_rows()
@@ -162,63 +170,58 @@ class SchurSystem:
     def _build_elements(self):
         mesh, n = self.mesh, self.n
         self.maps = [bilinear_coeffs(mesh.element_quad(f)) for f in range(mesh.n_quads)]
+        grid = np.array([grid_points(bm, n) for bm in self.maps])
+        self.grid_x, self.grid_y = grid[:, 0], grid[:, 1]
+        r, s = traversal_points(n)
+        points = np.array([bm(r, s) for bm in self.maps])
+        self.point_x, self.point_y = points[:, 0], points[:, 1]
+
+        # per traversal point: its edge, and its interface unknown if coupled
+        self.point_edge = np.repeat(mesh.quad_edge, n - 1, axis=1)
+        a = np.tile(np.arange(n - 1), 4)
+        along = np.where(np.repeat(mesh.quad_edge_aligned, n - 1, axis=1), a, n - 1 - a)
+        first_col = np.zeros(mesh.n_edges, dtype=int)
+        first_col[mesh.interior_edges] = n * self.block_pos
+        cols = first_col[self.point_edge] + along
+        edge_kind = np.array([self.bc.get(e, "coupled") for e in range(mesh.n_edges)])
+        self.point_kind = edge_kind[self.point_edge]
+        if self._pin:
+            # the first Neumann point in element order takes a value row
+            self.point_kind.flat[np.argmax(self.point_kind == "neumann")] = "pin"
+
         self.ops, self.rhs_ops = [], []
         self.coupling = []   # per element: (slots, gamma cols) arrays
-        self.data_points = []  # per element: list of (slot, kind, edge, x, y)
         self._op_index = []  # per element: index of its distinct operator
         index = {}  # element key -> index into distinct
         distinct = []  # (operator, right-hand-side operator) per key
         slots_all = boundary_slots(n)
-        trav = boundary_point_traversal(n)
-        pinned = False
         coupling_count = np.zeros(self.n_gamma, dtype=int)
 
         for f in range(mesh.n_quads):
             quad = mesh.element_quad(f)
             bm = self.maps[f]
-            normals = []  # per traversal point: None (value row) or outward normal
-            c_slots, c_cols = [], []
-            dpts = []
-            for k, (l, a, r, s) in enumerate(trav):
-                e = mesh.local_edge(f, l)
-                slot = slots_all[k]
-                normal = None
-                if not mesh.boundary_edge[e]:
-                    aligned = mesh.quad_edge_aligned[f, l]
-                    m = a if aligned else n - 1 - a
-                    c_slots.append(slot)
-                    c_cols.append(self.gamma_col(e, m))
-                else:
-                    x, y = bm(r, s)
-                    kind = "dirichlet"
-                    if self.bc[e] == "neumann" and not (self._pin and not pinned):
-                        normal = outward_normal(quad, l)
-                        kind = "neumann"
-                    elif self.bc[e] == "neumann":  # pinned point of an all-Neumann solve
-                        kind = "pin"
-                        pinned = True
-                    dpts.append((slot, kind, e, float(x), float(y)))
-                normals.append(normal)
+            rows_neumann = self.point_kind[f] == "neumann"
+            normals = tuple(outward_normal(quad, l).tobytes() for l in range(4)
+                            if rows_neumann.reshape(4, n - 1)[l].any())
             # Exact bytes of everything the operator, its boundary rows and
             # its right-hand-side operator are computed from (n is fixed
             # per system); equal keys give bitwise equal results.
             key = (np.array([bm.b1, bm.c1, bm.d1, bm.b2, bm.c2, bm.d2]).tobytes(),
                    tuple((t.shape, t.tobytes()) for t in pulled_pde(self.pde, bm).values()),
-                   tuple(None if v is None else v.tobytes() for v in normals))
+                   rows_neumann.tobytes(), normals)
             i = index.setdefault(key, len(index))
             if i == len(distinct):
-                rows = _element_rows(quad, n, trav, normals)
+                rows = _element_rows(quad, n, rows_neumann)
                 distinct.append((assemble_element_operator(self.pde, quad, n, rows=rows),
                                  element_rhs_operator(quad, n)))
             op, rhs_op = distinct[i]
             self._op_index.append(i)
             self.ops.append(op)
             self.rhs_ops.append(rhs_op)
-            c_slots = np.asarray(c_slots, dtype=int)
-            c_cols = np.asarray(c_cols, dtype=int)
+            coupled = self.point_kind[f] == "coupled"
+            c_cols = cols[f, coupled]
             coupling_count[c_cols] += 1
-            self.coupling.append((c_slots, c_cols))
-            self.data_points.append(dpts)
+            self.coupling.append((slots_all[coupled], c_cols))
         self.n_distinct = len(distinct)
 
         if self.n_gamma:
@@ -294,9 +297,8 @@ class SchurSystem:
     def _check_counts(self):
         # every element contributes n^2 rows, every interior edge n rows;
         # matching blocks must come in pairs covering each edge once
-        n, mesh = self.n, self.mesh
         n_blocks = sum(len(blocks) for blocks in self.gamma_blocks)
-        if n_blocks * n != 2 * self.n_gamma:
+        if n_blocks * self.n != 2 * self.n_gamma:
             raise BookkeepingError("interface matching rows do not pair up")
 
     # -- Schur complement --------------------------------------------------
@@ -336,8 +338,6 @@ class SchurSystem:
         self._sigma = sigma
         coo = sigma.tocoo()
         self.sigma_bandwidth = int(np.abs(coo.row - coo.col).max()) if coo.nnz else 0
-        from .mesh import interface_bandwidth
-
         bound = (interface_bandwidth(self.mesh, self.block_pos) + 1) * n
         if self.sigma_bandwidth >= bound:
             raise BookkeepingError(
@@ -362,51 +362,54 @@ class SchurSystem:
 
     # -- right-hand sides and solving --------------------------------------
 
-    def _per_element_source(self, f):
-        """Normalize the forcing argument to a per-element list (entries are
-        callables of (x, y), n-by-n value grids, or None)."""
-        if f is None or callable(f):
-            return [f] * self.mesh.n_quads
-        f = list(f)
-        if len(f) != self.mesh.n_quads:
-            raise ValueError("need one forcing grid per element")
-        return f
-
-    def _element_rhs_vector(self, f, fsrc, dirichlet, neumann):
+    def _rhs_vectors(self, f, dirichlet, neumann):
+        """Right-hand sides of every element, stacked (F, n^2): the forcing
+        sampled on all element grids at once, and the boundary data at
+        every Dirichlet and Neumann traversal point."""
         n = self.n
-        b = np.zeros(n * n)
-        if fsrc is not None:
-            F = sample_on_grid(self.maps[f], n, fsrc)
-            if not np.all(np.isfinite(F)):
-                raise ValueError(f"forcing is not finite on element {f}")
-            vals = self.rhs_ops[f] @ ultra.vals_to_coeffs_2d(F).ravel(order="F")
-            b[interior_slot_map(n)] = vals[interior_equation_rows(n)]
-        for slot, kind, e, x, y in self.data_points[f]:
-            if kind == "pin":
-                continue
-            b[slot] = _bc_value(dirichlet if kind == "dirichlet" else neumann, e, x, y)
-            if not np.isfinite(b[slot]):
-                raise ValueError(f"boundary data is not finite on element {f}, "
-                                 f"edge {e} at ({x:g}, {y:g})")
-        return b
+        rhs_full = np.zeros((self.mesh.n_quads, n * n))
+        if f is not None:
+            G = sample_on_grid(self.grid_x, self.grid_y, f)
+            bad = ~np.isfinite(G).all(axis=(1, 2))
+            if bad.any():
+                raise ValueError(f"forcing is not finite on element {np.argmax(bad)}")
+            C = ultra.vals_to_coeffs_2d(G)
+            for k, rhs_op in enumerate(self.rhs_ops):
+                rhs_full[k] = rhs_op @ C[k].ravel(order="F")
+        values = np.zeros(self.point_kind.shape)
+        for kind, src in (("dirichlet", dirichlet), ("neumann", neumann)):
+            on_kind = self.point_kind == kind
+            per_edge = src.items() if isinstance(src, dict) else [(None, src)]
+            for e, s in per_edge:
+                pick = on_kind if e is None else on_kind & (self.point_edge == e)
+                if pick.any():
+                    x, y = self.point_x[pick], self.point_y[pick]
+                    values[pick] = s(x, y) if callable(s) else s
+        bad = ~np.isfinite(values)
+        if bad.any():
+            k = np.unravel_index(np.argmax(bad), bad.shape)
+            raise ValueError(f"boundary data is not finite on element {k[0]}, "
+                             f"edge {self.point_edge[k]} at "
+                             f"({self.point_x[k]:g}, {self.point_y[k]:g})")
+        return project_rhs(rhs_full, values, n)
 
     def solve(self, f=None, dirichlet=0.0, neumann=0.0, return_info=False):
         """Solve the PDE on the whole mesh.
 
-        ``f`` is a callable of physical coordinates, a list of per-element
-        n-by-n value grids, or None (zero).  ``dirichlet``/``neumann``
-        supply boundary data as a constant, a callable ``(x, y)``, or a
-        dict mapping global boundary edge numbers to either.
+        ``f`` is a callable of physical coordinates, evaluated once on the
+        stacked (F, n, n) element grids, an (F, n, n) array of grid values
+        (a list of n-by-n grids converts), or None (zero).
+        ``dirichlet``/``neumann`` supply boundary data as a constant, a
+        callable ``(x, y)`` evaluated once on arrays of boundary points, or
+        a dict mapping global boundary edge numbers to either.
         Returns a list of per-element :class:`CoeffVector2D`.
         """
-        n, mesh = self.n, self.mesh
-        sources = self._per_element_source(f)
-        bvecs, x0 = [], []
+        n = self.n
+        B = self._rhs_vectors(f, dirichlet, neumann)
+        x0 = []
         rhs_gamma = np.zeros(self.n_gamma)
         for fidx, op in enumerate(self.ops):
-            b = self._element_rhs_vector(fidx, sources[fidx], dirichlet, neumann)
-            bvecs.append(b)
-            xf = op.solve(b)
+            xf = op.solve(B[fidx])
             x0.append(xf)
             for base, rows in self.gamma_blocks[fidx]:
                 rhs_gamma[base:base + n] -= rows @ xf
@@ -424,7 +427,7 @@ class SchurSystem:
         if not return_info:
             return sols
         info = SolveInfo(u_gamma=u_gamma,
-                         residual=self._residual(sols, u_gamma, bvecs))
+                         residual=self._residual(sols, u_gamma, B))
         return sols, info
 
     def _residual(self, sols, u_gamma, bvecs):
@@ -469,12 +472,11 @@ class SchurSystem:
     def solve_dense(self, f=None, dirichlet=0.0, neumann=0.0):
         """Solve through the dense monolithic matrix (oracle path)."""
         n, mesh = self.n, self.mesh
-        sources = self._per_element_source(f)
+        B = self._rhs_vectors(f, dirichlet, neumann)
         G = self.to_dense_global()
         rhs = np.zeros(G.shape[0])
         for fidx, op in enumerate(self.ops):
-            b = self._element_rhs_vector(fidx, sources[fidx], dirichlet, neumann)
-            rhs[fidx * n * n:(fidx + 1) * n * n] = op.scale * b
+            rhs[fidx * n * n:(fidx + 1) * n * n] = op.scale * B[fidx]
         x = np.linalg.solve(G, rhs)
         return [CoeffVector2D(n, x[fidx * n * n:(fidx + 1) * n * n])
                 for fidx in range(mesh.n_quads)]
@@ -484,14 +486,6 @@ class SchurSystem:
 class SolveInfo:
     u_gamma: np.ndarray
     residual: float
-
-
-def _bc_value(src, e, x, y):
-    if isinstance(src, dict):
-        src = src.get(e, 0.0)
-    if callable(src):
-        return float(src(x, y))
-    return float(src)
 
 
 def assemble_schur(mesh, pde, n, bc=None, pin_value_point=False):

@@ -387,10 +387,11 @@ class TestConditioning:
             ks.append(operator_condition(op)[1])
         assert max(ks) <= 1.02 * ks[-1]
 
-    def test_estimated_matches_dense(self):
+    def test_estimated_matches_dense(self, monkeypatch):
         op = assemble_element_operator(POISSON, skinny_quad(1e-3), 8)
-        k1d, kid = operator_condition(op, dense_threshold=256)
-        k1e, kie = operator_condition(op, dense_threshold=1)
+        k1d, kid = operator_condition(op)
+        monkeypatch.setattr("ultrasem.element._DENSE_CONDITION_LIMIT", 1)
+        k1e, kie = operator_condition(op)
         assert abs(k1e - k1d) <= 0.5 * k1d
         assert abs(kie - kid) <= 0.5 * kid
 

@@ -12,10 +12,12 @@ from ultrasem.element import (
     boundary_point_traversal,
     boundary_rows,
     boundary_slots,
+    traversal_points,
 )
 from ultrasem.errors import BookkeepingError, SingularOperatorError
 from ultrasem.mesh import build_mesh, grid_mesh, mesh_from_string
 from ultrasem.schur import assemble_schur
+from ultrasem.ultra import cheb_points
 
 from conftest import eval_on_grid, skinny_pair_mesh
 
@@ -213,6 +215,19 @@ class TestSolves:
         shift = got[0, 0] - want[0, 0]
         assert np.max(np.abs(got - want - shift)) < 1e-10
 
+    def test_pin_at_first_neumann_point(self):
+        # the pinned value row replaces the first Neumann row in element
+        # order, and the solution vanishes at that point
+        mesh, n = grid_mesh(2, 1), 8
+        bc = {e: "neumann" for e in range(mesh.n_edges) if mesh.boundary_edge[e]}
+        sys = assemble_schur(mesh, POISSON, n, bc=bc, pin_value_point=True)
+        f, k = np.argwhere(sys.point_kind != "coupled")[0]
+        assert sys.point_kind[f, k] == "pin"
+        assert np.count_nonzero(sys.point_kind == "pin") == 1
+        sols = sys.solve(f=lambda x, y: np.cos(x) + y)
+        r, s = traversal_points(n)[:, k]
+        assert abs(sols[f].eval(r, s)) <= 1e-12 * max(np.abs(c.data).max() for c in sols)
+
     def test_residual_reported_small(self):
         sys = assemble_schur(two_squares(), POISSON, 10)
         sols, info = sys.solve(f=lambda x, y: np.sin(x + y),
@@ -268,7 +283,7 @@ class TestSolves:
         sols, info = sys.solve(f=f, dirichlet=0.0, return_info=True)
 
         def redo(fidx):
-            b = sys._element_rhs_vector(fidx, f, 0.0, 0.0)
+            b = sys._rhs_vectors(f, 0.0, 0.0)[fidx]
             x = sys.ops[fidx].solve(b)
             slots, cols = sys.coupling[fidx]
             return x - sys.W[fidx] @ info.u_gamma[cols]
@@ -286,11 +301,58 @@ class TestSolves:
         sols, info = sys.solve(f=f, dirichlet=0.0, return_info=True)
         order = rng.permutation(sys.mesh.n_quads)
         for fidx in order:
-            b = sys._element_rhs_vector(fidx, f, 0.0, 0.0)
+            b = sys._rhs_vectors(f, 0.0, 0.0)[fidx]
             x = sys.ops[fidx].solve(b)
             slots, cols = sys.coupling[fidx]
             x = x - sys.W[fidx] @ info.u_gamma[cols]
             assert np.array_equal(x, sols[fidx].data)
+
+
+    def test_forcing_forms_agree(self):
+        # a callable, its sampled (F, n, n) stack and a list of n-by-n grids
+        mesh, n = mixed_mesh(), 8
+        top = next(e for e in range(mesh.n_edges) if mesh.boundary_edge[e]
+                   and np.all(mesh.vertices[mesh.edges[e], 1] == 1.0))
+        sys = assemble_schur(mesh, POISSON, n, bc={top: "neumann"})
+        f = lambda x, y: np.exp(x) * np.sin(2 * y)
+        t = cheb_points(n)
+        stack = np.array([f(*bm(*np.meshgrid(t, t))) for bm in sys.maps])
+        data = dict(dirichlet=lambda x, y: x * y, neumann=0.25)
+        want = sys.solve(f=f, **data)
+        for forcing in (stack, list(stack)):
+            got = sys.solve(f=forcing, **data)
+            assert all(np.array_equal(a.data, b.data) for a, b in zip(want, got))
+        for bad in (np.concatenate([stack, stack[:1]]), np.zeros((mesh.n_quads, n, n + 1))):
+            with pytest.raises(ValueError, match="grid values must have shape"):
+                sys.solve(f=bad)
+
+    def test_element_renumbering_invariance(self):
+        # Renumbering the quads renumbers edges, interface blocks and
+        # element slots; the solution must follow its element.  The vertex
+        # list marks each interior vertex with its smallest-numbered
+        # interior edge, and that choice changes the discrete equations, so
+        # the permutation is one that keeps it.
+        mesh, n = mixed_mesh(), 8
+        perm = [1, 0, 3, 4, 6, 7, 5, 2]
+        renum = build_mesh(mesh.vertices, mesh.quads[perm])
+
+        def marking(m):
+            return {v: tuple(m.edges[e]) for v, e in enumerate(m.vertex_edge) if e >= 0}
+
+        assert marking(renum) == marking(mesh)
+
+        def solve(m):
+            edge = {tuple(m.edges[e]): e for e in range(m.n_edges)}
+            left, right, top = edge[(0, 4)], edge[(3, 7)], edge[(6, 7)]
+            sys = assemble_schur(m, POISSON, n, bc={top: "neumann"})
+            return sys.solve(f=lambda x, y: np.sin(x) * y,
+                             dirichlet={left: 0.5, right: lambda x, y: x * y},
+                             neumann={top: lambda x, y: np.cos(3 * x)})
+
+        want, got = solve(mesh), solve(renum)
+        scale = max(np.abs(s.data).max() for s in want)
+        for k, f in enumerate(perm):
+            assert np.abs(got[k].data - want[f].data).max() <= 1e-10 * scale
 
 
 class TestGlobalContinuity:
@@ -348,11 +410,18 @@ def _check_jumps(sys, sols, value_tol, deriv_tol):
 
 
 class TestErrors:
-    def test_bc_on_interior_edge_rejected(self):
+    @pytest.mark.parametrize("case", ["interior-edge", "unknown-kind",
+                                      "missing-edge", "negative-edge"])
+    def test_bad_bc_entry_rejected(self, case):
         mesh = two_squares()
-        e = mesh.interior_edges[0]
-        with pytest.raises(BookkeepingError):
-            assemble_schur(mesh, POISSON, 6, bc={int(e): "dirichlet"})
+        edge, kind = {
+            "interior-edge": (int(mesh.interior_edges[0]), "dirichlet"),
+            "unknown-kind": (int(np.nonzero(mesh.boundary_edge)[0][0]), "nuemann"),
+            "missing-edge": (mesh.n_edges + 92, "neumann"),
+            "negative-edge": (-1, "neumann"),
+        }[case]
+        with pytest.raises(BookkeepingError, match=rf"edge {edge}\b.*{kind}"):
+            assemble_schur(mesh, POISSON, 6, bc={edge: kind})
 
     def test_all_neumann_unpinned_raises(self):
         # without a pinned value Sigma is singular only to rounding
@@ -371,7 +440,7 @@ def _fresh_element(sys, f):
     """Element ``f``'s operator built on its own from :func:`boundary_rows`,
     and its W from its own solve."""
     n, quad = sys.n, sys.mesh.element_quad(f)
-    neumann = {slot for slot, kind, *_ in sys.data_points[f] if kind == "neumann"}
+    neumann = set(boundary_slots(n)[sys.point_kind[f] == "neumann"])
     rows = np.array([
         boundary_rows(quad, n, "normal-derivative" if slot in neumann else "value",
                       [(r, s)])[0]
