@@ -13,12 +13,12 @@ banded LU plus a low-rank Woodbury correction.
 """
 
 import functools
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import lu_solve
-from scipy.linalg.lapack import dgetrf
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from ._linalg import BandedLU
 from .errors import SingularOperatorError
@@ -158,31 +158,17 @@ def boundary_slots(n):
     return np.sort((i + n * j)[mask].ravel())
 
 
-def boundary_point_traversal(n):
-    """The 4n-4 tensor-grid boundary points, edge by edge counterclockwise
-    from vertex 1, each corner owned by the edge that starts at it.
-
-    Returns a list of ``(local_edge, a, r, s)`` where ``a`` is the point's
-    index along its edge (0 at the starting corner) and the edge-local
-    parameter of the point is ``cheb_points(n)[a]``.
-    """
-    t = ultra.cheb_points(n)
-    out = []
-    for a in range(n - 1):
-        out.append((0, a, t[n - 1 - a], 1.0))  # vertex 1 -> 2, s = 1
-    for a in range(n - 1):
-        out.append((1, a, -1.0, t[n - 1 - a]))  # vertex 2 -> 3, r = -1
-    for a in range(n - 1):
-        out.append((2, a, t[a], -1.0))  # vertex 3 -> 4, s = -1
-    for a in range(n - 1):
-        out.append((3, a, 1.0, t[a]))  # vertex 4 -> 1, r = 1
-    return out
-
-
 def traversal_points(n):
-    """Reference coordinates ``(r, s)`` of the traversal points, as two
-    arrays in traversal order."""
-    return np.array([p[2:] for p in boundary_point_traversal(n)]).T
+    """Reference coordinates ``(r, s)`` of the 4n-4 tensor-grid boundary
+    points, as two arrays in traversal order: edge by edge
+    counterclockwise from vertex 1, each corner owned by the edge that
+    starts at it.  Point ``a`` of each edge (0 at its starting corner) has
+    the edge-local parameter ``cheb_points(n)[a]``."""
+    t = ultra.cheb_points(n)
+    fwd, rev, one = t[:n - 1], t[:0:-1], np.ones(n - 1)
+    # vertex 1 -> 2 (s = 1), 2 -> 3 (r = -1), 3 -> 4 (s = -1), 4 -> 1 (r = 1)
+    return np.array([np.concatenate([rev, -one, fwd, one]),
+                     np.concatenate([one, rev, -one, fwd])])
 
 
 # ----------------------------------------------------------------------
@@ -399,6 +385,11 @@ def element_interior_operator(pde, quad, n):
 # bordered almost-banded operator
 
 
+# OpenBLAS (seen with 0.3.31) runs getrs with several right-hand sides on
+# its thread pool and corrupts the heap when two callers enter it at once
+_GETRS_LOCK = threading.Lock()
+
+
 class AlmostBandedMatrix:
     """Banded matrix plus a low-rank dense-row correction.
 
@@ -466,6 +457,15 @@ class AlmostBandedMatrix:
             self._cap = (lu, piv)
             self._Z = Z
 
+    def _cap_solve(self, b, trans=0):
+        """Solve with the factored capacitance matrix (``trans=1``: its
+        transpose)."""
+        with _GETRS_LOCK:
+            x, info = dgetrs(*self._cap, b, trans=trans)
+        if info != 0:
+            raise SingularOperatorError(f"capacitance solve failed (info {info})")
+        return x
+
     def solve_raw(self, rhs):
         """Solve ``B x = rhs`` where ``B`` is the (already row-scaled)
         bordered operator, for one or many right-hand sides."""
@@ -476,7 +476,7 @@ class AlmostBandedMatrix:
             b = b[:, None]
         y = self._lu.solve(b)
         if self.k:
-            y = y - self._Z @ lu_solve(self._cap, self.V @ y)
+            y = y - self._Z @ self._cap_solve(self.V @ y)
         return y[:, 0] if squeeze else y
 
     def solve(self, rhs):
@@ -497,7 +497,7 @@ class AlmostBandedMatrix:
             self._Zt = self._lu.solve(self.V.T, transpose=True)
         y = self._lu.solve(b, transpose=True)
         if self.k:
-            y = y - self._Zt @ lu_solve(self._cap, y[self.slots], trans=1)
+            y = y - self._Zt @ self._cap_solve(y[self.slots], trans=1)
         return y[:, 0] if squeeze else y
 
 
@@ -527,7 +527,7 @@ def assemble_element_operator(pde, quad, n, rows=None):
     """Bordered, row-scaled element operator.
 
     ``rows`` supplies the 4n-4 dense boundary rows in the counterclockwise
-    traversal order of :func:`boundary_point_traversal`; by default they
+    traversal order of :func:`traversal_points`; by default they
     are Dirichlet value rows at those points.  Row scaling normalizes
     every row of the bordered matrix to unit sup norm and is recorded so
     that solves can scale right-hand sides consistently.

@@ -4,10 +4,13 @@ Meshes are conforming collections of counterclockwise quadrilaterals.
 Every quad, vertex and edge carries a global number; edges also have
 local addresses (quad number, local edge 0..3, where local edge ``l``
 runs from the quad's vertex ``l`` to vertex ``l+1``).  Each interior
-vertex is assigned one incident interior edge; that assignment decides
-which interface keeps a derivative-matching condition at the vertex
-instead of a value-continuity condition, which keeps the coupled system
-nonsingular where several elements meet.
+vertex is assigned one incident interior edge: the one whose other
+endpoint has the smallest ``(y, x)``, ties going to the lower edge
+number.  That assignment decides which interface keeps a
+derivative-matching condition at the vertex instead of a value-continuity
+condition, which keeps the coupled system nonsingular where several
+elements meet.  It depends on coordinates alone, so renumbering the
+quads (and with them the edges) leaves the discrete equations unchanged.
 
 The text format is line oriented::
 
@@ -106,13 +109,16 @@ class QuadMesh:
             self.boundary_vertex[self.edges[e]] = True
 
         self.interior_edges = np.nonzero(~self.boundary_edge)[0]
-        # vertex list: each interior vertex gets its smallest-numbered
-        # incident interior edge
+        # vertex list: each interior vertex gets the incident interior edge
+        # whose other endpoint has the smallest (y, x), ties to the lower
+        # edge number; only coordinates decide, not the element numbering
         self.vertex_edge = np.full(V, -1, dtype=int)
+        best = {}
         for e in self.interior_edges:
-            for v in self.edges[e]:
-                if not self.boundary_vertex[v] and (
-                        self.vertex_edge[v] == -1 or e < self.vertex_edge[v]):
+            for v, w in (self.edges[e], self.edges[e][::-1]):
+                key = (self.vertices[w, 1], self.vertices[w, 0], e)
+                if not self.boundary_vertex[v] and key < best.get(v, (np.inf,)):
+                    best[v] = key
                     self.vertex_edge[v] = e
 
     # -- queries -------------------------------------------------------

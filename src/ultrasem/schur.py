@@ -10,7 +10,12 @@ match normal derivatives across each edge, with the two endpoint rows
 replaced by value continuity except where the mesh vertex list marks the
 edge, which keeps the coupled system square and nonsingular.
 
-Eliminating the element blocks yields the interface complement
+With the element unknowns stacked as one vector of length F n^2, the
+coupling is three sparse matrices: ``A_gamma`` (the scaled interface
+matching rows), ``C_gamma`` (each element's boundary rows acting on the
+interface values) and ``W_gamma`` (each element's solves against its
+``C_gamma`` columns).  Eliminating the element blocks yields the
+interface complement
 
     Sigma = - sum_j  A_gamma_j  inv(A_jj)  A_j_gamma
 
@@ -20,10 +25,11 @@ solve then decouples and reuses its cached factorization.
 
 Elements whose inputs are bitwise equal (translation-free map
 coefficients, PDE tables pulled back to the element, and boundary row
-kinds with their outward normals) share one operator, factorization,
-right-hand-side operator, W block per coupled-slot set and unscaled
-interface rows.  Sharing never rounds, so results are bit-identical to
-building every element alone.
+kinds with their outward normals) form one group sharing an operator,
+factorization, right-hand-side operator, W block per coupled-slot set and
+unscaled interface rows.  Sharing never rounds, so operators and W blocks
+are bit-identical to building every element alone; a solve runs one
+multi-column solve per group.
 """
 
 from dataclasses import dataclass
@@ -91,11 +97,6 @@ def _edge_reference_point(local_edge, aligned, t):
     return a * ca[0] + b * cb[0], a * ca[1] + b * cb[1]
 
 
-def _normal_derivative_row(bm, n, r, s, alpha, beta):
-    ux, uy = point_derivative_rows(bm, n, r, s)
-    return beta * ux - alpha * uy
-
-
 def _element_rows(quad, n, neumann):
     """The 4n-4 boundary rows of an element in traversal order: an outward
     normal-derivative row where the mask ``neumann`` is set, a value row
@@ -121,24 +122,27 @@ def _edge_rows(bm, n, local_edge, aligned, params):
 class SchurSystem:
     """Factored global solver for one mesh, operator and resolution.
 
-    ``ops``, ``rhs_ops`` and ``W`` are per-element lists whose entries
-    are shared between elements with equal inputs; ``n_distinct`` counts
-    the distinct element operators.  ``maps`` holds each element's own
-    bilinear map, and ``grid_x``, ``grid_y`` the physical coordinates of
-    every element's tensor grid as (F, n, n) arrays.  The 4n-4 boundary
-    points of every element are held as (F, 4n-4) arrays in traversal
-    order: ``point_kind`` ("coupled", "dirichlet", "neumann" or "pin"),
-    ``point_edge`` (global edge) and ``point_x``, ``point_y``.
+    ``groups`` holds one ``(elements, op, rhs_op)`` triple per distinct
+    element operator (``n_distinct`` of them); ``ops`` and ``W`` are
+    per-element lists whose entries are shared between elements with
+    equal inputs (``W[f]`` is None for an element with no interior edge).
+    The coupling of the stacked element unknowns (length F n^2) to the
+    interface vector is held as the sparse matrices ``A_gamma``,
+    ``C_gamma`` and ``W_gamma`` (see the module docstring).  ``maps``
+    holds each element's own bilinear map, and ``grid_x``, ``grid_y`` the
+    physical coordinates of every element's tensor grid as (F, n, n)
+    arrays.  The 4n-4 boundary points of every element are held as
+    (F, 4n-4) arrays in traversal order: ``point_kind`` ("coupled",
+    "dirichlet", "neumann" or "pin"), ``point_edge`` (global edge) and
+    ``point_x``, ``point_y``.
     """
 
     def __init__(self, mesh, pde, n, bc=None, pin_value_point=False):
         self.mesh = mesh
         self.pde = pde
         self.n = int(n)
-        n_int = mesh.n_interior_edges
         self.block_pos = order_interfaces(mesh)
-        self.n_gamma = self.n * n_int
-        self._iedge_index = {int(e): k for k, e in enumerate(mesh.interior_edges)}
+        self.n_gamma = self.n * mesh.n_interior_edges
         self.geometry = [InterfaceEdgeGeometry.build(mesh, e, self.n)
                          for e in mesh.interior_edges]
 
@@ -157,19 +161,15 @@ class SchurSystem:
         self._pin = pin_value_point and "dirichlet" not in bc.values()
 
         self._build_elements()
-        self._build_gamma_rows()
-        self._check_counts()
-        self._build_sigma()
+        # the coupling's build temporaries are freed before Sigma is factored
+        self._factor_sigma(self._build_coupling())
 
-    # -- element operators and coupling --------------------------------
-
-    def gamma_col(self, e, m):
-        """Interface unknown index of point ``m`` on interior edge ``e``."""
-        return self.n * int(self.block_pos[self._iedge_index[int(e)]]) + int(m)
+    # -- element operators ----------------------------------------------
 
     def _build_elements(self):
         mesh, n = self.mesh, self.n
-        self.maps = [bilinear_coeffs(mesh.element_quad(f)) for f in range(mesh.n_quads)]
+        nn, F = n * n, mesh.n_quads
+        self.maps = [bilinear_coeffs(mesh.element_quad(f)) for f in range(F)]
         grid = np.array([grid_points(bm, n) for bm in self.maps])
         self.grid_x, self.grid_y = grid[:, 0], grid[:, 1]
         r, s = traversal_points(n)
@@ -182,22 +182,17 @@ class SchurSystem:
         along = np.where(np.repeat(mesh.quad_edge_aligned, n - 1, axis=1), a, n - 1 - a)
         first_col = np.zeros(mesh.n_edges, dtype=int)
         first_col[mesh.interior_edges] = n * self.block_pos
-        cols = first_col[self.point_edge] + along
+        self._point_col = first_col[self.point_edge] + along
         edge_kind = np.array([self.bc.get(e, "coupled") for e in range(mesh.n_edges)])
         self.point_kind = edge_kind[self.point_edge]
         if self._pin:
             # the first Neumann point in element order takes a value row
             self.point_kind.flat[np.argmax(self.point_kind == "neumann")] = "pin"
 
-        self.ops, self.rhs_ops = [], []
-        self.coupling = []   # per element: (slots, gamma cols) arrays
-        self._op_index = []  # per element: index of its distinct operator
-        index = {}  # element key -> index into distinct
-        distinct = []  # (operator, right-hand-side operator) per key
-        slots_all = boundary_slots(n)
-        coupling_count = np.zeros(self.n_gamma, dtype=int)
-
-        for f in range(mesh.n_quads):
+        self._group = np.empty(F, dtype=int)  # per element: its group
+        index = {}  # element key -> group
+        distinct = []  # (operator, right-hand-side operator) per group
+        for f in range(F):
             quad = mesh.element_quad(f)
             bm = self.maps[f]
             rows_neumann = self.point_kind[f] == "neumann"
@@ -214,128 +209,126 @@ class SchurSystem:
                 rows = _element_rows(quad, n, rows_neumann)
                 distinct.append((assemble_element_operator(self.pde, quad, n, rows=rows),
                                  element_rhs_operator(quad, n)))
-            op, rhs_op = distinct[i]
-            self._op_index.append(i)
-            self.ops.append(op)
-            self.rhs_ops.append(rhs_op)
-            coupled = self.point_kind[f] == "coupled"
-            c_cols = cols[f, coupled]
-            coupling_count[c_cols] += 1
-            self.coupling.append((slots_all[coupled], c_cols))
+            self._group[f] = i
         self.n_distinct = len(distinct)
+        self.ops = [distinct[i][0] for i in self._group]
+        self.groups = [(np.flatnonzero(self._group == i), op, rhs_op)
+                       for i, (op, rhs_op) in enumerate(distinct)]
+        self._scale = np.empty((F, nn))  # row scales of every element
+        for elems, op, _ in self.groups:
+            self._scale[elems] = op.scale
 
-        if self.n_gamma:
-            interior_pts = np.ones(self.n_gamma, dtype=bool)
-            ends = []
-            for k in range(len(self.mesh.interior_edges)):
-                base = self.n * self.block_pos[k]
-                ends += [base, base + self.n - 1]
-            interior_pts[ends] = False
-            if not (np.all(coupling_count[interior_pts] == 2)
-                    and np.all(coupling_count[~interior_pts] == 1)):
-                raise BookkeepingError(
-                    "corner-exclusion rule failed to cover the interface points")
+    # -- coupling and the Schur complement -------------------------------
 
-    def element_interface_columns(self, f, e=None):
-        """Coupling of element ``f`` into the interface vector: arrays
-        ``(slots, gamma_cols, values)``; restricted to interior edge ``e``
-        when given."""
-        slots, cols = self.coupling[f]
-        vals = -self.ops[f].scale[slots] if slots.size else np.zeros(0)
-        if e is not None:
-            base = self.gamma_col(e, 0)
-            mask = (cols >= base) & (cols < base + self.n)
-            return slots[mask], cols[mask], vals[mask]
-        return slots, cols, vals
-
-    # -- interface matching rows ----------------------------------------
-
-    def _build_gamma_rows(self):
+    def _build_coupling(self):
+        """``C_gamma``, the W blocks and ``W_gamma``, then ``A_gamma`` and
+        Sigma in one pass over the interior edges.  Returns Sigma (None
+        without interfaces)."""
         mesh, n = self.mesh, self.n
-        # per element: list of (first gamma row, dense (n, n^2) block)
-        self.gamma_blocks = [[] for _ in range(mesh.n_quads)]
-        shared = {}  # (distinct operator, local edge, orientation) -> _edge_rows
+        nn, F = n * n, mesh.n_quads
+        self.W = [None] * F
+        if self.n_gamma == 0:
+            self.A_gamma = sp.csr_matrix((0, F * nn))
+            self.C_gamma = self.W_gamma = sp.csr_matrix((F * nn, 0))
+            return None
+
+        # C_gamma: one -scale entry in the row of every coupled slot
+        coupled = self.point_kind == "coupled"
+        slots = boundary_slots(n)
+        counts = np.zeros((F, nn), dtype=int)
+        counts[:, slots] = coupled
+        self.C_gamma = sp.csr_matrix(
+            (-self._scale[:, slots][coupled], self._point_col[coupled],
+             np.concatenate([[0], np.cumsum(counts)])),
+            shape=(F * nn, self.n_gamma))
+        # every interface point is coupled from both sides, except the two
+        # endpoints of each edge, which one side owns
+        end = np.isin(np.arange(self.n_gamma) % n, (0, n - 1))
+        cover = np.bincount(self.C_gamma.indices, minlength=self.n_gamma)
+        if not (np.all(cover[~end] == 2) and np.all(cover[end] == 1)):
+            raise BookkeepingError(
+                "corner-exclusion rule failed to cover the interface points")
+
+        # the other CSR arrays are filled in place with int32 indices (F n^2
+        # and n_gamma stay far below 2^31): build temporaries would stay in
+        # the process heap after they are freed
+        cols = [self._point_col[f, coupled[f]] for f in range(F)]
+        w_ptr = np.concatenate([[0], np.cumsum(np.repeat(coupled.sum(axis=1), nn))])
+        w_data = np.empty(w_ptr[-1])
+        w_cols = np.empty(w_ptr[-1], dtype=np.int32)
+        shared = {}  # (group, coupled slots) -> W
+        for f in np.flatnonzero(coupled.any(axis=1)):
+            key = (self._group[f], coupled[f].tobytes())
+            if key not in shared:
+                op, s = self.ops[f], slots[coupled[f]]
+                rhs = np.zeros((nn, s.size))
+                rhs[s, np.arange(s.size)] = -op.scale[s]
+                shared[key] = op.solve_raw(rhs)
+            self.W[f] = shared[key]
+            block = slice(w_ptr[f * nn], w_ptr[(f + 1) * nn])
+            w_data[block] = self.W[f].ravel()
+            w_cols[block] = np.tile(cols[f], nn)
+        self.W_gamma = sp.csr_matrix((w_data, w_cols, w_ptr), shape=(F * nn, self.n_gamma))
+
+        # every matching row holds one dense n^2 block per side, lower
+        # element first
+        a_data = np.empty((self.n_gamma, 2, nn))
+        a_cols = np.empty((self.n_gamma, 2, nn), dtype=np.int32)
+        # Sigma triplets: n per coupled column of every side of every edge
+        n_sides = (~mesh.boundary_edge[mesh.quad_edge]).sum(axis=1)
+        r, c = np.empty((2, n * n_sides @ coupled.sum(axis=1)), dtype=np.int32)
+        v = np.empty(r.size)
+        o = 0
+        shared = {}  # (group, local edge, orientation) -> _edge_rows
         for k, e in enumerate(mesh.interior_edges):
             geom = self.geometry[k]
             base = n * self.block_pos[k]
             sides = mesh.edge_quads[e]  # two (quad, local edge, aligned), quad ascending
             blocks = []
             for f, l, aligned in sides:
-                key = (self._op_index[f], int(l), bool(aligned))
+                key = (self._group[f], int(l), bool(aligned))
                 if key not in shared:
                     shared[key] = _edge_rows(self.maps[f], n, l, aligned, geom.params)
                 ux, uy, ends = shared[key]
                 rows = geom.beta * ux - geom.alpha * uy
                 # an endpoint matches derivatives only at an interior vertex
                 # that marks this edge; elsewhere it matches values
-                for m, v, end in ((0, mesh.edges[e][0], ends[0]),
-                                  (n - 1, mesh.edges[e][1], ends[1])):
-                    if mesh.boundary_vertex[v] or mesh.vertex_edge[v] != e:
+                for m, vx, end in ((0, mesh.edges[e][0], ends[0]),
+                                   (n - 1, mesh.edges[e][1], ends[1])):
+                    if mesh.boundary_vertex[vx] or mesh.vertex_edge[vx] != e:
                         rows[m] = end
                 blocks.append(rows)
             blocks[1] = -blocks[1]
             # one shared scale per matching row keeps it one equation
             sup = np.maximum(np.abs(blocks[0]).max(axis=1),
                              np.abs(blocks[1]).max(axis=1))[:, None]
-            for (f, _, _), rows in zip(sides, blocks):
-                self.gamma_blocks[f].append((base, rows / sup))
-
-    def interface_matching_rows(self, e):
-        """The two dense row blocks (for the lower- and higher-numbered
-        incident element) matching derivatives/values across edge ``e``."""
-        k = self._iedge_index[int(e)]
-        base = self.n * self.block_pos[k]
-        out = []
-        for f, blocks in enumerate(self.gamma_blocks):
-            for b, rows in blocks:
-                if b == base:
-                    out.append((f, rows))
-        return out
-
-    # -- bookkeeping assertions ------------------------------------------
-
-    def _check_counts(self):
-        # every element contributes n^2 rows, every interior edge n rows;
-        # matching blocks must come in pairs covering each edge once
-        n_blocks = sum(len(blocks) for blocks in self.gamma_blocks)
-        if n_blocks * self.n != 2 * self.n_gamma:
-            raise BookkeepingError("interface matching rows do not pair up")
-
-    # -- Schur complement --------------------------------------------------
-
-    def _build_sigma(self):
-        n = self.n
-        self.W = []
-        if self.n_gamma == 0:
-            self._sigma = None
-            self._sigma_solve = None
-            self.sigma_bandwidth = 0
-            return
-        r, c, v = [], [], []
-        shared = {}  # (distinct operator, coupled slots) -> W
-        for f, op in enumerate(self.ops):
-            slots, cols = self.coupling[f]
-            if slots.size == 0 and not self.gamma_blocks[f]:
-                self.W.append(None)
-                continue
-            key = (self._op_index[f], slots.tobytes())
-            if key not in shared:
-                rhs = np.zeros((n * n, slots.size))
-                rhs[slots, np.arange(slots.size)] = -op.scale[slots]
-                shared[key] = op.solve_raw(rhs) if slots.size else np.zeros((n * n, 0))
-            W = shared[key]
-            self.W.append(W)
-            for base, rows in self.gamma_blocks[f]:
-                r.append(np.repeat(np.arange(base, base + n), cols.size))
-                c.append(np.tile(cols, n))
-                v.append(-(rows @ W).ravel())
+            for side, ((f, _, _), rows) in enumerate(zip(sides, blocks)):
+                rows = rows / sup
+                a_data[base:base + n, side] = rows
+                a_cols[base:base + n, side] = f * nn + np.arange(nn)
+                block = slice(o, o + n * cols[f].size)
+                r[block] = np.repeat(np.arange(base, base + n), cols[f].size)
+                c[block] = np.tile(cols[f], n)
+                v[block] = -(rows @ self.W[f]).ravel()
+                o = block.stop
+        self.A_gamma = sp.csr_matrix(
+            (a_data.ravel(), a_cols.ravel(), np.arange(self.n_gamma + 1) * 2 * nn),
+            shape=(self.n_gamma, F * nn))
         # Sigma = -sum A_gamma_j inv(A_jj) A_j_gamma; signs folded above.
         # An entry gets at most two contributions, so summing the
         # duplicates is exact in any order.
-        sigma = sp.csr_matrix((np.concatenate(v), (np.concatenate(r), np.concatenate(c))),
-                              shape=(self.n_gamma, self.n_gamma))
+        sigma = sp.csr_matrix((v, (r, c)), shape=(self.n_gamma, self.n_gamma))
         sigma.eliminate_zeros()
+        return sigma
+
+    def _factor_sigma(self, sigma):
+        """Check Sigma's bandwidth against the ordering bound and factor it."""
         self._sigma = sigma
+        if sigma is None:
+            self._sigma_solve = None
+            self.sigma_bandwidth = 0
+            return
+        n = self.n
         coo = sigma.tocoo()
         self.sigma_bandwidth = int(np.abs(coo.row - coo.col).max()) if coo.nnz else 0
         bound = (interface_bandwidth(self.mesh, self.block_pos) + 1) * n
@@ -373,9 +366,10 @@ class SchurSystem:
             bad = ~np.isfinite(G).all(axis=(1, 2))
             if bad.any():
                 raise ValueError(f"forcing is not finite on element {np.argmax(bad)}")
-            C = ultra.vals_to_coeffs_2d(G)
-            for k, rhs_op in enumerate(self.rhs_ops):
-                rhs_full[k] = rhs_op @ C[k].ravel(order="F")
+            # each element's coefficients stacked column by column
+            C = ultra.vals_to_coeffs_2d(G).transpose(0, 2, 1).reshape(len(G), n * n)
+            for elems, _, rhs_op in self.groups:
+                rhs_full[elems] = (rhs_op @ C[elems].T).T
         values = np.zeros(self.point_kind.shape)
         for kind, src in (("dirichlet", dirichlet), ("neumann", neumann)):
             on_kind = self.point_kind == kind
@@ -393,6 +387,14 @@ class SchurSystem:
                              f"({self.point_x[k]:g}, {self.point_y[k]:g})")
         return project_rhs(rhs_full, values, n)
 
+    def _element_solves(self, B):
+        """Stacked (F, n^2) element solves with zero interface values: one
+        multi-column solve per group."""
+        X = np.empty_like(B)
+        for elems, op, _ in self.groups:
+            X[elems] = op.solve(B[elems].T).T
+        return X
+
     def solve(self, f=None, dirichlet=0.0, neumann=0.0, return_info=False):
         """Solve the PDE on the whole mesh.
 
@@ -404,50 +406,30 @@ class SchurSystem:
         a dict mapping global boundary edge numbers to either.
         Returns a list of per-element :class:`CoeffVector2D`.
         """
-        n = self.n
         B = self._rhs_vectors(f, dirichlet, neumann)
-        x0 = []
-        rhs_gamma = np.zeros(self.n_gamma)
-        for fidx, op in enumerate(self.ops):
-            xf = op.solve(B[fidx])
-            x0.append(xf)
-            for base, rows in self.gamma_blocks[fidx]:
-                rhs_gamma[base:base + n] -= rows @ xf
+        X = self._element_solves(B)
+        u_gamma = np.zeros(self.n_gamma)
         if self.n_gamma:
-            u_gamma = self._sigma_solve(rhs_gamma)
-        else:
-            u_gamma = np.zeros(0)
-        sols = []
-        for fidx, op in enumerate(self.ops):
-            slots, cols = self.coupling[fidx]
-            x = x0[fidx]
-            if slots.size:
-                x = x - self.W[fidx] @ u_gamma[cols]
-            sols.append(CoeffVector2D(n, x))
+            u_gamma = self._sigma_solve(-(self.A_gamma @ X.ravel()))
+            X -= (self.W_gamma @ u_gamma).reshape(X.shape)
+        sols = [CoeffVector2D(self.n, x) for x in X]
         if not return_info:
             return sols
-        info = SolveInfo(u_gamma=u_gamma,
-                         residual=self._residual(sols, u_gamma, B))
-        return sols, info
+        return sols, SolveInfo(u_gamma=u_gamma, residual=self._residual(X, u_gamma, B))
 
-    def _residual(self, sols, u_gamma, bvecs):
-        n = self.n
+    def _residual(self, X, u_gamma, B):
+        """Largest residual of the coupled system, relative to the largest
+        scaled right-hand side entry (at least 1)."""
+        R = np.empty_like(X)
+        for elems, op, _ in self.groups:
+            R[elems] = op.matvec(X[elems].T).T
+        SB = self._scale * B
+        R -= SB
         top = 0.0
-        scale_ref = 1.0
-        for fidx, op in enumerate(self.ops):
-            slots, cols = self.coupling[fidx]
-            r = op.matvec(sols[fidx].data) - op.scale * bvecs[fidx]
-            if slots.size:
-                r[slots] -= op.scale[slots] * u_gamma[cols]
-            top = max(top, np.abs(r).max())
-            scale_ref = max(scale_ref, np.abs(op.scale * bvecs[fidx]).max())
-        gam = np.zeros(self.n_gamma)
-        for fidx in range(self.mesh.n_quads):
-            for base, rows in self.gamma_blocks[fidx]:
-                gam[base:base + n] += rows @ sols[fidx].data
         if self.n_gamma:
-            top = max(top, np.abs(gam).max())
-        return top / scale_ref
+            R += (self.C_gamma @ u_gamma).reshape(R.shape)
+            top = np.abs(self.A_gamma @ X.ravel()).max()
+        return max(top, np.abs(R).max()) / max(1.0, np.abs(SB).max())
 
     # -- dense oracle -------------------------------------------------------
 
@@ -455,31 +437,22 @@ class SchurSystem:
         """Dense monolithic matrix of the full coupled system, ordered as
         element blocks then interface unknowns.  Built from the same rows
         but solved without the Schur elimination; used as an oracle."""
-        n, mesh = self.n, self.mesh
-        N = mesh.n_quads * n * n + self.n_gamma
-        G = np.zeros((N, N))
-        for f, op in enumerate(self.ops):
-            o = f * n * n
-            G[o:o + n * n, o:o + n * n] = op.to_dense()
-            slots, cols = self.coupling[f]
-            if slots.size:
-                G[o + slots, mesh.n_quads * n * n + cols] = -op.scale[slots]
-            for base, rows in self.gamma_blocks[f]:
-                G[mesh.n_quads * n * n + base: mesh.n_quads * n * n + base + n,
-                  o:o + n * n] = rows
+        nn = self.n * self.n
+        FN = self.mesh.n_quads * nn
+        G = np.zeros((FN + self.n_gamma, FN + self.n_gamma))
+        for elems, op, _ in self.groups:
+            idx = elems[:, None] * nn + np.arange(nn)
+            G[idx[:, :, None], idx[:, None, :]] = op.to_dense()
+        G[:FN, FN:] = self.C_gamma.toarray()
+        G[FN:, :FN] = self.A_gamma.toarray()
         return G
 
     def solve_dense(self, f=None, dirichlet=0.0, neumann=0.0):
         """Solve through the dense monolithic matrix (oracle path)."""
-        n, mesh = self.n, self.mesh
         B = self._rhs_vectors(f, dirichlet, neumann)
-        G = self.to_dense_global()
-        rhs = np.zeros(G.shape[0])
-        for fidx, op in enumerate(self.ops):
-            rhs[fidx * n * n:(fidx + 1) * n * n] = op.scale * B[fidx]
-        x = np.linalg.solve(G, rhs)
-        return [CoeffVector2D(n, x[fidx * n * n:(fidx + 1) * n * n])
-                for fidx in range(mesh.n_quads)]
+        rhs = np.concatenate([(self._scale * B).ravel(), np.zeros(self.n_gamma)])
+        x = np.linalg.solve(self.to_dense_global(), rhs)
+        return [CoeffVector2D(self.n, xf) for xf in x[:B.size].reshape(B.shape)]
 
 
 @dataclass
@@ -490,5 +463,5 @@ class SolveInfo:
 
 def assemble_schur(mesh, pde, n, bc=None, pin_value_point=False):
     """Assemble and factor the coupled mesh solver (element operators,
-    coupling blocks and the banded interface complement)."""
+    coupling matrices and the banded interface complement)."""
     return SchurSystem(mesh, pde, n, bc=bc, pin_value_point=pin_value_point)

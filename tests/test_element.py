@@ -9,7 +9,6 @@ from ultrasem.element import (
     AlmostBandedMatrix,
     PdeCoefficients,
     assemble_element_operator,
-    boundary_point_traversal,
     boundary_rows,
     boundary_slots,
     element_interior_operator,
@@ -20,6 +19,7 @@ from ultrasem.element import (
     point_value_row,
     row_scale,
     solve_element_dirichlet,
+    traversal_points,
 )
 from ultrasem.errors import GeometryError, SingularOperatorError
 from ultrasem.quadmap import Quad, bilinear_coeffs
@@ -146,7 +146,7 @@ class TestBoundaryRows:
         assert abs(rows[0] @ c - 2.0) < 1e-12
 
     def test_normal_rows_at_corners_use_edge_starting_there(self):
-        # counterclockwise ownership, as in boundary_point_traversal: each
+        # counterclockwise ownership, as in traversal_points: each
         # corner takes the outward normal of the edge that starts at it
         n = 6
         c = coeffs_of(lambda x, y: x + 2 * y, n)
@@ -230,8 +230,7 @@ class TestAlmostBanded:
         B = op.to_dense()
         # boundary slots hold the scaled boundary rows
         slots = boundary_slots(n)
-        rows = np.array([point_value_row(n, r, s)
-                         for (_, _, r, s) in boundary_point_traversal(n)])
+        rows = np.array([point_value_row(n, r, s) for (r, s) in traversal_points(n).T])
         for t, m in enumerate(slots):
             want = op.scale[m] * rows[t]
             assert np.max(np.abs(B[m] - want)) < 1e-14

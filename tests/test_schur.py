@@ -9,9 +9,9 @@ from ultrasem.cli import _general_pde
 from ultrasem.element import (
     PdeCoefficients,
     assemble_element_operator,
-    boundary_point_traversal,
     boundary_rows,
     boundary_slots,
+    point_derivative_rows,
     traversal_points,
 )
 from ultrasem.errors import BookkeepingError, SingularOperatorError
@@ -60,9 +60,10 @@ class TestCoupling:
     def test_two_element_point_counts(self):
         n = 8
         sys = assemble_schur(two_squares(), POISSON, n)
-        e = sys.mesh.interior_edges[0]
-        s0, c0, v0 = sys.element_interface_columns(0, e)
-        s1, c1, v1 = sys.element_interface_columns(1, e)
+        # the one interior edge holds every interface column
+        rows = [sys.C_gamma[f * n * n:(f + 1) * n * n] for f in (0, 1)]
+        c0, c1 = (r.indices for r in rows)
+        v0, v1 = (r.data for r in rows)
         assert len(c0) == n - 1 and len(c1) == n - 1
         union = set(c0.tolist()) | set(c1.tolist())
         inter = set(c0.tolist()) & set(c1.tolist())
@@ -73,8 +74,7 @@ class TestCoupling:
     def test_single_element_no_coupling(self):
         mesh = build_mesh([(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1, 2, 3)])
         sys = assemble_schur(mesh, POISSON, 6)
-        slots, cols, vals = sys.element_interface_columns(0)
-        assert slots.size == 0 and sys.n_gamma == 0
+        assert sys.C_gamma.nnz == 0 and sys.A_gamma.nnz == 0 and sys.n_gamma == 0
 
     def test_2x2_interior_vertex_coverage(self):
         # assembly itself asserts each interface endpoint is covered exactly
@@ -87,12 +87,21 @@ class TestCoupling:
                     if center in sys.mesh.edges[e]]
         assert marked in incident
 
+    def test_uncovered_interface_point_raises(self):
+        sys = assemble_schur(two_squares(), POISSON, 6)
+        sys.point_kind[0, np.argmax(sys.point_kind[0] == "coupled")] = "dirichlet"
+        with pytest.raises(BookkeepingError, match="corner-exclusion"):
+            sys._build_coupling()
+
     def test_matching_rows_pair_up(self):
         sys = assemble_schur(two_squares(), POISSON, 7)
-        e = sys.mesh.interior_edges[0]
-        rows = sys.interface_matching_rows(e)
-        assert len(rows) == 2
-        assert rows[0][1].shape == (7, 49)
+        # the one interior edge holds every matching row: one dense block
+        # per incident element
+        assert sys.A_gamma.shape == (7, 2 * 49)
+        rows = sys.A_gamma.toarray().reshape(7, 2, 49)
+        blocks = [rows[:, f] for f in range(2) if np.any(rows[:, f])]
+        assert len(blocks) == 2
+        assert blocks[0].shape == (7, 49)
 
 
 class TestSigmaStructure:
@@ -238,7 +247,8 @@ class TestSolves:
         uex = lambda x, y: np.cos(x) * np.exp(0.2 * y)
         fex = lambda x, y: -np.cos(x) * np.exp(0.2 * y) \
             + 0.04 * np.cos(x) * np.exp(0.2 * y)
-        for mesh in (two_squares(), grid_mesh(2, 2), grid_mesh(4, 1)):
+        for mesh in (two_squares(), grid_mesh(2, 2), grid_mesh(4, 1),
+                     grid_mesh(4, 4), grid_mesh(3, 3)):
             sys = assemble_schur(mesh, POISSON, 9)
             a = sys.solve(f=fex, dirichlet=uex)
             b = sys.solve_dense(f=fex, dirichlet=uex)
@@ -279,34 +289,26 @@ class TestSolves:
         from concurrent.futures import ThreadPoolExecutor
 
         sys = assemble_schur(grid_mesh(3, 2), POISSON, 10)
-        f = lambda x, y: np.cos(2 * x) * y
-        sols, info = sys.solve(f=f, dirichlet=0.0, return_info=True)
-
-        def redo(fidx):
-            b = sys._rhs_vectors(f, 0.0, 0.0)[fidx]
-            x = sys.ops[fidx].solve(b)
-            slots, cols = sys.coupling[fidx]
-            return x - sys.W[fidx] @ info.u_gamma[cols]
-
+        forcings = [lambda x, y, k=k: np.cos(2 * x + k) * y for k in range(4)]
+        sequential = [sys.solve(f=f, dirichlet=0.0) for f in forcings]
         with ThreadPoolExecutor(max_workers=4) as pool:
-            redone = list(pool.map(redo, range(sys.mesh.n_quads)))
-        for a, b in zip(sols, redone):
-            assert np.array_equal(a.data, b)
+            threaded = list(pool.map(lambda f: sys.solve(f=f, dirichlet=0.0), forcings))
+        for want, got in zip(sequential, threaded):
+            for a, b in zip(want, got):
+                assert np.array_equal(a.data, b.data)
 
     def test_back_substitution_order_independent(self, rng):
-        # phase 2 touches disjoint per-element state; recomputing any
-        # element in any order reproduces the exact same coefficients
+        # back-substitution touches disjoint rows per element; recomputing
+        # any element in any order from the grouped element solves
+        # reproduces the exact same coefficients
         sys = assemble_schur(grid_mesh(2, 2), POISSON, 8)
+        nn = sys.n ** 2
         f = lambda x, y: np.sin(3 * x) + y
         sols, info = sys.solve(f=f, dirichlet=0.0, return_info=True)
-        order = rng.permutation(sys.mesh.n_quads)
-        for fidx in order:
-            b = sys._rhs_vectors(f, 0.0, 0.0)[fidx]
-            x = sys.ops[fidx].solve(b)
-            slots, cols = sys.coupling[fidx]
-            x = x - sys.W[fidx] @ info.u_gamma[cols]
+        X0 = sys._element_solves(sys._rhs_vectors(f, 0.0, 0.0))
+        for fidx in rng.permutation(sys.mesh.n_quads):
+            x = X0[fidx] - sys.W_gamma[fidx * nn:(fidx + 1) * nn] @ info.u_gamma
             assert np.array_equal(x, sols[fidx].data)
-
 
     def test_forcing_forms_agree(self):
         # a callable, its sampled (F, n, n) stack and a list of n-by-n grids
@@ -326,20 +328,11 @@ class TestSolves:
             with pytest.raises(ValueError, match="grid values must have shape"):
                 sys.solve(f=bad)
 
-    def test_element_renumbering_invariance(self):
+    def test_element_renumbering_invariance(self, rng):
         # Renumbering the quads renumbers edges, interface blocks and
-        # element slots; the solution must follow its element.  The vertex
-        # list marks each interior vertex with its smallest-numbered
-        # interior edge, and that choice changes the discrete equations, so
-        # the permutation is one that keeps it.
+        # element slots; the vertex list marks edges by coordinates alone,
+        # so the solution must follow its element under any permutation.
         mesh, n = mixed_mesh(), 8
-        perm = [1, 0, 3, 4, 6, 7, 5, 2]
-        renum = build_mesh(mesh.vertices, mesh.quads[perm])
-
-        def marking(m):
-            return {v: tuple(m.edges[e]) for v, e in enumerate(m.vertex_edge) if e >= 0}
-
-        assert marking(renum) == marking(mesh)
 
         def solve(m):
             edge = {tuple(m.edges[e]): e for e in range(m.n_edges)}
@@ -349,10 +342,13 @@ class TestSolves:
                              dirichlet={left: 0.5, right: lambda x, y: x * y},
                              neumann={top: lambda x, y: np.cos(3 * x)})
 
-        want, got = solve(mesh), solve(renum)
+        want = solve(mesh)
         scale = max(np.abs(s.data).max() for s in want)
-        for k, f in enumerate(perm):
-            assert np.abs(got[k].data - want[f].data).max() <= 1e-10 * scale
+        for _ in range(6):
+            perm = rng.permutation(mesh.n_quads)
+            got = solve(build_mesh(mesh.vertices, mesh.quads[perm]))
+            for k, f in enumerate(perm):
+                assert np.abs(got[k].data - want[f].data).max() <= 1e-10 * scale
 
 
 class TestGlobalContinuity:
@@ -380,6 +376,11 @@ class TestGlobalContinuity:
             _check_jumps(sys, sols, value_tol=1e-10, deriv_tol=1e-8)
 
 
+def _normal_derivative_row(bm, n, r, s, alpha, beta):
+    ux, uy = point_derivative_rows(bm, n, r, s)
+    return beta * ux - alpha * uy
+
+
 def _jiggled_grid(nx, ny, rng):
     mesh = grid_mesh(nx, ny)
     v = mesh.vertices.copy()
@@ -390,7 +391,7 @@ def _jiggled_grid(nx, ny, rng):
 
 
 def _check_jumps(sys, sols, value_tol, deriv_tol):
-    from ultrasem.schur import _edge_reference_point, _normal_derivative_row
+    from ultrasem.schur import _edge_reference_point
 
     mesh, n = sys.mesh, sys.n
     for k, e in enumerate(mesh.interior_edges):
@@ -444,9 +445,9 @@ def _fresh_element(sys, f):
     rows = np.array([
         boundary_rows(quad, n, "normal-derivative" if slot in neumann else "value",
                       [(r, s)])[0]
-        for slot, (_, _, r, s) in zip(boundary_slots(n), boundary_point_traversal(n))])
+        for slot, (r, s) in zip(boundary_slots(n), traversal_points(n).T)])
     op = assemble_element_operator(sys.pde, quad, n, rows=rows)
-    slots, _ = sys.coupling[f]
+    slots = boundary_slots(n)[sys.point_kind[f] == "coupled"]
     rhs = np.zeros((n * n, slots.size))
     rhs[slots, np.arange(slots.size)] = -op.scale[slots]
     return op, op.solve_raw(rhs)
@@ -502,6 +503,7 @@ class TestSharedElements:
             assert np.array_equal(sys.ops[f].to_dense(), op.to_dense())
             assert np.array_equal(sys.ops[f].scale, op.scale)
             if sys.W[f] is None:  # an element with no interior edge
-                assert W.size == 0 and not sys.gamma_blocks[f]
+                nn = sys.n ** 2
+                assert W.size == 0 and sys.A_gamma[:, f * nn:(f + 1) * nn].nnz == 0
             else:
                 assert np.array_equal(sys.W[f], W)
