@@ -9,10 +9,7 @@ from .element import (
     assemble_element_operator,
     boundary_rows,
     element_interior_operator,
-    element_rhs,
     operator_condition,
-    row_scale,
-    solve_element_dirichlet,
 )
 from .errors import (
     BookkeepingError,
@@ -54,12 +51,11 @@ from .quadmap import (
     TransformedCoeffs,
     bilinear_coeffs,
     det_polynomial,
-    transformed_derivative_coeffs,
 )
 from .schur import (
-    InterfaceEdgeGeometry,
     SchurSystem,
     assemble_schur,
+    solve_element_dirichlet,
 )
 from .ultra import (
     cheb_points,

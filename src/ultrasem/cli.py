@@ -68,8 +68,8 @@ class SolveConfig:
 
 def skinny_quad(eps):
     """The skinny benchmark quadrilateral family (counterclockwise)."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be finite and positive, not {eps}")
     return Quad([(0.0, 0.0), (1.0, 1.0 - 0.5 * eps),
                  (1.0, 1.0), (0.5, 0.5 + 0.5 * eps)])
 

@@ -32,7 +32,7 @@ from .quadmap import (
     poly2d_eval,
     poly2d_mul,
     poly2d_trim,
-    transformed_derivative_coeffs,
+    TransformedCoeffs,
 )
 from . import ultra
 
@@ -74,9 +74,10 @@ class PdeCoefficients:
 
     @classmethod
     def screened(cls, k2):
-        """Laplacian minus ``k2`` times the identity (k2 >= 0)."""
-        if k2 < 0:
-            raise ValueError("screening constant must be nonnegative")
+        """Laplacian minus ``k2`` times the identity (finite k2 >= 0)."""
+        if not 0 <= k2 < np.inf:
+            raise ValueError(
+                f"screening constant must be finite and nonnegative, not {k2}")
         return cls(c=-float(k2))
 
     def ellipticity_margin(self, quad, m=8):
@@ -281,18 +282,6 @@ def _mono_to_cheb_table(P):
     return ultra.vals_to_coeffs_2d(V)
 
 
-def _chop(C, rel=1e-14):
-    C = np.asarray(C, dtype=float).copy()
-    m = np.max(np.abs(C))
-    if m == 0.0:
-        return None
-    C[np.abs(C) < rel * m] = 0.0
-    nz = np.nonzero(C)
-    if nz[0].size == 0:
-        return None
-    return C[: nz[0].max() + 1, : nz[1].max() + 1]
-
-
 def mult2d(cheb_table, lam, n):
     """Sparse n^2 operator multiplying a stacked parameter-``lam``
     coefficient vector by the bivariate polynomial with Chebyshev tensor
@@ -351,7 +340,7 @@ def element_interior_operator(pde, quad, n):
     if not isinstance(quad, Quad):
         quad = Quad(quad)
     bm = bilinear_coeffs(quad)
-    tc = transformed_derivative_coeffs(bm)
+    tc = TransformedCoeffs(bm)
     pulled = pulled_pde(pde, bm)
 
     paths = {}
@@ -373,8 +362,8 @@ def element_interior_operator(pde, quad, n):
     kron_factors = _kron_factors(n)
     L = sp.csr_matrix((n * n, n * n))
     for ref, table in paths.items():
-        C = _chop(_mono_to_cheb_table(poly2d_trim(table, rel=1e-15)))
-        if C is None:
+        C = poly2d_trim(_mono_to_cheb_table(poly2d_trim(table, rel=1e-15)), rel=1e-14)
+        if not C.any():
             continue
         L = L + mult2d(C, 2, n) @ kron_factors[ref]
     L.eliminate_zeros()
@@ -432,12 +421,6 @@ class AlmostBandedMatrix:
         y = self.banded @ x
         if self.k:
             y[self.slots] += self.V @ x
-        return y
-
-    def rmatvec(self, x):
-        y = self.banded.T @ x
-        if self.k:
-            y += self.V.T @ x[self.slots]
         return y
 
     def _factor(self):
@@ -501,28 +484,6 @@ class AlmostBandedMatrix:
         return y[:, 0] if squeeze else y
 
 
-def row_scale(matrix):
-    """Scale every row of a dense or sparse matrix to unit supremum norm.
-
-    Returns ``(scaled, scale)`` with ``scaled = diag(scale) @ matrix``.
-    A zero row raises :class:`SingularOperatorError`.
-    """
-    if sp.issparse(matrix):
-        m = matrix.tocsr()
-        mx = abs(m).max(axis=1).toarray().ravel()
-        if np.any(mx == 0.0):
-            raise SingularOperatorError(
-                f"row {int(np.argmin(mx))} is identically zero")
-        scale = 1.0 / mx
-        return sp.diags(scale) @ m, scale
-    m = np.asarray(matrix, dtype=float)
-    mx = np.max(np.abs(m), axis=1)
-    if np.any(mx == 0.0):
-        raise SingularOperatorError(f"row {int(np.argmin(mx))} is identically zero")
-    scale = 1.0 / mx
-    return m * scale[:, None], scale
-
-
 def assemble_element_operator(pde, quad, n, rows=None):
     """Bordered, row-scaled element operator.
 
@@ -564,7 +525,7 @@ def assemble_element_operator(pde, quad, n, rows=None):
 
 
 # ----------------------------------------------------------------------
-# right-hand sides and the single-element Dirichlet solve
+# right-hand sides
 
 
 def element_rhs_operator(quad, n):
@@ -574,7 +535,7 @@ def element_rhs_operator(quad, n):
     if not isinstance(quad, Quad):
         quad = Quad(quad)
     bm = bilinear_coeffs(quad)
-    det3 = _mono_to_cheb_table(transformed_derivative_coeffs(bm).det3)
+    det3 = _mono_to_cheb_table(TransformedCoeffs(bm).det3)
     return (_kron_factors(n)["id"] @ mult2d(det3, 0, n)).tocsr()
 
 
@@ -597,15 +558,6 @@ def sample_on_grid(X, Y, f):
     return F
 
 
-def element_rhs(quad, n, f):
-    """Parameter-2 coefficients of ``det^3 * f`` on the element, for ``f``
-    a callable of physical coordinates or an n-by-n value grid."""
-    if not isinstance(quad, Quad):
-        quad = Quad(quad)
-    F = sample_on_grid(*grid_points(bilinear_coeffs(quad), n), f)
-    return element_rhs_operator(quad, n) @ ultra.vals_to_coeffs_2d(F).ravel(order="F")
-
-
 def project_rhs(rhs_full, boundary_values, n):
     """Assemble full stacked right-hand sides over any leading axes:
     interior equations go to their shifted slots, boundary rows carry
@@ -615,21 +567,6 @@ def project_rhs(rhs_full, boundary_values, n):
     b[..., interior_slot_map(n)] = rhs_full[..., interior_equation_rows(n)]
     b[..., boundary_slots(n)] = boundary_values
     return b
-
-
-def solve_element_dirichlet(pde, quad, n, f, g):
-    """Solve ``L u = f`` on one element with Dirichlet data ``g`` imposed
-    at the 4n-4 boundary grid points.  ``f`` and ``g`` are callables of
-    physical coordinates (``f`` may also be an n-by-n value grid)."""
-    if not isinstance(quad, Quad):
-        quad = Quad(quad)
-    bm = bilinear_coeffs(quad)
-    op = assemble_element_operator(pde, quad, n)
-    rhs_full = element_rhs(quad, n, f)
-    x, y = bm(*traversal_points(n))
-    gv = np.asarray(g(x, y), dtype=float) + np.zeros_like(x)
-    b = project_rhs(rhs_full, gv, n)
-    return CoeffVector2D(n, op.solve(b))
 
 
 # ----------------------------------------------------------------------

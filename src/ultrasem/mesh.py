@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import GeometryError, MeshError, MeshFormatError
@@ -307,7 +306,10 @@ def interface_bandwidth(mesh, pos=None):
 
 def _inradius(quad):
     # Chebyshev center of the convex quad: maximize t subject to
-    # n_i . c + t <= n_i . p_i with inward unit normals n_i
+    # n_i . c + t <= n_i . p_i with inward unit normals n_i; scipy.optimize
+    # is imported here so that solving never loads it
+    from scipy.optimize import linprog
+
     v = quad.vertices
     A, b = [], []
     for k in range(4):

@@ -38,8 +38,8 @@ class NsConfig:
     dealias: bool = False
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("time step must be positive")
+        if not 0 < self.dt < np.inf:
+            raise ValueError(f"time step must be finite and positive, not {self.dt}")
 
     @property
     def k2(self):
@@ -266,11 +266,9 @@ class TunnelSolver:
 
     def cfl_estimate(self, state):
         """Advective CFL number against the finest grid spacing."""
-        hmin = np.inf
-        for f in range(self.mesh.n_quads):
-            v = self.mesh.vertices[self.mesh.quads[f]]
-            lengths = np.hypot(*(np.roll(v, -1, axis=0) - v).T)
-            hmin = min(hmin, lengths.min() * np.pi / (2.0 * (self.n - 1) ** 2))
+        v = self.mesh.vertices[self.mesh.quads]  # (F, 4, 2) element corners
+        d = np.roll(v, -1, axis=1) - v
+        hmin = np.hypot(d[..., 0], d[..., 1]).min() * np.pi / (2.0 * (self.n - 1) ** 2)
         return state.max_speed() * self.config.dt / hmin
 
     def run(self, state, steps=None, on_frame=None, diagnostics=None):

@@ -266,8 +266,3 @@ class TransformedCoeffs:
             "s": trim(ddy_cleared(Xr)),
         }
         self.det3 = trim(poly2d_mul(det2, D))
-
-
-def transformed_derivative_coeffs(bm):
-    """All det^3-cleared derivative coefficient tables for a bilinear map."""
-    return TransformedCoeffs(bm)

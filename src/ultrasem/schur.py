@@ -55,35 +55,8 @@ from .element import (
     traversal_points,
 )
 from .errors import BookkeepingError, SingularOperatorError
-from .mesh import interface_bandwidth, order_interfaces
-from .quadmap import bilinear_coeffs, reference_corner
-
-
-@dataclass
-class InterfaceEdgeGeometry:
-    """Geometry of one interior edge: endpoints ordered lower vertex
-    number first, direction cosines of the edge, and the n interface
-    Chebyshev points along it."""
-
-    edge: int
-    lo: np.ndarray
-    hi: np.ndarray
-    alpha: float
-    beta: float
-    params: np.ndarray
-    points: np.ndarray
-
-    @classmethod
-    def build(cls, mesh, e, n):
-        vlo, vhi = mesh.edges[e]
-        p_lo, p_hi = mesh.vertices[vlo], mesh.vertices[vhi]
-        d = p_hi - p_lo
-        length = float(np.hypot(d[0], d[1]))
-        t = ultra.cheb_points(n)
-        pts = 0.5 * (p_lo + p_hi) + 0.5 * np.outer(t, d)
-        return cls(edge=int(e), lo=p_lo, hi=p_hi,
-                   alpha=float(d[0] / length), beta=float(d[1] / length),
-                   params=t, points=pts)
+from .mesh import build_mesh, interface_bandwidth, order_interfaces
+from .quadmap import Quad, bilinear_coeffs, reference_corner
 
 
 def _edge_reference_point(local_edge, aligned, t):
@@ -123,12 +96,15 @@ class SchurSystem:
     """Factored global solver for one mesh, operator and resolution.
 
     ``groups`` holds one ``(elements, op, rhs_op)`` triple per distinct
-    element operator (``n_distinct`` of them); ``ops`` and ``W`` are
-    per-element lists whose entries are shared between elements with
-    equal inputs (``W[f]`` is None for an element with no interior edge).
+    element operator (``n_distinct`` of them); ``ops`` is a per-element
+    list whose entries are shared between elements with equal inputs.
     The coupling of the stacked element unknowns (length F n^2) to the
     interface vector is held as the sparse matrices ``A_gamma``,
-    ``C_gamma`` and ``W_gamma`` (see the module docstring).  ``maps``
+    ``C_gamma`` and ``W_gamma`` (see the module docstring).
+    ``edge_direction`` holds the unit direction of every interior edge,
+    lower vertex number to higher, as an (n_interior_edges, 2) array in
+    ``mesh.interior_edges`` order.  ``sigma_rcond`` is the reciprocal
+    1-norm condition estimate of Sigma (None without interfaces).  ``maps``
     holds each element's own bilinear map, and ``grid_x``, ``grid_y`` the
     physical coordinates of every element's tensor grid as (F, n, n)
     arrays.  The 4n-4 boundary points of every element are held as
@@ -143,8 +119,8 @@ class SchurSystem:
         self.n = int(n)
         self.block_pos = order_interfaces(mesh)
         self.n_gamma = self.n * mesh.n_interior_edges
-        self.geometry = [InterfaceEdgeGeometry.build(mesh, e, self.n)
-                         for e in mesh.interior_edges]
+        d = np.diff(mesh.vertices[mesh.edges[mesh.interior_edges]], axis=1)[:, 0]
+        self.edge_direction = d / np.hypot(d[:, 0], d[:, 1])[:, None]
 
         bc = dict(bc or {})
         for e, kind in bc.items():
@@ -226,7 +202,6 @@ class SchurSystem:
         without interfaces)."""
         mesh, n = self.mesh, self.n
         nn, F = n * n, mesh.n_quads
-        self.W = [None] * F
         if self.n_gamma == 0:
             self.A_gamma = sp.csr_matrix((0, F * nn))
             self.C_gamma = self.W_gamma = sp.csr_matrix((F * nn, 0))
@@ -256,6 +231,7 @@ class SchurSystem:
         w_ptr = np.concatenate([[0], np.cumsum(np.repeat(coupled.sum(axis=1), nn))])
         w_data = np.empty(w_ptr[-1])
         w_cols = np.empty(w_ptr[-1], dtype=np.int32)
+        W = [None] * F  # per element; shared between equal inputs
         shared = {}  # (group, coupled slots) -> W
         for f in np.flatnonzero(coupled.any(axis=1)):
             key = (self._group[f], coupled[f].tobytes())
@@ -264,9 +240,9 @@ class SchurSystem:
                 rhs = np.zeros((nn, s.size))
                 rhs[s, np.arange(s.size)] = -op.scale[s]
                 shared[key] = op.solve_raw(rhs)
-            self.W[f] = shared[key]
+            W[f] = shared[key]
             block = slice(w_ptr[f * nn], w_ptr[(f + 1) * nn])
-            w_data[block] = self.W[f].ravel()
+            w_data[block] = W[f].ravel()
             w_cols[block] = np.tile(cols[f], nn)
         self.W_gamma = sp.csr_matrix((w_data, w_cols, w_ptr), shape=(F * nn, self.n_gamma))
 
@@ -279,18 +255,19 @@ class SchurSystem:
         r, c = np.empty((2, n * n_sides @ coupled.sum(axis=1)), dtype=np.int32)
         v = np.empty(r.size)
         o = 0
+        params = ultra.cheb_points(n)
         shared = {}  # (group, local edge, orientation) -> _edge_rows
         for k, e in enumerate(mesh.interior_edges):
-            geom = self.geometry[k]
+            alpha, beta = self.edge_direction[k]
             base = n * self.block_pos[k]
             sides = mesh.edge_quads[e]  # two (quad, local edge, aligned), quad ascending
             blocks = []
             for f, l, aligned in sides:
                 key = (self._group[f], int(l), bool(aligned))
                 if key not in shared:
-                    shared[key] = _edge_rows(self.maps[f], n, l, aligned, geom.params)
+                    shared[key] = _edge_rows(self.maps[f], n, l, aligned, params)
                 ux, uy, ends = shared[key]
-                rows = geom.beta * ux - geom.alpha * uy
+                rows = beta * ux - alpha * uy
                 # an endpoint matches derivatives only at an interior vertex
                 # that marks this edge; elsewhere it matches values
                 for m, vx, end in ((0, mesh.edges[e][0], ends[0]),
@@ -309,7 +286,7 @@ class SchurSystem:
                 block = slice(o, o + n * cols[f].size)
                 r[block] = np.repeat(np.arange(base, base + n), cols[f].size)
                 c[block] = np.tile(cols[f], n)
-                v[block] = -(rows @ self.W[f]).ravel()
+                v[block] = -(rows @ W[f]).ravel()
                 o = block.stop
         self.A_gamma = sp.csr_matrix(
             (a_data.ravel(), a_cols.ravel(), np.arange(self.n_gamma + 1) * 2 * nn),
@@ -322,10 +299,11 @@ class SchurSystem:
         return sigma
 
     def _factor_sigma(self, sigma):
-        """Check Sigma's bandwidth against the ordering bound and factor it."""
+        """Check Sigma's bandwidth against the ordering bound, factor it
+        and keep its condition estimate."""
         self._sigma = sigma
         if sigma is None:
-            self._sigma_solve = None
+            self._sigma_solve = self.sigma_rcond = None
             self.sigma_bandwidth = 0
             return
         n = self.n
@@ -345,6 +323,7 @@ class SchurSystem:
             raise SingularOperatorError(
                 "interface complement is singular; likely redundant interface "
                 "constraints or an all-Neumann problem without a pinned value")
+        self.sigma_rcond = rcond
         # a bound method of the factorization holds no reference to self
         self._sigma_solve = banded.solve
 
@@ -465,3 +444,16 @@ def assemble_schur(mesh, pde, n, bc=None, pin_value_point=False):
     """Assemble and factor the coupled mesh solver (element operators,
     coupling matrices and the banded interface complement)."""
     return SchurSystem(mesh, pde, n, bc=bc, pin_value_point=pin_value_point)
+
+
+def solve_element_dirichlet(pde, quad, n, f, g):
+    """Solve ``L u = f`` on one element with Dirichlet data ``g`` imposed
+    at the 4n-4 boundary grid points, as a one-element mesh.  ``f`` and
+    ``g`` are callables of physical coordinates (``f`` may also be an
+    n-by-n value grid).  Returns a :class:`CoeffVector2D`."""
+    if not isinstance(quad, Quad):
+        quad = Quad(quad)
+    if not callable(f):
+        f = np.asarray(f, dtype=float)[None]
+    mesh = build_mesh(quad.vertices, [(0, 1, 2, 3)])
+    return SchurSystem(mesh, pde, n).solve(f=f, dirichlet=g)[0]

@@ -15,7 +15,6 @@ from ultrasem.element import (
     PdeCoefficients,
     assemble_element_operator,
     operator_condition,
-    solve_element_dirichlet,
 )
 from ultrasem.mesh import (
     build_mesh,
@@ -33,7 +32,7 @@ from ultrasem.navierstokes import (
     tunnel_mesh,
 )
 from ultrasem.quadmap import Quad, bilinear_coeffs, det_polynomial
-from ultrasem.schur import assemble_schur
+from ultrasem.schur import assemble_schur, solve_element_dirichlet
 
 from conftest import eval_on_grid, random_convex_quad, skinny_pair_mesh
 

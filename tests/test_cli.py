@@ -280,3 +280,25 @@ class TestMeshInfo:
         assert float(out["skinniness-min"]) < 1e-5
         assert out["interior-edges"] == "1"
         assert int(out["sigma-bandwidth-bound"]) == 20
+
+
+@pytest.mark.parametrize("command, value", [
+    (["ns-run", "--dt", "nan"], "nan"),
+    (["ns-run", "--dt", "inf"], "inf"),
+    (["solve", "--pde", "screened", "--k2", "nan"], "nan"),
+    (["solve", "--pde", "screened", "--k2", "inf"], "inf"),
+    (["cond-bench", "--n", "6", "--eps", "1,nan"], "nan"),
+])
+def test_nonfinite_parameter_is_format_error(command, value, tmp_path, capsys):
+    # a non-finite time step, screening constant or eps passes a sign
+    # check; it must be rejected as bad input, naming the value
+    from ultrasem.navierstokes import tunnel_mesh
+
+    mesh_path = tmp_path / "tunnel.txt"
+    write_mesh(tunnel_mesh(nx=3, ny=2, width=0.003, height=0.001, hole=None),
+               mesh_path)
+    mesh = [] if command[0] == "cond-bench" else ["--mesh", str(mesh_path), "--n", "6"]
+    code = main([*command, *mesh, "--out", str(tmp_path / "out")])
+    assert code == EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.rstrip().endswith(value)

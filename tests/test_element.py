@@ -12,17 +12,16 @@ from ultrasem.element import (
     boundary_rows,
     boundary_slots,
     element_interior_operator,
-    element_rhs,
+    element_rhs_operator,
     interior_slot_map,
     operator_condition,
     point_derivative_rows,
     point_value_row,
-    row_scale,
-    solve_element_dirichlet,
     traversal_points,
 )
 from ultrasem.errors import GeometryError, SingularOperatorError
 from ultrasem.quadmap import Quad, bilinear_coeffs
+from ultrasem.schur import solve_element_dirichlet
 
 from conftest import random_convex_quad
 
@@ -82,7 +81,7 @@ class TestInteriorOperator:
                                + (1.0 + 2.0 * x) * u(x, y))
             L = element_interior_operator(pde, quad, n)
             got = L @ coeffs_of(u, n, quad)
-            want = element_rhs(quad, n, Lu)
+            want = element_rhs_operator(quad, n) @ coeffs_of(Lu, n, quad)
             scale = np.abs(want).max()
             assert np.max(np.abs(got - want)) < 1e-12 * scale
 
@@ -201,26 +200,11 @@ class TestEllipticityDiagnostic:
         assert wave.ellipticity_margin(SQUARE) < 0.0
 
 
-class TestRowScale:
-    def test_example(self):
-        scaled, scale = row_scale(np.array([[2.0, -4.0, 0.0], [1.0, 0.0, 0.0]]))
-        assert np.array_equal(scaled[0], [0.5, -1.0, 0.0])
-        assert scale[0] == 0.25  # multiplier recording a max of 4
-
-    def test_already_normalized(self):
-        m = np.array([[1.0, -0.5], [0.25, 1.0]])
-        scaled, scale = row_scale(m)
-        assert np.array_equal(scaled, m)
-        assert np.array_equal(scale, [1.0, 1.0])
-
-    def test_zero_row(self):
+class TestRowScaling:
+    def test_zero_row_raises(self):
+        # the zero operator: every interior row is zero and cannot be scaled
         with pytest.raises(SingularOperatorError):
-            row_scale(np.array([[1.0, 2.0], [0.0, 0.0]]))
-
-    def test_sparse(self):
-        m = sp.csr_matrix(np.array([[0.0, 8.0], [2.0, 1.0]]))
-        scaled, scale = row_scale(m)
-        assert np.array_equal(scaled.toarray(), [[0.0, 1.0], [1.0, 0.5]])
+            assemble_element_operator(PdeCoefficients(a11=0, a22=0), SQUARE, 6)
 
 
 class TestAlmostBanded:

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -342,3 +346,20 @@ t 1 3 4
     def test_undefined_vertex(self):
         with pytest.raises(MeshFormatError):
             mesh_from_string("quadmesh 1\nv 0 0\nv 1 0\nv 1 1\nv 0 1\nq 1 2 3 9\n")
+
+
+def test_solving_does_not_import_scipy_optimize():
+    # scipy.optimize serves only the inradius of the quality metrics; a fresh process
+    # that builds and solves must not load it
+    code = ("import sys\n"
+            "from ultrasem import PdeCoefficients, assemble_schur, grid_mesh\n"
+            "system = assemble_schur(grid_mesh(2, 2), PdeCoefficients.poisson(), 6)\n"
+            "system.solve(f=lambda x, y: 1.0 + 0 * x, dirichlet=0.0)\n"
+            "assert 'scipy.optimize' not in sys.modules\n")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -252,6 +252,25 @@ class TestTimeStepping:
             solver.time_step(st)
         assert err.value.step == 1
 
+    def test_cfl_estimate_by_hand(self):
+        # 4 x 3 cells of 0.00075 x 0.001/3: the shortest element side is
+        # 0.001/3, and the finest grid spacing at n = 8 is h pi / (2 * 7^2)
+        mesh = tunnel_mesh(4, 3, width=0.003, height=0.001)
+        dt = 1e-3
+        solver = TunnelSolver(mesh, 8, NsConfig(dt=dt),
+                              classify_tunnel_boundary(mesh, (1e3, 0.0)))
+        u = field_from(lambda x, y: 1e3 * (1 + x / 0.003), solver)
+        v = field_from(lambda x, y: -500.0 * y / 0.001, solver)
+        st = FlowState(u=u, v=v, p=FlowState.rest(mesh, 8).p)
+        speed = st.max_speed()
+        assert abs(speed - 2e3) < 1e-9
+        want = speed * dt / ((0.001 / 3) * np.pi / (2 * 49))
+        assert abs(solver.cfl_estimate(st) - want) <= 1e-12 * want
+        # the per-element loop the stacked expression replaced: equal bits
+        hmin = min(np.hypot(*(np.roll(v, -1, axis=0) - v).T).min() * np.pi / (2.0 * 7 ** 2)
+                   for v in mesh.vertices[mesh.quads])
+        assert solver.cfl_estimate(st) == speed * dt / hmin
+
     def test_run_frames_and_diagnostics(self):
         mesh = tunnel_mesh(nx=3, ny=2, width=0.003, height=0.001, hole=None)
         cfg = NsConfig(dt=1.667e-5, steps=200, cadence=50)

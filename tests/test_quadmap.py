@@ -5,10 +5,10 @@ from ultrasem.errors import GeometryError
 from ultrasem.quadmap import (
     BilinearMap,
     Quad,
+    TransformedCoeffs,
     bilinear_coeffs,
     det_polynomial,
     poly2d_eval,
-    transformed_derivative_coeffs,
 )
 
 from conftest import random_convex_quad
@@ -173,7 +173,7 @@ def inverse_first_derivs(bm, x, y):
 
 class TestTransformedCoeffs:
     def test_identity_map(self):
-        tc = transformed_derivative_coeffs(bilinear_coeffs(Quad(REF_SQUARE)))
+        tc = TransformedCoeffs(bilinear_coeffs(Quad(REF_SQUARE)))
         assert poly2d_eval(tc.xx["rr"], 0.2, -0.3) == 1.0
         for key in ("rs", "ss", "r", "s"):
             assert np.all(tc.xx[key] == 0.0)
@@ -187,7 +187,7 @@ class TestTransformedCoeffs:
     def test_diagonal_scaling(self):
         # x = 2r, y = s: det = 2, det^3 u_xx has u_rr coefficient 2
         quad = Quad([(2, 1), (-2, 1), (-2, -1), (2, -1)])
-        tc = transformed_derivative_coeffs(bilinear_coeffs(quad))
+        tc = TransformedCoeffs(bilinear_coeffs(quad))
         assert abs(poly2d_eval(tc.xx["rr"], 0.0, 0.0) - 2.0) < 1e-15
 
     def test_against_newton_fd_oracle(self, rng):
@@ -195,7 +195,7 @@ class TestTransformedCoeffs:
             v = random_convex_quad(rng)
             bm = bilinear_coeffs(Quad(v))
             det = det_polynomial(bm)
-            tc = transformed_derivative_coeffs(bm)
+            tc = TransformedCoeffs(bm)
             for _ in range(5):
                 r, s = rng.uniform(-0.8, 0.8, size=2)
                 x, y = bm(r, s)
@@ -235,7 +235,7 @@ class TestTransformedCoeffs:
         for _ in range(10):
             v = random_convex_quad(rng)
             bm = bilinear_coeffs(Quad(v))
-            tc = transformed_derivative_coeffs(bm)
+            tc = TransformedCoeffs(bm)
             X, Y = bm(R, S)
             det3 = det_polynomial(bm)(R, S) ** 3
             for u, ux, uy, uxx, uxy, uyy in polys:
@@ -267,7 +267,7 @@ class TestTransformedCoeffs:
 
     def test_tables_degree_bounded(self, rng):
         v = random_convex_quad(rng)
-        tc = transformed_derivative_coeffs(bilinear_coeffs(Quad(v)))
+        tc = TransformedCoeffs(bilinear_coeffs(Quad(v)))
         for group in (tc.x, tc.y, tc.xx, tc.xy, tc.yy):
             for table in group.values():
                 assert table.shape[0] <= 4 and table.shape[1] <= 4

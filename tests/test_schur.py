@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ultrasem.cli import _general_pde
 from ultrasem.element import (
@@ -19,7 +20,7 @@ from ultrasem.mesh import build_mesh, grid_mesh, mesh_from_string
 from ultrasem.schur import assemble_schur
 from ultrasem.ultra import cheb_points
 
-from conftest import eval_on_grid, skinny_pair_mesh
+from conftest import PROPERTIES, eval_on_grid, skinny_pair_mesh
 
 POISSON = PdeCoefficients.poisson()
 
@@ -51,11 +52,9 @@ q 3 4 8 7
 class TestCoupling:
     def test_interface_geometry_direction_cosines(self):
         sys = assemble_schur(skinny_pair_mesh(0.25), POISSON, 6)
-        for geom in sys.geometry:
-            assert abs(geom.alpha ** 2 + geom.beta ** 2 - 1.0) < 1e-14
-            assert geom.params[0] == -1.0 and geom.params[-1] == 1.0
-            assert np.allclose(geom.points[0], geom.lo)
-            assert np.allclose(geom.points[-1], geom.hi)
+        alpha, beta = sys.edge_direction.T
+        assert sys.edge_direction.shape == (sys.mesh.n_interior_edges, 2)
+        assert np.all(np.abs(alpha ** 2 + beta ** 2 - 1.0) < 1e-14)
 
     def test_two_element_point_counts(self):
         n = 8
@@ -137,6 +136,18 @@ class TestSigmaStructure:
         sigma_dense = -R @ np.linalg.solve(B, C)
         scale = np.abs(sigma_dense).max()
         assert np.max(np.abs(sys.sigma - sigma_dense)) < 1e-10 * scale
+
+    @pytest.mark.parametrize("mesh", [lambda: grid_mesh(3, 3), two_squares],
+                             ids=["grid-3x3", "two-squares"])
+    def test_sigma_rcond_matches_dense(self, mesh):
+        sys = assemble_schur(mesh(), POISSON, 6)
+        S = sys.sigma
+        want = 1.0 / (np.abs(S).sum(axis=0).max()
+                      * np.abs(np.linalg.inv(S)).sum(axis=0).max())
+        assert want / 3 <= sys.sigma_rcond <= 3 * want
+
+    def test_sigma_rcond_none_without_interfaces(self):
+        assert assemble_schur(grid_mesh(1, 1), POISSON, 6).sigma_rcond is None
 
 
 class TestSolves:
@@ -395,14 +406,13 @@ def _check_jumps(sys, sols, value_tol, deriv_tol):
 
     mesh, n = sys.mesh, sys.n
     for k, e in enumerate(mesh.interior_edges):
-        geom = sys.geometry[k]
+        alpha, beta = sys.edge_direction[k]
         sides = mesh.edge_quads[e]
         vals, ders = [], []
         for (f, l, aligned) in sides:
             r, s = _edge_reference_point(l, aligned, 0.0)  # edge midpoint
             vals.append(sols[f].eval(r, s))
-            row = _normal_derivative_row(sys.maps[f], n, r, s,
-                                         geom.alpha, geom.beta)
+            row = _normal_derivative_row(sys.maps[f], n, r, s, alpha, beta)
             ders.append(row @ sols[f].data)
         scale = max(1.0, max(abs(v) for v in vals))
         assert abs(vals[0] - vals[1]) <= value_tol * scale
@@ -502,8 +512,32 @@ class TestSharedElements:
             op, W = _fresh_element(sys, f)
             assert np.array_equal(sys.ops[f].to_dense(), op.to_dense())
             assert np.array_equal(sys.ops[f].scale, op.scale)
-            if sys.W[f] is None:  # an element with no interior edge
-                nn = sys.n ** 2
+            nn, coupled = sys.n ** 2, sys.point_kind[f] == "coupled"
+            if not coupled.any():  # an element with no interior edge
                 assert W.size == 0 and sys.A_gamma[:, f * nn:(f + 1) * nn].nnz == 0
             else:
-                assert np.array_equal(sys.W[f], W)
+                # the element's rows of W_gamma at its coupled columns
+                block = sys.W_gamma[f * nn:(f + 1) * nn][:, sys._point_col[f][coupled]]
+                assert np.array_equal(block.toarray(), W)
+
+
+@settings(PROPERTIES)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(4, 7),
+       st.integers(0, 2 ** 32 - 1))
+def test_random_jiggled_grid_properties(nx, ny, n, seed):
+    # the Schur solve matches the dense oracle, and renumbering the quads
+    # moves the solution with its elements
+    rng = np.random.default_rng(seed)
+    mesh = _jiggled_grid(nx, ny, rng)
+    a, b = rng.uniform(-2, 2, 2)
+    f = lambda x, y: np.sin(a * x + b * y) + x * y
+    g = lambda x, y: np.cos(b * x - a * y)
+    sys = assemble_schur(mesh, POISSON, n)
+    want = np.array([s.data for s in sys.solve(f=f, dirichlet=g)])
+    dense = np.array([s.data for s in sys.solve_dense(f=f, dirichlet=g)])
+    assert np.abs(want - dense).max() <= 1e-10 * np.abs(dense).max()
+    perm = rng.permutation(mesh.n_quads)
+    got = assemble_schur(build_mesh(mesh.vertices, mesh.quads[perm]),
+                         POISSON, n).solve(f=f, dirichlet=g)
+    for k, q in enumerate(perm):
+        assert np.abs(got[k].data - want[q]).max() <= 1e-10 * np.abs(want).max()
