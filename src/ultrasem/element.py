@@ -14,7 +14,7 @@ banded LU plus a low-rank Woodbury correction.
 
 import functools
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,7 +26,9 @@ from .quadmap import (
     Quad,
     BilinearMap,
     bilinear_coeffs,
+    det_cubed_table,
     det_polynomial,
+    outward_normals,
     poly2d,
     poly2d_add,
     poly2d_eval,
@@ -65,8 +67,8 @@ class PdeCoefficients:
     c: np.ndarray = field(default_factory=lambda: np.zeros((1, 1)))
 
     def __post_init__(self):
-        for name in ("a11", "a12", "a22", "b1", "b2", "c"):
-            object.__setattr__(self, name, _coerce_table(getattr(self, name)))
+        for f in fields(self):
+            object.__setattr__(self, f.name, _coerce_table(getattr(self, f.name)))
 
     @classmethod
     def poisson(cls):
@@ -194,20 +196,27 @@ def point_value_row(n, r, s):
 def point_derivative_rows(bm, n, r, s):
     """Dense rows evaluating the physical derivatives (u_x, u_y) at
     reference points (shaped as in :func:`point_value_row`), using the
-    pointwise inverse-map factors (including 1/det at each point)."""
+    pointwise inverse-map factors (including 1/det at each point).  The
+    fields of a stacked map must broadcast to the shape of the points."""
     r, s = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(s, dtype=float))
     er, es = ultra.eval_row(r, n), ultra.eval_row(s, n)
     dr, ds = ultra.deriv_eval_row(r, n), ultra.deriv_eval_row(s, n)
     row_ur = _tensor_rows(dr, es)
     row_us = _tensor_rows(er, ds)
-    det = det_polynomial(bm)(r, s)[..., None]
-    r, s = r[..., None], s[..., None]
-    ux = ((bm.c2 + bm.d2 * r) * row_ur - (bm.b2 + bm.d2 * s) * row_us) / det
-    uy = (-(bm.c1 + bm.d1 * r) * row_ur + (bm.b1 + bm.d1 * s) * row_us) / det
+    # the map's fields broadcast against the points; a new last axis then
+    # runs along the rows
+    det, Ys, Yr, Xs, Xr = (a[..., None] for a in (
+        det_polynomial(bm)(r, s), bm.c2 + bm.d2 * r, bm.b2 + bm.d2 * s,
+        bm.c1 + bm.d1 * r, bm.b1 + bm.d1 * s))
+    # ux = (Ys row_ur - Yr row_us) / det and uy = (-Xs row_ur + Xr row_us)
+    # / det, formed in place: for stacked interface rows every freed
+    # temporary of their size fragments the heap that later setup uses
+    ux, uy = Ys * row_ur, -Xs * row_ur
+    ux -= np.multiply(Yr, row_us, out=row_ur)
+    uy += np.multiply(Xr, row_us, out=row_ur)
+    ux /= det
+    uy /= det
     return ux, uy
-
-
-_EDGE_CORNERS = ((0, 1), (1, 2), (2, 3), (3, 0))  # local edge -> (start, end)
 
 
 def _edge_of_point(r, s):
@@ -215,14 +224,6 @@ def _edge_of_point(r, s):
     belong to the edge that starts at them (counterclockwise ownership)."""
     return np.select([(s == 1.0) & (r > -1.0), (r == -1.0) & (s > -1.0),
                       (s == -1.0) & (r < 1.0)], [0, 1, 2], 3)
-
-
-def outward_normal(quad, local_edge):
-    """Unit outward normal of a physical edge of a counterclockwise quad."""
-    a, b = _EDGE_CORNERS[local_edge]
-    t = quad.vertices[b] - quad.vertices[a]
-    nrm = np.hypot(t[0], t[1])
-    return np.array([t[1], -t[0]]) / nrm
 
 
 def boundary_rows(quad, n, kind, points):
@@ -243,7 +244,7 @@ def boundary_rows(quad, n, kind, points):
         raise ValueError(f"point ({r[k]}, {s[k]}) is not on the reference boundary")
     if kind == "value":
         return point_value_row(n, r, s)
-    normals = np.array([outward_normal(quad, l) for l in range(4)])[_edge_of_point(r, s)]
+    normals = outward_normals(quad.vertices)[_edge_of_point(r, s)]
     ux, uy = point_derivative_rows(bilinear_coeffs(quad), n, r, s)
     return normals[:, :1] * ux + normals[:, 1:] * uy
 
@@ -302,15 +303,6 @@ def mult2d(cheb_table, lam, n):
     return out
 
 
-_PDE_FIELDS = ("a11", "a12", "a22", "b1", "b2", "c")
-
-
-def pulled_pde(pde, bm):
-    """The PDE coefficient tables composed with the bilinear map: a dict of
-    monomial tables in (r, s), one per :class:`PdeCoefficients` field."""
-    return {name: _pullback(getattr(pde, name), bm) for name in _PDE_FIELDS}
-
-
 @functools.lru_cache(maxsize=8)
 def _kron_factors(n):
     """Geometry-independent Kronecker factors of the interior operator,
@@ -341,7 +333,7 @@ def element_interior_operator(pde, quad, n):
         quad = Quad(quad)
     bm = bilinear_coeffs(quad)
     tc = TransformedCoeffs(bm)
-    pulled = pulled_pde(pde, bm)
+    pulled = {f.name: _pullback(getattr(pde, f.name), bm) for f in fields(pde)}
 
     paths = {}
     for ref in ("rr", "rs", "ss"):
@@ -534,8 +526,7 @@ def element_rhs_operator(quad, n):
     multiplication in Chebyshev space followed by basis conversion."""
     if not isinstance(quad, Quad):
         quad = Quad(quad)
-    bm = bilinear_coeffs(quad)
-    det3 = _mono_to_cheb_table(TransformedCoeffs(bm).det3)
+    det3 = _mono_to_cheb_table(det_cubed_table(bilinear_coeffs(quad)))
     return (_kron_factors(n)["id"] @ mult2d(det3, 0, n)).tocsr()
 
 

@@ -31,7 +31,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import GeometryError, MeshError, MeshFormatError
-from .quadmap import Quad
+from .quadmap import Quad, outward_normals
 
 
 class QuadMesh:
@@ -179,13 +179,8 @@ def split_triangle(v1, v2, v3):
     if area2 <= 0.0:
         raise GeometryError("triangle vertices are collinear or clockwise")
     centroid = (p[0] + p[1] + p[2]) / 3.0
-    mids = {(a, b): (p[a] + p[b]) / 2.0 for a, b in ((0, 1), (1, 2), (2, 0))}
-    quads = []
-    for k in range(3):
-        m_prev = mids[((k + 2) % 3, k) if ((k + 2) % 3, k) in mids else (k, (k + 2) % 3)]
-        m_next = mids[(k, (k + 1) % 3) if (k, (k + 1) % 3) in mids else ((k + 1) % 3, k)]
-        quads.append(Quad([p[k], m_next, centroid, m_prev]))
-    return quads
+    mids = (p + np.roll(p, -1, axis=0)) / 2.0  # mids[k] halves edge k -> k+1
+    return [Quad([p[k], mids[k], centroid, mids[k - 1]]) for k in range(3)]
 
 
 # ----------------------------------------------------------------------
@@ -305,26 +300,17 @@ def interface_bandwidth(mesh, pos=None):
 
 
 def _inradius(quad):
-    # Chebyshev center of the convex quad: maximize t subject to
-    # n_i . c + t <= n_i . p_i with inward unit normals n_i; scipy.optimize
-    # is imported here so that solving never loads it
-    from scipy.optimize import linprog
-
-    v = quad.vertices
-    A, b = [], []
-    for k in range(4):
-        p, q = v[k], v[(k + 1) % 4]
-        t = q - p
-        nrm = np.hypot(t[0], t[1])
-        inward = np.array([-t[1], t[0]]) / nrm
-        A.append([-inward[0], -inward[1], 1.0])
-        b.append(-inward @ p)
-    res = linprog(c=[0.0, 0.0, -1.0], A_ub=A, b_ub=b,
-                  bounds=[(None, None), (None, None), (0, None)],
-                  method="highs")
-    if not res.success:
-        raise GeometryError("inradius computation failed")
-    return float(res.x[2])
+    # The largest inscribed circle of a convex quad is tangent to three of
+    # its four edge lines.  Solve for the circle tangent to each three
+    # (n_k . c - r = n_k . p_k with inward unit normals n_k) and shrink it
+    # to its center's distance from the nearest line, which keeps it inside
+    # the fourth; the largest of the four is the inradius.
+    inward = -outward_normals(quad.vertices)
+    b = np.sum(inward * quad.vertices, axis=1)
+    three = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+    A = np.column_stack([inward, -np.ones(4)])[three]
+    center = np.linalg.solve(A, b[three][..., None])[:, :2, 0]
+    return float((center @ inward.T - b).min(axis=1).max())
 
 
 def _circumradius(points):
@@ -456,25 +442,15 @@ def mesh_from_string(text, name="<string>"):
         if tag == "q":
             quads.append(idx)
         else:
-            i1, i2, i3 = idx
-            p = [vertices[i1], vertices[i2], vertices[i3]]
             try:
-                split_triangle(*p)
+                split = split_triangle(*(vertices[i] for i in idx))
             except GeometryError as exc:
                 raise MeshFormatError(str(exc), ln)
-            # shared midpoints must dedupe exactly: compute from the sorted
-            # vertex pair so both neighbors produce bit-identical points
-            def midpoint(a, b):
-                lo, hi = (a, b) if a < b else (b, a)
-                return add_vertex((vertices[lo] + vertices[hi]) / 2.0)
-
-            m12 = midpoint(i1, i2)
-            m23 = midpoint(i2, i3)
-            m31 = midpoint(i3, i1)
-            g = add_vertex((vertices[i1] + vertices[i2] + vertices[i3]) / 3.0)
-            quads.append([i1, m12, g, m31])
-            quads.append([i2, m23, g, m12])
-            quads.append([i3, m31, g, m23])
+            # new vertices m12, m23, m31, then the centroid; a midpoint
+            # shared with a neighbor dedupes exactly, as fl(a+b) = fl(b+a)
+            mids = [add_vertex(q.vertices[1]) for q in split]
+            g = add_vertex(split[0].vertices[2])
+            quads += [[i, mids[k], g, mids[k - 1]] for k, i in enumerate(idx)]
 
     try:
         return build_mesh(np.array(vertices), np.array(quads, dtype=int))

@@ -15,7 +15,7 @@ velocity), outlet (fixed pressure, zero velocity gradient), free-slip
 walls (axis aligned) and no-slip test objects.
 """
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from . import ultra
 from .element import CoeffVector2D, PdeCoefficients
 from .errors import GeometryError, InstabilityError, MeshError
 from .mesh import grid_mesh
-from .quadmap import BilinearMap, det_polynomial
+from .quadmap import det_polynomial
 from .schur import assemble_schur
 
 
@@ -169,8 +169,7 @@ class TunnelSolver:
         # per grid size m (n, and 2n when dealiasing): value and derivative
         # rows of the n Chebyshev modes at the m grid points, and the
         # inverse-map factors r_x, s_x, r_y, s_y stacked over the elements
-        # (from one BilinearMap whose fields are (F, 1, 1) arrays)
-        bm = BilinearMap(*np.array([astuple(b) for b in self.helm_u.maps]).T[..., None, None])
+        bm = self.helm_u.maps[:, None, None]
         self._grids = {}
         for m in {n, 2 * n if config.dealias else n}:
             t = ultra.cheb_points(m)

@@ -7,11 +7,15 @@ denominator; multiplying through by ``det^3`` turns every coefficient
 appearing in a transformed second-order operator into a low-degree
 bivariate polynomial.  Those cleared polynomial tables are produced here.
 
+:func:`bilinear_coeffs` also maps a stack of quadrilaterals at once, into
+one :class:`BilinearMap` with an array entry per quad in every field;
+indexing it (``maps[f]``, ``maps[:, None, None]``) indexes every field.
+
 Polynomial tables are monomial-basis coefficient arrays ``P[i, j]``
 multiplying ``r^i s^j``.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -114,13 +118,24 @@ class Quad:
         return f"Quad({self.vertices.tolist()})"
 
 
+def outward_normals(vertices):
+    """Unit outward normals of the four edges of counterclockwise quads:
+    (..., 4, 2) for (..., 4, 2) vertex arrays, local edge ``l`` running
+    from vertex ``l`` to vertex ``l+1``."""
+    t = np.roll(vertices, -1, axis=-2) - vertices
+    nrm = np.hypot(t[..., 0], t[..., 1])[..., None]
+    return np.stack([t[..., 1], -t[..., 0]], axis=-1) / nrm
+
+
 @dataclass(frozen=True)
 class BilinearMap:
     """Coefficients of ``x = a1 + b1 r + c1 s + d1 r s`` and the analogous
     ``y`` expression, mapping the square onto a quadrilateral.
 
     The square corners ``(1,1), (-1,1), (-1,-1), (1,-1)`` map to vertices
-    1..4 in counterclockwise order.
+    1..4 in counterclockwise order.  The fields may be arrays (a stack of
+    maps); they broadcast against the points, and indexing the map
+    indexes every field.
     """
 
     a1: float
@@ -131,6 +146,12 @@ class BilinearMap:
     b2: float
     c2: float
     d2: float
+
+    def __getitem__(self, index):
+        return BilinearMap(*(np.asarray(getattr(self, f.name))[index] for f in fields(self)))
+
+    def __iter__(self):
+        return (self[f] for f in range(len(self.a1)))
 
     def __call__(self, r, s):
         r = np.asarray(r, dtype=float)
@@ -174,11 +195,13 @@ def reference_corner(k):
 
 def bilinear_coeffs(quad):
     """Bilinear map coefficients for a :class:`Quad` (vertex averages and
-    differences, a quarter each)."""
-    if not isinstance(quad, Quad):
+    differences, a quarter each).  An (F, 4, 2) stack of vertex arrays
+    gives one map whose fields are (F,) arrays; the caller validates
+    those quads."""
+    if not isinstance(quad, Quad) and np.ndim(quad) == 2:
         quad = Quad(quad)
-    x1, x2, x3, x4 = quad.vertices[:, 0]
-    y1, y2, y3, y4 = quad.vertices[:, 1]
+    v = quad.vertices if isinstance(quad, Quad) else np.asarray(quad, dtype=float)
+    (x1, y1), (x2, y2), (x3, y3), (x4, y4) = np.moveaxis(v, (-2, -1), (0, 1))
     return BilinearMap(
         a1=0.25 * (x1 + x2 + x3 + x4),
         b1=0.25 * (x1 - x2 - x3 + x4),
@@ -198,6 +221,13 @@ def det_polynomial(bm):
         dr=bm.b1 * bm.d2 - bm.b2 * bm.d1,
         ds=bm.c2 * bm.d1 - bm.c1 * bm.d2,
     )
+
+
+def det_cubed_table(bm):
+    """Monomial table of ``det(r, s)^3``, the clearing factor, with entries
+    below 1e-15 of the largest dropped."""
+    D = det_polynomial(bm).table
+    return poly2d_trim(poly2d_mul(poly2d_mul(D, D), D), rel=1e-15)
 
 
 class TransformedCoeffs:
@@ -265,4 +295,4 @@ class TransformedCoeffs:
             "r": trim(ddy_cleared(-Xs)),
             "s": trim(ddy_cleared(Xr)),
         }
-        self.det3 = trim(poly2d_mul(det2, D))
+        self.det3 = det_cubed_table(bm)

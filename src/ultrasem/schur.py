@@ -24,15 +24,17 @@ are ordered well.  Solving it gives the interface values; every element
 solve then decouples and reuses its cached factorization.
 
 Elements whose inputs are bitwise equal (translation-free map
-coefficients, PDE tables pulled back to the element, and boundary row
-kinds with their outward normals) form one group sharing an operator,
-factorization, right-hand-side operator, W block per coupled-slot set and
-unscaled interface rows.  Sharing never rounds, so operators and W blocks
-are bit-identical to building every element alone; a solve runs one
+coefficients, the translation too when a PDE table varies, and boundary
+row kinds with the outward normals of Neumann edges) form one group
+sharing an operator, factorization, right-hand-side operator and a W
+block per coupled-slot set.  Sharing never rounds, so operators and W
+blocks are bit-identical to building every element alone.  Setup is
+array operations over all elements and interior edges at once, with
+Python loops only over groups and W blocks; a solve runs one
 multi-column solve per group.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,26 +50,24 @@ from .element import (
     grid_points,
     point_derivative_rows,
     point_value_row,
-    outward_normal,
     project_rhs,
-    pulled_pde,
     sample_on_grid,
     traversal_points,
 )
 from .errors import BookkeepingError, SingularOperatorError
 from .mesh import build_mesh, interface_bandwidth, order_interfaces
-from .quadmap import Quad, bilinear_coeffs, reference_corner
+from .quadmap import Quad, bilinear_coeffs, outward_normals, reference_corner
 
 
 def _edge_reference_point(local_edge, aligned, t):
     """Reference coordinates ``(r, s)`` of the interface points with edge
-    parameter ``t`` (scalar or array, measured from the lower-numbered
-    endpoint) on a quad's local edge."""
+    parameter ``t`` (measured from the lower-numbered endpoint) on a quad's
+    local edge; the three arguments broadcast against each other."""
     ca = reference_corner(local_edge)
     cb = reference_corner((local_edge + 1) % 4)
-    tau = t if aligned else -t
+    tau = np.where(aligned, t, -t)
     a, b = 0.5 * (1 - tau), 0.5 * (1 + tau)
-    return a * ca[0] + b * cb[0], a * ca[1] + b * cb[1]
+    return a * ca[..., 0] + b * cb[..., 0], a * ca[..., 1] + b * cb[..., 1]
 
 
 def _element_rows(quad, n, neumann):
@@ -82,14 +82,15 @@ def _element_rows(quad, n, neumann):
     return rows
 
 
-def _edge_rows(bm, n, local_edge, aligned, params):
-    """Rows of one element side of an interface edge: the physical
-    derivative rows ``(u_x, u_y)`` at every interface point, each of shape
-    (n, n^2), and the value rows at the two endpoints."""
-    r, s = _edge_reference_point(local_edge, aligned, params)
-    ux, uy = point_derivative_rows(bm, n, r, s)
-    ends = point_value_row(n, r[[0, -1]], s[[0, -1]])
-    return ux, uy, ends
+def _row_groups(key):
+    """Group the rows of a 2-D array by their exact bytes: the first row of
+    every group, groups in order of first appearance, and each row's
+    group number."""
+    rows = np.ascontiguousarray(key)
+    rows = rows.view(np.dtype((np.void, rows[0].nbytes))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse]
 
 
 class SchurSystem:
@@ -105,9 +106,9 @@ class SchurSystem:
     lower vertex number to higher, as an (n_interior_edges, 2) array in
     ``mesh.interior_edges`` order.  ``sigma_rcond`` is the reciprocal
     1-norm condition estimate of Sigma (None without interfaces).  ``maps``
-    holds each element's own bilinear map, and ``grid_x``, ``grid_y`` the
-    physical coordinates of every element's tensor grid as (F, n, n)
-    arrays.  The 4n-4 boundary points of every element are held as
+    is one stacked bilinear map with (F,) fields (``maps[f]`` is element
+    f's own map), and ``grid_x``, ``grid_y`` hold the physical coordinates
+    of every element's tensor grid as (F, n, n) arrays.  The 4n-4 boundary points of every element are held as
     (F, 4n-4) arrays in traversal order: ``point_kind`` ("coupled",
     "dirichlet", "neumann" or "pin"), ``point_edge`` (global edge) and
     ``point_x``, ``point_y``.
@@ -122,19 +123,17 @@ class SchurSystem:
         d = np.diff(mesh.vertices[mesh.edges[mesh.interior_edges]], axis=1)[:, 0]
         self.edge_direction = d / np.hypot(d[:, 0], d[:, 1])[:, None]
 
-        bc = dict(bc or {})
-        for e, kind in bc.items():
+        # per edge: its boundary condition, or "coupled" for an interior edge
+        self._edge_kind = np.where(mesh.boundary_edge, "dirichlet", "coupled")
+        for e, kind in (bc or {}).items():
             if kind not in ("dirichlet", "neumann"):
                 raise BookkeepingError(f"edge {e}: unknown boundary condition {kind!r}")
             if e not in range(mesh.n_edges):
                 raise BookkeepingError(f"edge {e} ({kind}) is not an edge of the mesh")
             if not mesh.boundary_edge[e]:
                 raise BookkeepingError(f"edge {e} ({kind}) is interior, not a boundary edge")
-        for e in range(mesh.n_edges):
-            if mesh.boundary_edge[e]:
-                bc.setdefault(e, "dirichlet")
-        self.bc = bc
-        self._pin = pin_value_point and "dirichlet" not in bc.values()
+            self._edge_kind[int(e)] = kind
+        self._pin = pin_value_point and "dirichlet" not in self._edge_kind
 
         self._build_elements()
         # the coupling's build temporaries are freed before Sigma is factored
@@ -144,13 +143,13 @@ class SchurSystem:
 
     def _build_elements(self):
         mesh, n = self.mesh, self.n
-        nn, F = n * n, mesh.n_quads
-        self.maps = [bilinear_coeffs(mesh.element_quad(f)) for f in range(F)]
-        grid = np.array([grid_points(bm, n) for bm in self.maps])
-        self.grid_x, self.grid_y = grid[:, 0], grid[:, 1]
-        r, s = traversal_points(n)
-        points = np.array([bm(r, s) for bm in self.maps])
-        self.point_x, self.point_y = points[:, 0], points[:, 1]
+        F = mesh.n_quads
+        for f in range(F):
+            mesh.element_quad(f)  # raises GeometryError for a bad element
+        vertices = mesh.vertices[mesh.quads]
+        self.maps = bilinear_coeffs(vertices)
+        self.grid_x, self.grid_y = grid_points(self.maps[:, None, None], n)
+        self.point_x, self.point_y = self.maps[:, None](*traversal_points(n))
 
         # per traversal point: its edge, and its interface unknown if coupled
         self.point_edge = np.repeat(mesh.quad_edge, n - 1, axis=1)
@@ -159,47 +158,42 @@ class SchurSystem:
         first_col = np.zeros(mesh.n_edges, dtype=int)
         first_col[mesh.interior_edges] = n * self.block_pos
         self._point_col = first_col[self.point_edge] + along
-        edge_kind = np.array([self.bc.get(e, "coupled") for e in range(mesh.n_edges)])
-        self.point_kind = edge_kind[self.point_edge]
+        self.point_kind = self._edge_kind[self.point_edge]
         if self._pin:
             # the first Neumann point in element order takes a value row
             self.point_kind.flat[np.argmax(self.point_kind == "neumann")] = "pin"
 
-        self._group = np.empty(F, dtype=int)  # per element: its group
-        index = {}  # element key -> group
-        distinct = []  # (operator, right-hand-side operator) per group
-        for f in range(F):
+        # One key row per element holds the exact bytes of everything its
+        # operator, boundary rows and right-hand-side operator are computed
+        # from (n is fixed per system), so equal rows give bitwise equal
+        # results: the translation-free map coefficients, the Neumann rows
+        # and the outward normals of their edges, and the translation
+        # (a1, a2) only when a PDE table varies, the only case in which the
+        # tables pulled back to the element depend on it.
+        bm, neumann = self.maps, self.point_kind == "neumann"
+        coeffs = [bm.b1, bm.c1, bm.d1, bm.b2, bm.c2, bm.d2]
+        if any(getattr(self.pde, t.name).ravel()[1:].any() for t in fields(self.pde)):
+            coeffs += [bm.a1, bm.a2]
+        on_edge = neumann.reshape(F, 4, n - 1).any(axis=2)[..., None]
+        normals = np.where(on_edge, outward_normals(vertices), 0.0).reshape(F, 8)
+        leaders, self._group = _row_groups(np.column_stack(coeffs + [neumann, normals]))
+        self.groups = []
+        for i, f in enumerate(leaders):
             quad = mesh.element_quad(f)
-            bm = self.maps[f]
-            rows_neumann = self.point_kind[f] == "neumann"
-            normals = tuple(outward_normal(quad, l).tobytes() for l in range(4)
-                            if rows_neumann.reshape(4, n - 1)[l].any())
-            # Exact bytes of everything the operator, its boundary rows and
-            # its right-hand-side operator are computed from (n is fixed
-            # per system); equal keys give bitwise equal results.
-            key = (np.array([bm.b1, bm.c1, bm.d1, bm.b2, bm.c2, bm.d2]).tobytes(),
-                   tuple((t.shape, t.tobytes()) for t in pulled_pde(self.pde, bm).values()),
-                   rows_neumann.tobytes(), normals)
-            i = index.setdefault(key, len(index))
-            if i == len(distinct):
-                rows = _element_rows(quad, n, rows_neumann)
-                distinct.append((assemble_element_operator(self.pde, quad, n, rows=rows),
-                                 element_rhs_operator(quad, n)))
-            self._group[f] = i
-        self.n_distinct = len(distinct)
-        self.ops = [distinct[i][0] for i in self._group]
-        self.groups = [(np.flatnonzero(self._group == i), op, rhs_op)
-                       for i, (op, rhs_op) in enumerate(distinct)]
-        self._scale = np.empty((F, nn))  # row scales of every element
-        for elems, op, _ in self.groups:
-            self._scale[elems] = op.scale
+            op = assemble_element_operator(self.pde, quad, n,
+                                           rows=_element_rows(quad, n, neumann[f]))
+            self.groups.append((np.flatnonzero(self._group == i), op,
+                                element_rhs_operator(quad, n)))
+        self.n_distinct = len(self.groups)
+        ops = np.array([op for _, op, _ in self.groups], dtype=object)
+        self.ops = list(ops[self._group])
+        self._scale = np.array([op.scale for op in ops])[self._group]
 
     # -- coupling and the Schur complement -------------------------------
 
     def _build_coupling(self):
-        """``C_gamma``, the W blocks and ``W_gamma``, then ``A_gamma`` and
-        Sigma in one pass over the interior edges.  Returns Sigma (None
-        without interfaces)."""
+        """``C_gamma`` and ``A_gamma``, then ``W_gamma`` and Sigma one W
+        block at a time.  Returns Sigma (None without interfaces)."""
         mesh, n = self.mesh, self.n
         nn, F = n * n, mesh.n_quads
         if self.n_gamma == 0:
@@ -224,77 +218,78 @@ class SchurSystem:
             raise BookkeepingError(
                 "corner-exclusion rule failed to cover the interface points")
 
-        # the other CSR arrays are filled in place with int32 indices (F n^2
-        # and n_gamma stay far below 2^31): build temporaries would stay in
-        # the process heap after they are freed
-        cols = [self._point_col[f, coupled[f]] for f in range(F)]
+        # The two sides (element f, local edge l) of every interior edge,
+        # lower element first, with the edges in block order: A_gamma's
+        # matching row n p + m, for point m of the edge at block position
+        # p, holds one dense n^2 block per side at rows[p, m, side].
+        pos = np.full(mesh.n_edges, -1)
+        pos[mesh.interior_edges] = self.block_pos
+        side_pos = pos[mesh.quad_edge]
+        f, l = np.nonzero(side_pos >= 0)
+        by_pos = np.argsort(side_pos[f, l], kind="stable")
+        f, l = f[by_pos].reshape(-1, 2), l[by_pos].reshape(-1, 2)
+        k = np.argsort(self.block_pos)  # interior edge at each block position
+        r, s = _edge_reference_point(l[:, None], mesh.quad_edge_aligned[f, l][:, None],
+                                     ultra.cheb_points(n)[:, None])
+        rows, uy = point_derivative_rows(self.maps[f[:, None]], n, r, s)
+        alpha, beta = self.edge_direction[k].T[:, :, None, None, None]
+        rows *= beta
+        uy *= alpha
+        rows -= uy
+        del uy
+        # an endpoint matches derivatives only at an interior vertex that
+        # marks this edge; elsewhere it matches values
+        edge = mesh.interior_edges[k]
+        ends = mesh.edges[edge]
+        p, m = np.nonzero(mesh.boundary_vertex[ends] | (mesh.vertex_edge[ends] != edge[:, None]))
+        m *= n - 1
+        rows[p, m] = point_value_row(n, r[p, m], s[p, m])
+        rows[:, :, 1] *= -1.0
+        # one shared scale per matching row keeps it one equation
+        rows /= np.abs(rows).max(axis=(2, 3))[:, :, None, None]
+        # the CSR arrays are filled in place with int32 indices (F n^2 and
+        # n_gamma stay far below 2^31): build temporaries would stay in the
+        # process heap after they are freed
+        a_cols = np.empty(rows.shape, dtype=np.int32)
+        a_cols[...] = (f * nn)[:, None, :, None] + np.arange(nn)
+        self.A_gamma = sp.csr_matrix(
+            (rows.ravel(), a_cols.ravel(), np.arange(self.n_gamma + 1) * 2 * nn),
+            shape=(self.n_gamma, F * nn))
+
+        # One W block per element group and coupled-slot set: the element
+        # solves against its C_gamma columns.  It fills the W_gamma rows of
+        # its elements, and Sigma = -sum A_gamma_j inv(A_jj) A_j_gamma takes
+        # one stacked product of their matching rows with it as triplets.
         w_ptr = np.concatenate([[0], np.cumsum(np.repeat(coupled.sum(axis=1), nn))])
         w_data = np.empty(w_ptr[-1])
         w_cols = np.empty(w_ptr[-1], dtype=np.int32)
-        W = [None] * F  # per element; shared between equal inputs
-        shared = {}  # (group, coupled slots) -> W
-        for f in np.flatnonzero(coupled.any(axis=1)):
-            key = (self._group[f], coupled[f].tobytes())
-            if key not in shared:
-                op, s = self.ops[f], slots[coupled[f]]
-                rhs = np.zeros((nn, s.size))
-                rhs[s, np.arange(s.size)] = -op.scale[s]
-                shared[key] = op.solve_raw(rhs)
-            W[f] = shared[key]
-            block = slice(w_ptr[f * nn], w_ptr[(f + 1) * nn])
-            w_data[block] = W[f].ravel()
-            w_cols[block] = np.tile(cols[f], nn)
+        leaders, block = _row_groups(np.column_stack([self._group, coupled]))
+        side_block = block[f]
+        triplets = []
+        for b, leader in enumerate(leaders):
+            on = coupled[leader]
+            if not on.any():
+                continue
+            op, c = self.ops[leader], slots[on]
+            rhs = np.zeros((nn, c.size))
+            rhs[c, np.arange(c.size)] = -op.scale[c]
+            W = op.solve_raw(rhs)
+            elems = np.flatnonzero(block == b)
+            at = w_ptr[elems * nn][:, None] + np.arange(W.size)
+            w_data[at] = W.ravel()
+            w_cols[at] = np.tile(self._point_col[elems][:, on], nn)
+            p, side = np.nonzero(side_block == b)
+            v = -(rows[p, :, side] @ W)
+            i = (n * p)[:, None, None] + np.arange(n)[:, None]
+            j = self._point_col[f[p, side]][:, None, on]
+            triplets.append([v] + [np.broadcast_to(a, v.shape).astype(np.int32)
+                                   for a in (i, j)])
         self.W_gamma = sp.csr_matrix((w_data, w_cols, w_ptr), shape=(F * nn, self.n_gamma))
-
-        # every matching row holds one dense n^2 block per side, lower
-        # element first
-        a_data = np.empty((self.n_gamma, 2, nn))
-        a_cols = np.empty((self.n_gamma, 2, nn), dtype=np.int32)
-        # Sigma triplets: n per coupled column of every side of every edge
-        n_sides = (~mesh.boundary_edge[mesh.quad_edge]).sum(axis=1)
-        r, c = np.empty((2, n * n_sides @ coupled.sum(axis=1)), dtype=np.int32)
-        v = np.empty(r.size)
-        o = 0
-        params = ultra.cheb_points(n)
-        shared = {}  # (group, local edge, orientation) -> _edge_rows
-        for k, e in enumerate(mesh.interior_edges):
-            alpha, beta = self.edge_direction[k]
-            base = n * self.block_pos[k]
-            sides = mesh.edge_quads[e]  # two (quad, local edge, aligned), quad ascending
-            blocks = []
-            for f, l, aligned in sides:
-                key = (self._group[f], int(l), bool(aligned))
-                if key not in shared:
-                    shared[key] = _edge_rows(self.maps[f], n, l, aligned, params)
-                ux, uy, ends = shared[key]
-                rows = beta * ux - alpha * uy
-                # an endpoint matches derivatives only at an interior vertex
-                # that marks this edge; elsewhere it matches values
-                for m, vx, end in ((0, mesh.edges[e][0], ends[0]),
-                                   (n - 1, mesh.edges[e][1], ends[1])):
-                    if mesh.boundary_vertex[vx] or mesh.vertex_edge[vx] != e:
-                        rows[m] = end
-                blocks.append(rows)
-            blocks[1] = -blocks[1]
-            # one shared scale per matching row keeps it one equation
-            sup = np.maximum(np.abs(blocks[0]).max(axis=1),
-                             np.abs(blocks[1]).max(axis=1))[:, None]
-            for side, ((f, _, _), rows) in enumerate(zip(sides, blocks)):
-                rows = rows / sup
-                a_data[base:base + n, side] = rows
-                a_cols[base:base + n, side] = f * nn + np.arange(nn)
-                block = slice(o, o + n * cols[f].size)
-                r[block] = np.repeat(np.arange(base, base + n), cols[f].size)
-                c[block] = np.tile(cols[f], n)
-                v[block] = -(rows @ W[f]).ravel()
-                o = block.stop
-        self.A_gamma = sp.csr_matrix(
-            (a_data.ravel(), a_cols.ravel(), np.arange(self.n_gamma + 1) * 2 * nn),
-            shape=(self.n_gamma, F * nn))
-        # Sigma = -sum A_gamma_j inv(A_jj) A_j_gamma; signs folded above.
-        # An entry gets at most two contributions, so summing the
+        # An entry of Sigma gets at most two contributions, so summing the
         # duplicates is exact in any order.
-        sigma = sp.csr_matrix((v, (r, c)), shape=(self.n_gamma, self.n_gamma))
+        v, i, j = (np.concatenate([a.ravel() for a in t]) for t in zip(*triplets))
+        del triplets
+        sigma = sp.csr_matrix((v, (i, j)), shape=(self.n_gamma, self.n_gamma))
         sigma.eliminate_zeros()
         return sigma
 
@@ -355,6 +350,9 @@ class SchurSystem:
             per_edge = src.items() if isinstance(src, dict) else [(None, src)]
             for e, s in per_edge:
                 pick = on_kind if e is None else on_kind & (self.point_edge == e)
+                if e is not None and not pick.any():
+                    raise BookkeepingError(
+                        f"{kind} data names edge {e}, which is not a {kind} boundary edge")
                 if pick.any():
                     x, y = self.point_x[pick], self.point_y[pick]
                     values[pick] = s(x, y) if callable(s) else s

@@ -263,6 +263,20 @@ class TestQuality:
         assert abs(q.r_in[0] - eps) < 1e-9
         assert q.skinniness[0] < 2 * eps
 
+    @pytest.mark.parametrize("w", [2e-3, 0.3, 0.7, 1e-12])
+    def test_rectangle_inradius_is_half_width(self, w):
+        mesh = build_mesh([(0, 0), (2, 0), (2, w), (0, w)], [(0, 1, 2, 3)])
+        assert quality(mesh).r_in[0] == w / 2
+
+    def test_skinny_inradius_scales_with_eps(self):
+        # the inradius of the skinny family is about 0.2652 eps, down to
+        # the paper's extreme eps = 1e-12
+        from ultrasem.cli import skinny_quad
+
+        ratio = [quality(build_mesh(skinny_quad(eps).vertices, [(0, 1, 2, 3)])).r_in[0] / eps
+                 for eps in (1e-9, 1e-12)]
+        assert abs(ratio[1] - ratio[0]) <= 1e-3
+
     def test_skinny_family(self):
         from ultrasem.cli import skinny_quad
 
@@ -328,6 +342,19 @@ t 1 3 4
         # 3 interior spokes per triangle plus the 2 halves of the diagonal
         assert mesh.n_interior_edges == 8
 
+    def test_triangle_split_vertices_pinned(self):
+        # new vertices of each triangle in the order m12, m23, m31, centroid;
+        # the second triangle's m12 is the first one's m31
+        mesh = mesh_from_string("quadmesh 1\nv 0 0\nv 1 0\nv 1 1\nv 0 1\n"
+                                "t 1 2 3\nt 1 3 4\n")
+        assert np.array_equal(mesh.vertices, [
+            (0, 0), (1, 0), (1, 1), (0, 1),
+            (0.5, 0), (1, 0.5), (0.5, 0.5), (2 / 3, 1 / 3),
+            (0.5, 1), (0, 0.5), (1 / 3, 2 / 3)])
+        assert np.array_equal(mesh.quads, [
+            (0, 4, 7, 6), (1, 5, 7, 4), (2, 6, 7, 5),
+            (0, 6, 10, 9), (2, 8, 10, 6), (3, 9, 10, 8)])
+
     def test_error_reports_line_number(self):
         bad = "quadmesh 1\nv 0 0\nv 1 0\nq 1 2 3\n"
         with pytest.raises(MeshFormatError) as err:
@@ -349,8 +376,7 @@ t 1 3 4
 
 
 def test_solving_does_not_import_scipy_optimize():
-    # scipy.optimize serves only the inradius of the quality metrics; a fresh process
-    # that builds and solves must not load it
+    # a fresh process that builds and solves must not load scipy.optimize
     code = ("import sys\n"
             "from ultrasem import PdeCoefficients, assemble_schur, grid_mesh\n"
             "system = assemble_schur(grid_mesh(2, 2), PdeCoefficients.poisson(), 6)\n"

@@ -49,6 +49,20 @@ class TestBilinearCoeffs:
         assert (bm1.b1, bm1.c1, bm1.d1) == (bm0.b1, bm0.c1, bm0.d1)
         assert (bm1.b2, bm1.c2, bm1.d2) == (bm0.b2, bm0.c2, bm0.d2)
 
+    def test_stacked_maps_equal_single_maps(self, rng):
+        # a stack of quads maps to the same bits as each quad alone, and
+        # indexing or iterating the stack gives the per-quad maps
+        vertices = np.array([random_convex_quad(rng) for _ in range(5)])
+        stack = bilinear_coeffs(vertices)
+        t = np.linspace(-1.0, 1.0, 4)
+        R, S = np.meshgrid(t, t)
+        X, Y = stack[:, None, None](R, S)
+        for f, bm in enumerate(stack):
+            assert bm == stack[f] == bilinear_coeffs(Quad(vertices[f]))
+            assert np.array_equal(np.array([X[f], Y[f]]), np.array(bm(R, S)))
+        with pytest.raises(TypeError):
+            iter(stack[0])  # a single map is not a sequence
+
     def test_median_split_quad_coefficients(self):
         # quad of the median split of triangle (0,0), (1,0), (0,1):
         # x = [(14*0 + 5*1 + 5*0) + (4*0 - 5*1 + 0) r + (0 + 1 - 0) s

@@ -434,6 +434,20 @@ class TestErrors:
         with pytest.raises(BookkeepingError, match=rf"edge {edge}\b.*{kind}"):
             assemble_schur(mesh, POISSON, 6, bc={edge: kind})
 
+    @pytest.mark.parametrize("data", [
+        {"dirichlet": {0: 5.0}},  # edge 0 is a Neumann edge
+        {"neumann": {999: 3.0}},  # no such edge
+        {"neumann": {1: 2.0}},  # edge 1 is interior
+    ])
+    def test_boundary_data_for_wrong_edge_rejected(self, data):
+        mesh = grid_mesh(2, 1)
+        assert mesh.boundary_edge[0] and not mesh.boundary_edge[1]
+        sys = assemble_schur(mesh, POISSON, 6, bc={0: "neumann"})
+        (kind, entries), = data.items()
+        (edge, _), = entries.items()
+        with pytest.raises(BookkeepingError, match=rf"edge {edge}\b.*{kind}"):
+            sys.solve(f=lambda x, y: 1.0 + 0 * x, **data)
+
     def test_all_neumann_unpinned_raises(self):
         # without a pinned value Sigma is singular only to rounding
         # (rcond about 1.6e-16); its LU succeeds, so the condition
