@@ -31,7 +31,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import GeometryError, MeshError, MeshFormatError
-from .quadmap import Quad, outward_normals
+from .quadmap import Quad, outward_normals, quad_defect
 
 
 class QuadMesh:
@@ -139,6 +139,19 @@ class QuadMesh:
         return len(self.interior_edges)
 
     @functools.cached_property
+    def _interface_pairs(self):
+        # interior edges sharing a quad, as (a, b) rows of their indices in
+        # interior_edges with a < b, sorted and without repeats
+        pos = np.full(self.n_edges, -1)
+        pos[self.interior_edges] = np.arange(self.n_interior_edges)
+        local = pos[self.quad_edge]
+        i, j = np.triu_indices(4, 1)
+        a, b = local[:, i].ravel(), local[:, j].ravel()
+        keep = (a >= 0) & (b >= 0)
+        pairs = np.sort(np.column_stack([a[keep], b[keep]]), axis=1)
+        return np.unique(pairs, axis=0).reshape(-1, 2)
+
+    @functools.cached_property
     def _interface_order(self):
         # computed once per mesh: hand out copies through order_interfaces
         return _compute_interface_order(self)
@@ -146,6 +159,16 @@ class QuadMesh:
     def element_quad(self, f):
         """Geometry of element ``f`` as a :class:`Quad`."""
         return Quad(self.vertices[self.quads[f]])
+
+    def element_vertices(self):
+        """The (F, 4, 2) vertex stack of all elements.  Raises
+        :class:`GeometryError` naming the first element that is not a
+        finite, strictly convex counterclockwise quadrilateral."""
+        v = self.vertices[self.quads]
+        bad = quad_defect(v)
+        if bad is not None:
+            raise GeometryError(f"element {bad[0]}: {bad[1]}")
+        return v
 
     def local_edge(self, f, l):
         """Global edge number of local edge ``l`` of quad ``f``."""
@@ -187,20 +210,37 @@ def split_triangle(v1, v2, v3):
 # interface ordering
 
 
-def _edge_adjacency(mesh):
-    pos = {int(e): k for k, e in enumerate(mesh.interior_edges)}
-    m = len(pos)
-    pairs = set()
-    for f in range(mesh.n_quads):
-        local = [pos[int(e)] for e in mesh.quad_edge[f] if int(e) in pos]
-        for i in range(len(local)):
-            for j in range(i + 1, len(local)):
-                pairs.add((min(local[i], local[j]), max(local[i], local[j])))
-    return m, sorted(pairs)
-
-
 def _bandwidth_of(pairs, order_pos):
-    return max((abs(order_pos[a] - order_pos[b]) for a, b in pairs), default=0)
+    return int(np.abs(order_pos[pairs[:, 0]] - order_pos[pairs[:, 1]]).max(initial=0))
+
+
+def _deadlines_met(adj, placed, chosen, k, p):
+    # Hall's condition on the deadlines, with the last node of chosen just
+    # placed at p: the unplaced neighbors of the first i nodes placed must
+    # fit in positions p+1 .. placed[chosen[i]] + k
+    unplaced = set()
+    for u in chosen:
+        unplaced.update(w for w in adj[u] if placed[w] < 0)
+        if len(unplaced) > placed[u] + k - p:
+            return False
+    return True
+
+
+def _place_from(p, k, adj, placed, chosen):
+    """Extend a placement of positions 0..p-1 (``chosen``, in order) to
+    every node with bandwidth at most k, depth first; False if none."""
+    if p == len(adj):
+        return True
+    for v in range(len(adj)):
+        if placed[v] >= 0 or any(placed[w] >= 0 and p - placed[w] > k for w in adj[v]):
+            continue
+        placed[v] = p
+        chosen.append(v)
+        if _deadlines_met(adj, placed, chosen, k, p) and _place_from(p + 1, k, adj, placed, chosen):
+            return True
+        chosen.pop()
+        placed[v] = -1
+    return False
 
 
 def _exact_min_bandwidth(m, pairs, upper):
@@ -210,42 +250,12 @@ def _exact_min_bandwidth(m, pairs, upper):
     for a, b in pairs:
         adj[a].add(b)
         adj[b].add(a)
-    best = None
-    lo = max((len(a) + 1) // 2 for a in adj) if pairs else 0
+    lo = max((len(a) + 1) // 2 for a in adj) if len(pairs) else 0
     for k in range(lo, upper):
         placed = np.full(m, -1, dtype=int)
-        chosen = []
-
-        def feasible(p):
-            if p == m:
-                return True
-            for v in range(m):
-                if placed[v] >= 0:
-                    continue
-                if any(placed[w] >= 0 and p - placed[w] > k for w in adj[v]):
-                    continue
-                # a node placed at or before p-k may not have unplaced
-                # neighbors left (other than v, placed at p right now)
-                ok = True
-                for u in chosen:
-                    if placed[u] <= p - k and any(
-                            placed[w] < 0 and w != v for w in adj[u]):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                placed[v] = p
-                chosen.append(v)
-                if feasible(p + 1):
-                    return True
-                chosen.pop()
-                placed[v] = -1
-            return False
-
-        if feasible(0):
-            best = placed.copy()
-            break
-    return best
+        if _place_from(0, k, adj, placed, []):
+            return placed
+    return None
 
 
 # meshes with at most this many interior edges get the exact ordering
@@ -269,11 +279,11 @@ def order_interfaces(mesh):
 
 
 def _compute_interface_order(mesh):
-    m, pairs = _edge_adjacency(mesh)
+    m, pairs = mesh.n_interior_edges, mesh._interface_pairs
     if m == 0:
         return np.zeros(0, dtype=int)
-    rows = [a for a, b in pairs] + [b for a, b in pairs]
-    cols = [b for a, b in pairs] + [a for a, b in pairs]
+    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
     g = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(m, m))
     order = reverse_cuthill_mckee(g, symmetric_mode=True)
     pos = np.empty(m, dtype=int)
@@ -291,26 +301,30 @@ def interface_bandwidth(mesh, pos=None):
     ordering (defaults to :func:`order_interfaces`)."""
     if pos is None:
         pos = order_interfaces(mesh)
-    _, pairs = _edge_adjacency(mesh)
-    return _bandwidth_of(pairs, pos)
+    return _bandwidth_of(mesh._interface_pairs, np.asarray(pos))
 
 
 # ----------------------------------------------------------------------
 # quality metrics
 
 
-def _inradius(quad):
+_THREE = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+
+
+def _inradius(vertices):
     # The largest inscribed circle of a convex quad is tangent to three of
     # its four edge lines.  Solve for the circle tangent to each three
     # (n_k . c - r = n_k . p_k with inward unit normals n_k) and shrink it
     # to its center's distance from the nearest line, which keeps it inside
-    # the fourth; the largest of the four is the inradius.
-    inward = -outward_normals(quad.vertices)
-    b = np.sum(inward * quad.vertices, axis=1)
-    three = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
-    A = np.column_stack([inward, -np.ones(4)])[three]
-    center = np.linalg.solve(A, b[three][..., None])[:, :2, 0]
-    return float((center @ inward.T - b).min(axis=1).max())
+    # the fourth; the largest of the four is the inradius.  Takes (..., 4, 2)
+    # vertex arrays and returns (...) inradii.
+    inward = -outward_normals(vertices)
+    b = np.sum(inward * vertices, axis=-1)
+    A = np.concatenate([inward, -np.ones(inward.shape[:-1] + (1,))], axis=-1)
+    center = np.linalg.solve(A[..., _THREE, :], b[..., _THREE, None])[..., :2, 0]
+    # distance of each center (axis -2) from each line (axis -1)
+    dist = center @ np.swapaxes(inward, -1, -2) - b[..., None, :]
+    return dist.min(axis=-1).max(axis=-1)
 
 
 def _circumradius(points):
@@ -368,13 +382,8 @@ class MeshQuality:
 
 def quality(mesh):
     """Inradius, min-containment radius and skinniness of every element."""
-    r_in = np.empty(mesh.n_quads)
-    r_out = np.empty(mesh.n_quads)
-    for f in range(mesh.n_quads):
-        q = mesh.element_quad(f)  # raises GeometryError if nonconvex
-        r_in[f] = _inradius(q)
-        r_out[f] = _circumradius(q.vertices)
-    return MeshQuality(r_in=r_in, r_out=r_out)
+    v = mesh.element_vertices()
+    return MeshQuality(r_in=_inradius(v), r_out=np.array([_circumradius(q) for q in v]))
 
 
 # ----------------------------------------------------------------------

@@ -95,27 +95,44 @@ class Quad:
         v = np.asarray(vertices, dtype=float)
         if v.shape != (4, 2):
             raise GeometryError("a quadrilateral needs exactly 4 (x, y) vertices")
-        if not np.all(np.isfinite(v)):
-            raise GeometryError("vertices must be finite")
-        area2 = 0.0
-        for k in range(4):
-            xa, ya = v[k]
-            xb, yb = v[(k + 1) % 4]
-            area2 += xa * yb - xb * ya
-        if area2 <= 0.0:
-            raise GeometryError(
-                "vertices are clockwise or degenerate (nonpositive area)"
-            )
-        for k in range(4):
-            e1 = v[(k + 1) % 4] - v[k]
-            e2 = v[(k + 2) % 4] - v[(k + 1) % 4]
-            if e1[0] * e2[1] - e1[1] * e2[0] <= 0.0:
-                raise GeometryError(f"quadrilateral is not strictly convex at vertex {(k + 1) % 4}")
+        bad = quad_defect(v[None])
+        if bad is not None:
+            raise GeometryError(bad[1])
         self.vertices = v
-        self.area = 0.5 * area2
+        self.area = 0.5 * float(_twice_area(v))
 
     def __repr__(self):
         return f"Quad({self.vertices.tolist()})"
+
+
+def _twice_area(v):
+    # shoelace sum over the last two axes of (..., 4, 2) vertex arrays
+    x, y = v[..., 0], v[..., 1]
+    return np.sum(x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y, axis=-1)
+
+
+def quad_defect(vertices):
+    """The first quad of an (F, 4, 2) vertex stack that is not finite,
+    counterclockwise with positive area and strictly convex, as
+    ``(number, reason)``; None when every quad is valid."""
+    v = np.asarray(vertices, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        area2 = _twice_area(v)
+        e = np.roll(v, -1, axis=1) - v  # edge k runs from vertex k to k+1
+        # the turn at vertex k+1, from edge k to edge k+1
+        turn = (e[..., 0] * np.roll(e[..., 1], -1, axis=1)
+                - e[..., 1] * np.roll(e[..., 0], -1, axis=1))
+    finite = np.isfinite(v).all(axis=(1, 2))
+    bad = ~finite | ~(area2 > 0.0) | ~(turn > 0.0).all(axis=1)
+    if not bad.any():
+        return None
+    f = int(np.argmax(bad))
+    if not finite[f]:
+        return f, "vertices must be finite"
+    if not area2[f] > 0.0:
+        return f, "vertices are clockwise or degenerate (nonpositive area)"
+    k = int(np.argmax(~(turn[f] > 0.0)))
+    return f, f"quadrilateral is not strictly convex at vertex {(k + 1) % 4}"
 
 
 def outward_normals(vertices):

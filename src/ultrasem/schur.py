@@ -23,15 +23,17 @@ interface complement
 are ordered well.  Solving it gives the interface values; every element
 solve then decouples and reuses its cached factorization.
 
-Elements whose inputs are bitwise equal (translation-free map
-coefficients, the translation too when a PDE table varies, and boundary
-row kinds with the outward normals of Neumann edges) form one group
+Elements whose inputs agree (translation-free map coefficients to
+``_SHARE_TOL`` times the inradius of the group's first element, the
+translation too when a PDE table varies, boundary row kinds exactly and
+the outward normals of Neumann edges to ``_SHARE_TOL``) form one group
 sharing an operator, factorization, right-hand-side operator and a W
-block per coupled-slot set.  Sharing never rounds, so operators and W
-blocks are bit-identical to building every element alone.  Setup is
-array operations over all elements and interior edges at once, with
-Python loops only over groups and W blocks; a solve runs one
-multi-column solve per group.
+block per coupled-slot set, all built from the group's first element.
+Congruent elements whose coordinates round differently therefore share;
+elements with bitwise equal inputs get bit-identical operators and W
+blocks to building every element alone.  Setup is array operations over
+all elements and interior edges at once, with Python loops only over
+groups and W blocks; a solve runs one multi-column solve per group.
 """
 
 from dataclasses import dataclass, fields
@@ -55,7 +57,7 @@ from .element import (
     traversal_points,
 )
 from .errors import BookkeepingError, SingularOperatorError
-from .mesh import build_mesh, interface_bandwidth, order_interfaces
+from .mesh import _inradius, build_mesh, interface_bandwidth, order_interfaces
 from .quadmap import Quad, bilinear_coeffs, outward_normals, reference_corner
 
 
@@ -82,6 +84,36 @@ def _element_rows(quad, n, neumann):
     return rows
 
 
+# Elements share an operator when their map coefficients agree to this
+# fraction of the representative's inradius (and their Neumann normals to
+# this much absolute).  The inradius shrinks with the thinnest direction,
+# so slivers whose thickness differs by more than rounding stay apart;
+# the largest coefficient would not, and would cost them their accuracy.
+_SHARE_TOL = 1e-13
+
+
+def _share_classes(coeffs, normals, neumann, r_in):
+    """Classes of elements that share one operator: the lowest unassigned
+    element becomes a class representative and takes every unassigned
+    element whose rows of ``coeffs`` lie within ``_SHARE_TOL`` times its
+    inradius ``r_in``, whose ``normals`` lie within ``_SHARE_TOL`` and
+    whose ``neumann`` mask is equal.  Returns the representatives, in
+    order, and each element's class number."""
+    group = np.full(len(coeffs), -1)
+    leaders = []
+    free = np.arange(len(coeffs))
+    while free.size:
+        rep = free[0]
+        near = ((np.abs(coeffs[free] - coeffs[rep]).max(axis=1) <= _SHARE_TOL * r_in[rep])
+                & (np.abs(normals[free] - normals[rep]).max(axis=1) <= _SHARE_TOL)
+                & (neumann[free] == neumann[rep]).all(axis=1))
+        near[0] = True  # the representative, whatever its inradius
+        group[free[near]] = len(leaders)
+        leaders.append(rep)
+        free = free[~near]
+    return np.array(leaders), group
+
+
 def _row_groups(key):
     """Group the rows of a 2-D array by their exact bytes: the first row of
     every group, groups in order of first appearance, and each row's
@@ -98,7 +130,7 @@ class SchurSystem:
 
     ``groups`` holds one ``(elements, op, rhs_op)`` triple per distinct
     element operator (``n_distinct`` of them); ``ops`` is a per-element
-    list whose entries are shared between elements with equal inputs.
+    list whose entries are shared between elements whose inputs agree.
     The coupling of the stacked element unknowns (length F n^2) to the
     interface vector is held as the sparse matrices ``A_gamma``,
     ``C_gamma`` and ``W_gamma`` (see the module docstring).
@@ -144,9 +176,7 @@ class SchurSystem:
     def _build_elements(self):
         mesh, n = self.mesh, self.n
         F = mesh.n_quads
-        for f in range(F):
-            mesh.element_quad(f)  # raises GeometryError for a bad element
-        vertices = mesh.vertices[mesh.quads]
+        vertices = mesh.element_vertices()  # raises GeometryError for a bad element
         self.maps = bilinear_coeffs(vertices)
         self.grid_x, self.grid_y = grid_points(self.maps[:, None, None], n)
         self.point_x, self.point_y = self.maps[:, None](*traversal_points(n))
@@ -163,20 +193,21 @@ class SchurSystem:
             # the first Neumann point in element order takes a value row
             self.point_kind.flat[np.argmax(self.point_kind == "neumann")] = "pin"
 
-        # One key row per element holds the exact bytes of everything its
-        # operator, boundary rows and right-hand-side operator are computed
-        # from (n is fixed per system), so equal rows give bitwise equal
-        # results: the translation-free map coefficients, the Neumann rows
-        # and the outward normals of their edges, and the translation
-        # (a1, a2) only when a PDE table varies, the only case in which the
-        # tables pulled back to the element depend on it.
+        # Elements share an operator, boundary rows and right-hand-side
+        # operator when everything those are computed from (n is fixed per
+        # system) agrees to _SHARE_TOL: the translation-free map
+        # coefficients, the Neumann rows (exactly) and the outward normals
+        # of their edges, and the translation (a1, a2) only when a PDE table
+        # varies, the only case in which the tables pulled back to the
+        # element depend on it.  Each class is built from its representative.
         bm, neumann = self.maps, self.point_kind == "neumann"
         coeffs = [bm.b1, bm.c1, bm.d1, bm.b2, bm.c2, bm.d2]
         if any(getattr(self.pde, t.name).ravel()[1:].any() for t in fields(self.pde)):
             coeffs += [bm.a1, bm.a2]
         on_edge = neumann.reshape(F, 4, n - 1).any(axis=2)[..., None]
         normals = np.where(on_edge, outward_normals(vertices), 0.0).reshape(F, 8)
-        leaders, self._group = _row_groups(np.column_stack(coeffs + [neumann, normals]))
+        leaders, self._group = _share_classes(np.column_stack(coeffs), normals, neumann,
+                                              _inradius(vertices))
         self.groups = []
         for i, f in enumerate(leaders):
             quad = mesh.element_quad(f)

@@ -5,10 +5,8 @@ from hypothesis import settings
 from ultrasem.mesh import build_mesh
 
 # mesh property tests (``@settings(PROPERTIES)``): few examples, drawn
-# the same way every run, so that their cost stays small and fixed (a
-# 3 x 3 grid alone takes over a second, most of it in the exact interface
-# ordering search)
-settings.register_profile("mesh-properties", max_examples=5, deadline=None,
+# the same way every run, so that their cost stays small and fixed
+settings.register_profile("mesh-properties", max_examples=10, deadline=None,
                           derandomize=True)
 PROPERTIES = settings.get_profile("mesh-properties")
 

@@ -195,6 +195,28 @@ class TestOrderInterfaces:
         cert = _certified_min_bandwidth(mesh, upper=got + 1)
         assert got == cert
 
+    def test_orderings_pinned(self):
+        # the exact search's pruning cuts only branches with no completion,
+        # so it returns the same first ordering as the unpruned search
+        from ultrasem.navierstokes import tunnel_mesh
+
+        assert order_interfaces(grid_mesh(3, 3)).tolist() == [
+            11, 10, 9, 8, 5, 6, 7, 4, 3, 1, 2, 0]
+        assert order_interfaces(grid_mesh(3, 2)).tolist() == [5, 6, 3, 2, 0, 4, 1]
+        assert order_interfaces(tunnel_mesh()).tolist() == [
+            12, 11, 10, 8, 7, 5, 9, 4, 3, 1, 6, 2, 0]
+
+    def test_interface_pairs_match_loop(self):
+        mixed = mesh_from_string("quadmesh 1\nv 0 0\nv 1 0\nv 2 0\nv 0 1\nv 1 1\nv 2 1\n"
+                                 "q 1 2 5 4\nt 2 3 6\nt 2 6 5\n")
+        for mesh in (grid_mesh(3, 3), grid_mesh(4, 3, skip=[(1, 1)]), mixed,
+                     skinny_pair_mesh(0.1)):
+            pos = {int(e): k for k, e in enumerate(mesh.interior_edges)}
+            want = {(min(pos[a], pos[b]), max(pos[a], pos[b]))
+                    for q in mesh.quad_edge.tolist() for a in q for b in q
+                    if a != b and a in pos and b in pos}
+            assert mesh._interface_pairs.tolist() == sorted(map(list, want))
+
     def test_large_grid_scaling(self):
         mesh = grid_mesh(10, 10)
         pos = order_interfaces(mesh)
@@ -211,9 +233,7 @@ def _certified_min_bandwidth(mesh, upper):
     """Independent exhaustive feasibility check: try every k < upper with a
     straightforward depth-first placement (no pruning heuristics shared
     with the library)."""
-    from ultrasem.mesh import _edge_adjacency
-
-    m, pairs = _edge_adjacency(mesh)
+    m, pairs = mesh.n_interior_edges, mesh._interface_pairs
     adj = [set() for _ in range(m)]
     for a, b in pairs:
         adj[a].add(b)

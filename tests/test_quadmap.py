@@ -9,6 +9,7 @@ from ultrasem.quadmap import (
     bilinear_coeffs,
     det_polynomial,
     poly2d_eval,
+    quad_defect,
 )
 
 from conftest import random_convex_quad
@@ -33,6 +34,33 @@ class TestQuad:
     def test_random_quads_accepted(self, rng):
         for _ in range(50):
             Quad(random_convex_quad(rng))
+
+    def test_stacked_defect_matches_loop(self, rng):
+        # the first bad quad of a stack and its reason, against the checks
+        # written out one quad and one vertex at a time
+        def reason(v):
+            if not np.all(np.isfinite(v)):
+                return "vertices must be finite"
+            area2 = sum(v[k, 0] * v[(k + 1) % 4, 1] - v[(k + 1) % 4, 0] * v[k, 1]
+                        for k in range(4))
+            if area2 <= 0.0:
+                return "vertices are clockwise or degenerate (nonpositive area)"
+            for k in range(4):
+                e1 = v[(k + 1) % 4] - v[k]
+                e2 = v[(k + 2) % 4] - v[(k + 1) % 4]
+                if e1[0] * e2[1] - e1[1] * e2[0] <= 0.0:
+                    return f"quadrilateral is not strictly convex at vertex {(k + 1) % 4}"
+            return None
+
+        bad = [list(reversed(REF_SQUARE)), [(0, 0), (2, 0), (0.1, 0.1), (0, 2)],
+               [(0, 0), (1, 0), (2, 0), (1, 1)], [(0, 0), (1, 0), (np.nan, 1), (0, 1)],
+               [(0, 0), (1, 0), (1, 1), (0.9, 0.1)]]
+        for v in bad:
+            for at in (0, 3):
+                stack = np.array([random_convex_quad(rng) for _ in range(5)])
+                stack[at] = v
+                assert quad_defect(stack) == (at, reason(np.array(v, dtype=float)))
+        assert quad_defect(np.array([random_convex_quad(rng) for _ in range(20)])) is None
 
 
 class TestBilinearCoeffs:

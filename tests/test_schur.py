@@ -15,9 +15,10 @@ from ultrasem.element import (
     point_derivative_rows,
     traversal_points,
 )
-from ultrasem.errors import BookkeepingError, SingularOperatorError
+from ultrasem import schur
+from ultrasem.errors import BookkeepingError, GeometryError, SingularOperatorError
 from ultrasem.mesh import build_mesh, grid_mesh, mesh_from_string
-from ultrasem.schur import assemble_schur
+from ultrasem.schur import _row_groups, assemble_schur
 from ultrasem.ultra import cheb_points
 
 from conftest import PROPERTIES, eval_on_grid, skinny_pair_mesh
@@ -448,6 +449,15 @@ class TestErrors:
         with pytest.raises(BookkeepingError, match=rf"edge {edge}\b.*{kind}"):
             sys.solve(f=lambda x, y: 1.0 + 0 * x, **data)
 
+    def test_nonconvex_element_named(self):
+        # the second quad has a reflex angle at vertex 2 (its area is
+        # positive, so the mesh itself builds)
+        verts = [(0, 0), (1, 0), (1, 1), (0, 1), (2, 0), (1.2, 0.5)]
+        mesh = build_mesh(verts, [(0, 1, 2, 3), (1, 4, 5, 2)])
+        with pytest.raises(GeometryError,
+                           match="element 1: quadrilateral is not strictly convex at vertex 2"):
+            assemble_schur(mesh, POISSON, 6)
+
     def test_all_neumann_unpinned_raises(self):
         # without a pinned value Sigma is singular only to rounding
         # (rcond about 1.6e-16); its LU succeeds, so the condition
@@ -477,11 +487,29 @@ def _fresh_element(sys, f):
     return op, op.solve_raw(rhs)
 
 
-def _grid_with_neumann_bottom():
-    mesh = grid_mesh(4, 4)
+def _grid_with_neumann_bottom(size=4):
+    mesh = grid_mesh(size, size)
     bottom = {int(e) for e in range(mesh.n_edges) if mesh.boundary_edge[e]
               and np.all(mesh.vertices[mesh.edges[e], 1] == 0.0)}
     return mesh, bottom
+
+
+def _exact_key_solution(mesh, n, bc, monkeypatch):
+    """The system whose elements share only when every key entry is
+    bitwise equal, and a solve of it for fixed smooth data."""
+    def exact_key(coeffs, normals, neumann, r_in):
+        return _row_groups(np.column_stack([coeffs, neumann, normals]))
+
+    with monkeypatch.context() as m:
+        m.setattr(schur, "_share_classes", exact_key)
+        want = assemble_schur(mesh, POISSON, n, bc=bc)
+
+    def solve(sys):
+        sols = sys.solve(f=lambda x, y: np.sin(3 * x) * np.cos(2 * y),
+                         dirichlet=lambda x, y: x * x - y, neumann=lambda x, y: 1 + x)
+        return np.array([s.data for s in sols])
+
+    return want, solve
 
 
 class TestSharedElements:
@@ -508,6 +536,47 @@ class TestSharedElements:
     def test_congruent_grid_shares_one_operator(self):
         sys = assemble_schur(grid_mesh(8, 8), POISSON, 6)
         assert sys.n_distinct == 1
+
+    @pytest.mark.parametrize("mesh", [grid_mesh(24, 24),
+                                      grid_mesh(12, 12, x0=0.1, y0=-0.35)],
+                             ids=["24x24", "12x12-translated"])
+    def test_non_dyadic_grid_shares_one_operator(self, mesh):
+        # spacings like 1/12 round differently from element to element,
+        # by far less than the sharing tolerance
+        assert assemble_schur(mesh, POISSON, 4).n_distinct == 1
+
+    def test_slivers_of_different_thickness_do_not_share(self):
+        # [0,1] x [0,1e-12] below [0,1] x [1e-12, 2.05e-12]: the
+        # thicknesses differ by 5%, yet the coefficients agree to 5e-14 of
+        # the largest one, so only an inradius scale keeps them apart
+        verts = [(0, 0), (1, 0), (1, 1e-12), (0, 1e-12), (1, 2.05e-12), (0, 2.05e-12)]
+        mesh = build_mesh(verts, [(0, 1, 2, 3), (3, 2, 4, 5)])
+        assert assemble_schur(mesh, POISSON, 6).n_distinct == 2
+
+    def test_zero_tolerance_is_the_exact_key(self, monkeypatch):
+        mesh, bottom = _grid_with_neumann_bottom(12)
+        bc = {e: "neumann" for e in bottom}
+        want, solve = _exact_key_solution(mesh, 6, bc, monkeypatch)
+        monkeypatch.setattr(schur, "_SHARE_TOL", 0.0)
+        sys = assemble_schur(mesh, POISSON, 6, bc=bc)
+        assert sys.n_distinct == want.n_distinct > 2
+        assert np.array_equal(sys._group, want._group)
+        for (e1, op1, rhs1), (e2, op2, rhs2) in zip(sys.groups, want.groups):
+            assert np.array_equal(e1, e2)
+            assert np.array_equal(op1.to_dense(), op2.to_dense())
+            assert np.array_equal(op1.scale, op2.scale)
+            assert (rhs1 != rhs2).nnz == 0
+        for M in ("A_gamma", "C_gamma", "W_gamma"):
+            assert (getattr(sys, M) != getattr(want, M)).nnz == 0
+        assert np.array_equal(solve(sys), solve(want))
+
+    def test_shared_solution_near_exact_key(self, monkeypatch):
+        mesh = grid_mesh(12, 12)
+        want, solve = _exact_key_solution(mesh, 8, None, monkeypatch)
+        sys = assemble_schur(mesh, POISSON, 8)
+        assert (sys.n_distinct, want.n_distinct) == (1, 50)
+        got, ref = solve(sys), solve(want)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("case", ["neumann-side", "varcoef", "pinned"])
     def test_shared_values_equal_unshared(self, case):
