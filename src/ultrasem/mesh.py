@@ -31,7 +31,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import GeometryError, MeshError, MeshFormatError
-from .quadmap import Quad, outward_normals, quad_defect
+from .quadmap import Quad, inradius, quad_defect
 
 
 class QuadMesh:
@@ -217,11 +217,12 @@ def _bandwidth_of(pairs, order_pos):
 def _deadlines_met(adj, placed, chosen, k, p):
     # Hall's condition on the deadlines, with the last node of chosen just
     # placed at p: the unplaced neighbors of the first i nodes placed must
-    # fit in positions p+1 .. placed[chosen[i]] + k
+    # fit in the free positions p+1 .. placed[chosen[i]] + k, of which
+    # there are none once that deadline has passed
     unplaced = set()
     for u in chosen:
         unplaced.update(w for w in adj[u] if placed[w] < 0)
-        if len(unplaced) > placed[u] + k - p:
+        if len(unplaced) > max(0, placed[u] + k - p):
             return False
     return True
 
@@ -308,25 +309,6 @@ def interface_bandwidth(mesh, pos=None):
 # quality metrics
 
 
-_THREE = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
-
-
-def _inradius(vertices):
-    # The largest inscribed circle of a convex quad is tangent to three of
-    # its four edge lines.  Solve for the circle tangent to each three
-    # (n_k . c - r = n_k . p_k with inward unit normals n_k) and shrink it
-    # to its center's distance from the nearest line, which keeps it inside
-    # the fourth; the largest of the four is the inradius.  Takes (..., 4, 2)
-    # vertex arrays and returns (...) inradii.
-    inward = -outward_normals(vertices)
-    b = np.sum(inward * vertices, axis=-1)
-    A = np.concatenate([inward, -np.ones(inward.shape[:-1] + (1,))], axis=-1)
-    center = np.linalg.solve(A[..., _THREE, :], b[..., _THREE, None])[..., :2, 0]
-    # distance of each center (axis -2) from each line (axis -1)
-    dist = center @ np.swapaxes(inward, -1, -2) - b[..., None, :]
-    return dist.min(axis=-1).max(axis=-1)
-
-
 def _circumradius(points):
     # min enclosing circle of <= 4 points: try pair diameters, then
     # circumcircles of triples; pick the smallest covering circle
@@ -383,7 +365,7 @@ class MeshQuality:
 def quality(mesh):
     """Inradius, min-containment radius and skinniness of every element."""
     v = mesh.element_vertices()
-    return MeshQuality(r_in=_inradius(v), r_out=np.array([_circumradius(q) for q in v]))
+    return MeshQuality(r_in=inradius(v), r_out=np.array([_circumradius(q) for q in v]))
 
 
 # ----------------------------------------------------------------------

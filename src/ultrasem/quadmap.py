@@ -144,6 +144,26 @@ def outward_normals(vertices):
     return np.stack([t[..., 1], -t[..., 0]], axis=-1) / nrm
 
 
+_THREE = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+
+
+def inradius(vertices):
+    """Radius of the largest circle inside each convex quad: (...) for
+    (..., 4, 2) counterclockwise vertex arrays."""
+    # The largest inscribed circle of a convex quad is tangent to three of
+    # its four edge lines.  Solve for the circle tangent to each three
+    # (n_k . c - r = n_k . p_k with inward unit normals n_k) and shrink it
+    # to its center's distance from the nearest line, which keeps it inside
+    # the fourth; the largest of the four is the inradius.
+    inward = -outward_normals(vertices)
+    b = np.sum(inward * vertices, axis=-1)
+    A = np.concatenate([inward, -np.ones(inward.shape[:-1] + (1,))], axis=-1)
+    center = np.linalg.solve(A[..., _THREE, :], b[..., _THREE, None])[..., :2, 0]
+    # distance of each center (axis -2) from each line (axis -1)
+    dist = center @ np.swapaxes(inward, -1, -2) - b[..., None, :]
+    return dist.min(axis=-1).max(axis=-1)
+
+
 @dataclass(frozen=True)
 class BilinearMap:
     """Coefficients of ``x = a1 + b1 r + c1 s + d1 r s`` and the analogous

@@ -57,8 +57,8 @@ from .element import (
     traversal_points,
 )
 from .errors import BookkeepingError, SingularOperatorError
-from .mesh import _inradius, build_mesh, interface_bandwidth, order_interfaces
-from .quadmap import Quad, bilinear_coeffs, outward_normals, reference_corner
+from .mesh import build_mesh, interface_bandwidth, order_interfaces
+from .quadmap import Quad, bilinear_coeffs, inradius, outward_normals, reference_corner
 
 
 def _edge_reference_point(local_edge, aligned, t):
@@ -207,7 +207,7 @@ class SchurSystem:
         on_edge = neumann.reshape(F, 4, n - 1).any(axis=2)[..., None]
         normals = np.where(on_edge, outward_normals(vertices), 0.0).reshape(F, 8)
         leaders, self._group = _share_classes(np.column_stack(coeffs), normals, neumann,
-                                              _inradius(vertices))
+                                              inradius(vertices))
         self.groups = []
         for i, f in enumerate(leaders):
             quad = mesh.element_quad(f)

@@ -9,6 +9,8 @@ import pytest
 
 from ultrasem.errors import GeometryError, MeshError, MeshFormatError
 from ultrasem.mesh import (
+    _bandwidth_of,
+    _exact_min_bandwidth,
     build_mesh,
     grid_mesh,
     interface_bandwidth,
@@ -195,9 +197,39 @@ class TestOrderInterfaces:
         cert = _certified_min_bandwidth(mesh, upper=got + 1)
         assert got == cert
 
+    def test_exact_search_matches_brute_force(self):
+        # the search itself, against every ordering of small graphs: an
+        # ordering of the optimal bandwidth whenever upper is above it, and
+        # None otherwise
+        rng = np.random.default_rng(5)
+        # a six-cycle with two chords, of optimum 3
+        graphs = [(6, np.array([[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [0, 5],
+                                [0, 3], [1, 4]]))]
+        for _ in range(30):
+            m = int(rng.integers(3, 9))
+            a, b = np.triu_indices(m, 1)
+            keep = rng.random(len(a)) < rng.uniform(0.2, 0.6)
+            graphs.append((m, np.column_stack([a[keep], b[keep]])))
+        for m, pairs in graphs:
+            every = np.array(list(itertools.permutations(range(m))))
+            opt = np.abs(every[:, pairs[:, 0]] - every[:, pairs[:, 1]]).max(axis=1, initial=0).min()
+            for upper in range(1, m):
+                got = _exact_min_bandwidth(m, pairs, upper)
+                if upper <= opt:
+                    assert got is None
+                else:
+                    assert sorted(got) == list(range(m))
+                    assert _bandwidth_of(pairs, got) == opt
+
+    def test_exact_search_improves_on_rcm(self):
+        # reverse Cuthill-McKee alone orders this mesh with bandwidth 4
+        mesh = grid_mesh(3, 3, skip=[(1, 0)])
+        got = interface_bandwidth(mesh)
+        assert got == 3
+        assert _certified_min_bandwidth(mesh, upper=got + 1) == got
+
     def test_orderings_pinned(self):
-        # the exact search's pruning cuts only branches with no completion,
-        # so it returns the same first ordering as the unpruned search
+        # the orderings of the search without the deadline prune
         from ultrasem.navierstokes import tunnel_mesh
 
         assert order_interfaces(grid_mesh(3, 3)).tolist() == [

@@ -8,6 +8,7 @@ from ultrasem.quadmap import (
     TransformedCoeffs,
     bilinear_coeffs,
     det_polynomial,
+    inradius,
     poly2d_eval,
     quad_defect,
 )
@@ -61,6 +62,21 @@ class TestQuad:
                 stack[at] = v
                 assert quad_defect(stack) == (at, reason(np.array(v, dtype=float)))
         assert quad_defect(np.array([random_convex_quad(rng) for _ in range(20)])) is None
+
+
+class TestInradius:
+    def test_known_values(self):
+        eps = 1e-12
+        v = np.array([REF_SQUARE, [(0, 0), (1, 0), (1, eps), (0, eps)],
+                      [(0, 0), (4, 0), (2, 1), (0, 1)]], dtype=float)
+        # the trapezoid's circle touches its bottom, top and left sides
+        assert np.allclose(inradius(v), [1.0, eps / 2, 0.5], rtol=1e-13, atol=0)
+
+    def test_stack_matches_one_at_a_time(self, rng):
+        v = np.array([random_convex_quad(rng) for _ in range(24)])
+        one = np.array([inradius(q) for q in v])
+        assert np.array_equal(inradius(v), one)
+        assert np.array_equal(inradius(v.reshape(4, 6, 4, 2)), one.reshape(4, 6))
 
 
 class TestBilinearCoeffs:
