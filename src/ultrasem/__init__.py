@@ -7,7 +7,6 @@ from .element import (
     CoeffVector2D,
     PdeCoefficients,
     assemble_element_operator,
-    boundary_rows,
     element_interior_operator,
     operator_condition,
 )

@@ -28,7 +28,6 @@ from .quadmap import (
     bilinear_coeffs,
     det_cubed_table,
     det_polynomial,
-    outward_normals,
     poly2d,
     poly2d_add,
     poly2d_eval,
@@ -161,17 +160,23 @@ def boundary_slots(n):
     return np.sort((i + n * j)[mask].ravel())
 
 
+def edge_points(n):
+    """Reference coordinates ``[r, s]`` of the n Chebyshev points of each
+    local edge, as a (2, 4, n) array counted from the edge's starting
+    corner: local edge ``l`` runs from vertex ``l`` to vertex ``l+1``, and
+    its point ``a`` has the edge-local parameter ``cheb_points(n)[a]``."""
+    t = ultra.cheb_points(n)
+    rev, one = t[::-1], np.ones(n)
+    # vertex 1 -> 2 (s = 1), 2 -> 3 (r = -1), 3 -> 4 (s = -1), 4 -> 1 (r = 1)
+    return np.array([[rev, -one, t, one], [one, rev, -one, t]])
+
+
 def traversal_points(n):
     """Reference coordinates ``(r, s)`` of the 4n-4 tensor-grid boundary
     points, as two arrays in traversal order: edge by edge
     counterclockwise from vertex 1, each corner owned by the edge that
-    starts at it.  Point ``a`` of each edge (0 at its starting corner) has
-    the edge-local parameter ``cheb_points(n)[a]``."""
-    t = ultra.cheb_points(n)
-    fwd, rev, one = t[:n - 1], t[:0:-1], np.ones(n - 1)
-    # vertex 1 -> 2 (s = 1), 2 -> 3 (r = -1), 3 -> 4 (s = -1), 4 -> 1 (r = 1)
-    return np.array([np.concatenate([rev, -one, fwd, one]),
-                     np.concatenate([one, rev, -one, fwd])])
+    starts at it, so point ``k`` lies on local edge ``k // (n-1)``."""
+    return edge_points(n)[:, :, :-1].reshape(2, -1)
 
 
 # ----------------------------------------------------------------------
@@ -217,36 +222,6 @@ def point_derivative_rows(bm, n, r, s):
     ux /= det
     uy /= det
     return ux, uy
-
-
-def _edge_of_point(r, s):
-    """Local edge of each reference boundary point (arrays): corner points
-    belong to the edge that starts at them (counterclockwise ownership)."""
-    return np.select([(s == 1.0) & (r > -1.0), (r == -1.0) & (s > -1.0),
-                      (s == -1.0) & (r < 1.0)], [0, 1, 2], 3)
-
-
-def boundary_rows(quad, n, kind, points):
-    """Boundary-condition rows at reference boundary points.
-
-    ``kind`` is ``"value"`` (Dirichlet) or ``"normal-derivative"``
-    (outward normal, Neumann).  Points must lie on the boundary of the
-    reference square.
-    """
-    if kind not in ("value", "normal-derivative"):
-        raise ValueError("kind must be 'value' or 'normal-derivative'")
-    if not isinstance(quad, Quad):
-        quad = Quad(quad)
-    r, s = np.asarray(points, dtype=float).reshape(-1, 2).T
-    off = np.maximum(np.abs(r), np.abs(s)) != 1.0
-    if np.any(off):
-        k = int(np.argmax(off))
-        raise ValueError(f"point ({r[k]}, {s[k]}) is not on the reference boundary")
-    if kind == "value":
-        return point_value_row(n, r, s)
-    normals = outward_normals(quad.vertices)[_edge_of_point(r, s)]
-    ux, uy = point_derivative_rows(bilinear_coeffs(quad), n, r, s)
-    return normals[:, :1] * ux + normals[:, 1:] * uy
 
 
 # ----------------------------------------------------------------------

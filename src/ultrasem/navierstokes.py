@@ -40,6 +40,9 @@ class NsConfig:
     def __post_init__(self):
         if not 0 < self.dt < np.inf:
             raise ValueError(f"time step must be finite and positive, not {self.dt}")
+        for name in ("steps", "cadence"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, not {getattr(self, name)}")
 
     @property
     def k2(self):

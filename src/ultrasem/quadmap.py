@@ -222,14 +222,6 @@ class DetPolynomial:
         return self.const + self.dr * np.asarray(r, dtype=float) + self.ds * np.asarray(s, dtype=float)
 
 
-_CORNERS = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
-
-
-def reference_corner(k):
-    """Reference-square corner ``(r, s)`` that maps to vertex ``k`` (0-based)."""
-    return _CORNERS[k]
-
-
 def bilinear_coeffs(quad):
     """Bilinear map coefficients for a :class:`Quad` (vertex averages and
     differences, a quarter each).  An (F, 4, 2) stack of vertex arrays

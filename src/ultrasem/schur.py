@@ -10,6 +10,15 @@ match normal derivatives across each edge, with the two endpoint rows
 replaced by value continuity except where the mesh vertex list marks the
 edge, which keeps the coupled system square and nonsingular.
 
+Every boundary and interface row is evaluated at the element's own
+boundary grid points (:func:`ultrasem.element.edge_points`), and every
+normal-derivative row, Neumann or matching, comes from
+:func:`_normal_rows` with the element's outward normal.  A matching row is
+therefore a jump across the edge: the two sides' outward normal
+derivatives add, and an endpoint value row is the side whose local edge
+runs from the lower vertex number to the higher (the aligned side) minus
+the other side.
+
 With the element unknowns stacked as one vector of length F n^2, the
 coupling is three sparse matrices: ``A_gamma`` (the scaled interface
 matching rows), ``C_gamma`` (each element's boundary rows acting on the
@@ -46,8 +55,8 @@ from ._linalg import BandedLU
 from .element import (
     CoeffVector2D,
     assemble_element_operator,
-    boundary_rows,
     boundary_slots,
+    edge_points,
     element_rhs_operator,
     grid_points,
     point_derivative_rows,
@@ -58,29 +67,19 @@ from .element import (
 )
 from .errors import BookkeepingError, SingularOperatorError
 from .mesh import build_mesh, interface_bandwidth, order_interfaces
-from .quadmap import Quad, bilinear_coeffs, inradius, outward_normals, reference_corner
+from .quadmap import Quad, bilinear_coeffs, inradius, outward_normals
 
 
-def _edge_reference_point(local_edge, aligned, t):
-    """Reference coordinates ``(r, s)`` of the interface points with edge
-    parameter ``t`` (measured from the lower-numbered endpoint) on a quad's
-    local edge; the three arguments broadcast against each other."""
-    ca = reference_corner(local_edge)
-    cb = reference_corner((local_edge + 1) % 4)
-    tau = np.where(aligned, t, -t)
-    a, b = 0.5 * (1 - tau), 0.5 * (1 + tau)
-    return a * ca[..., 0] + b * cb[..., 0], a * ca[..., 1] + b * cb[..., 1]
-
-
-def _element_rows(quad, n, neumann):
-    """The 4n-4 boundary rows of an element in traversal order: an outward
-    normal-derivative row where the mask ``neumann`` is set, a value row
-    elsewhere."""
-    points = traversal_points(n).T
-    rows = np.empty((4 * n - 4, n * n))
-    for kind, pick in (("value", ~neumann), ("normal-derivative", neumann)):
-        if pick.any():
-            rows[pick] = boundary_rows(quad, n, kind, points[pick])
+def _normal_rows(bm, normals, n, r, s):
+    """Dense rows evaluating the normal derivative ``n_x u_x + n_y u_y`` at
+    reference points, with the unit normal ``normals[..., :]`` of each
+    point; the map's fields and ``normals[..., 0]`` broadcast against the
+    points.  Formed in place: for stacked interface rows every freed
+    temporary of their size fragments the heap that later setup uses."""
+    rows, uy = point_derivative_rows(bm, n, r, s)
+    rows *= normals[..., :1]
+    uy *= normals[..., 1:]
+    rows += uy
     return rows
 
 
@@ -133,17 +132,17 @@ class SchurSystem:
     list whose entries are shared between elements whose inputs agree.
     The coupling of the stacked element unknowns (length F n^2) to the
     interface vector is held as the sparse matrices ``A_gamma``,
-    ``C_gamma`` and ``W_gamma`` (see the module docstring).
-    ``edge_direction`` holds the unit direction of every interior edge,
-    lower vertex number to higher, as an (n_interior_edges, 2) array in
-    ``mesh.interior_edges`` order.  ``sigma_rcond`` is the reciprocal
-    1-norm condition estimate of Sigma (None without interfaces).  ``maps``
-    is one stacked bilinear map with (F,) fields (``maps[f]`` is element
-    f's own map), and ``grid_x``, ``grid_y`` hold the physical coordinates
-    of every element's tensor grid as (F, n, n) arrays.  The 4n-4 boundary points of every element are held as
-    (F, 4n-4) arrays in traversal order: ``point_kind`` ("coupled",
-    "dirichlet", "neumann" or "pin"), ``point_edge`` (global edge) and
-    ``point_x``, ``point_y``.
+    ``C_gamma`` and ``W_gamma`` (see the module docstring); a row of
+    ``A_gamma`` is a jump across its edge, the two sides' outward normal
+    derivatives added, or at an endpoint the aligned side's value minus
+    the other side's.  ``sigma_rcond`` is the reciprocal 1-norm condition
+    estimate of Sigma (None without interfaces).  ``maps`` is one stacked
+    bilinear map with (F,) fields (``maps[f]`` is element f's own map),
+    and ``grid_x``, ``grid_y`` hold the physical coordinates of every
+    element's tensor grid as (F, n, n) arrays.  The 4n-4 boundary points
+    of every element are held as (F, 4n-4) arrays in traversal order:
+    ``point_kind`` ("coupled", "dirichlet", "neumann" or "pin"),
+    ``point_edge`` (global edge) and ``point_x``, ``point_y``.
     """
 
     def __init__(self, mesh, pde, n, bc=None, pin_value_point=False):
@@ -152,8 +151,6 @@ class SchurSystem:
         self.n = int(n)
         self.block_pos = order_interfaces(mesh)
         self.n_gamma = self.n * mesh.n_interior_edges
-        d = np.diff(mesh.vertices[mesh.edges[mesh.interior_edges]], axis=1)[:, 0]
-        self.edge_direction = d / np.hypot(d[:, 0], d[:, 1])[:, None]
 
         # per edge: its boundary condition, or "coupled" for an interior edge
         self._edge_kind = np.where(mesh.boundary_edge, "dirichlet", "coupled")
@@ -179,7 +176,8 @@ class SchurSystem:
         vertices = mesh.element_vertices()  # raises GeometryError for a bad element
         self.maps = bilinear_coeffs(vertices)
         self.grid_x, self.grid_y = grid_points(self.maps[:, None, None], n)
-        self.point_x, self.point_y = self.maps[:, None](*traversal_points(n))
+        r, s = traversal_points(n)
+        self.point_x, self.point_y = self.maps[:, None](r, s)
 
         # per traversal point: its edge, and its interface unknown if coupled
         self.point_edge = np.repeat(mesh.quad_edge, n - 1, axis=1)
@@ -204,15 +202,22 @@ class SchurSystem:
         coeffs = [bm.b1, bm.c1, bm.d1, bm.b2, bm.c2, bm.d2]
         if any(getattr(self.pde, t.name).ravel()[1:].any() for t in fields(self.pde)):
             coeffs += [bm.a1, bm.a2]
+        self._normals = outward_normals(vertices)
         on_edge = neumann.reshape(F, 4, n - 1).any(axis=2)[..., None]
-        normals = np.where(on_edge, outward_normals(vertices), 0.0).reshape(F, 8)
+        normals = np.where(on_edge, self._normals, 0.0).reshape(F, 8)
         leaders, self._group = _share_classes(np.column_stack(coeffs), normals, neumann,
                                               inradius(vertices))
+        # each leader's boundary rows: value rows, with an outward
+        # normal-derivative row at every Neumann point (point k lies on
+        # local edge k // (n-1))
+        local_edge = np.arange(4 * n - 4) // (n - 1)
+        value_rows = point_value_row(n, r, s)
         self.groups = []
         for i, f in enumerate(leaders):
             quad = mesh.element_quad(f)
-            op = assemble_element_operator(self.pde, quad, n,
-                                           rows=_element_rows(quad, n, neumann[f]))
+            rows, on = value_rows.copy(), neumann[f]
+            rows[on] = _normal_rows(bm[f], self._normals[f, local_edge[on]], n, r[on], s[on])
+            op = assemble_element_operator(self.pde, quad, n, rows=rows)
             self.groups.append((np.flatnonzero(self._group == i), op,
                                 element_rhs_operator(quad, n)))
         self.n_distinct = len(self.groups)
@@ -260,22 +265,22 @@ class SchurSystem:
         by_pos = np.argsort(side_pos[f, l], kind="stable")
         f, l = f[by_pos].reshape(-1, 2), l[by_pos].reshape(-1, 2)
         k = np.argsort(self.block_pos)  # interior edge at each block position
-        r, s = _edge_reference_point(l[:, None], mesh.quad_edge_aligned[f, l][:, None],
-                                     ultra.cheb_points(n)[:, None])
-        rows, uy = point_derivative_rows(self.maps[f[:, None]], n, r, s)
-        alpha, beta = self.edge_direction[k].T[:, :, None, None, None]
-        rows *= beta
-        uy *= alpha
-        rows -= uy
-        del uy
+        # a side takes edge point m (counted from the edge's lower vertex)
+        # from its own edge points, backwards unless its local edge is
+        # aligned, and its own outward normal: the derivative rows add
+        aligned = mesh.quad_edge_aligned[f, l][:, None]
+        a = np.arange(n)[:, None]
+        r, s = edge_points(n)[:, l[:, None], np.where(aligned, a, n - 1 - a)]
+        rows = _normal_rows(self.maps[f[:, None]], self._normals[f, l][:, None], n, r, s)
         # an endpoint matches derivatives only at an interior vertex that
         # marks this edge; elsewhere it matches values
         edge = mesh.interior_edges[k]
         ends = mesh.edges[edge]
         p, m = np.nonzero(mesh.boundary_vertex[ends] | (mesh.vertex_edge[ends] != edge[:, None]))
         m *= n - 1
-        rows[p, m] = point_value_row(n, r[p, m], s[p, m])
-        rows[:, :, 1] *= -1.0
+        # the aligned side's value minus the other side's
+        sign = np.where(aligned[p, 0], 1.0, -1.0)[..., None]
+        rows[p, m] = sign * point_value_row(n, r[p, m], s[p, m])
         # one shared scale per matching row keeps it one equation
         rows /= np.abs(rows).max(axis=(2, 3))[:, :, None, None]
         # the CSR arrays are filled in place with int32 indices (F n^2 and

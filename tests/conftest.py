@@ -71,6 +71,19 @@ def skinny_pair_mesh(eps):
     return build_mesh(verts, quads)
 
 
+_CORNERS = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+
+
+def edge_point(l, aligned, t):
+    """Reference coordinates ``(r, s)`` of the points with edge parameter
+    ``t`` in [-1, 1], measured from the edge's lower-numbered vertex, on
+    local edge ``l`` of a quad; ``aligned`` says the local edge runs from
+    that vertex.  Corner ``k`` of the reference square maps to vertex k."""
+    tau = np.asarray(t, dtype=float)[..., None] * (1.0 if aligned else -1.0)
+    p = 0.5 * (1 - tau) * _CORNERS[l] + 0.5 * (1 + tau) * _CORNERS[(l + 1) % 4]
+    return p[..., 0], p[..., 1]
+
+
 def eval_on_grid(system, sols, fn, m=25):
     """Max abs difference between a mesh solution and fn on sampled grids."""
     t = np.linspace(-1, 1, m)

@@ -34,7 +34,7 @@ from ultrasem.navierstokes import (
 from ultrasem.quadmap import Quad, bilinear_coeffs, det_polynomial
 from ultrasem.schur import assemble_schur, solve_element_dirichlet
 
-from conftest import eval_on_grid, random_convex_quad, skinny_pair_mesh
+from conftest import edge_point, eval_on_grid, random_convex_quad, skinny_pair_mesh
 
 POISSON = PdeCoefficients.poisson()
 
@@ -141,15 +141,11 @@ class TestAcceptance:
         err = eval_on_grid(sys, sols, uex, m=40)
         assert err <= 1e-9
         # interface jump at 50 points along the shared edge
-        from ultrasem.schur import _edge_reference_point
-
         e = mesh.interior_edges[0]
         traces = []
         for (f, l) in mesh.global_edge_location(e):
             aligned = mesh.quad_edge_aligned[f, l]
-            vals = [sols[f].eval(*_edge_reference_point(l, aligned, tm))
-                    for tm in np.linspace(-1, 1, 50)]
-            traces.append(np.array(vals))
+            traces.append(sols[f].eval(*edge_point(l, aligned, np.linspace(-1, 1, 50))))
         jump = np.max(np.abs(traces[0] - traces[1]))
         assert jump <= 1e-10
         dt = time.perf_counter() - t0

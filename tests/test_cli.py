@@ -238,6 +238,21 @@ class TestNsRun:
         frames = sorted(outdir.glob("frame_*.txt"))
         assert frames[-1].name == "frame_000010.txt"  # last good snapshot
 
+    @pytest.mark.parametrize("option, value", [("--steps", "-3"), ("--cadence", "-2")])
+    def test_negative_count_is_format_error(self, option, value, tmp_path, capsys):
+        from ultrasem.navierstokes import tunnel_mesh
+
+        mesh_path = tmp_path / "tunnel.txt"
+        write_mesh(tunnel_mesh(nx=3, ny=2, width=0.003, height=0.001,
+                               hole=None), mesh_path)
+        outdir = tmp_path / "frames"
+        code = main(["ns-run", "--mesh", str(mesh_path), "--n", "6", "--steps", "4",
+                     option, value, "--out", str(outdir)])
+        assert code == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.rstrip().endswith(value)
+        assert not outdir.exists()
+
     def test_zero_velocity_run_all_zero(self, tmp_path):
         mesh_path = tmp_path / "tunnel.txt"
         from ultrasem.navierstokes import tunnel_mesh

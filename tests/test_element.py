@@ -9,8 +9,8 @@ from ultrasem.element import (
     AlmostBandedMatrix,
     PdeCoefficients,
     assemble_element_operator,
-    boundary_rows,
     boundary_slots,
+    edge_points,
     element_interior_operator,
     element_rhs_operator,
     interior_slot_map,
@@ -20,8 +20,9 @@ from ultrasem.element import (
     traversal_points,
 )
 from ultrasem.errors import GeometryError, SingularOperatorError
+from ultrasem.mesh import build_mesh
 from ultrasem.quadmap import Quad, bilinear_coeffs
-from ultrasem.schur import solve_element_dirichlet
+from ultrasem.schur import _normal_rows, assemble_schur, solve_element_dirichlet
 
 from conftest import random_convex_quad
 
@@ -101,8 +102,21 @@ class TestInteriorOperator:
 
 class TestBoundaryRows:
     def test_value_row_at_corner_all_ones(self):
-        rows = boundary_rows(SQUARE, 6, "value", [(1.0, 1.0)])
-        assert np.array_equal(rows[0], np.ones(36))
+        assert np.array_equal(point_value_row(6, 1.0, 1.0), np.ones(36))
+
+    def test_edge_points_run_corner_to_corner(self):
+        n = 7
+        t = ultra.cheb_points(n)
+        E = edge_points(n)
+        corners = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+        for l in range(4):
+            assert np.array_equal(E[:, l, 0], corners[l])
+            assert np.array_equal(E[:, l, -1], corners[(l + 1) % 4])
+        # the Chebyshev points between, counted from the starting corner
+        assert np.array_equal(E[0, 0], t[::-1]) and np.array_equal(E[1, 1], t[::-1])
+        assert np.array_equal(E[0, 2], t) and np.array_equal(E[1, 3], t)
+        # the traversal drops each edge's end corner, which the next owns
+        assert np.array_equal(traversal_points(n), E[:, :, :-1].reshape(2, -1))
 
     def test_value_row_reproduces_tensor_basis(self):
         n, a, b = 7, 0.37, -0.81
@@ -139,25 +153,26 @@ class TestBoundaryRows:
 
     def test_normal_rows_on_square(self):
         n = 6
-        rows = boundary_rows(SQUARE, n, "normal-derivative", [(1.0, 0.0)])
+        row = _normal_rows(bilinear_coeffs(SQUARE), np.array([1.0, 0.0]), n, 1.0, 0.0)
         c = coeffs_of(lambda x, y: x * x, n)
         # outward normal at r=1 edge is +x, d(x^2)/dx = 2
-        assert abs(rows[0] @ c - 2.0) < 1e-12
+        assert abs(row @ c - 2.0) < 1e-12
 
     def test_normal_rows_at_corners_use_edge_starting_there(self):
-        # counterclockwise ownership, as in traversal_points: each
-        # corner takes the outward normal of the edge that starts at it
+        # counterclockwise ownership, as in traversal_points: each corner
+        # takes the outward normal of the edge that starts at it.  On the
+        # all-Neumann square the pinned value takes corner (1, 1), the
+        # first traversal point; the other three keep Neumann rows.
         n = 6
+        mesh = build_mesh(SQUARE.vertices, [(0, 1, 2, 3)])
+        sys = assemble_schur(mesh, POISSON, n, bc={e: "neumann" for e in range(4)},
+                             pin_value_point=True)
+        assert sys.point_kind[0, 0] == "pin"
+        op = sys.ops[0]
+        slots = boundary_slots(n)[np.arange(4) * (n - 1)]
+        rows = op.to_dense()[slots] / op.scale[slots, None]
         c = coeffs_of(lambda x, y: x + 2 * y, n)
-        corners = [(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)]
-        rows = boundary_rows(SQUARE, n, "normal-derivative", corners)
-        assert np.allclose(rows @ c, [2.0, -1.0, -2.0, 1.0], rtol=0, atol=1e-12)
-
-    def test_off_boundary_rejected(self):
-        with pytest.raises(ValueError):
-            boundary_rows(SQUARE, 6, "value", [(0.5, 0.5)])
-        with pytest.raises(ValueError, match="0.5, 0.5"):
-            boundary_rows(SQUARE, 6, "normal-derivative", [(1.0, 0.2), (0.5, 0.5)])
+        assert np.allclose(rows @ c, [3.0, -1.0, -2.0, 1.0], rtol=0, atol=1e-12)
 
     def test_point_arrays_match_chebvander(self, rng):
         n = 7
@@ -187,8 +202,8 @@ class TestBoundaryRows:
         # broadcasting a scalar coordinate against an array
         edge = point_value_row(n, 1.0, s)
         assert np.array_equal(edge, point_value_row(n, np.ones(5), s))
-        for kind in ("value", "normal-derivative"):
-            assert boundary_rows(quad, n, kind, []).shape == (0, n * n)
+        assert point_value_row(n, [], []).shape == (0, n * n)
+        assert _normal_rows(bm, np.zeros((0, 2)), n, [], []).shape == (0, n * n)
 
 
 class TestEllipticityDiagnostic:

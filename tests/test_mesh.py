@@ -57,9 +57,19 @@ class TestBuildMesh:
         e = mesh.vertex_edge[v]
         assert e >= 0 and not mesh.boundary_edge[e]
         assert v in mesh.edges[e]
-        # the assigned edge is the smallest-numbered incident interior edge
-        incident = [k for k in mesh.interior_edges if v in mesh.edges[k]]
-        assert e == min(incident)
+        # the marked edge is the incident interior edge whose other endpoint
+        # has the smallest (y, x), ties to the lower edge number.  With the
+        # quads reversed the smallest-numbered incident edge is another one,
+        # and the mark still goes down to (0.5, 0).
+        reordered = build_mesh(mesh.vertices, mesh.quads[::-1])
+        for m in (mesh, reordered):
+            incident = [k for k in m.interior_edges if v in m.edges[k]]
+            other = {k: m.edges[k][m.edges[k] != v][0] for k in incident}
+            marked = min(incident, key=lambda k: (m.vertices[other[k], 1],
+                                                  m.vertices[other[k], 0], k))
+            assert m.vertex_edge[v] == marked
+            assert np.array_equal(m.vertices[other[marked]], [0.5, 0.0])
+        assert reordered.vertex_edge[v] == 9 and min(incident) == 0
 
     def test_euler_formula(self):
         for mesh in (grid_mesh(1, 1), grid_mesh(3, 2), grid_mesh(4, 4),

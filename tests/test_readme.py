@@ -1,0 +1,45 @@
+"""The README names only what the library has."""
+
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+from ultrasem.element import PdeCoefficients
+from ultrasem.mesh import grid_mesh
+from ultrasem.schur import assemble_schur
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _tour_rows():
+    """``(module, names)`` for every row of the "Library tour" table."""
+    section = README.split("## Library tour", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        cells = line.split("|")
+        if len(cells) == 4 and cells[1].strip().startswith("`ultrasem."):
+            rows.append((cells[1].strip().strip("`"), re.findall(r"`([\w.]+)`", cells[2])))
+    return rows
+
+
+TOUR = _tour_rows()
+
+
+@pytest.mark.parametrize("module, names", TOUR, ids=[module for module, _ in TOUR])
+def test_library_tour_names_resolve(module, names):
+    mod = importlib.import_module(module)
+    for name in names:
+        obj = mod
+        for part in name.split("."):
+            assert hasattr(obj, part), f"{module} has no {name}"
+            obj = getattr(obj, part)
+
+
+def test_system_attributes_resolve():
+    attrs = set(re.findall(r"`system\.(\w+)", README))
+    assert attrs
+    system = assemble_schur(grid_mesh(2, 1), PdeCoefficients.poisson(), 6)
+    missing = sorted(a for a in attrs if not hasattr(system, a))
+    assert not missing, f"README names system attributes that do not exist: {missing}"

@@ -7,21 +7,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ultrasem.cli import _general_pde
+from ultrasem._linalg import BandedLU
 from ultrasem.element import (
     PdeCoefficients,
     assemble_element_operator,
-    boundary_rows,
     boundary_slots,
     point_derivative_rows,
+    point_value_row,
     traversal_points,
 )
 from ultrasem import schur
 from ultrasem.errors import BookkeepingError, GeometryError, SingularOperatorError
 from ultrasem.mesh import build_mesh, grid_mesh, mesh_from_string
+from ultrasem.navierstokes import tunnel_mesh
+from ultrasem.quadmap import bilinear_coeffs, outward_normals
 from ultrasem.schur import _row_groups, assemble_schur
-from ultrasem.ultra import cheb_points
+from ultrasem.ultra import cheb_points, vals_to_coeffs_2d
 
-from conftest import PROPERTIES, eval_on_grid, skinny_pair_mesh
+from conftest import PROPERTIES, edge_point, eval_on_grid, skinny_pair_mesh
 
 POISSON = PdeCoefficients.poisson()
 
@@ -51,11 +54,21 @@ q 3 4 8 7
 
 
 class TestCoupling:
-    def test_interface_geometry_direction_cosines(self):
-        sys = assemble_schur(skinny_pair_mesh(0.25), POISSON, 6)
-        alpha, beta = sys.edge_direction.T
-        assert sys.edge_direction.shape == (sys.mesh.n_interior_edges, 2)
-        assert np.all(np.abs(alpha ** 2 + beta ** 2 - 1.0) < 1e-14)
+    @pytest.mark.parametrize("case", ["grid", "jiggled", "tunnel"])
+    def test_matching_rows_vanish_on_a_global_polynomial(self, case):
+        # every matching row is a jump across its edge (outward normal
+        # derivatives added, or values subtracted), so one smooth global
+        # polynomial, exact on every element, leaves nothing
+        mesh = {"grid": lambda: grid_mesh(3, 2),
+                "jiggled": lambda: _jiggled_grid(3, 3, np.random.default_rng(7)),
+                "tunnel": tunnel_mesh}[case]()
+        n = 8
+        sys = assemble_schur(mesh, POISSON, n)
+        lo, size = mesh.vertices.min(axis=0), np.ptp(mesh.vertices, axis=0)
+        x, y = ((g - c) / h for g, c, h in zip((sys.grid_x, sys.grid_y), lo, size))
+        u = 1 + x - 2 * y + x * y + 0.5 * x ** 3 * y ** 2 - y ** 5 + x ** 4 * y ** 3
+        X = vals_to_coeffs_2d(u).transpose(0, 2, 1).reshape(mesh.n_quads, n * n)
+        assert np.abs(sys.A_gamma @ X.ravel()).max() < 1e-14
 
     def test_two_element_point_counts(self):
         n = 8
@@ -268,19 +281,28 @@ class TestSolves:
             scale = max(np.abs(x.data).max() for x in a)
             assert worst < 1e-9 * max(1.0, scale)
 
-    def test_repeated_solves_reuse_factorization(self, rng):
-        mesh = grid_mesh(2, 2)
-        t0 = time.perf_counter()
-        sys = assemble_schur(mesh, POISSON, 12)
-        sys.solve(f=None, dirichlet=0.0)
-        t_build = time.perf_counter() - t0
+    def test_repeated_solves_reuse_factorization(self, rng, monkeypatch):
+        # the fastest of three timings on each side, so that one slow round
+        # under host noise does not decide the ratio
+        mesh, t_build, t_each = grid_mesh(2, 2), [], []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            sys = assemble_schur(mesh, POISSON, 12)
+            sys.solve(f=None, dirichlet=0.0)
+            t_build.append(time.perf_counter() - t0)
         grids = [[rng.standard_normal((12, 12)) for _ in range(4)]
                  for _ in range(100)]
-        t0 = time.perf_counter()
-        for g in grids:
-            sys.solve(f=g, dirichlet=0.0)
-        t_each = (time.perf_counter() - t0) / 100
-        assert t_each * 10 < t_build
+        factorizations = []
+        init = BandedLU.__init__
+        monkeypatch.setattr(BandedLU, "__init__",
+                            lambda lu, *a, **k: factorizations.append(1) or init(lu, *a, **k))
+        for _ in range(3):
+            t0 = time.perf_counter()
+            for g in grids:
+                sys.solve(f=g, dirichlet=0.0)
+            t_each.append((time.perf_counter() - t0) / 100)
+        assert not factorizations
+        assert min(t_each) * 10 < min(t_build)
 
     def test_dropped_system_freed_without_collection(self):
         # no reference cycle: the last reference going frees the system and
@@ -388,11 +410,6 @@ class TestGlobalContinuity:
             _check_jumps(sys, sols, value_tol=1e-10, deriv_tol=1e-8)
 
 
-def _normal_derivative_row(bm, n, r, s, alpha, beta):
-    ux, uy = point_derivative_rows(bm, n, r, s)
-    return beta * ux - alpha * uy
-
-
 def _jiggled_grid(nx, ny, rng):
     mesh = grid_mesh(nx, ny)
     v = mesh.vertices.copy()
@@ -403,22 +420,21 @@ def _jiggled_grid(nx, ny, rng):
 
 
 def _check_jumps(sys, sols, value_tol, deriv_tol):
-    from ultrasem.schur import _edge_reference_point
-
+    """At the midpoint of every interior edge the two sides' values agree
+    and their outward normal derivatives sum to about zero."""
     mesh, n = sys.mesh, sys.n
-    for k, e in enumerate(mesh.interior_edges):
-        alpha, beta = sys.edge_direction[k]
-        sides = mesh.edge_quads[e]
+    normals = outward_normals(mesh.element_vertices())
+    for e in mesh.interior_edges:
         vals, ders = [], []
-        for (f, l, aligned) in sides:
-            r, s = _edge_reference_point(l, aligned, 0.0)  # edge midpoint
+        for (f, l, aligned) in mesh.edge_quads[e]:
+            r, s = edge_point(l, aligned, 0.0)
             vals.append(sols[f].eval(r, s))
-            row = _normal_derivative_row(sys.maps[f], n, r, s, alpha, beta)
-            ders.append(row @ sols[f].data)
+            ux, uy = point_derivative_rows(sys.maps[f], n, r, s)
+            ders.append((normals[f, l, 0] * ux + normals[f, l, 1] * uy) @ sols[f].data)
         scale = max(1.0, max(abs(v) for v in vals))
         assert abs(vals[0] - vals[1]) <= value_tol * scale
         dscale = max(1.0, max(abs(d) for d in ders))
-        assert abs(ders[0] - ders[1]) <= deriv_tol * dscale
+        assert abs(ders[0] + ders[1]) <= deriv_tol * dscale
 
 
 class TestErrors:
@@ -472,14 +488,21 @@ class TestErrors:
 
 
 def _fresh_element(sys, f):
-    """Element ``f``'s operator built on its own from :func:`boundary_rows`,
-    and its W from its own solve."""
+    """Element ``f``'s operator built on its own, one boundary row at a
+    time (a value row, or at Neumann point k the derivative along the
+    outward normal of local edge k // (n-1)), and its W from its own
+    solve."""
     n, quad = sys.n, sys.mesh.element_quad(f)
-    neumann = set(boundary_slots(n)[sys.point_kind[f] == "neumann"])
-    rows = np.array([
-        boundary_rows(quad, n, "normal-derivative" if slot in neumann else "value",
-                      [(r, s)])[0]
-        for slot, (r, s) in zip(boundary_slots(n), traversal_points(n).T)])
+    bm, normals = bilinear_coeffs(quad), outward_normals(quad.vertices)
+    rows = []
+    for k, (r, s) in enumerate(traversal_points(n).T):
+        if sys.point_kind[f, k] == "neumann":
+            ux, uy = point_derivative_rows(bm, n, r, s)
+            nx, ny = normals[k // (n - 1)]
+            rows.append(nx * ux + ny * uy)
+        else:
+            rows.append(point_value_row(n, r, s))
+    rows = np.array(rows)
     op = assemble_element_operator(sys.pde, quad, n, rows=rows)
     slots = boundary_slots(n)[sys.point_kind[f] == "coupled"]
     rhs = np.zeros((n * n, slots.size))
