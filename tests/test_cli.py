@@ -183,6 +183,15 @@ class TestCondBench:
         assert again.to_text() == report.to_text()
         assert again.eps == report.eps
 
+    def test_default_sweep_output_ignores_global_rng(self, tmp_path):
+        texts = []
+        for seed in (0, 5):
+            np.random.seed(seed)
+            out = tmp_path / f"bench{seed}.txt"
+            assert main(["cond-bench", "--n", "24", "--out", str(out)]) == EXIT_OK
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
+
     def test_invalid_eps_order(self):
         with pytest.raises(ValueError):
             BenchReport(n=4, eps=[1e-3, 1e-1], kappa1=[1, 1], kappainf=[1, 1])
