@@ -1,44 +1,31 @@
 """LAPACK banded LU with a cached factorization."""
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dgbcon, dgbtrf, dgbtrs
 
 from .errors import SingularOperatorError
 
 
 class BandedLU:
-    """LU factorization of a banded matrix given as a scipy sparse matrix.
+    """LU factorization of a banded matrix in LAPACK band storage.
 
-    The bandwidths are measured from the sparsity pattern, the matrix is
-    packed into LAPACK band storage and factored once with partial
-    pivoting (``gbtrf``).  Solves with one or many right-hand sides, and
-    with the transposed matrix, reuse the factorization.
+    ``ab`` holds ``A[i, j]`` at ``ab[kl + ku + i - j, j]`` below ``kl`` rows
+    of headroom for the fill-in of pivoting, so its shape is
+    ``(2 kl + ku + 1, n)``.  It is factored once with partial pivoting
+    (``gbtrf``), in place when it is Fortran-ordered.  Solves with one or
+    many right-hand sides, and with the transposed matrix, reuse the
+    factorization.
     """
 
-    def __init__(self, A, name="banded operator"):
-        A = sp.coo_matrix(A)
-        if A.shape[0] != A.shape[1]:
-            raise ValueError("matrix must be square")
-        self.n = A.shape[0]
+    def __init__(self, ab, kl, ku, name="banded operator"):
+        self.kl, self.ku = int(kl), int(ku)
         self.name = name
-        if A.nnz == 0:
-            raise SingularOperatorError(f"{name}: matrix is all zero")
-        off = A.row - A.col
-        self.kl = int(max(0, off.max()))
-        self.ku = int(max(0, -off.min()))
-        ab = np.zeros((2 * self.kl + self.ku + 1, self.n))
-        # LAPACK band storage with extra kl rows of headroom for pivoting
-        ab[self.kl + self.ku + A.row - A.col, A.col] = A.data
-        lu, piv, info = dgbtrf(ab, self.kl, self.ku)
+        self._lu, self._piv, info = dgbtrf(ab, self.kl, self.ku, overwrite_ab=1)
         if info < 0:
             raise SingularOperatorError(f"{name}: illegal LAPACK argument {-info}")
         if info > 0:
             raise SingularOperatorError(
-                f"{name}: singular to working precision (zero pivot at {info})"
-            )
-        self._lu = lu
-        self._piv = piv
+                f"{name}: singular to working precision (zero pivot at {info})")
 
     def solve(self, b, transpose=False):
         b = np.asarray(b, dtype=float)

@@ -1,4 +1,4 @@
-"""Sparse discretized operator for one quadrilateral element.
+"""Banded discretized operator for one quadrilateral element.
 
 A scalar field on an element is a tensor Chebyshev series; stacking the
 coefficient matrix column by column gives the unknown vector
@@ -6,10 +6,12 @@ coefficient matrix column by column gives the unknown vector
 operator, pulled back through the bilinear map and multiplied by
 ``det(r,s)^3``, maps those Chebyshev coefficients to ultraspherical
 parameter-2 coefficients of ``det^3 L(u)`` through sums of Kronecker
-products of banded 1-D factors.  Rows whose right-hand-side degree is
-``n-2`` or ``n-1`` in either variable (4n-4 of them) are replaced by
-dense boundary-condition rows, and the bordered system is solved with a
-banded LU plus a low-rank Woodbury correction.
+products of banded 1-D factors.  Those sums are formed directly as
+column-indexed diagonals (a DIA matrix), which are rows of LAPACK band
+storage.  Rows whose right-hand-side degree is ``n-2`` or ``n-1`` in
+either variable (4n-4 of them) are replaced by dense boundary-condition
+rows, and the bordered system is solved with a banded LU plus a low-rank
+Woodbury correction.
 """
 
 import functools
@@ -250,91 +252,106 @@ def _pullback(table_xy, bm):
 def _mono_to_cheb_table(P):
     """Chebyshev tensor coefficients ``C[i_s, j_r]`` of a monomial table."""
     P = poly2d(P)
-    mr, ms = max(P.shape[0], 2), max(P.shape[1], 2)
-    r = ultra.cheb_points(mr)
-    s = ultra.cheb_points(ms)
-    R, S = np.meshgrid(r, s)
-    V = poly2d_eval(P, R, S)  # V[i, j] = P(r_j, s_i)
-    return ultra.vals_to_coeffs_2d(V)
+    R, S = np.meshgrid(ultra.cheb_points(max(P.shape[0], 2)),
+                       ultra.cheb_points(max(P.shape[1], 2)))
+    return ultra.vals_to_coeffs_2d(poly2d_eval(P, R, S))  # from P(r_j, s_i)
 
 
-def mult2d(cheb_table, lam, n):
-    """Sparse n^2 operator multiplying a stacked parameter-``lam``
-    coefficient vector by the bivariate polynomial with Chebyshev tensor
-    coefficients ``C[i_s, j_r]``."""
-    C = np.atleast_2d(np.asarray(cheb_table, dtype=float))
-    out = None
-    for j in range(C.shape[1]):
-        col = C[:, j]
-        if not np.any(col):
-            continue
-        ej = np.zeros(j + 1)
-        ej[j] = 1.0
-        term = sp.kron(ultra.mult_operator(ej, lam, n),
-                       ultra.mult_operator(col, lam, n), format="csr")
-        out = term if out is None else out + term
-    if out is None:
-        return sp.csr_matrix((n * n, n * n))
-    return out
+def _multipliers(C, lam, n):
+    """Stacks ``T_j(X_lam)`` and ``M_lam(C[:, j])`` over the nonzero columns
+    ``j`` of a Chebyshev tensor table ``C[i_s, j_r]``: multiplying a
+    stacked parameter-``lam`` coefficient vector by that polynomial is
+    ``sum_j kron(T_j(X_lam), M_lam(C[:, j]))``."""
+    if max(C.shape) > n:
+        raise ValueError(f"multiplier degree {max(C.shape) - 1} too large for size {n}")
+    T = ultra.chebyshev_powers(lam, n)
+    j = np.flatnonzero(C.any(axis=0))
+    return T[j], np.tensordot(C[:, j].T, T[: C.shape[0]], axes=1)
+
+
+def _diagonals(M):
+    """Column-indexed diagonals ``D[t, a, c] = M[t, c - off[a], c]`` of a
+    stack of n-by-n arrays, over the offsets ``off`` spanned by its
+    nonzeros."""
+    n = M.shape[-1]
+    r, c = np.nonzero(M.any(axis=0))
+    off = np.arange((c - r).min(), (c - r).max() + 1) if r.size else np.arange(0)
+    rows = np.arange(n) - off[:, None]
+    return np.where((rows >= 0) & (rows < n), M[:, rows.clip(0, n - 1), np.arange(n)], 0.0), off
+
+
+def _dia(offsets, data):
+    """Square DIA matrix from column-indexed diagonals: rows of ``data`` at
+    equal offsets are summed and all-zero diagonals dropped, so the
+    outermost stored diagonals are the bandwidths."""
+    keep = data.any(axis=1)
+    order = np.argsort(offsets[keep], kind="stable")
+    off, start = np.unique(offsets[keep][order], return_index=True)
+    out = np.add.reduceat(data[keep][order], start, axis=0)
+    return sp.dia_matrix((out, off), shape=(data.shape[1],) * 2)
+
+
+def _kron_sum(P, Q):
+    """``sum_t kron(P[t], Q[t])`` for stacks of n-by-n arrays, as an
+    n^2-by-n^2 DIA matrix.  Diagonal (dj, di) of ``kron(P, Q)`` sits at
+    offset ``n dj + di`` and holds the outer product of P's diagonal dj
+    and Q's diagonal di over the columns, so one contraction over ``t``
+    forms every diagonal."""
+    n = P.shape[-1]
+    (Pd, p_off), (Qd, q_off) = _diagonals(P), _diagonals(Q)
+    E = np.einsum("tac,tbd->abcd", Pd, Qd, optimize=True)
+    return _dia((n * p_off[:, None] + q_off).ravel(), E.reshape(-1, n * n))
 
 
 @functools.lru_cache(maxsize=8)
 def _kron_factors(n):
-    """Geometry-independent Kronecker factors of the interior operator,
-    one per reference derivative.  Shared by every caller: read only."""
-    S0 = ultra.conversion_operator(0, n)
-    S1 = ultra.conversion_operator(1, n)
-    D1 = ultra.diff_operator(1, n)
-    D2 = ultra.diff_operator(2, n)
-    SS = (S1 @ S0).tocsr()
-    S1D1 = (S1 @ D1).tocsr()
-    return {
-        "rr": sp.kron(D2, SS, format="csr"),
-        "rs": sp.kron(S1D1, S1D1, format="csr"),
-        "ss": sp.kron(SS, D2, format="csr"),
-        "r": sp.kron(S1D1, SS, format="csr"),
-        "s": sp.kron(SS, S1D1, format="csr"),
-        "id": sp.kron(SS, SS, format="csr"),
-    }
+    """Geometry-independent 1-D factor pairs ``(A, B)`` of the interior
+    operator, dense, one per reference derivative: that derivative maps
+    stacked Chebyshev coefficients to parameter-2 ones as ``kron(A, B)``.
+    Shared by every caller: read only."""
+    SS = ultra.cheb_to_ultra(2, n).toarray()
+    S1D1 = (ultra.conversion_operator(1, n) @ ultra.diff_operator(1, n)).toarray()
+    D2 = ultra.diff_operator(2, n).toarray()
+    return {"rr": (D2, SS), "rs": (S1D1, S1D1), "ss": (SS, D2),
+            "r": (S1D1, SS), "s": (SS, S1D1), "id": (SS, SS)}
+
+
+def _reference_tables(pde, bm):
+    """Chebyshev tensor tables ``C[i_s, j_r]`` of the polynomial multiplying
+    each reference derivative in ``det^3 L(u)``."""
+    tc = TransformedCoeffs(bm)
+    pulled = {f.name: _pullback(getattr(pde, f.name), bm) for f in fields(pde)}
+    paths = {}
+    for ref in ("rr", "rs", "ss", "r", "s"):
+        paths[ref] = poly2d_add(
+            poly2d_add(poly2d_mul(pulled["a11"], tc.xx[ref]),
+                       poly2d_mul(pulled["a12"], tc.xy[ref])),
+            poly2d_mul(pulled["a22"], tc.yy[ref]))
+        if ref in ("r", "s"):
+            paths[ref] = poly2d_add(paths[ref], poly2d_add(
+                poly2d_mul(pulled["b1"], tc.x[ref]), poly2d_mul(pulled["b2"], tc.y[ref])))
+    paths["id"] = poly2d_mul(pulled["c"], tc.det3)
+    return {ref: poly2d_trim(_mono_to_cheb_table(poly2d_trim(t, rel=1e-15)), rel=1e-14)
+            for ref, t in paths.items()}
 
 
 def element_interior_operator(pde, quad, n):
     """Full n^2-by-n^2 operator taking stacked Chebyshev coefficients of u
     to stacked parameter-2 ultraspherical coefficients of
-    ``det(r,s)^3 * L(u)`` on the element (no rows removed)."""
+    ``det(r,s)^3 * L(u)`` on the element (no rows removed), as a DIA
+    matrix: ``sum_ref sum_j kron(T_j(X_2) A_ref, M_2(C_ref[:, j]) B_ref)``
+    over the 1-D factors ``(A_ref, B_ref)`` of each reference
+    derivative."""
     if n < 4:
         raise ValueError("need n >= 4")
     if not isinstance(quad, Quad):
         quad = Quad(quad)
-    bm = bilinear_coeffs(quad)
-    tc = TransformedCoeffs(bm)
-    pulled = {f.name: _pullback(getattr(pde, f.name), bm) for f in fields(pde)}
-
-    paths = {}
-    for ref in ("rr", "rs", "ss"):
-        paths[ref] = poly2d_add(
-            poly2d_add(poly2d_mul(pulled["a11"], tc.xx[ref]),
-                       poly2d_mul(pulled["a12"], tc.xy[ref])),
-            poly2d_mul(pulled["a22"], tc.yy[ref]))
-    for ref in ("r", "s"):
-        second = poly2d_add(
-            poly2d_add(poly2d_mul(pulled["a11"], tc.xx[ref]),
-                       poly2d_mul(pulled["a12"], tc.xy[ref])),
-            poly2d_mul(pulled["a22"], tc.yy[ref]))
-        first = poly2d_add(poly2d_mul(pulled["b1"], tc.x[ref]),
-                           poly2d_mul(pulled["b2"], tc.y[ref]))
-        paths[ref] = poly2d_add(second, first)
-    paths["id"] = poly2d_mul(pulled["c"], tc.det3)
-
-    kron_factors = _kron_factors(n)
-    L = sp.csr_matrix((n * n, n * n))
-    for ref, table in paths.items():
-        C = poly2d_trim(_mono_to_cheb_table(poly2d_trim(table, rel=1e-15)), rel=1e-14)
-        if not C.any():
-            continue
-        L = L + mult2d(C, 2, n) @ kron_factors[ref]
-    L.eliminate_zeros()
-    return L
+    P, Q = [], []
+    for ref, C in _reference_tables(pde, bilinear_coeffs(quad)).items():
+        (T, M), (A, B) = _multipliers(C, 2, n), _kron_factors(n)[ref]
+        P.append(T @ A)
+        Q.append(M @ B)
+    return _kron_sum(np.concatenate(P), np.concatenate(Q))
 
 
 # ----------------------------------------------------------------------
@@ -359,7 +376,7 @@ class AlmostBandedMatrix:
     """
 
     def __init__(self, banded, slots, dense_rows, scale):
-        self.banded = banded.tocsr()
+        self.banded = sp.dia_matrix(banded)
         self.slots = np.asarray(slots, dtype=int)
         self.V = np.asarray(dense_rows, dtype=float)
         self.scale = np.asarray(scale, dtype=float)
@@ -373,27 +390,29 @@ class AlmostBandedMatrix:
         return self.slots.size
 
     def bandwidths(self):
-        coo = self.banded.tocoo()
-        off = coo.row - coo.col
-        return int(max(0, off.max())), int(max(0, -off.min()))
+        """``(kl, ku)`` from the outermost stored diagonals of ``A``."""
+        off = self.banded.offsets
+        return int(max(0, -off.min())), int(max(0, off.max()))
 
     def to_dense(self):
         """Dense reconstruction of the (row-scaled) bordered operator."""
         B = self.banded.toarray()
-        if self.k:
-            B[self.slots] += self.V
+        B[self.slots] += self.V
         return B
 
     def matvec(self, x):
         y = self.banded @ x
-        if self.k:
-            y[self.slots] += self.V @ x
+        y[self.slots] += self.V @ x
         return y
 
     def _factor(self):
         if self._lu is not None:
             return
-        self._lu = BandedLU(self.banded, name="element banded part")
+        # a DIA diagonal is a column-indexed row of LAPACK band storage
+        kl, ku = self.bandwidths()
+        ab = np.zeros((2 * kl + ku + 1, self.nn), order="F")
+        ab[kl + ku - self.banded.offsets] = self.banded.data
+        self._lu = BandedLU(ab, kl, ku, name="element banded part")
         if self.k:
             E = np.zeros((self.nn, self.k))
             E[self.slots, np.arange(self.k)] = 1.0
@@ -420,14 +439,10 @@ class AlmostBandedMatrix:
         """Solve ``B x = rhs`` where ``B`` is the (already row-scaled)
         bordered operator, for one or many right-hand sides."""
         self._factor()
-        b = np.asarray(rhs, dtype=float)
-        squeeze = b.ndim == 1
-        if squeeze:
-            b = b[:, None]
-        y = self._lu.solve(b)
+        y = self._lu.solve(rhs)
         if self.k:
             y = y - self._Z @ self._cap_solve(self.V @ y)
-        return y[:, 0] if squeeze else y
+        return y
 
     def solve(self, rhs):
         """Solve the bordered system for a physical right-hand side: the
@@ -442,15 +457,11 @@ class AlmostBandedMatrix:
         transposed capacitance, so ``x = y - A^{-T} V^T cap^{-T} y[slots]``
         with ``y = A^{-T} rhs``: two banded solves as wide as ``rhs``."""
         self._factor()
-        b = np.asarray(rhs, dtype=float)
-        squeeze = b.ndim == 1
-        if squeeze:
-            b = b[:, None]
-        y = self._lu.solve(b, transpose=True)
+        y = self._lu.solve(rhs, transpose=True)
         if self.k:
             w = self._cap_solve(y[self.slots], trans=1)
             y = y - self._lu.solve(self.V.T @ w, transpose=True)
-        return y[:, 0] if squeeze else y
+        return y
 
 
 def assemble_element_operator(pde, quad, n, rows=None):
@@ -462,8 +473,6 @@ def assemble_element_operator(pde, quad, n, rows=None):
     every row of the bordered matrix to unit sup norm and is recorded so
     that solves can scale right-hand sides consistently.
     """
-    if not isinstance(quad, Quad):
-        quad = Quad(quad)
     L = element_interior_operator(pde, quad, n)
     nn = n * n
     slots = boundary_slots(n)
@@ -473,21 +482,23 @@ def assemble_element_operator(pde, quad, n, rows=None):
     if rows.shape != (4 * n - 4, nn):
         raise ValueError("expected the 4n-4 boundary rows of the traversal")
 
-    # place interior equation (i, j) at slot (i+2, j+2); the boundary slot
-    # rows of P @ L stay empty and get exact unit diagonal entries
-    keep = interior_slot_map(n)
-    P = sp.csr_matrix((np.ones(keep.size), (keep, interior_equation_rows(n))),
-                      shape=(nn, nn))
-    PL = P @ L
-
-    row_max = np.abs(PL).max(axis=1).toarray().ravel()
+    # Interior equation (i, j) moves from row i + n j to slot (i+2) +
+    # n (j+2): every diagonal's offset drops by 2n+2, and the entries in
+    # the rows of the other equations go.  The boundary slot rows are
+    # left empty and get exact unit diagonal entries.
+    src = np.arange(nn) - L.offsets[:, None]  # row of each entry (zero outside)
+    D = np.where((src % n < n - 2) & (src // n < n - 2), L.data, 0.0)
+    off = L.offsets - (2 * n + 2)
+    col = np.arange(nn) + off[:, None]  # column of row m on each diagonal
+    at = np.take_along_axis(D, col.clip(0, nn - 1), axis=1)
+    row_max = np.abs(np.where((col >= 0) & (col < nn), at, 0.0)).max(axis=0, initial=0.0)
     row_max[slots] = np.max(np.abs(rows), axis=1)
     if np.any(row_max == 0.0):
         raise SingularOperatorError(
             f"row {int(np.argmin(row_max))} of the bordered operator is zero")
     s = 1.0 / row_max
-    unit = sp.csr_matrix((np.ones(slots.size), (slots, slots)), shape=(nn, nn))
-    A = (sp.diags(s) @ PL + unit).tocsr()
+    D *= s[(src + 2 * n + 2).clip(0, nn - 1)]
+    A = _dia(np.append(off, 0), np.vstack([D, np.isin(np.arange(nn), slots)]))
     V = s[slots][:, None] * rows
     V[np.arange(slots.size), slots] -= 1.0
     return AlmostBandedMatrix(A, slots, V, s)
@@ -500,11 +511,16 @@ def assemble_element_operator(pde, quad, n, rows=None):
 def element_rhs_operator(quad, n):
     """Sparse operator taking the Chebyshev coefficients of a sampled
     forcing to the parameter-2 coefficients of ``det^3 * f``: the det^3
-    multiplication in Chebyshev space followed by basis conversion."""
+    multiplication in Chebyshev space followed by basis conversion,
+    ``sum_j kron(S T_j(X_0), S M_0(C[:, j]))`` with ``S = S_1 S_0``.  It
+    is CSR, because every solve multiplies with it and the DIA diagonals
+    hold zeros that CSR skips."""
     if not isinstance(quad, Quad):
         quad = Quad(quad)
     det3 = _mono_to_cheb_table(det_cubed_table(bilinear_coeffs(quad)))
-    return (_kron_factors(n)["id"] @ mult2d(det3, 0, n)).tocsr()
+    T, M = _multipliers(det3, 0, n)
+    S = _kron_factors(n)["id"][0]
+    return _kron_sum(S @ T, S @ M).tocsr()
 
 
 def grid_points(bm, n):
@@ -618,15 +634,12 @@ def operator_condition(abm):
     abm._factor()
     # exact norms of B = A + UV: slot rows of B are V plus the unit rows
     W = abm.V.copy()
-    if abm.k:
-        W[np.arange(abm.k), abm.slots] += 1.0
+    W[np.arange(abm.k), abm.slots] += 1.0
     colsum = np.asarray(abs(abm.banded).sum(axis=0)).ravel()
+    colsum[abm.slots] -= 1.0
+    colsum += np.abs(W).sum(axis=0)
     rowsum = np.asarray(abs(abm.banded).sum(axis=1)).ravel()
-    if abm.k:
-        unit = np.zeros(nn)
-        unit[abm.slots] = 1.0
-        colsum = colsum - unit + np.abs(W).sum(axis=0)
-        rowsum[abm.slots] = np.abs(W).sum(axis=1)
+    rowsum[abm.slots] = np.abs(W).sum(axis=1)
     norm1, norminf = float(colsum.max()), float(rowsum.max())
     # ||B^{-1}||_inf = ||B^{-T}||_1
     k1 = norm1 * _onenorm_lower_bound(abm.solve_raw, abm.solve_transpose, nn)

@@ -337,16 +337,20 @@ class SchurSystem:
             self._sigma_solve = self.sigma_rcond = None
             self.sigma_bandwidth = 0
             return
-        n = self.n
         coo = sigma.tocoo()
-        self.sigma_bandwidth = int(np.abs(coo.row - coo.col).max()) if coo.nnz else 0
-        bound = (interface_bandwidth(self.mesh, self.block_pos) + 1) * n
+        off = coo.row - coo.col
+        kl, ku = int(np.max(off, initial=0)), int(np.max(-off, initial=0))
+        self.sigma_bandwidth = max(kl, ku)
+        bound = (interface_bandwidth(self.mesh, self.block_pos) + 1) * self.n
         if self.sigma_bandwidth >= bound:
             raise BookkeepingError(
                 f"interface complement bandwidth {self.sigma_bandwidth} "
                 f"exceeds the ordering bound {bound}")
+        # LAPACK band storage with kl rows of headroom, factored in place
+        ab = np.zeros((2 * kl + ku + 1, self.n_gamma), order="F")
+        ab[kl + ku + off, coo.col] = coo.data
         try:
-            banded = BandedLU(sigma, name="interface complement")
+            banded = BandedLU(ab, kl, ku, name="interface complement")
             rcond = banded.rcond(abs(sigma).sum(axis=0).max())
         except SingularOperatorError:
             rcond = 0.0

@@ -7,6 +7,7 @@ and banded.  Grids are Chebyshev extrema grids, stored ascending in
 ``[-1, 1]``.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -75,23 +76,32 @@ def cheb_to_ultra(lam, n):
     return M
 
 
-def _mult_x(lam, n):
-    """Multiplication-by-x matrix acting on parameter-``lam`` coefficients
-    (Chebyshev for lam=0), dense n-by-n."""
-    X = np.zeros((n, n))
+@functools.lru_cache(maxsize=8)
+def chebyshev_powers(lam, n):
+    """Read-only (n, n, n) stack whose entry ``k`` multiplies
+    parameter-``lam`` coefficient vectors (Chebyshev for lam=0) by ``T_k``.
+
+    Built by ``T_{k+1}(X) = 2 X T_k(X) - T_{k-1}(X)`` from the tridiagonal
+    multiplication-by-x matrix ``X`` at size 2n, and cropped, so
+    truncation never corrupts the kept block.  Cached per ``(lam, n)`` and
+    shared by every caller.
+    """
+    # X[a, a+1] and X[a+1, a]
+    a = np.arange(2 * n - 1.0)
     if lam == 0:
-        X[1, 0] = 1.0
-        for k in range(1, n):
-            X[k - 1, k] = 0.5
-            if k + 1 < n:
-                X[k + 1, k] = 0.5
+        up, down = np.full(a.size, 0.5), np.where(a == 0, 1.0, 0.5)
     else:
-        X[1, 0] = 1.0 / (2.0 * lam)
-        for k in range(1, n):
-            X[k - 1, k] = (k + 2.0 * lam - 1.0) / (2.0 * (k + lam))
-            if k + 1 < n:
-                X[k + 1, k] = (k + 1.0) / (2.0 * (k + lam))
-    return X
+        up, down = (a + 2 * lam) / (2 * (a + 1 + lam)), (a + 1) / (2 * (a + lam))
+    T = np.empty((n, n, n))
+    prev, cur = None, np.eye(2 * n)
+    for k in range(n):
+        T[k] = cur[:n, :n]
+        xc = np.zeros_like(cur)
+        xc[:-1] += up[:, None] * cur[1:]
+        xc[1:] += down[:, None] * cur[:-1]
+        prev, cur = cur, xc if prev is None else 2.0 * xc - prev
+    T.flags.writeable = False
+    return T
 
 
 def mult_operator(f_coeffs, lam, n):
@@ -99,31 +109,17 @@ def mult_operator(f_coeffs, lam, n):
     the polynomial with Chebyshev coefficients ``f_coeffs``.
 
     The bandwidth equals the degree of ``f``.  Entries are exact for any
-    operand polynomial of degree at most ``n - 1 - deg(f)``: the operator
-    is built at an enlarged size and cropped so truncation never corrupts
-    the returned block.
+    operand polynomial of degree at most ``n - 1 - deg(f)``: the matrix is
+    the sum of the :func:`chebyshev_powers` stack weighted by ``f``.
     """
     if lam not in (0, 1, 2):
         raise ValueError("multiplication supported for parameters 0, 1, 2")
     f = np.atleast_1d(np.asarray(f_coeffs, dtype=float)).ravel()
     nz = np.nonzero(f)[0]
-    if nz.size == 0:
-        return sp.csr_matrix((n, n))
-    d = int(nz[-1])
+    d = int(nz[-1]) if nz.size else 0
     if d >= n:
         raise ValueError(f"multiplier degree {d} too large for size {n}")
-    if d == 0:
-        return sp.identity(n, format="csr") * f[0]
-    N = n + d + 1
-    X = _mult_x(lam, N)
-    M = f[0] * np.eye(N) + f[1] * X
-    Tprev, Tcur = np.eye(N), X
-    for j in range(2, d + 1):
-        Tnext = 2.0 * (X @ Tcur) - Tprev
-        if f[j] != 0.0:
-            M += f[j] * Tnext
-        Tprev, Tcur = Tcur, Tnext
-    out = M[:n, :n].copy()
+    out = np.tensordot(f[: d + 1], chebyshev_powers(lam, n)[: d + 1], axes=1)
     out[np.abs(out) < 1e-300] = 0.0
     return sp.csr_matrix(out)
 

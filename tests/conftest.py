@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from ultrasem.mesh import build_mesh
+from ultrasem.mesh import build_mesh, mesh_from_string
 
 # mesh property tests (``@settings(PROPERTIES)``): few examples, drawn
 # the same way every run, so that their cost stays small and fixed
@@ -69,6 +69,29 @@ def skinny_pair_mesh(eps):
              (1 + 2 * eps, -0.9), (1 + eps, 0.9)]
     quads = [(0, 1, 2, 3), (2, 1, 4, 5)]
     return build_mesh(verts, quads)
+
+
+def mixed_mesh():
+    """Eight elements: a quad, a median-split pair of triangles, a quad."""
+    text = """quadmesh 1
+v 0 0
+v 1 0
+v 2 0
+v 3 0
+v 0 1
+v 1 1
+v 2 1
+v 3 1
+q 1 2 6 5
+t 2 3 7
+t 2 7 6
+q 3 4 8 7
+"""
+    return mesh_from_string(text)
+
+
+# the variable-coefficient PDE of the benchmark's mixed-mesh workload
+VARCOEF = "general:a11=1+0.5*x^2;a22=2+y;b1=x;c=-1"
 
 
 _CORNERS = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])

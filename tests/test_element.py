@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from ultrasem import navierstokes as nsm
 from ultrasem import ultra
 from ultrasem._linalg import BandedLU
+from ultrasem.cli import _general_pde
 from ultrasem.element import (
     AlmostBandedMatrix,
     PdeCoefficients,
+    _mono_to_cheb_table,
+    _reference_tables,
     assemble_element_operator,
     boundary_slots,
     edge_points,
@@ -21,11 +25,11 @@ from ultrasem.element import (
     traversal_points,
 )
 from ultrasem.errors import GeometryError, SingularOperatorError
-from ultrasem.mesh import build_mesh
-from ultrasem.quadmap import Quad, bilinear_coeffs
+from ultrasem.mesh import build_mesh, grid_mesh
+from ultrasem.quadmap import Quad, bilinear_coeffs, det_cubed_table
 from ultrasem.schur import _normal_rows, assemble_schur, solve_element_dirichlet
 
-from conftest import random_convex_quad
+from conftest import VARCOEF, mixed_mesh, random_convex_quad
 
 SQUARE = Quad([(1, 1), (-1, 1), (-1, -1), (1, -1)])
 POISSON = PdeCoefficients.poisson()
@@ -104,6 +108,93 @@ class TestInteriorOperator:
         coo = element_interior_operator(POISSON, SQUARE, 16).tocoo()
         band = np.max(np.abs(coo.row - coo.col))
         assert band <= 8 * 16  # O(n) stacked bandwidth
+
+
+def _dense_kron_sum(C, lam, n, left, right):
+    """``sum_j np.kron(L T_j A, L M(C[:, j]) B)`` for 1-D factors
+    ``right = (A, B)`` and a left factor ``L`` on both sides, from dense
+    :func:`ultra.mult_operator` matrices: by kron(A, B) kron(C, D) =
+    kron(AC, BD) this is the multiplication by the polynomial with
+    Chebyshev table C composed with kron(L, L) and kron(A, B)."""
+    out = np.zeros((n * n, n * n))
+    for j in range(C.shape[1]):
+        e = np.zeros(j + 1)
+        e[j] = 1.0
+        T = ultra.mult_operator(e, lam, n).toarray()
+        M = ultra.mult_operator(C[:, j], lam, n).toarray()
+        out += np.kron(left @ T @ right[0], left @ M @ right[1])
+    return out
+
+
+def _one_d_factors(n):
+    """The 1-D Kronecker factors of each reference derivative, dense."""
+    S = (ultra.conversion_operator(1, n) @ ultra.conversion_operator(0, n)).toarray()
+    SD = (ultra.conversion_operator(1, n) @ ultra.diff_operator(1, n)).toarray()
+    D2 = ultra.diff_operator(2, n).toarray()
+    return S, {"rr": (D2, S), "rs": (SD, SD), "ss": (S, D2),
+               "r": (SD, S), "s": (S, SD), "id": (S, S)}
+
+
+def _band_cases():
+    mesh = mixed_mesh()
+    tunnel = nsm.tunnel_mesh(4, 3, width=0.003, height=0.001, hole=(1, 1))
+    screened = PdeCoefficients.screened(nsm.NsConfig(dt=1.667e-5).k2)
+    # at n = 8 the mixed mesh's wide 1-D factors put two Kronecker
+    # diagonals on one stacked offset
+    return ([(_general_pde(VARCOEF, mesh), mesh.element_quad(f), m)
+             for f in range(mesh.n_quads) for m in (8, 24)]
+            + [(screened, tunnel.element_quad(f), 8) for f in range(tunnel.n_quads)]
+            + [(POISSON, skinny_quad(1e-12), 16)])
+
+
+class TestBandAssembly:
+    """The operators built as diagonals against dense np.kron sums."""
+
+    def test_interior_operator_against_dense_kron(self):
+        for pde, quad, n in _band_cases():
+            _, factors = _one_d_factors(n)
+            want = sum(_dense_kron_sum(C, 2, n, np.eye(n), factors[ref])
+                       for ref, C in _reference_tables(pde, bilinear_coeffs(quad)).items())
+            got = element_interior_operator(pde, quad, n).toarray()
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+    def test_rhs_operator_against_dense_kron(self):
+        for _, quad, n in _band_cases():
+            S, _ = _one_d_factors(n)
+            C = _mono_to_cheb_table(det_cubed_table(bilinear_coeffs(quad)))
+            want = _dense_kron_sum(C, 0, n, S, (np.eye(n), np.eye(n)))
+            got = element_rhs_operator(quad, n).toarray()
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+    def test_bordered_bandwidths_pinned(self):
+        # the outermost stored diagonals are the band: rounding residue
+        # never widens it
+        mixed = assemble_schur(mixed_mesh(), _general_pde(VARCOEF, mixed_mesh()), 24)
+        assert [op.bandwidths() for op in mixed.ops] == [(50, 50)] + [(124, 124)] * 6 + [(50, 50)]
+        grid = assemble_schur(grid_mesh(12, 12), POISSON, 8)
+        assert {op.bandwidths() for op in grid.ops} == {(16, 16)}
+        tunnel = nsm.tunnel_mesh(4, 3, width=0.003, height=0.001, hole=(1, 1))
+        solver = nsm.TunnelSolver(tunnel, 8, nsm.NsConfig(dt=1.667e-5, dealias=False),
+                                  nsm.classify_tunnel_boundary(tunnel, (0.6, 0.0)))
+        for system, band in ((solver.helm_u, 18), (solver.helm_v, 18), (solver.pois_p, 16)):
+            assert {op.bandwidths() for op in system.ops} == {(band, band)}
+        op = assemble_element_operator(POISSON, skinny_quad(1e-9), 48)
+        assert op.bandwidths() == (146, 146)
+
+    def test_every_bordered_row_has_unit_sup_norm(self):
+        for pde, quad, n in _band_cases():
+            B = assemble_element_operator(pde, quad, n).to_dense()
+            assert np.abs(np.abs(B).max(axis=1) - 1.0).max() <= 2 * np.finfo(float).eps
+
+    def test_band_storage_factored_in_place(self):
+        # kl = ku = 2: two rows of headroom, then offsets +2 down to -2
+        ab = np.zeros((7, 10), order="F")
+        ab[3], ab[4], ab[5] = 1.0, 4.0, -1.0  # super-, main and subdiagonal
+        lu = BandedLU(ab, 2, 2)
+        assert np.shares_memory(lu._lu, ab)
+        b = np.arange(10.0)
+        A = np.diag(np.full(10, 4.0)) + np.diag(np.ones(9), 1) - np.diag(np.ones(9), -1)
+        assert np.allclose(lu.solve(b), np.linalg.solve(A, b), rtol=1e-14, atol=0)
 
 
 class TestBoundaryRows:

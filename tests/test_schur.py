@@ -18,13 +18,20 @@ from ultrasem.element import (
 )
 from ultrasem import schur
 from ultrasem.errors import BookkeepingError, GeometryError, SingularOperatorError
-from ultrasem.mesh import build_mesh, grid_mesh, mesh_from_string
+from ultrasem.mesh import build_mesh, grid_mesh
 from ultrasem.navierstokes import tunnel_mesh
 from ultrasem.quadmap import bilinear_coeffs, outward_normals
 from ultrasem.schur import _row_groups, assemble_schur
 from ultrasem.ultra import cheb_points, vals_to_coeffs_2d
 
-from conftest import PROPERTIES, edge_point, eval_on_grid, skinny_pair_mesh
+from conftest import (
+    PROPERTIES,
+    VARCOEF,
+    edge_point,
+    eval_on_grid,
+    mixed_mesh,
+    skinny_pair_mesh,
+)
 
 POISSON = PdeCoefficients.poisson()
 
@@ -32,25 +39,6 @@ POISSON = PdeCoefficients.poisson()
 def two_squares():
     verts = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)]
     return build_mesh(verts, [(0, 1, 4, 3), (1, 2, 5, 4)])
-
-
-def mixed_mesh():
-    """Eight elements: a quad, a median-split pair of triangles, a quad."""
-    text = """quadmesh 1
-v 0 0
-v 1 0
-v 2 0
-v 3 0
-v 0 1
-v 1 1
-v 2 1
-v 3 1
-q 1 2 6 5
-t 2 3 7
-t 2 7 6
-q 3 4 8 7
-"""
-    return mesh_from_string(text)
 
 
 class TestCoupling:
@@ -550,7 +538,7 @@ class TestSharedElements:
 
     def test_distinct_count_variable_coefficients(self):
         mesh = mixed_mesh()
-        pde = _general_pde("general:a11=1+0.5*x^2;a22=2+y;b1=x;c=-1", mesh)
+        pde = _general_pde(VARCOEF, mesh)
         sys = assemble_schur(mesh, pde, 6)
         # position-dependent coefficients: an element is its own class
         classes = {mesh.vertices[q].tobytes() for q in mesh.quads}
@@ -608,7 +596,7 @@ class TestSharedElements:
             sys = assemble_schur(mesh, POISSON, 6, bc={e: "neumann" for e in bottom})
         elif case == "varcoef":
             mesh = mixed_mesh()
-            pde = _general_pde("general:a11=1+0.5*x^2;a22=2+y;b1=x;c=-1", mesh)
+            pde = _general_pde(VARCOEF, mesh)
             sys = assemble_schur(mesh, pde, 6)
         else:
             mesh = grid_mesh(2, 2)
