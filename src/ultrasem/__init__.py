@@ -47,7 +47,6 @@ from .quadmap import (
     BilinearMap,
     DetPolynomial,
     Quad,
-    TransformedCoeffs,
     bilinear_coeffs,
     det_polynomial,
 )
@@ -59,14 +58,12 @@ from .schur import (
 from .ultra import (
     cheb_points,
     cheb_to_ultra,
-    coeffs_to_vals,
     coeffs_to_vals_2d,
     conversion_operator,
     deriv_eval_row,
     diff_operator,
     eval_row,
     mult_operator,
-    vals_to_coeffs,
     vals_to_coeffs_2d,
 )
 

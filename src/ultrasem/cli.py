@@ -200,19 +200,19 @@ def _general_pde(spec, mesh):
             raise ExpressionError(f"unknown pde coefficient '{name}'")
         fn = compile_expression(ex)
         X, Y = np.meshgrid(tx, ty, indexing="ij")
-        vals = fn(X, Y)
-        table = np.linalg.solve(Vx, np.linalg.solve(Vy, vals.T).T)
-        # verify the fit: the coefficient really is such a polynomial
+        # verify the fit: the coefficient really is such a polynomial; a
+        # non-finite value fails the check instead of warning
         probe = np.linspace(lo[0], hi[0], 7)
         probey = np.linspace(lo[1], hi[1], 7)
         PX, PY = np.meshgrid(probe, probey, indexing="ij")
         from .quadmap import poly2d_eval
-        fit = poly2d_eval(table, PX, PY)
-        ref = fn(PX, PY)
-        scale = max(1.0, np.abs(ref).max())
-        if np.abs(fit - ref).max() > 1e-8 * scale:
+        with np.errstate(all="ignore"):
+            table = np.linalg.solve(Vx, np.linalg.solve(Vy, fn(X, Y).T).T)
+            ref = fn(PX, PY)
+            err = np.abs(poly2d_eval(table, PX, PY) - ref).max()
+        if not err <= 1e-8 * max(1.0, np.abs(ref).max()):
             raise ExpressionError(
-                f"coefficient '{name}' is not a polynomial of degree <= 2")
+                f"coefficient '{name}' is not a finite polynomial of degree <= 2")
         tables[name] = table
     return PdeCoefficients(**tables)
 

@@ -26,16 +26,11 @@ from ._linalg import BandedLU
 from .errors import SingularOperatorError
 from .quadmap import (
     Quad,
-    BilinearMap,
     bilinear_coeffs,
-    det_cubed_table,
     det_polynomial,
     poly2d,
-    poly2d_add,
     poly2d_eval,
-    poly2d_mul,
     poly2d_trim,
-    TransformedCoeffs,
 )
 from . import ultra
 
@@ -44,12 +39,12 @@ from . import ultra
 # PDE coefficients
 
 
-def _coerce_table(v):
-    if np.isscalar(v):
-        return np.array([[float(v)]])
+def _coerce_table(name, v):
     t = poly2d(v)
     if t.shape[0] > 3 or t.shape[1] > 3:
         raise ValueError("PDE coefficient tables are limited to degree 2 per variable")
+    if not np.all(np.isfinite(t)):
+        raise ValueError(f"PDE coefficient {name} is not finite")
     return t
 
 
@@ -69,7 +64,7 @@ class PdeCoefficients:
 
     def __post_init__(self):
         for f in fields(self):
-            object.__setattr__(self, f.name, _coerce_table(getattr(self, f.name)))
+            object.__setattr__(self, f.name, _coerce_table(f.name, getattr(self, f.name)))
 
     @classmethod
     def poisson(cls):
@@ -82,16 +77,6 @@ class PdeCoefficients:
             raise ValueError(
                 f"screening constant must be finite and nonnegative, not {k2}")
         return cls(c=-float(k2))
-
-    def ellipticity_margin(self, quad, m=8):
-        """Sampled uniform-ellipticity diagnostic: the minimum over an
-        m-by-m grid of ``min(a11, a11*a22 - a12^2)``.  Positive means the
-        operator looks uniformly elliptic on the element."""
-        X, Y = grid_points(bilinear_coeffs(quad), m)
-        a11 = poly2d_eval(self.a11, X, Y)
-        a12 = poly2d_eval(self.a12, X, Y)
-        a22 = poly2d_eval(self.a22, X, Y)
-        return float(min(a11.min(), (a11 * a22 - a12 ** 2).min()))
 
 
 # ----------------------------------------------------------------------
@@ -230,33 +215,6 @@ def point_derivative_rows(bm, n, r, s):
 # interior operator assembly
 
 
-def _pullback(table_xy, bm):
-    """Compose a physical-coordinate monomial table with the bilinear map,
-    yielding a monomial table in (r, s)."""
-    T = poly2d(table_xy)
-    X, Y = bm.x_table, bm.y_table
-    xp = [np.array([[1.0]])]
-    for _ in range(T.shape[0] - 1):
-        xp.append(poly2d_mul(xp[-1], X))
-    yp = [np.array([[1.0]])]
-    for _ in range(T.shape[1] - 1):
-        yp.append(poly2d_mul(yp[-1], Y))
-    out = np.zeros((1, 1))
-    for i in range(T.shape[0]):
-        for j in range(T.shape[1]):
-            if T[i, j] != 0.0:
-                out = poly2d_add(out, T[i, j] * poly2d_mul(xp[i], yp[j]))
-    return out
-
-
-def _mono_to_cheb_table(P):
-    """Chebyshev tensor coefficients ``C[i_s, j_r]`` of a monomial table."""
-    P = poly2d(P)
-    R, S = np.meshgrid(ultra.cheb_points(max(P.shape[0], 2)),
-                       ultra.cheb_points(max(P.shape[1], 2)))
-    return ultra.vals_to_coeffs_2d(poly2d_eval(P, R, S))  # from P(r_j, s_i)
-
-
 def _multipliers(C, lam, n):
     """Stacks ``T_j(X_lam)`` and ``M_lam(C[:, j])`` over the nonzero columns
     ``j`` of a Chebyshev tensor table ``C[i_s, j_r]``: multiplying a
@@ -316,23 +274,60 @@ def _kron_factors(n):
             "r": (S1D1, SS), "s": (SS, S1D1), "id": (SS, SS)}
 
 
+def _degree(P):
+    """Total degree of a monomial table, -inf for the zero table."""
+    i, j = np.nonzero(P)
+    return max(i + j, default=-np.inf)
+
+
 def _reference_tables(pde, bm):
     """Chebyshev tensor tables ``C[i_s, j_r]`` of the polynomial multiplying
-    each reference derivative in ``det^3 L(u)``."""
-    tc = TransformedCoeffs(bm)
-    pulled = {f.name: _pullback(getattr(pde, f.name), bm) for f in fields(pde)}
-    paths = {}
-    for ref in ("rr", "rs", "ss", "r", "s"):
-        paths[ref] = poly2d_add(
-            poly2d_add(poly2d_mul(pulled["a11"], tc.xx[ref]),
-                       poly2d_mul(pulled["a12"], tc.xy[ref])),
-            poly2d_mul(pulled["a22"], tc.yy[ref]))
-        if ref in ("r", "s"):
-            paths[ref] = poly2d_add(paths[ref], poly2d_add(
-                poly2d_mul(pulled["b1"], tc.x[ref]), poly2d_mul(pulled["b2"], tc.y[ref])))
-    paths["id"] = poly2d_mul(pulled["c"], tc.det3)
-    return {ref: poly2d_trim(_mono_to_cheb_table(poly2d_trim(t, rel=1e-15)), rel=1e-14)
-            for ref, t in paths.items()}
+    each reference derivative in ``det^3 L(u)``.
+
+    Each is a polynomial of known degree in (r, s), so it is sampled on one
+    Chebyshev grid, transformed, and cropped to that degree: what lies
+    beyond it is rounding noise."""
+    deg = {f.name: _degree(getattr(pde, f.name)) for f in fields(pde)}
+    # at least 4 + the largest PDE degree points; 2^k + 1 of them make the
+    # transform a power-of-two FFT, which is exact on constant samples
+    t = ultra.cheb_points(1 + 2 ** int(2 + max(0, *deg.values())).bit_length())
+    r, s = np.meshgrid(t, t)
+    x, y = bm(r, s)
+    a11, a12, a22, b1, b2, c = (poly2d_eval(getattr(pde, f.name), x, y) for f in fields(pde))
+    det = det_polynomial(bm)
+    # det from its linear form: Xr Ys - Xs Yr cancels on slivers
+    D, dr, ds = det(r, s), det.dr, det.ds
+    # det times the gradients of r and s: r_x = Ys/det, r_y = -Xs/det,
+    # s_x = -Yr/det, s_y = Xr/det
+    p1, p2 = bm.c2 + bm.d2 * r, -(bm.c1 + bm.d1 * r)
+    q1, q2 = -(bm.b2 + bm.d2 * s), bm.b1 + bm.d1 * s
+
+    def grad_cleared(P, Pr, Ps):
+        # det^3 grad(P/det) for P linear in r (or s) with derivatives Pr, Ps
+        gr, gs = Pr * D - P * dr, Ps * D - P * ds
+        return gr * p1 + gs * q1, gr * p2 + gs * q2
+
+    (rxx, rxy), (_, ryy) = grad_cleared(p1, bm.d2, 0.0), grad_cleared(p2, -bm.d1, 0.0)
+    (sxx, sxy), (_, syy) = grad_cleared(q1, 0.0, -bm.d2), grad_cleared(q2, 0.0, bm.d1)
+    vals = {
+        "rr": D * (a11 * p1 * p1 + a12 * p1 * p2 + a22 * p2 * p2),
+        "rs": D * (2.0 * a11 * p1 * q1 + a12 * (p1 * q2 + p2 * q1) + 2.0 * a22 * p2 * q2),
+        "ss": D * (a11 * q1 * q1 + a12 * q1 * q2 + a22 * q2 * q2),
+        "r": a11 * rxx + a12 * rxy + a22 * ryy + D * D * (b1 * p1 + b2 * p2),
+        "s": a11 * sxx + a12 * sxy + a22 * syy + D * D * (b1 * q1 + b2 * q2),
+        "id": c * (D * D * D),
+    }
+    # degrees (in s, in r) of each term before its PDE factor, whose degree
+    # adds to both; zero PDE fields drop out
+    a, b = ("a11", "a12", "a22"), ("b1", "b2")
+    terms = {"rr": [(1, 3, a)], "rs": [(2, 2, a)], "ss": [(3, 1, a)],
+             "r": [(1, 1, a), (2, 3, b)], "s": [(1, 1, a), (3, 2, b)], "id": [(3, 3, ("c",))]}
+    tables = {}
+    for ref, C in zip(vals, ultra.vals_to_coeffs_2d(np.stack(list(vals.values())))):
+        ks, kr = np.max([(i + deg[f], j + deg[f]) for i, j, names in terms[ref] for f in names],
+                        axis=0, initial=0).astype(int)
+        tables[ref] = poly2d_trim(C[: ks + 1, : kr + 1], rel=1e-14)
+    return tables
 
 
 def element_interior_operator(pde, quad, n):
@@ -508,6 +503,10 @@ def assemble_element_operator(pde, quad, n, rows=None):
 # right-hand sides
 
 
+# the operator whose identity table is det^3 alone
+_DET_CUBED = PdeCoefficients(a11=0.0, a22=0.0, c=1.0)
+
+
 def element_rhs_operator(quad, n):
     """Sparse operator taking the Chebyshev coefficients of a sampled
     forcing to the parameter-2 coefficients of ``det^3 * f``: the det^3
@@ -517,7 +516,7 @@ def element_rhs_operator(quad, n):
     hold zeros that CSR skips."""
     if not isinstance(quad, Quad):
         quad = Quad(quad)
-    det3 = _mono_to_cheb_table(det_cubed_table(bilinear_coeffs(quad)))
+    det3 = _reference_tables(_DET_CUBED, bilinear_coeffs(quad))["id"]
     T, M = _multipliers(det3, 0, n)
     S = _kron_factors(n)["id"][0]
     return _kron_sum(S @ T, S @ M).tocsr()

@@ -174,10 +174,6 @@ class QuadMesh:
         """Global edge number of local edge ``l`` of quad ``f``."""
         return int(self.quad_edge[f, l])
 
-    def global_edge_location(self, e):
-        """All local addresses ``(quad, local_edge)`` of global edge ``e``."""
-        return [(f, l) for (f, l, _) in self.edge_quads[e]]
-
     def __repr__(self):
         return (f"QuadMesh(V={self.n_vertices}, E={self.n_edges}, "
                 f"F={self.n_quads}, interior_edges={self.n_interior_edges})")

@@ -2,17 +2,18 @@
 
 The reference square ``[-1, 1]^2`` with coordinates ``(r, s)`` is mapped
 to a physical quadrilateral by a bilinear map.  All inverse-map
-derivatives are rational with the (linear) Jacobian determinant in the
-denominator; multiplying through by ``det^3`` turns every coefficient
-appearing in a transformed second-order operator into a low-degree
-bivariate polynomial.  Those cleared polynomial tables are produced here.
+derivatives are rational with the (linear) Jacobian determinant
+:func:`det_polynomial` in the denominator; multiplying through by
+``det^3`` turns every coefficient appearing in a transformed second-order
+operator into a low-degree bivariate polynomial, which
+:mod:`ultrasem.element` samples.
 
 :func:`bilinear_coeffs` also maps a stack of quadrilaterals at once, into
 one :class:`BilinearMap` with an array entry per quad in every field;
 indexing it (``maps[f]``, ``maps[:, None, None]``) indexes every field.
 
-Polynomial tables are monomial-basis coefficient arrays ``P[i, j]``
-multiplying ``r^i s^j``.
+PDE coefficient tables are monomial-basis arrays ``P[i, j]`` multiplying
+``x^i y^j`` (the ``poly2d`` helpers).
 """
 
 from dataclasses import dataclass, fields
@@ -29,40 +30,6 @@ from .errors import GeometryError
 def poly2d(table):
     """Coerce to a float monomial table ``P[i, j]`` of ``r^i s^j``."""
     return np.atleast_2d(np.asarray(table, dtype=float))
-
-
-def poly2d_add(P, Q):
-    P, Q = poly2d(P), poly2d(Q)
-    nr = max(P.shape[0], Q.shape[0])
-    ns = max(P.shape[1], Q.shape[1])
-    out = np.zeros((nr, ns))
-    out[: P.shape[0], : P.shape[1]] += P
-    out[: Q.shape[0], : Q.shape[1]] += Q
-    return out
-
-
-def poly2d_mul(P, Q):
-    P, Q = poly2d(P), poly2d(Q)
-    out = np.zeros((P.shape[0] + Q.shape[0] - 1, P.shape[1] + Q.shape[1] - 1))
-    for i in range(P.shape[0]):
-        for j in range(P.shape[1]):
-            if P[i, j] != 0.0:
-                out[i : i + Q.shape[0], j : j + Q.shape[1]] += P[i, j] * Q
-    return out
-
-
-def poly2d_diff_r(P):
-    P = poly2d(P)
-    if P.shape[0] == 1:
-        return np.zeros((1, P.shape[1]))
-    return P[1:, :] * np.arange(1, P.shape[0])[:, None]
-
-
-def poly2d_diff_s(P):
-    P = poly2d(P)
-    if P.shape[1] == 1:
-        return np.zeros((P.shape[0], 1))
-    return P[:, 1:] * np.arange(1, P.shape[1])[None, :]
 
 
 def poly2d_eval(P, r, s):
@@ -197,14 +164,6 @@ class BilinearMap:
         y = self.a2 + self.b2 * r + self.c2 * s + self.d2 * r * s
         return x, y
 
-    @property
-    def x_table(self):
-        return np.array([[self.a1, self.c1], [self.b1, self.d1]])
-
-    @property
-    def y_table(self):
-        return np.array([[self.a2, self.c2], [self.b2, self.d2]])
-
 
 @dataclass(frozen=True)
 class DetPolynomial:
@@ -213,10 +172,6 @@ class DetPolynomial:
     const: float
     dr: float
     ds: float
-
-    @property
-    def table(self):
-        return np.array([[self.const, self.ds], [self.dr, 0.0]])
 
     def __call__(self, r, s):
         return self.const + self.dr * np.asarray(r, dtype=float) + self.ds * np.asarray(s, dtype=float)
@@ -250,78 +205,3 @@ def det_polynomial(bm):
         dr=bm.b1 * bm.d2 - bm.b2 * bm.d1,
         ds=bm.c2 * bm.d1 - bm.c1 * bm.d2,
     )
-
-
-def det_cubed_table(bm):
-    """Monomial table of ``det(r, s)^3``, the clearing factor, with entries
-    below 1e-15 of the largest dropped."""
-    D = det_polynomial(bm).table
-    return poly2d_trim(poly2d_mul(poly2d_mul(D, D), D), rel=1e-15)
-
-
-class TransformedCoeffs:
-    """det^3-cleared polynomial coefficients of the pulled-back derivatives.
-
-    For each physical derivative path (``x``, ``y``, ``xx``, ``xy``,
-    ``yy``) holds a dict mapping reference-derivative names (``r``, ``s``,
-    ``rr``, ``rs``, ``ss``) to monomial tables ``P`` such that, e.g.::
-
-        det(r,s)^3 * u_xx = P_rr * u_rr + P_rs * u_rs + P_ss * u_ss
-                            + P_r * u_r + P_s * u_s
-
-    holds identically.  ``det3`` is the table of ``det(r, s)^3`` (the
-    clearing factor itself, multiplying undifferentiated terms).  Every
-    table has degree at most 3 in each variable.
-    """
-
-    def __init__(self, bm):
-        D = det_polynomial(bm).table
-        Dr, Ds = poly2d_diff_r(D), poly2d_diff_s(D)
-        Xr = np.array([[bm.b1, bm.d1]])  # b1 + d1 s  (s-power along axis 1)
-        Xs = np.array([[bm.c1], [bm.d1]])  # c1 + d1 r
-        Yr = np.array([[bm.b2, bm.d2]])
-        Ys = np.array([[bm.c2], [bm.d2]])
-
-        def ddx_cleared(P):
-            # det^3 * d/dx (P / det), for polynomial P
-            Pr, Ps = poly2d_diff_r(P), poly2d_diff_s(P)
-            t1 = poly2d_add(poly2d_mul(Pr, D), -poly2d_mul(P, Dr))
-            t2 = poly2d_add(poly2d_mul(Ps, D), -poly2d_mul(P, Ds))
-            return poly2d_add(poly2d_mul(t1, Ys), -poly2d_mul(t2, Yr))
-
-        def ddy_cleared(P):
-            Pr, Ps = poly2d_diff_r(P), poly2d_diff_s(P)
-            t1 = poly2d_add(poly2d_mul(Pr, D), -poly2d_mul(P, Dr))
-            t2 = poly2d_add(poly2d_mul(Ps, D), -poly2d_mul(P, Ds))
-            return poly2d_add(-poly2d_mul(t1, Xs), poly2d_mul(t2, Xr))
-
-        det2 = poly2d_mul(D, D)
-        trim = lambda P: poly2d_trim(P, rel=1e-15)
-        # first derivatives: det^3 u_x = (Ys det^2) u_r - (Yr det^2) u_s, etc.
-        self.x = {"r": trim(poly2d_mul(Ys, det2)), "s": trim(-poly2d_mul(Yr, det2))}
-        self.y = {"r": trim(-poly2d_mul(Xs, det2)), "s": trim(poly2d_mul(Xr, det2))}
-        # second derivatives via the chain rule; r_x = Ys/det, s_x = -Yr/det,
-        # r_y = -Xs/det, s_y = Xr/det
-        self.xx = {
-            "rr": trim(poly2d_mul(poly2d_mul(Ys, Ys), D)),
-            "rs": trim(-2.0 * poly2d_mul(poly2d_mul(Ys, Yr), D)),
-            "ss": trim(poly2d_mul(poly2d_mul(Yr, Yr), D)),
-            "r": trim(ddx_cleared(Ys)),
-            "s": trim(ddx_cleared(-Yr)),
-        }
-        self.xy = {
-            "rr": trim(-poly2d_mul(poly2d_mul(Ys, Xs), D)),
-            "rs": trim(poly2d_add(poly2d_mul(poly2d_mul(Ys, Xr), D),
-                                  poly2d_mul(poly2d_mul(Yr, Xs), D))),
-            "ss": trim(-poly2d_mul(poly2d_mul(Yr, Xr), D)),
-            "r": trim(ddy_cleared(Ys)),
-            "s": trim(ddy_cleared(-Yr)),
-        }
-        self.yy = {
-            "rr": trim(poly2d_mul(poly2d_mul(Xs, Xs), D)),
-            "rs": trim(-2.0 * poly2d_mul(poly2d_mul(Xs, Xr), D)),
-            "ss": trim(poly2d_mul(poly2d_mul(Xr, Xr), D)),
-            "r": trim(ddy_cleared(-Xs)),
-            "s": trim(ddy_cleared(Xr)),
-        }
-        self.det3 = det_cubed_table(bm)

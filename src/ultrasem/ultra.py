@@ -163,28 +163,6 @@ def _coeffs_to_vals_along(coeffs, axis):
     return np.flip(v, axis=axis)
 
 
-def vals_to_coeffs(values, n=None):
-    """Chebyshev coefficients of the interpolant through ``values`` sampled
-    on the ascending :func:`cheb_points` grid of matching length."""
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1:
-        raise ValueError("expected a 1-D value array")
-    if n is not None and v.size != n:
-        raise ValueError(f"expected {n} values, got {v.size}")
-    return _vals_to_coeffs_along(v, 0)
-
-
-def coeffs_to_vals(coeffs, n=None):
-    """Values of the Chebyshev series on the ascending grid of matching
-    length.  Inverse of :func:`vals_to_coeffs` up to roundoff."""
-    c = np.asarray(coeffs, dtype=float)
-    if c.ndim != 1:
-        raise ValueError("expected a 1-D coefficient array")
-    if n is not None and c.size != n:
-        raise ValueError(f"expected {n} coefficients, got {c.size}")
-    return _coeffs_to_vals_along(c, 0)
-
-
 def vals_to_coeffs_2d(values):
     """Tensor Chebyshev coefficients ``A[..., i, j]`` (of ``T_i(s) T_j(r)``)
     from grid values ``V[..., i, j] = u(r_j, s_i)`` on the ascending tensor

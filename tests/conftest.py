@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from ultrasem.mesh import build_mesh, mesh_from_string
+from ultrasem.mesh import build_mesh, grid_mesh, mesh_from_string
 
 # mesh property tests (``@settings(PROPERTIES)``): few examples, drawn
 # the same way every run, so that their cost stays small and fixed
@@ -60,6 +60,16 @@ def _hull(pts):
         if len(hull) > len(pts):
             break
     return hull
+
+
+def jiggled_grid(nx, ny, rng):
+    """``grid_mesh(nx, ny)`` with every interior vertex moved at random."""
+    mesh = grid_mesh(nx, ny)
+    v = mesh.vertices.copy()
+    for k in range(len(v)):
+        if not mesh.boundary_vertex[k]:
+            v[k] += rng.uniform(-0.08, 0.08, size=2) / max(nx, ny)
+    return build_mesh(v, mesh.quads)
 
 
 def skinny_pair_mesh(eps):

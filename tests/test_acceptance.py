@@ -143,8 +143,7 @@ class TestAcceptance:
         # interface jump at 50 points along the shared edge
         e = mesh.interior_edges[0]
         traces = []
-        for (f, l) in mesh.global_edge_location(e):
-            aligned = mesh.quad_edge_aligned[f, l]
+        for (f, l, aligned) in mesh.edge_quads[e]:
             traces.append(sols[f].eval(*edge_point(l, aligned, np.linspace(-1, 1, 50))))
         jump = np.max(np.abs(traces[0] - traces[1]))
         assert jump <= 1e-10

@@ -153,6 +153,13 @@ class TestSolve:
                      "--pde", "general:a11=exp(x)"])
         assert code == EXIT_FORMAT
 
+    @pytest.mark.parametrize("value", ["1/0", "0/0", "1/(x-x)"])
+    def test_general_pde_rejects_nonfinite(self, value, square_mesh_path, capsys):
+        code = main(["solve", "--mesh", square_mesh_path,
+                     "--pde", f"general:a11={value};a22=1"])
+        assert code == EXIT_FORMAT
+        assert "coefficient 'a11' is not a finite polynomial" in capsys.readouterr().err
+
     def test_n_too_small_rejected(self, square_mesh_path):
         assert main(["solve", "--mesh", square_mesh_path, "--n", "2"]) == EXIT_FORMAT
 

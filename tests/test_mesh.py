@@ -81,9 +81,9 @@ class TestBuildMesh:
         for f in range(mesh.n_quads):
             for l in range(4):
                 e = mesh.local_edge(f, l)
-                assert (f, l) in mesh.global_edge_location(e)
+                assert (f, l) in [(g, k) for g, k, _ in mesh.edge_quads[e]]
         for e in range(mesh.n_edges):
-            for f, l in mesh.global_edge_location(e):
+            for f, l, _ in mesh.edge_quads[e]:
                 assert mesh.local_edge(f, l) == e
 
     def test_vertex_list_completeness(self):

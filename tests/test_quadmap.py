@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
+from numpy.polynomial.chebyshev import chebval2d
+
+from ultrasem.element import PdeCoefficients, _reference_tables
 from ultrasem.errors import GeometryError
 from ultrasem.quadmap import (
     BilinearMap,
     Quad,
-    TransformedCoeffs,
     bilinear_coeffs,
     det_polynomial,
     inradius,
-    poly2d_eval,
     quad_defect,
 )
 
@@ -229,31 +230,45 @@ def inverse_first_derivs(bm, x, y):
     return {"rx": Jinv[0, 0], "ry": Jinv[0, 1], "sx": Jinv[1, 0], "sy": Jinv[1, 1]}
 
 
+# one-field operators, each isolating one physical derivative, so that the
+# det^3-cleared reference tables of the operator are those of the derivative
+PATHS = {"xx": PdeCoefficients(a22=0.0), "xy": PdeCoefficients(a11=0.0, a12=1.0, a22=0.0),
+         "yy": PdeCoefficients(a11=0.0), "x": PdeCoefficients(a11=0.0, a22=0.0, b1=1.0),
+         "y": PdeCoefficients(a11=0.0, a22=0.0, b2=1.0),
+         "id": PdeCoefficients(a11=0.0, a22=0.0, c=1.0)}
+
+
+def cleared(path, bm, r, s):
+    """Values at reference points of the det^3-cleared coefficient of each
+    reference derivative in one physical derivative."""
+    return {ref: chebval2d(s, r, C) for ref, C in _reference_tables(PATHS[path], bm).items()}
+
+
 class TestTransformedCoeffs:
+    """The det^3-cleared coefficients of the pulled-back operator, as the
+    element assembly samples them."""
+
     def test_identity_map(self):
-        tc = TransformedCoeffs(bilinear_coeffs(Quad(REF_SQUARE)))
-        assert poly2d_eval(tc.xx["rr"], 0.2, -0.3) == 1.0
-        for key in ("rs", "ss", "r", "s"):
-            assert np.all(tc.xx[key] == 0.0)
-        for key in ("rr", "rs", "r", "s"):
-            assert np.all(tc.yy[key] == 0.0)
-        assert poly2d_eval(tc.yy["ss"], 0.0, 0.0) == 1.0
-        assert poly2d_eval(tc.x["r"], 0.5, 0.5) == 1.0
-        assert np.all(tc.x["s"] == 0.0)
-        assert poly2d_eval(tc.det3, -0.1, 0.9) == 1.0
+        bm = bilinear_coeffs(Quad(REF_SQUARE))
+        for path, ref in (("xx", "rr"), ("xy", "rs"), ("yy", "ss"), ("x", "r"),
+                          ("y", "s"), ("id", "id")):
+            for key, C in _reference_tables(PATHS[path], bm).items():
+                assert C.shape == (1, 1)
+                if key == ref:
+                    assert abs(C[0, 0] - 1.0) <= 1e-15
+                else:
+                    assert C[0, 0] == 0.0
 
     def test_diagonal_scaling(self):
         # x = 2r, y = s: det = 2, det^3 u_xx has u_rr coefficient 2
-        quad = Quad([(2, 1), (-2, 1), (-2, -1), (2, -1)])
-        tc = TransformedCoeffs(bilinear_coeffs(quad))
-        assert abs(poly2d_eval(tc.xx["rr"], 0.0, 0.0) - 2.0) < 1e-15
+        bm = bilinear_coeffs(Quad([(2, 1), (-2, 1), (-2, -1), (2, -1)]))
+        assert abs(cleared("xx", bm, 0.0, 0.0)["rr"] - 2.0) < 1e-15
 
     def test_against_newton_fd_oracle(self, rng):
         for _ in range(5):
             v = random_convex_quad(rng)
             bm = bilinear_coeffs(Quad(v))
             det = det_polynomial(bm)
-            tc = TransformedCoeffs(bm)
             for _ in range(5):
                 r, s = rng.uniform(-0.8, 0.8, size=2)
                 x, y = bm(r, s)
@@ -270,13 +285,13 @@ class TestTransformedCoeffs:
                 fd["s_xy"] = (dyp["sx"] - dym["sx"]) / (2 * h)
                 fd["r_yy"] = (dyp["ry"] - dym["ry"]) / (2 * h)
                 fd["s_yy"] = (dyp["sy"] - dym["sy"]) / (2 * h)
-                pairs = [(tc.xx["r"], fd["r_xx"]), (tc.xx["s"], fd["s_xx"]),
-                         (tc.xy["r"], fd["r_xy"]), (tc.xy["s"], fd["s_xy"]),
-                         (tc.yy["r"], fd["r_yy"]), (tc.yy["s"], fd["s_yy"])]
+                xx, xy, yy = (cleared(path, bm, r, s) for path in ("xx", "xy", "yy"))
+                pairs = [(xx["r"], fd["r_xx"]), (xx["s"], fd["s_xx"]),
+                         (xy["r"], fd["r_xy"]), (xy["s"], fd["s_xy"]),
+                         (yy["r"], fd["r_yy"]), (yy["s"], fd["s_yy"])]
                 scale = max(abs(val) for _, val in pairs) + 1.0
-                for table, want in pairs:
-                    got = poly2d_eval(table, r, s) / d3
-                    assert abs(got - want) < 1e-8 * scale
+                for value, want in pairs:
+                    assert abs(value / d3 - want) < 1e-8 * scale
 
     def test_chain_rule_exact_for_quadratics(self, rng):
         # det^3-cleared identities hold exactly for u = x^2, y^2, x*y, ...
@@ -293,7 +308,7 @@ class TestTransformedCoeffs:
         for _ in range(10):
             v = random_convex_quad(rng)
             bm = bilinear_coeffs(Quad(v))
-            tc = TransformedCoeffs(bm)
+            tables = {path: cleared(path, bm, R, S) for path in PATHS}
             X, Y = bm(R, S)
             det3 = det_polynomial(bm)(R, S) ** 3
             for u, ux, uy, uxx, uxy, uyy in polys:
@@ -308,25 +323,24 @@ class TestTransformedCoeffs:
                 uss = uxx * xs * xs + 2 * uxy * xs * ys + uyy * ys * ys
                 urs = (uxx * xr * xs + uxy * (xr * ys + xs * yr)
                        + uyy * yr * ys + ux(X, Y) * bm.d1 + uy(X, Y) * bm.d2)
-                for tabs, want in ((tc.xx, det3 * uxx), (tc.xy, det3 * uxy),
-                                   (tc.yy, det3 * uyy)):
-                    got = (poly2d_eval(tabs["rr"], R, S) * urr
-                           + poly2d_eval(tabs["rs"], R, S) * urs
-                           + poly2d_eval(tabs["ss"], R, S) * uss
-                           + poly2d_eval(tabs["r"], R, S) * ur
-                           + poly2d_eval(tabs["s"], R, S) * us)
-                    scale = np.abs(want).max() + np.abs(det3).max()
-                    assert np.max(np.abs(got - want)) < 1e-12 * scale
-                for tabs, want in ((tc.x, det3 * ux(X, Y)), (tc.y, det3 * uy(X, Y))):
-                    got = (poly2d_eval(tabs["r"], R, S) * ur
-                           + poly2d_eval(tabs["s"], R, S) * us)
+                ref = {"rr": urr, "rs": urs, "ss": uss, "r": ur, "s": us, "id": u(X, Y)}
+                for path, want in (("xx", det3 * uxx), ("xy", det3 * uxy),
+                                   ("yy", det3 * uyy), ("x", det3 * ux(X, Y)),
+                                   ("y", det3 * uy(X, Y)), ("id", det3 * u(X, Y))):
+                    got = sum(tables[path][key] * ref[key] for key in ref)
                     scale = np.abs(want).max() + np.abs(det3).max()
                     assert np.max(np.abs(got - want)) < 1e-12 * scale
 
     def test_tables_degree_bounded(self, rng):
-        v = random_convex_quad(rng)
-        tc = TransformedCoeffs(bilinear_coeffs(Quad(v)))
-        for group in (tc.x, tc.y, tc.xx, tc.xy, tc.yy):
-            for table in group.values():
-                assert table.shape[0] <= 4 and table.shape[1] <= 4
-        assert tc.det3.shape == (4, 4)
+        # shapes (in s, in r) on a generic quad: each term's degree plus
+        # the degree of its PDE coefficient, here y^2 for the last operator
+        bm = bilinear_coeffs(Quad(random_convex_quad(rng)))
+        want = {"xx": {"rr": (2, 4), "rs": (3, 3), "ss": (4, 2), "r": (2, 2), "s": (2, 2)},
+                "x": {"r": (3, 4), "s": (4, 3)},
+                "id": {"id": (4, 4)}}
+        for path, shapes in want.items():
+            tables = _reference_tables(PATHS[path], bm)
+            assert {ref: C.shape for ref, C in tables.items() if C.any()} == shapes
+        tables = _reference_tables(PdeCoefficients(a11=[[0.0, 0.0, 1.0]], a22=0.0), bm)
+        assert {ref: C.shape for ref, C in tables.items() if C.any()} == {
+            "rr": (4, 6), "rs": (5, 5), "ss": (6, 4), "r": (4, 4), "s": (4, 4)}

@@ -29,6 +29,7 @@ from conftest import (
     VARCOEF,
     edge_point,
     eval_on_grid,
+    jiggled_grid,
     mixed_mesh,
     skinny_pair_mesh,
 )
@@ -48,7 +49,7 @@ class TestCoupling:
         # derivatives added, or values subtracted), so one smooth global
         # polynomial, exact on every element, leaves nothing
         mesh = {"grid": lambda: grid_mesh(3, 2),
-                "jiggled": lambda: _jiggled_grid(3, 3, np.random.default_rng(7)),
+                "jiggled": lambda: jiggled_grid(3, 3, np.random.default_rng(7)),
                 "tunnel": tunnel_mesh}[case]()
         n = 8
         sys = assemble_schur(mesh, POISSON, n)
@@ -378,7 +379,7 @@ class TestGlobalContinuity:
         # jiggled grids, random polynomial manufactured solutions
         for trial in range(4):
             nx, ny = [(3, 2), (4, 3), (2, 2), (3, 3)][trial]
-            mesh = _jiggled_grid(nx, ny, rng)
+            mesh = jiggled_grid(nx, ny, rng)
             cx = rng.uniform(-1, 1, size=(3, 3))
             uex = lambda x, y: sum(cx[i, j] * x ** i * y ** j
                                    for i in range(3) for j in range(3))
@@ -396,15 +397,6 @@ class TestGlobalContinuity:
             sols = sys.solve(f=fex, dirichlet=uex)
             assert eval_on_grid(sys, sols, uex) < 1e-9
             _check_jumps(sys, sols, value_tol=1e-10, deriv_tol=1e-8)
-
-
-def _jiggled_grid(nx, ny, rng):
-    mesh = grid_mesh(nx, ny)
-    v = mesh.vertices.copy()
-    for k in range(len(v)):
-        if not mesh.boundary_vertex[k]:
-            v[k] += rng.uniform(-0.08, 0.08, size=2) / max(nx, ny)
-    return build_mesh(v, mesh.quads)
 
 
 def _check_jumps(sys, sols, value_tol, deriv_tol):
@@ -622,7 +614,7 @@ def test_random_jiggled_grid_properties(nx, ny, n, seed):
     # the Schur solve matches the dense oracle, and renumbering the quads
     # moves the solution with its elements
     rng = np.random.default_rng(seed)
-    mesh = _jiggled_grid(nx, ny, rng)
+    mesh = jiggled_grid(nx, ny, rng)
     a, b = rng.uniform(-2, 2, 2)
     f = lambda x, y: np.sin(a * x + b * y) + x * y
     g = lambda x, y: np.cos(b * x - a * y)

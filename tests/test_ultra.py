@@ -158,29 +158,33 @@ class TestChebPoints:
 
 class TestTransforms:
     def test_constant(self):
-        c = ultra.vals_to_coeffs(np.full(7, 3.25))
-        want = np.zeros(7)
-        want[0] = 3.25
+        c = ultra.vals_to_coeffs_2d(np.full((7, 5), 3.25))
+        want = np.zeros((7, 5))
+        want[0, 0] = 3.25
         assert np.max(np.abs(c - want)) < 1e-15
 
     def test_basis_reproduction(self):
+        # T_2(s) T_1(r) and T_0(s) T_2(r)
         for n in (3, 6, 11):
-            vals = np.polynomial.chebyshev.chebval(ultra.cheb_points(n), [0, 0, 1])
-            c = ultra.vals_to_coeffs(vals)
-            want = np.zeros(n)
-            want[2] = 1.0
-            assert np.max(np.abs(c - want)) < 1e-14
+            t = ultra.cheb_points(n)
+            R, S = np.meshgrid(t, t)
+            for i, j in ((2, 1), (0, 2)):
+                want = np.zeros((n, n))
+                want[i, j] = 1.0
+                c = ultra.vals_to_coeffs_2d(np.polynomial.chebyshev.chebval2d(S, R, want))
+                assert np.max(np.abs(c - want)) < 1e-14
 
     @settings(deadline=None, max_examples=25)
-    @given(st.integers(min_value=2, max_value=40), st.integers())
-    def test_round_trip(self, n, seed):
-        v = np.random.default_rng(abs(seed) % 2 ** 32).standard_normal(n)
-        back = ultra.coeffs_to_vals(ultra.vals_to_coeffs(v))
+    @given(st.integers(min_value=2, max_value=40), st.integers(min_value=2, max_value=9),
+           st.integers())
+    def test_round_trip(self, n, m, seed):
+        v = np.random.default_rng(abs(seed) % 2 ** 32).standard_normal((m, n))
+        back = ultra.coeffs_to_vals_2d(ultra.vals_to_coeffs_2d(v))
         assert np.max(np.abs(back - v)) < 1e-13 * max(1.0, np.abs(v).max())
 
     def test_round_trip_n33(self):
-        v = np.random.default_rng(7).standard_normal(33)
-        back = ultra.coeffs_to_vals(ultra.vals_to_coeffs(v))
+        v = np.random.default_rng(7).standard_normal((2, 33, 33))
+        back = ultra.coeffs_to_vals_2d(ultra.vals_to_coeffs_2d(v))
         assert np.max(np.abs(back - v)) < 1e-13 * np.abs(v).max()
 
     def test_2d_round_trip_and_values(self):
@@ -195,7 +199,7 @@ class TestTransforms:
 
     def test_dimension_checks(self):
         with pytest.raises(ValueError):
-            ultra.vals_to_coeffs(np.zeros((3, 3)))
+            ultra.vals_to_coeffs_2d(np.zeros(5))
         with pytest.raises(ValueError):
             ultra.coeffs_to_vals_2d(np.zeros(5))
 
