@@ -123,28 +123,37 @@ class CoeffVector2D:
 # n-1 in either variable.  Interior equation (i, j) (both <= n-3) is
 # stored at stacked slot (i+2) + n*(j+2), so the freed slots are exactly
 # the lowest-order coefficient positions (index 0 or 1 in either
-# variable), and the banded part keeps unit diagonal entries there.
+# variable), and the banded part keeps unit diagonal entries there.  The
+# slot maps are cached per n and shared by every caller: read only.
 
 
+@functools.lru_cache(maxsize=16)
 def interior_equation_rows(n):
     """(n-2)^2 rows of the full stacked operator holding the interior
     equations: entry ``i + (n-2)*j`` is row ``i + n*j`` of equation
     ``(i, j)``."""
     k = np.arange(n - 2)
-    return (k[:, None] + n * k[None, :]).ravel(order="F")
+    rows = (k[:, None] + n * k[None, :]).ravel(order="F")
+    rows.setflags(write=False)
+    return rows
 
 
+@functools.lru_cache(maxsize=16)
 def interior_slot_map(n):
     """(n-2)^2 stacked slot indices: entry ``i + (n-2)*j`` is the slot of
     interior equation ``(i, j)``."""
-    return interior_equation_rows(n) + 2 * (n + 1)
+    slots = interior_equation_rows(n) + 2 * (n + 1)
+    slots.setflags(write=False)
+    return slots
 
 
+@functools.lru_cache(maxsize=16)
 def boundary_slots(n):
     """Sorted stacked slots with either index below 2 (4n-4 of them)."""
     i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    mask = (i < 2) | (j < 2)
-    return np.sort((i + n * j)[mask].ravel())
+    slots = np.sort((i + n * j)[(i < 2) | (j < 2)])
+    slots.setflags(write=False)
+    return slots
 
 
 def edge_points(n):
@@ -459,16 +468,17 @@ class AlmostBandedMatrix:
         return y
 
 
-def assemble_element_operator(pde, quad, n, rows=None):
+def assemble_element_operator(pde, quad, n, rows=None, interior=None):
     """Bordered, row-scaled element operator.
 
     ``rows`` supplies the 4n-4 dense boundary rows in the counterclockwise
     traversal order of :func:`traversal_points`; by default they
-    are Dirichlet value rows at those points.  Row scaling normalizes
-    every row of the bordered matrix to unit sup norm and is recorded so
-    that solves can scale right-hand sides consistently.
+    are Dirichlet value rows at those points.  ``interior`` is the L of
+    :func:`element_interior_operator` (only read), built when None.  Row
+    scaling normalizes every row of the bordered matrix to unit sup norm
+    and is recorded so that solves can scale right-hand sides consistently.
     """
-    L = element_interior_operator(pde, quad, n)
+    L = element_interior_operator(pde, quad, n) if interior is None else interior
     nn = n * n
     slots = boundary_slots(n)
     if rows is None:

@@ -73,7 +73,9 @@ def compile_expression(text):
     _check(tree)
 
     def fn(x, y):
-        out = _eval(tree, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        # callers report non-finite values, with the point, as typed errors
+        with np.errstate(all="ignore"):
+            out = _eval(tree, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         return out + np.zeros_like(np.asarray(x, dtype=float))
 
     fn.source = text

@@ -32,17 +32,20 @@ interface complement
 are ordered well.  Solving it gives the interface values; every element
 solve then decouples and reuses its cached factorization.
 
-Elements whose inputs agree (translation-free map coefficients to
-``_SHARE_TOL`` times the inradius of the group's first element, the
-translation too when a PDE table varies, boundary row kinds exactly and
-the outward normals of Neumann edges to ``_SHARE_TOL``) form one group
-sharing an operator, factorization, right-hand-side operator and a W
-block per coupled-slot set, all built from the group's first element.
-Congruent elements whose coordinates round differently therefore share;
-elements with bitwise equal inputs get bit-identical operators and W
-blocks to building every element alone.  Setup is array operations over
-all elements and interior edges at once, with Python loops only over
-groups and W blocks; a solve runs one multi-column solve per group.
+Elements whose map coefficients agree (translation-free to
+``_SHARE_TOL`` times the inradius of the first, the translation too when
+a PDE table varies) form a geometry class sharing one interior operator
+L and one right-hand-side operator, built from that first element.  A
+class splits into groups that agree so with their first element, in
+boundary row kinds exactly and in Neumann edge normals to ``_SHARE_TOL``:
+a group borders L with its first element's rows and shares that
+factorization and a W block per coupled-slot set.  Congruent elements
+whose coordinates round differently therefore share; elements with
+bitwise equal inputs get bit-identical operators and W blocks to
+building every element alone.  Setup is array operations over all
+elements and interior edges at once, with Python loops only over
+classes, groups and W blocks; a solve multiplies by each class's
+right-hand-side operator once and runs one multi-column solve per group.
 """
 
 from dataclasses import dataclass, fields
@@ -57,6 +60,7 @@ from .element import (
     assemble_element_operator,
     boundary_slots,
     edge_points,
+    element_interior_operator,
     element_rhs_operator,
     grid_points,
     point_derivative_rows,
@@ -128,8 +132,9 @@ class SchurSystem:
     """Factored global solver for one mesh, operator and resolution.
 
     ``groups`` holds one ``(elements, op, rhs_op)`` triple per distinct
-    element operator (``n_distinct`` of them); ``ops`` is a per-element
-    list whose entries are shared between elements whose inputs agree.
+    element operator (``n_distinct`` of them; the groups of one geometry
+    class hold the same ``rhs_op``); ``ops`` is a per-element list whose
+    entries are shared between elements whose inputs agree.
     The coupling of the stacked element unknowns (length F n^2) to the
     interface vector is held as the sparse matrices ``A_gamma``,
     ``C_gamma`` and ``W_gamma`` (see the module docstring); a row of
@@ -191,35 +196,38 @@ class SchurSystem:
             # the first Neumann point in element order takes a value row
             self.point_kind.flat[np.argmax(self.point_kind == "neumann")] = "pin"
 
-        # Elements share an operator, boundary rows and right-hand-side
-        # operator when everything those are computed from (n is fixed per
-        # system) agrees to _SHARE_TOL: the translation-free map
-        # coefficients, the Neumann rows (exactly) and the outward normals
-        # of their edges, and the translation (a1, a2) only when a PDE table
-        # varies, the only case in which the tables pulled back to the
-        # element depend on it.  Each class is built from its representative.
+        # Geometry classes by the map coefficients alone, then groups within
+        # each (see the module docstring).  The translation (a1, a2) enters
+        # the key only when a PDE table varies, the only case in which the
+        # tables pulled back to the element depend on it.
         bm, neumann = self.maps, self.point_kind == "neumann"
         coeffs = [bm.b1, bm.c1, bm.d1, bm.b2, bm.c2, bm.d2]
         if any(getattr(self.pde, t.name).ravel()[1:].any() for t in fields(self.pde)):
             coeffs += [bm.a1, bm.a2]
+        coeffs, r_in, none = np.column_stack(coeffs), inradius(vertices), np.zeros((F, 1))
+        reps, cls = _share_classes(coeffs, none, none, r_in)
         self._normals = outward_normals(vertices)
         on_edge = neumann.reshape(F, 4, n - 1).any(axis=2)[..., None]
         normals = np.where(on_edge, self._normals, 0.0).reshape(F, 8)
-        leaders, self._group = _share_classes(np.column_stack(coeffs), normals, neumann,
-                                              inradius(vertices))
+        leaders, self._group = _share_classes(coeffs, normals,
+                                              np.column_stack([cls, neumann]), r_in)
         # each leader's boundary rows: value rows, with an outward
         # normal-derivative row at every Neumann point (point k lies on
-        # local edge k // (n-1))
-        local_edge = np.arange(4 * n - 4) // (n - 1)
+        # local edge k // (n-1)), formed for all leaders in one call
+        g, k = np.nonzero(neumann[leaders])
+        normal_rows = _normal_rows(bm[leaders[g]], self._normals[leaders[g], k // (n - 1)],
+                                   n, r[k], s[k])
         value_rows = point_value_row(n, r, s)
-        self.groups = []
-        for i, f in enumerate(leaders):
-            quad = mesh.element_quad(f)
-            rows, on = value_rows.copy(), neumann[f]
-            rows[on] = _normal_rows(bm[f], self._normals[f, local_edge[on]], n, r[on], s[on])
-            op = assemble_element_operator(self.pde, quad, n, rows=rows)
-            self.groups.append((np.flatnonzero(self._group == i), op,
-                                element_rhs_operator(quad, n)))
+        self._classes, self.groups = [], [None] * len(leaders)
+        for c, quad in enumerate(map(mesh.element_quad, reps)):
+            L = element_interior_operator(self.pde, quad, n)
+            rhs_op = element_rhs_operator(quad, n)
+            self._classes.append((np.flatnonzero(cls == c), rhs_op))
+            for i in np.flatnonzero(cls[leaders] == c):
+                rows = value_rows.copy()
+                rows[neumann[leaders[i]]] = normal_rows[g == i]
+                op = assemble_element_operator(self.pde, quad, n, rows=rows, interior=L)
+                self.groups[i] = (np.flatnonzero(self._group == i), op, rhs_op)
         self.n_distinct = len(self.groups)
         ops = np.array([op for _, op, _ in self.groups], dtype=object)
         self.ops = list(ops[self._group])
@@ -382,7 +390,7 @@ class SchurSystem:
                 raise ValueError(f"forcing is not finite on element {np.argmax(bad)}")
             # each element's coefficients stacked column by column
             C = ultra.vals_to_coeffs_2d(G).transpose(0, 2, 1).reshape(len(G), n * n)
-            for elems, _, rhs_op in self.groups:
+            for elems, rhs_op in self._classes:
                 rhs_full[elems] = (rhs_op @ C[elems].T).T
         values = np.zeros(self.point_kind.shape)
         for kind, src in (("dirichlet", dirichlet), ("neumann", neumann)):

@@ -17,6 +17,7 @@ from ultrasem.element import (
     edge_points,
     element_interior_operator,
     element_rhs_operator,
+    interior_equation_rows,
     interior_slot_map,
     operator_condition,
     point_derivative_rows,
@@ -341,6 +342,13 @@ class TestAlmostBanded:
         Ld = L.toarray()
         for k, m in enumerate(keep):
             assert np.max(np.abs(B[m] - op.scale[m] * Ld[src[k]])) < 1e-14
+
+    @pytest.mark.parametrize("slot_map", [boundary_slots, interior_slot_map,
+                                          interior_equation_rows])
+    def test_slot_maps_are_shared_read_only(self, slot_map):
+        assert slot_map(7) is slot_map(7)
+        with pytest.raises(ValueError, match="read-only"):
+            slot_map(7)[0] = 1
 
     def test_unit_selector_invariant(self):
         op = assemble_element_operator(POISSON, SQUARE, 8)

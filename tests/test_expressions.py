@@ -30,6 +30,14 @@ class TestGrammar:
         out = f(np.zeros((2, 2)), np.zeros((2, 2)))
         assert out.shape == (2, 2) and np.all(out == 3.0)
 
+    def test_nonfinite_values_are_returned_without_warning(self):
+        # the suite turns RuntimeWarning into an error: division by zero,
+        # 0/0 and overflow pass their values on quietly to the caller
+        out = compile_expression("1/x")(np.array([0.0, -0.0, 2.0]), np.zeros(3))
+        assert np.array_equal(out, [np.inf, -np.inf, 0.5])
+        assert np.isnan(compile_expression("0/x")(0.0, 0.0))
+        assert compile_expression("exp(1000*x)")(1.0, 0.0) == np.inf
+
 
 class TestRejections:
     @pytest.mark.parametrize("bad", [

@@ -12,6 +12,7 @@ from ultrasem.element import (
     PdeCoefficients,
     assemble_element_operator,
     boundary_slots,
+    element_rhs_operator,
     point_derivative_rows,
     point_value_row,
     traversal_points,
@@ -19,7 +20,12 @@ from ultrasem.element import (
 from ultrasem import schur
 from ultrasem.errors import BookkeepingError, GeometryError, SingularOperatorError
 from ultrasem.mesh import build_mesh, grid_mesh
-from ultrasem.navierstokes import tunnel_mesh
+from ultrasem.navierstokes import (
+    NsConfig,
+    TunnelSolver,
+    classify_tunnel_boundary,
+    tunnel_mesh,
+)
 from ultrasem.quadmap import bilinear_coeffs, outward_normals
 from ultrasem.schur import _row_groups, assemble_schur
 from ultrasem.ultra import cheb_points, vals_to_coeffs_2d
@@ -535,6 +541,38 @@ class TestSharedElements:
         # position-dependent coefficients: an element is its own class
         classes = {mesh.vertices[q].tobytes() for q in mesh.quads}
         assert sys.n_distinct == len(classes) == mesh.n_quads
+
+    def test_tunnel_builds_one_interior_operator_per_class(self, monkeypatch):
+        # the perfbench tunnel: one geometry class, 13 groups over three systems
+        calls = {"element_interior_operator": 0, "element_rhs_operator": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(schur, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(schur, name, counted)
+        mesh = tunnel_mesh(4, 3, width=0.003, height=0.001, hole=(1, 1))
+        solver = TunnelSolver(mesh, 8, NsConfig(dt=1.667e-5, dealias=False),
+                              classify_tunnel_boundary(mesh, (0.6, 0.0)))
+        systems = (solver.helm_u, solver.helm_v, solver.pois_p)
+        assert tuple(sys.n_distinct for sys in systems) == (6, 2, 5)
+        assert calls == {"element_interior_operator": 3, "element_rhs_operator": 3}
+        for sys in systems:
+            assert len({id(rhs_op) for _, _, rhs_op in sys.groups}) == 1
+
+    def test_groups_of_one_class_share_rhs_op_and_equal_their_own_builds(self):
+        # two groups, one class: each borders the class's interior operator
+        # with its own rows, which is the operator its leader builds alone
+        mesh, bottom = _grid_with_neumann_bottom()
+        sys = assemble_schur(mesh, POISSON, 6, bc={e: "neumann" for e in bottom})
+        assert sys.n_distinct == 2
+        (_, _, rhs1), (_, _, rhs2) = sys.groups
+        assert rhs1 is rhs2
+        for elems, op, rhs_op in sys.groups:
+            alone, _ = _fresh_element(sys, elems[0])
+            assert np.array_equal(op.to_dense(), alone.to_dense())
+            assert np.array_equal(op.scale, alone.scale)
+            want = element_rhs_operator(mesh.element_quad(elems[0]), sys.n)
+            assert (rhs_op != want).nnz == 0
 
     def test_congruent_grid_shares_one_operator(self):
         sys = assemble_schur(grid_mesh(8, 8), POISSON, 6)
