@@ -15,11 +15,8 @@ Equivalent CLI:
       --bc 0.6 --out frames
 """
 
-import numpy as np
-
 from ultrasem import FlowState, NsConfig, TunnelSolver, classify_tunnel_boundary
 from ultrasem.navierstokes import tunnel_mesh
-from ultrasem import ultra
 from ultrasem.cli import write_fields_file
 
 mesh = tunnel_mesh(nx=4, ny=3, width=0.003, height=0.001, hole=(1, 1))
@@ -44,14 +41,11 @@ w = solver.vorticity(state)
 print(f"final vorticity range: [{min(x.min() for x in w):.1f}, "
       f"{max(x.max() for x in w):.1f}] 1/s")
 
-t = ultra.cheb_points(8)
-R, S = np.meshgrid(t, t)
-grids = []
-for f in range(mesh.n_quads):
-    X, Y = solver.helm_u.maps[f](R, S)
-    grids.append({"x": X, "y": Y, "u": state.u[f].grid_values(),
-                  "v": state.v[f].grid_values(),
-                  "p": state.p[f].grid_values(), "omega": w[f]})
+# every field is one stack over the elements: one transform each
+u, v, p = (c.grid_values() for c in (state.u, state.v, state.p))
+coords = zip(solver.helm_u.grid_x, solver.helm_u.grid_y)
+grids = [{"x": X, "y": Y, "u": a, "v": b, "p": c, "omega": o}
+         for (X, Y), a, b, c, o in zip(coords, u, v, p, w)]
 write_fields_file("tunnel_final.txt", "<builtin tunnel>", 8,
                   ["u", "v", "p", "omega"], grids, time=state.t)
 print("wrote tunnel_final.txt")

@@ -156,9 +156,11 @@ def write_fields_file(path, mesh_path, n, names, elements, time=None):
                     fh.write(" ".join(_fmt(v) for v in row) + "\n")
 
 
-def _element_grids(system, sols):
-    return [{"x": X, "y": Y, "u": s.grid_values()}
-            for X, Y, s in zip(system.grid_x, system.grid_y, sols)]
+def _element_grids(system, **values):
+    """Per-element dicts of the grid coordinates and of each stacked
+    (F, n, n) array of ``values``."""
+    return [{"x": X, "y": Y, **dict(zip(values, v))}
+            for X, Y, *v in zip(system.grid_x, system.grid_y, *values.values())]
 
 
 # ----------------------------------------------------------------------
@@ -228,20 +230,20 @@ def cmd_solve(args):
     rhs = compile_expression(cfg.rhs) if cfg.rhs else None
     bc = compile_expression(cfg.bc) if cfg.bc else (lambda x, y: 0.0)
     system = assemble_schur(mesh, pde, cfg.n)
+    if cfg.exact:
+        exact = compile_expression(cfg.exact)(system.grid_x, system.grid_y)
+        bad = ~np.isfinite(exact).all(axis=(1, 2))
+        if bad.any():
+            raise ValueError(f"exact solution is not finite on element {np.argmax(bad)}")
     sols, info = system.solve(f=rhs, dirichlet=bc, return_info=True)
     print(f"max-residual {info.residual:.3e}")
-    grids = _element_grids(system, sols)
-    names = ["u"]
+    values = {"u": sols.grid_values()}
     if cfg.exact:
-        exact = compile_expression(cfg.exact)
-        maxerr = 0.0
-        for g in grids:
-            g["err"] = np.abs(g["u"] - exact(g["x"], g["y"]))
-            maxerr = max(maxerr, g["err"].max())
-        names.append("err")
-        print(f"max-error {maxerr:.3e}")
+        values["err"] = np.abs(values["u"] - exact)
+        print(f"max-error {values['err'].max():.3e}")
     if cfg.out:
-        write_fields_file(cfg.out, cfg.mesh_path, cfg.n, names, grids)
+        write_fields_file(cfg.out, cfg.mesh_path, cfg.n, list(values),
+                          _element_grids(system, **values))
         print(f"wrote {cfg.out}")
     return EXIT_OK
 
@@ -275,9 +277,8 @@ def cmd_ns_run(args):
         return os.path.join(outdir, f"frame_{step:06d}.txt")
 
     def write_frame(st):
-        fields = zip(coords.grid_x, coords.grid_y, st.u, st.v, st.p, solver.vorticity(st))
-        grids = [{"x": X, "y": Y, "u": u.grid_values(), "v": v.grid_values(),
-                  "p": p.grid_values(), "omega": w} for X, Y, u, v, p, w in fields]
+        grids = _element_grids(coords, u=st.u.grid_values(), v=st.v.grid_values(),
+                               p=st.p.grid_values(), omega=solver.vorticity(st))
         write_fields_file(frame_path(st.step), args.mesh, args.n,
                           ["u", "v", "p", "omega"], grids, time=st.t)
 

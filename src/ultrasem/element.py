@@ -84,36 +84,47 @@ class PdeCoefficients:
 
 
 class CoeffVector2D:
-    """Stacked tensor Chebyshev coefficients of one element's scalar field."""
+    """Tensor Chebyshev coefficients of one element's scalar field, or of a
+    stack of them: ``data`` has shape ``(..., n^2)``, each element's
+    coefficients stacked column by column.  ``len``, indexing and iteration
+    over a stack give views, not copies."""
 
     def __init__(self, n, data=None):
         self.n = int(n)
-        if data is None:
-            data = np.zeros(self.n * self.n)
-        self.data = np.asarray(data, dtype=float).ravel()
-        if self.data.size != self.n * self.n:
-            raise ValueError("coefficient vector must have length n^2")
+        self.data = np.asarray(np.zeros(self.n * self.n) if data is None else data, dtype=float)
+        if self.data.shape[-1:] != (self.n * self.n,):
+            raise ValueError("coefficient vectors must have length n^2")
 
     @classmethod
     def from_matrix(cls, A):
         A = np.asarray(A, dtype=float)
-        return cls(A.shape[0], A.ravel(order="F"))
+        return cls(A.shape[-1], A.swapaxes(-1, -2).reshape(A.shape[:-2] + (-1,)))
 
     @property
     def matrix(self):
-        """Coefficient matrix ``A[i, j]`` of ``T_i(s) T_j(r)``."""
-        return self.data.reshape((self.n, self.n), order="F")
+        """Coefficient matrices ``A[..., i, j]`` of ``T_i(s) T_j(r)`` (a view)."""
+        return self.data.reshape(self.data.shape[:-1] + (self.n, self.n)).swapaxes(-1, -2)
+
+    def __len__(self):
+        return len(self.data[..., 0])
+
+    def __getitem__(self, k):
+        return CoeffVector2D(self.n, self.data[k])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
     def grid_values(self):
-        """Values on the n-by-n ascending tensor grid."""
+        """Values on the n-by-n ascending tensor grid of every element."""
         return ultra.coeffs_to_vals_2d(self.matrix)
 
     def eval(self, r, s):
-        """Evaluate at reference coordinates (scalar or broadcastable)."""
+        """Evaluate one element at reference coordinates (scalar or
+        broadcastable)."""
         return np.polynomial.chebyshev.chebval2d(s, r, self.matrix)
 
     def __repr__(self):
-        return f"CoeffVector2D(n={self.n})"
+        return f"CoeffVector2D(n={self.n}, shape={self.data.shape[:-1]})"
 
 
 # ----------------------------------------------------------------------
@@ -448,6 +459,13 @@ class AlmostBandedMatrix:
             y = y - self._Z @ self._cap_solve(self.V @ y)
         return y
 
+    def boundary_columns(self, t):
+        """Columns ``slots[t]`` of ``B^{-1}`` from the held Woodbury
+        factors: ``Z = A^{-1} U`` has ``Z[slots] = I``, so ``B^{-1} U =
+        Z cap^{-1}`` and no banded solve is needed."""
+        self._factor()
+        return self._Z @ self._cap_solve(np.eye(self.k)[:, t])
+
     def solve(self, rhs):
         """Solve the bordered system for a physical right-hand side: the
         recorded row scaling is applied to ``rhs`` first."""
@@ -457,15 +475,13 @@ class AlmostBandedMatrix:
 
     def solve_transpose(self, rhs):
         """Solve ``B^T x = rhs`` for one or many right-hand sides (used by
-        condition-number estimation).  ``B^T = A^T + V^T U^T`` has the
-        transposed capacitance, so ``x = y - A^{-T} V^T cap^{-T} y[slots]``
-        with ``y = A^{-T} rhs``: two banded solves as wide as ``rhs``."""
+        condition-number estimation).  Transposing ``B^{-1} = (I - Z
+        cap^{-1} V) A^{-1}`` gives ``x = A^{-T} (rhs - V^T cap^{-T} Z^T
+        rhs)``: one banded solve as wide as ``rhs``."""
         self._factor()
-        y = self._lu.solve(rhs, transpose=True)
         if self.k:
-            w = self._cap_solve(y[self.slots], trans=1)
-            y = y - self._lu.solve(self.V.T @ w, transpose=True)
-        return y
+            rhs = rhs - self.V.T @ self._cap_solve(self._Z.T @ rhs, trans=1)
+        return self._lu.solve(rhs, transpose=True)
 
 
 def assemble_element_operator(pde, quad, n, rows=None, interior=None):

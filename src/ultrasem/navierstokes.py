@@ -1,10 +1,10 @@
 """First-order projection time stepper for incompressible flow.
 
-Velocity and pressure live as per-element Chebyshev coefficients on a
-quadrilateral mesh (density and viscosity are 1).  Each step performs the
-classic splitting: an implicit screened-Poisson (Helmholtz) solve for a
-tentative velocity, a pressure Poisson solve driven by its divergence,
-and an explicit divergence-removing correction
+Velocity and pressure live as Chebyshev coefficients stacked over the
+elements of a quadrilateral mesh (density and viscosity are 1).  Each
+step performs the classic splitting: an implicit screened-Poisson
+(Helmholtz) solve for a tentative velocity, a pressure Poisson solve
+driven by its divergence, and an explicit divergence-removing correction
 
     lap(u*) - u*/dt = (u.grad)u - u/dt        velocity conditions
     lap(p)         = div(u*)/dt               dp/dn = 0, p fixed at outlet
@@ -98,30 +98,26 @@ def classify_tunnel_boundary(mesh, inlet_velocity=(0.0, 0.0), tol=1e-9):
 
 @dataclass
 class FlowState:
-    """Velocity components, pressure and time for one mesh."""
+    """Velocity components and pressure, each one stacked
+    :class:`CoeffVector2D` over the elements, and the time of one mesh."""
 
-    u: list
-    v: list
-    p: list
+    u: CoeffVector2D
+    v: CoeffVector2D
+    p: CoeffVector2D
     t: float = 0.0
     step: int = 0
 
     @classmethod
     def rest(cls, mesh, n):
-        z = lambda: [CoeffVector2D(n) for _ in range(mesh.n_quads)]
+        z = lambda: CoeffVector2D(n, np.zeros((mesh.n_quads, n * n)))
         return cls(u=z(), v=z(), p=z())
 
     def max_speed(self):
-        return float(np.abs(ultra.coeffs_to_vals_2d(_stack(self.u + self.v))).max())
+        uv = np.stack([self.u.matrix, self.v.matrix])
+        return float(np.abs(ultra.coeffs_to_vals_2d(uv)).max())
 
     def finite(self):
-        return all(np.all(np.isfinite(c.data))
-                   for comp in (self.u, self.v, self.p) for c in comp)
-
-
-def _stack(fields):
-    """Stacked (F, n, n) coefficient matrices of per-element fields."""
-    return np.stack([c.matrix for c in fields])
+        return bool(np.isfinite(np.stack([self.u.data, self.v.data, self.p.data])).all())
 
 
 class TunnelSolver:
@@ -201,8 +197,8 @@ class TunnelSolver:
 
     def divergence_values(self, ufields, vfields):
         """Grid values of ``du/dx + dv/dy``, stacked (F, n, n)."""
-        ux, _ = self._gradient(_stack(ufields))
-        _, vy = self._gradient(_stack(vfields))
+        ux, _ = self._gradient(ufields.matrix)
+        _, vy = self._gradient(vfields.matrix)
         return ux + vy
 
     def advection_term(self, state):
@@ -211,7 +207,7 @@ class TunnelSolver:
         formed on a 2n grid and truncated back to n."""
         n = self.n
         m = 2 * n if self.config.dealias else n
-        U, V = _stack(state.u), _stack(state.v)
+        U, V = state.u.matrix, state.v.matrix
         ux, uy = self._gradient(U, m)
         vx, vy = self._gradient(V, m)
         T = self._grids[m][0]
@@ -223,13 +219,13 @@ class TunnelSolver:
 
     def vorticity(self, state):
         """Grid values of ``dv/dx - du/dy``, stacked (F, n, n)."""
-        _, uy = self._gradient(_stack(state.u))
-        vx, _ = self._gradient(_stack(state.v))
+        _, uy = self._gradient(state.u.matrix)
+        vx, _ = self._gradient(state.v.matrix)
         return vx - uy
 
     def no_slip_residual(self, ufields, vfields):
         """Largest velocity magnitude at object-boundary grid points."""
-        uv = ultra.coeffs_to_vals_2d(np.stack([_stack(ufields), _stack(vfields)]))
+        uv = ultra.coeffs_to_vals_2d(np.stack([ufields.matrix, vfields.matrix]))
         return float(np.abs(uv[:, self._on_object]).max(initial=0.0))
 
     # -- stepping -----------------------------------------------------------
@@ -244,7 +240,7 @@ class TunnelSolver:
                 f"non-finite values entering step {state.step + 1}",
                 step=state.step + 1, cfl=None)
         ax, ay = self.advection_term(state)
-        u, v = ultra.coeffs_to_vals_2d(np.stack([_stack(state.u), _stack(state.v)]))
+        u, v = ultra.coeffs_to_vals_2d(np.stack([state.u.matrix, state.v.matrix]))
         u_star = self.helm_u.solve(f=ax - u / dt, dirichlet=self._dir_u, neumann=0.0)
         v_star = self.helm_v.solve(f=ay - v / dt, dirichlet=self._dir_v, neumann=0.0)
         self.last_star = (u_star, v_star)
@@ -254,10 +250,9 @@ class TunnelSolver:
         p = self.pois_p.solve(f=div / dt, dirichlet=0.0, neumann=0.0)
 
         # the projection: one transform to grid values and one back
-        uv = ultra.coeffs_to_vals_2d(np.stack([_stack(u_star), _stack(v_star)])) \
-            - dt * np.stack(self._gradient(_stack(p)))
-        unew, vnew = ([CoeffVector2D.from_matrix(a) for a in c]
-                      for c in ultra.vals_to_coeffs_2d(uv))
+        uv = ultra.coeffs_to_vals_2d(np.stack([u_star.matrix, v_star.matrix])) \
+            - dt * np.stack(self._gradient(p.matrix))
+        unew, vnew = CoeffVector2D.from_matrix(ultra.vals_to_coeffs_2d(uv))
         new = FlowState(u=unew, v=vnew, p=p, t=state.t + dt, step=state.step + 1)
         if not new.finite():
             raise InstabilityError(

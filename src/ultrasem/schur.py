@@ -301,9 +301,10 @@ class SchurSystem:
             shape=(self.n_gamma, F * nn))
 
         # One W block per element group and coupled-slot set: the element
-        # solves against its C_gamma columns.  It fills the W_gamma rows of
-        # its elements, and Sigma = -sum A_gamma_j inv(A_jj) A_j_gamma takes
-        # one stacked product of their matching rows with it as triplets.
+        # solves against its C_gamma columns, read from the group's held
+        # Woodbury factors.  It fills the W_gamma rows of its elements, and
+        # Sigma = -sum A_gamma_j inv(A_jj) A_j_gamma takes one stacked
+        # product of their matching rows with it as triplets.
         w_ptr = np.concatenate([[0], np.cumsum(np.repeat(coupled.sum(axis=1), nn))])
         w_data = np.empty(w_ptr[-1])
         w_cols = np.empty(w_ptr[-1], dtype=np.int32)
@@ -314,10 +315,8 @@ class SchurSystem:
             on = coupled[leader]
             if not on.any():
                 continue
-            op, c = self.ops[leader], slots[on]
-            rhs = np.zeros((nn, c.size))
-            rhs[c, np.arange(c.size)] = -op.scale[c]
-            W = op.solve_raw(rhs)
+            op = self.ops[leader]
+            W = op.boundary_columns(on) * -op.scale[slots[on]]
             elems = np.flatnonzero(block == b)
             at = w_ptr[elems * nn][:, None] + np.arange(W.size)
             w_data[at] = W.ravel()
@@ -429,7 +428,7 @@ class SchurSystem:
         ``dirichlet``/``neumann`` supply boundary data as a constant, a
         callable ``(x, y)`` evaluated once on arrays of boundary points, or
         a dict mapping global boundary edge numbers to either.
-        Returns a list of per-element :class:`CoeffVector2D`.
+        Returns one stacked :class:`CoeffVector2D` of the F elements.
         """
         B = self._rhs_vectors(f, dirichlet, neumann)
         X = self._element_solves(B)
@@ -437,7 +436,7 @@ class SchurSystem:
         if self.n_gamma:
             u_gamma = self._sigma_solve(-(self.A_gamma @ X.ravel()))
             X -= (self.W_gamma @ u_gamma).reshape(X.shape)
-        sols = [CoeffVector2D(self.n, x) for x in X]
+        sols = CoeffVector2D(self.n, X)
         if not return_info:
             return sols
         return sols, SolveInfo(u_gamma=u_gamma, residual=self._residual(X, u_gamma, B))
@@ -477,7 +476,7 @@ class SchurSystem:
         B = self._rhs_vectors(f, dirichlet, neumann)
         rhs = np.concatenate([(self._scale * B).ravel(), np.zeros(self.n_gamma)])
         x = np.linalg.solve(self.to_dense_global(), rhs)
-        return [CoeffVector2D(self.n, xf) for xf in x[:B.size].reshape(B.shape)]
+        return CoeffVector2D(self.n, x[:B.size].reshape(B.shape))
 
 
 @dataclass

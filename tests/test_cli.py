@@ -99,6 +99,7 @@ class TestSolve:
     @pytest.mark.parametrize("flag, message", [
         ("--rhs", "forcing is not finite on element 0"),
         ("--bc", "boundary data is not finite on element 0, edge 0 at (0, 0)"),
+        ("--exact", "exact solution is not finite on element 0"),
     ])
     def test_nonfinite_data_exit_code_and_message(self, flag, message, tmp_path, capsys):
         # 1/x is infinite on the x = 0 side of the unit square

@@ -23,15 +23,9 @@ def single_square_solver(n=8, dt=1e-3, dealias=False, inlet=(0.0, 0.0)):
 
 
 def field_from(fn, solver):
-    n = solver.n
-    t = ultra.cheb_points(n)
-    R, S = np.meshgrid(t, t)
-    out = []
-    for f in range(solver.mesh.n_quads):
-        X, Y = solver.helm_u.maps[f](R, S)
-        out.append(CoeffVector2D.from_matrix(
-            ultra.vals_to_coeffs_2d(fn(X, Y) + 0 * X)))
-    return out
+    """One stacked field sampled on every element grid."""
+    X, Y = solver.helm_u.grid_x, solver.helm_u.grid_y
+    return CoeffVector2D.from_matrix(ultra.vals_to_coeffs_2d(fn(X, Y) + 0 * X))
 
 
 class TestBoundaryClassification:

@@ -111,6 +111,38 @@ class TestCoupling:
         assert len(blocks) == 2
         assert blocks[0].shape == (7, 49)
 
+    @pytest.mark.parametrize("case", ["mixed-varcoef", "sliver"])
+    def test_w_blocks_match_dense_solves(self, case):
+        # every element's W_gamma rows are its solves against its C_gamma
+        # columns, read from the Woodbury factors instead of banded solves
+        if case == "mixed-varcoef":
+            mesh = mixed_mesh()
+            sys = assemble_schur(mesh, _general_pde(VARCOEF, mesh), 12)
+        else:
+            sys = assemble_schur(skinny_pair_mesh(1e-6), POISSON, 16)
+        nn = sys.n ** 2
+        C, W = sys.C_gamma.toarray(), sys.W_gamma.toarray()
+        for f, op in enumerate(sys.ops):
+            rows = slice(f * nn, (f + 1) * nn)
+            want = np.linalg.solve(op.to_dense(), C[rows])
+            assert np.abs(W[rows] - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("case", ["grid-varcoef", "neumann-side"])
+    def test_build_banded_solves_only_to_factor(self, case, monkeypatch):
+        # every element is coupled, so every group is factored during the
+        # build: one banded solve each (its Woodbury Z), none for W blocks
+        widths, solve = [], BandedLU.solve
+        monkeypatch.setattr(BandedLU, "solve",
+                            lambda lu, b, *a: widths.append(np.shape(b)[1]) or solve(lu, b, *a))
+        if case == "grid-varcoef":
+            mesh = grid_mesh(3, 3)
+            sys = assemble_schur(mesh, _general_pde(VARCOEF, mesh), 8)
+        else:
+            mesh, bottom = _grid_with_neumann_bottom()
+            sys = assemble_schur(mesh, POISSON, 8, bc={e: "neumann" for e in bottom})
+        assert sys.n_distinct > 1
+        assert widths == [4 * 8 - 4] * sys.n_distinct
+
 
 class TestSigmaStructure:
     def test_single_interface_block(self):
@@ -477,7 +509,7 @@ def _fresh_element(sys, f):
     """Element ``f``'s operator built on its own, one boundary row at a
     time (a value row, or at Neumann point k the derivative along the
     outward normal of local edge k // (n-1)), and its W from its own
-    solve."""
+    Woodbury factors."""
     n, quad = sys.n, sys.mesh.element_quad(f)
     bm, normals = bilinear_coeffs(quad), outward_normals(quad.vertices)
     rows = []
@@ -490,10 +522,8 @@ def _fresh_element(sys, f):
             rows.append(point_value_row(n, r, s))
     rows = np.array(rows)
     op = assemble_element_operator(sys.pde, quad, n, rows=rows)
-    slots = boundary_slots(n)[sys.point_kind[f] == "coupled"]
-    rhs = np.zeros((n * n, slots.size))
-    rhs[slots, np.arange(slots.size)] = -op.scale[slots]
-    return op, op.solve_raw(rhs)
+    coupled = sys.point_kind[f] == "coupled"
+    return op, op.boundary_columns(coupled) * -op.scale[boundary_slots(n)[coupled]]
 
 
 def _grid_with_neumann_bottom(size=4):
