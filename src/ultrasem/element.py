@@ -308,8 +308,9 @@ def _reference_tables(pde, bm):
     Chebyshev grid, transformed, and cropped to that degree: what lies
     beyond it is rounding noise."""
     deg = {f.name: _degree(getattr(pde, f.name)) for f in fields(pde)}
-    # at least 4 + the largest PDE degree points; 2^k + 1 of them make the
-    # transform a power-of-two FFT, which is exact on constant samples
+    # at least 4 + the largest PDE degree points, rounded up to 2^k + 1 so
+    # that few cached transform sizes serve every PDE; the crop below and
+    # poly2d_trim drop the transform's rounding noise
     t = ultra.cheb_points(1 + 2 ** int(2 + max(0, *deg.values())).bit_length())
     r, s = np.meshgrid(t, t)
     x, y = bm(r, s)
@@ -396,9 +397,7 @@ class AlmostBandedMatrix:
         self.V = np.asarray(dense_rows, dtype=float)
         self.scale = np.asarray(scale, dtype=float)
         self.nn = banded.shape[0]
-        self._lu = None
-        self._Z = None
-        self._cap = None
+        self._lu = self._Z = self._cap = self._like = None
 
     @property
     def k(self):
@@ -421,25 +420,31 @@ class AlmostBandedMatrix:
         return y
 
     def _factor(self):
-        if self._lu is not None:
-            return
-        # a DIA diagonal is a column-indexed row of LAPACK band storage
-        kl, ku = self.bandwidths()
-        ab = np.zeros((2 * kl + ku + 1, self.nn), order="F")
-        ab[kl + ku - self.banded.offsets] = self.banded.data
-        self._lu = BandedLU(ab, kl, ku, name="element banded part")
-        if self.k:
+        if self._lu is None and self._like is not None:
+            self._like._factor()
+            self._lu, self._Z = self._like._lu, self._like._Z
+        if self._lu is None:
+            # a DIA diagonal is a column-indexed row of LAPACK band storage
+            kl, ku = self.bandwidths()
+            ab = np.zeros((2 * kl + ku + 1, self.nn), order="F")
+            ab[kl + ku - self.banded.offsets] = self.banded.data
+            self._lu = BandedLU(ab, kl, ku, name="element banded part")
             E = np.zeros((self.nn, self.k))
             E[self.slots, np.arange(self.k)] = 1.0
-            Z = self._lu.solve(E)
-            cap = np.eye(self.k) + self.V @ Z
-            lu, piv, info = dgetrf(cap)
+            self._Z = self._lu.solve(E) if self.k else None
+        if self.k and self._cap is None:
+            lu, piv, info = dgetrf(np.eye(self.k) + self.V @ self._Z)
             # info > 0 is an exact zero pivot; non-finite factors come
             # from non-finite entries
             if info != 0 or not np.all(np.isfinite(lu)):
                 raise SingularOperatorError("capacitance matrix singular")
             self._cap = (lu, piv)
-            self._Z = Z
+
+    def share_banded(self, other):
+        """Use the banded part ``A`` of ``other``, which must equal this
+        one's, and the LU and ``Z`` that ``other`` holds once factored: the
+        operators of one geometry class differ only in ``V`` and scale."""
+        self.banded, self._like = other.banded, other
 
     def _cap_solve(self, b, trans=0):
         """Solve with the factored capacitance matrix (``trans=1``: its
@@ -453,11 +458,18 @@ class AlmostBandedMatrix:
     def solve_raw(self, rhs):
         """Solve ``B x = rhs`` where ``B`` is the (already row-scaled)
         bordered operator, for one or many right-hand sides."""
+        return self.woodbury(self.banded_solve(rhs))
+
+    def banded_solve(self, rhs):
+        """``A^{-1} rhs``: the solve with the banded part alone."""
         self._factor()
-        y = self._lu.solve(rhs)
-        if self.k:
-            y = y - self._Z @ self._cap_solve(self.V @ y)
-        return y
+        return self._lu.solve(rhs)
+
+    def woodbury(self, y):
+        """``B^{-1} b`` from ``y = A^{-1} b``: the low-rank correction
+        ``y - Z cap^{-1} V y`` with the held factors."""
+        self._factor()
+        return y - self._Z @ self._cap_solve(self.V @ y) if self.k else y
 
     def boundary_columns(self, t):
         """Columns ``slots[t]`` of ``B^{-1}`` from the held Woodbury

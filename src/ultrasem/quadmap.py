@@ -121,14 +121,21 @@ def inradius(vertices):
     # its four edge lines.  Solve for the circle tangent to each three
     # (n_k . c - r = n_k . p_k with inward unit normals n_k) and shrink it
     # to its center's distance from the nearest line, which keeps it inside
-    # the fourth; the largest of the four is the inradius.
+    # the fourth; the largest of the four is the inradius.  Nearly parallel
+    # sides of a sliver can make a triple's system singular in floating
+    # point: that triple gets no circle.
     inward = -outward_normals(vertices)
     b = np.sum(inward * vertices, axis=-1)
-    A = np.concatenate([inward, -np.ones(inward.shape[:-1] + (1,))], axis=-1)
-    center = np.linalg.solve(A[..., _THREE, :], b[..., _THREE, None])[..., :2, 0]
+    A = np.concatenate([inward, -np.ones(inward.shape[:-1] + (1,))], axis=-1)[..., _THREE, :]
+    usable = np.linalg.det(A) != 0.0
+    if not usable.any(axis=-1).all():
+        f = int(np.argmin(usable.any(axis=-1).ravel()))
+        raise GeometryError(f"element {f}: no three sides bound an inscribed circle")
+    A = np.where(usable[..., None, None], A, np.eye(3))
+    center = np.linalg.solve(A, b[..., _THREE, None])[..., :2, 0]
     # distance of each center (axis -2) from each line (axis -1)
     dist = center @ np.swapaxes(inward, -1, -2) - b[..., None, :]
-    return dist.min(axis=-1).max(axis=-1)
+    return np.where(usable, dist.min(axis=-1), -np.inf).max(axis=-1)
 
 
 @dataclass(frozen=True)

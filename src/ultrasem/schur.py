@@ -44,8 +44,10 @@ whose coordinates round differently therefore share; elements with
 bitwise equal inputs get bit-identical operators and W blocks to
 building every element alone.  Setup is array operations over all
 elements and interior edges at once, with Python loops only over
-classes, groups and W blocks; a solve multiplies by each class's
-right-hand-side operator once and runs one multi-column solve per group.
+classes, groups and W blocks.  A solve multiplies by each class's
+right-hand-side operator once, places boundary data at points listed at
+setup, runs one banded solve per class (its groups share the banded part
+and its LU) and then each group's Woodbury correction.
 """
 
 from dataclasses import dataclass, fields
@@ -195,6 +197,15 @@ class SchurSystem:
         if self._pin:
             # the first Neumann point in element order takes a value row
             self.point_kind.flat[np.argmax(self.point_kind == "neumann")] = "pin"
+        # where boundary data goes: the flat traversal points of each kind,
+        # and of each boundary edge those of its kind (a pin takes no data)
+        kind, edge = self.point_kind.ravel(), self.point_edge.ravel()
+        order = np.argsort(edge, kind="stable")
+        ends = np.searchsorted(edge[order], np.arange(mesh.n_edges + 1))
+        self._data_points = {k: (np.flatnonzero(kind == k), {}) for k in ("dirichlet", "neumann")}
+        for e in np.flatnonzero(mesh.boundary_edge):
+            at, k = order[ends[e]:ends[e + 1]], self._edge_kind[e]
+            self._data_points[k][1][int(e)] = at[kind[at] == k]
 
         # Geometry classes by the map coefficients alone, then groups within
         # each (see the module docstring).  The translation (a1, a2) enters
@@ -222,12 +233,16 @@ class SchurSystem:
         for c, quad in enumerate(map(mesh.element_quad, reps)):
             L = element_interior_operator(self.pde, quad, n)
             rhs_op = element_rhs_operator(quad, n)
-            self._classes.append((np.flatnonzero(cls == c), rhs_op))
+            first = None
             for i in np.flatnonzero(cls[leaders] == c):
                 rows = value_rows.copy()
                 rows[neumann[leaders[i]]] = normal_rows[g == i]
                 op = assemble_element_operator(self.pde, quad, n, rows=rows, interior=L)
+                if first is not None:
+                    op.share_banded(first)
+                first = op if first is None else first
                 self.groups[i] = (np.flatnonzero(self._group == i), op, rhs_op)
+            self._classes.append((np.flatnonzero(cls == c), rhs_op, first))
         self.n_distinct = len(self.groups)
         ops = np.array([op for _, op, _ in self.groups], dtype=object)
         self.ops = list(ops[self._group])
@@ -389,20 +404,19 @@ class SchurSystem:
                 raise ValueError(f"forcing is not finite on element {np.argmax(bad)}")
             # each element's coefficients stacked column by column
             C = ultra.vals_to_coeffs_2d(G).transpose(0, 2, 1).reshape(len(G), n * n)
-            for elems, rhs_op in self._classes:
+            for elems, rhs_op, _ in self._classes:
                 rhs_full[elems] = (rhs_op @ C[elems].T).T
         values = np.zeros(self.point_kind.shape)
         for kind, src in (("dirichlet", dirichlet), ("neumann", neumann)):
-            on_kind = self.point_kind == kind
-            per_edge = src.items() if isinstance(src, dict) else [(None, src)]
-            for e, s in per_edge:
-                pick = on_kind if e is None else on_kind & (self.point_edge == e)
-                if e is not None and not pick.any():
+            every, per_edge = self._data_points[kind]
+            for e, s in src.items() if isinstance(src, dict) else [(None, src)]:
+                pick = every if e is None else per_edge.get(e)
+                if pick is None:
                     raise BookkeepingError(
                         f"{kind} data names edge {e}, which is not a {kind} boundary edge")
-                if pick.any():
-                    x, y = self.point_x[pick], self.point_y[pick]
-                    values[pick] = s(x, y) if callable(s) else s
+                if pick.size:
+                    x, y = self.point_x.flat[pick], self.point_y.flat[pick]
+                    values.flat[pick] = s(x, y) if callable(s) else s
         bad = ~np.isfinite(values)
         if bad.any():
             k = np.unravel_index(np.argmax(bad), bad.shape)
@@ -413,11 +427,14 @@ class SchurSystem:
 
     def _element_solves(self, B):
         """Stacked (F, n^2) element solves with zero interface values: one
-        multi-column solve per group."""
-        X = np.empty_like(B)
+        banded solve per geometry class over its elements' scaled
+        right-hand sides, then each group's Woodbury correction."""
+        Y = self._scale * B
+        for elems, _, first in self._classes:
+            Y[elems] = first.banded_solve(Y[elems].T).T
         for elems, op, _ in self.groups:
-            X[elems] = op.solve(B[elems].T).T
-        return X
+            Y[elems] = op.woodbury(Y[elems].T).T
+        return Y
 
     def solve(self, f=None, dirichlet=0.0, neumann=0.0, return_info=False):
         """Solve the PDE on the whole mesh.

@@ -12,7 +12,6 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.fft import dct
 from scipy.linalg import solve_banded
 
 
@@ -136,31 +135,21 @@ def cheb_points(n):
     return np.sin(np.pi * (2 * j - (n - 1)) / (2 * (n - 1)))
 
 
-def _vals_to_coeffs_along(values, axis):
-    v = np.asarray(values, dtype=float)
-    n = v.shape[axis]
-    if n == 1:
-        return v.copy()
-    v = np.flip(v, axis=axis)  # transform wants descending-point order
-    c = dct(v, type=1, axis=axis) / (n - 1)
-    sl = [slice(None)] * v.ndim
-    sl[axis] = 0
-    c[tuple(sl)] *= 0.5
-    sl[axis] = n - 1
-    c[tuple(sl)] *= 0.5
-    return c
-
-
-def _coeffs_to_vals_along(coeffs, axis):
-    c = np.asarray(coeffs, dtype=float).copy()
-    n = c.shape[axis]
-    if n == 1:
-        return c
-    sl = [slice(None)] * c.ndim
-    sl[axis] = slice(1, n - 1)
-    c[tuple(sl)] *= 0.5
-    v = dct(c, type=1, axis=axis)
-    return np.flip(v, axis=axis)
+@functools.lru_cache(maxsize=16)
+def _transform_matrices(n):
+    """Read-only ``(P, Q)`` for an n-point axis: ``Q[j, k] = T_k(x_j)`` on
+    the grid of :func:`cheb_points` and its inverse ``P``, the type-I cosine
+    transform.  The angle ``pi k (n-1-j) / (n-1)`` is reduced in integers
+    and taken in the sine form of :func:`cheb_points`, so ``T_1`` is the
+    grid and the symmetries of every ``T_k`` hold exactly."""
+    d = max(n - 1, 1)  # a length-1 axis holds only its constant
+    j, k = np.arange(n)[:, None], np.arange(n)
+    m = (k * (n - 1 - j)) % (2 * d)
+    Q = np.sin(np.pi * (d - 2 * np.minimum(m, 2 * d - m)) / (2 * d))
+    w = np.where(k % d == 0, 0.5, 1.0)
+    P = (2.0 / d) * w[:, None] * Q.T * w if n > 1 else Q.copy()
+    P.flags.writeable = Q.flags.writeable = False
+    return P, Q
 
 
 def vals_to_coeffs_2d(values):
@@ -170,7 +159,7 @@ def vals_to_coeffs_2d(values):
     v = np.asarray(values, dtype=float)
     if v.ndim < 2:
         raise ValueError("expected an array of 2-D value grids")
-    return _vals_to_coeffs_along(_vals_to_coeffs_along(v, -2), -1)
+    return _transform_matrices(v.shape[-2])[0] @ v @ _transform_matrices(v.shape[-1])[0].T
 
 
 def coeffs_to_vals_2d(coeffs):
@@ -179,7 +168,7 @@ def coeffs_to_vals_2d(coeffs):
     c = np.asarray(coeffs, dtype=float)
     if c.ndim < 2:
         raise ValueError("expected an array of 2-D coefficient grids")
-    return _coeffs_to_vals_along(_coeffs_to_vals_along(c, -2), -1)
+    return _transform_matrices(c.shape[-2])[1] @ c @ _transform_matrices(c.shape[-1])[1].T
 
 
 def eval_row(x, n):

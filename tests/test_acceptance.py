@@ -152,6 +152,28 @@ class TestAcceptance:
         report(5, f"square+sliver eps=1e-6, n=20: error {err:.2e}, "
                   f"interface jump {jump:.2e}, {dt:.1f}s")
 
+    @pytest.mark.parametrize("eps", [1e-9, 1e-12])
+    def test_05_two_element_skinny_mesh_extreme_eps(self, eps):
+        # three sides of these slivers are parallel in floating point, so
+        # one tangent-circle system of the inradius is exactly singular
+        t0 = time.perf_counter()
+        mesh = skinny_pair_mesh(eps)
+        uex = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
+        fex = lambda x, y: -2 * np.pi ** 2 * uex(x, y)
+        sys = assemble_schur(mesh, POISSON, 20)
+        sols = sys.solve(f=fex, dirichlet=uex)
+        err = eval_on_grid(sys, sols, uex, m=40)
+        assert err <= 1e-9
+        e = mesh.interior_edges[0]
+        traces = [sols[f].eval(*edge_point(l, aligned, np.linspace(-1, 1, 50)))
+                  for (f, l, aligned) in mesh.edge_quads[e]]
+        jump = np.max(np.abs(traces[0] - traces[1]))
+        assert jump <= 1e-10
+        dt = time.perf_counter() - t0
+        assert dt < 10.0
+        report(5, f"square+sliver eps={eps:g}, n=20: error {err:.2e}, "
+                  f"interface jump {jump:.2e}, {dt:.1f}s")
+
     def test_06_schur_vs_dense_oracle(self):
         t0 = time.perf_counter()
         uex = lambda x, y: np.cos(x) * np.exp(0.2 * y) + x

@@ -15,7 +15,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
 from spans import Tracer  # noqa: E402
-from workloads import REFERENCE, Elliptic, Recorder, Tunnel  # noqa: E402
+from workloads import EPISODE, REFERENCE, Elliptic, Recorder, Tunnel  # noqa: E402
 
 
 def untimed():
@@ -27,8 +27,10 @@ def test_tunnel_steps_match_the_reference_trajectory():
     solver = work.build()
     assert work.structure(solver)["schur.n_gamma"] == solver.helm_u.n_gamma
     rec = untimed()
-    assert all([work.operation(rec, solver) for _ in range(20)])
-    assert work.state.step == 20
+    # the whole episode, so that rounding drift from a numerics change
+    # fails here before the benchmark sees it
+    assert all([work.operation(rec, solver) for _ in range(EPISODE)])
+    assert work.state.step == EPISODE
 
 
 def test_elliptic_solve_passes_its_check():

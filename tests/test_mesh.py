@@ -437,13 +437,7 @@ t 1 3 4
             mesh_from_string("quadmesh 1\nv 0 0\nv 1 0\nv 1 1\nv 0 1\nq 1 2 3 9\n")
 
 
-def test_solving_does_not_import_scipy_optimize():
-    # a fresh process that builds and solves must not load scipy.optimize
-    code = ("import sys\n"
-            "from ultrasem import PdeCoefficients, assemble_schur, grid_mesh\n"
-            "system = assemble_schur(grid_mesh(2, 2), PdeCoefficients.poisson(), 6)\n"
-            "system.solve(f=lambda x, y: 1.0 + 0 * x, dirichlet=0.0)\n"
-            "assert 'scipy.optimize' not in sys.modules\n")
+def _run_fresh(code):
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -451,3 +445,28 @@ def test_solving_does_not_import_scipy_optimize():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_solving_does_not_import_scipy_optimize():
+    # a fresh process that builds and solves must not load scipy.optimize
+    _run_fresh("import sys\n"
+               "from ultrasem import PdeCoefficients, assemble_schur, grid_mesh\n"
+               "system = assemble_schur(grid_mesh(2, 2), PdeCoefficients.poisson(), 6)\n"
+               "system.solve(f=lambda x, y: 1.0 + 0 * x, dirichlet=0.0)\n"
+               "assert 'scipy.optimize' not in sys.modules\n")
+
+
+def test_solving_and_stepping_do_not_import_scipy_fft():
+    # the Chebyshev transforms are matrix products, so a fresh process that
+    # builds, solves and takes a time step never loads scipy.fft
+    _run_fresh("import sys\n"
+               "from ultrasem import PdeCoefficients, assemble_schur, grid_mesh\n"
+               "from ultrasem.navierstokes import (FlowState, NsConfig, TunnelSolver,\n"
+               "                                   classify_tunnel_boundary, tunnel_mesh)\n"
+               "system = assemble_schur(grid_mesh(2, 2), PdeCoefficients.poisson(), 6)\n"
+               "system.solve(f=lambda x, y: 1.0 + 0 * x, dirichlet=0.0)\n"
+               "mesh = tunnel_mesh(3, 2, width=0.003, height=0.001, hole=(1, 0))\n"
+               "solver = TunnelSolver(mesh, 6, NsConfig(dt=1.667e-5),\n"
+               "                      classify_tunnel_boundary(mesh, (0.6, 0.0)))\n"
+               "solver.time_step(FlowState.rest(mesh, 6))\n"
+               "assert not [m for m in sys.modules if m.startswith('scipy.fft')]\n")

@@ -79,6 +79,21 @@ class TestInradius:
         assert np.array_equal(inradius(v), one)
         assert np.array_equal(inradius(v.reshape(4, 6, 4, 2)), one.reshape(4, 6))
 
+    @pytest.mark.parametrize("eps", [1e-9, 1e-12])
+    def test_sliver_with_a_singular_triple(self, eps):
+        # the sliver of skinny_pair_mesh: sides 1, 2 and 3 have inward
+        # normals equal in floating point, so the tangent-circle system of
+        # those three is exactly singular and that triple gets no circle
+        v = np.array([(1, 1), (1, -1), (1 + 2 * eps, -0.9), (1 + eps, 0.9)])
+        assert abs(inradius(v) / eps - 1.0) < 1e-3
+        assert np.array_equal(inradius(np.array([REF_SQUARE, v])), [1.0, inradius(v)])
+
+    def test_no_usable_triple_names_the_element(self):
+        # collinear vertices: three of the four sides are one line
+        v = np.array([REF_SQUARE, [(0, 0), (1, 0), (2, 0), (3, 0)]], dtype=float)
+        with pytest.raises(GeometryError, match="element 1: no three sides"):
+            inradius(v)
+
 
 class TestBilinearCoeffs:
     def test_reference_square_is_identity(self):

@@ -1,4 +1,5 @@
 import gc
+import re
 import time
 import weakref
 
@@ -21,6 +22,7 @@ from ultrasem import schur
 from ultrasem.errors import BookkeepingError, GeometryError, SingularOperatorError
 from ultrasem.mesh import build_mesh, grid_mesh
 from ultrasem.navierstokes import (
+    FlowState,
     NsConfig,
     TunnelSolver,
     classify_tunnel_boundary,
@@ -129,8 +131,9 @@ class TestCoupling:
 
     @pytest.mark.parametrize("case", ["grid-varcoef", "neumann-side"])
     def test_build_banded_solves_only_to_factor(self, case, monkeypatch):
-        # every element is coupled, so every group is factored during the
-        # build: one banded solve each (its Woodbury Z), none for W blocks
+        # every element is coupled, so every geometry class is factored
+        # during the build: one banded solve each (the Woodbury Z its groups
+        # share), none for W blocks
         widths, solve = [], BandedLU.solve
         monkeypatch.setattr(BandedLU, "solve",
                             lambda lu, b, *a: widths.append(np.shape(b)[1]) or solve(lu, b, *a))
@@ -140,8 +143,9 @@ class TestCoupling:
         else:
             mesh, bottom = _grid_with_neumann_bottom()
             sys = assemble_schur(mesh, POISSON, 8, bc={e: "neumann" for e in bottom})
-        assert sys.n_distinct > 1
-        assert widths == [4 * 8 - 4] * sys.n_distinct
+        classes = {"grid-varcoef": 9, "neumann-side": 1}[case]
+        assert sys.n_distinct > 1 and len(sys._classes) == classes
+        assert widths == [4 * 8 - 4] * classes
 
 
 class TestSigmaStructure:
@@ -483,6 +487,45 @@ class TestErrors:
         with pytest.raises(BookkeepingError, match=rf"edge {edge}\b.*{kind}"):
             sys.solve(f=lambda x, y: 1.0 + 0 * x, **data)
 
+    @pytest.mark.parametrize("kind, edge", [("dirichlet", 1), ("neumann", 1),
+                                            ("dirichlet", 0), ("neumann", 2)])
+    def test_boundary_data_edge_message(self, kind, edge):
+        # edge 1 is interior; edge 0 is the Neumann edge, edge 2 a Dirichlet one
+        mesh = grid_mesh(2, 1)
+        assert mesh.boundary_edge[[0, 2]].all() and not mesh.boundary_edge[1]
+        sys = assemble_schur(mesh, POISSON, 6, bc={0: "neumann"})
+        msg = f"{kind} data names edge {edge}, which is not a {kind} boundary edge"
+        with pytest.raises(BookkeepingError, match=f"^{re.escape(msg)}$"):
+            sys.solve(f=None, **{kind: {edge: 1.0}})
+
+    def test_per_edge_data_sees_only_its_edge(self):
+        # u = x y on the unit square: zero constants on the edges at x = 0
+        # and y = 0, callables elsewhere that check every point they get
+        mesh, n = grid_mesh(2, 2), 7
+        seen = []
+
+        def on_edge(e):
+            (px, py), (qx, qy) = mesh.vertices[mesh.edges[e]]
+
+            def g(x, y):
+                dx, dy = qx - px, qy - py
+                t = ((x - px) * dx + (y - py) * dy) / (dx * dx + dy * dy)
+                assert x.shape == (n - 1,) and np.all((t >= 0) & (t <= 1))
+                assert np.allclose(px + t * dx, x) and np.allclose(py + t * dy, y)
+                seen.append(e)
+                return x * y
+            return g
+
+        data = {}
+        for e in np.flatnonzero(mesh.boundary_edge):
+            ends = mesh.vertices[mesh.edges[e]]
+            data[int(e)] = 0.0 if (ends == 0.0).all(axis=0).any() else on_edge(e)
+        sys = assemble_schur(mesh, POISSON, n)
+        sols = sys.solve(f=None, dirichlet=data)
+        assert len(seen) == 4
+        assert sorted(seen) == sorted(e for e, g in data.items() if callable(g))
+        assert eval_on_grid(sys, sols, lambda x, y: x * y) <= 1e-13
+
     def test_nonconvex_element_named(self):
         # the second quad has a reflex angle at vertex 2 (its area is
         # positive, so the mesh itself builds)
@@ -588,6 +631,26 @@ class TestSharedElements:
         assert calls == {"element_interior_operator": 3, "element_rhs_operator": 3}
         for sys in systems:
             assert len({id(rhs_op) for _, _, rhs_op in sys.groups}) == 1
+
+    def test_tunnel_factors_and_solves_once_per_class(self, monkeypatch):
+        # the perfbench tunnel: each system's groups border one banded part,
+        # so three systems factor 3 element operators and 3 Sigmas, and a
+        # step makes one element banded solve per class of each system
+        factored, solved = [], []
+        init, solve = BandedLU.__init__, BandedLU.solve
+        monkeypatch.setattr(BandedLU, "__init__", lambda lu, *a, **k:
+                            factored.append(k.get("name")) or init(lu, *a, **k))
+        monkeypatch.setattr(BandedLU, "solve",
+                            lambda lu, *a, **k: solved.append(lu.name) or solve(lu, *a, **k))
+        mesh = tunnel_mesh(4, 3, width=0.003, height=0.001, hole=(1, 1))
+        solver = TunnelSolver(mesh, 8, NsConfig(dt=1.667e-5, dealias=False),
+                              classify_tunnel_boundary(mesh, (0.6, 0.0)))
+        systems = (solver.helm_u, solver.helm_v, solver.pois_p)
+        assert [len(sys._classes) for sys in systems] == [1, 1, 1]
+        assert sorted(factored) == ["element banded part"] * 3 + ["interface complement"] * 3
+        del solved[:]
+        solver.time_step(FlowState.rest(mesh, 8))
+        assert sorted(solved) == ["element banded part"] * 3 + ["interface complement"] * 3
 
     def test_groups_of_one_class_share_rhs_op_and_equal_their_own_builds(self):
         # two groups, one class: each borders the class's interior operator

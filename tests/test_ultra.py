@@ -197,6 +197,30 @@ class TestTransforms:
         assert np.max(np.abs(V - direct)) < 1e-13
         assert np.max(np.abs(ultra.vals_to_coeffs_2d(V) - A)) < 1e-13
 
+    @pytest.mark.parametrize("n", [2, 65, 129])
+    def test_round_trip_and_constant_at_extreme_sizes(self, n):
+        v = np.random.default_rng(n).standard_normal((2, n, n))
+        back = ultra.coeffs_to_vals_2d(ultra.vals_to_coeffs_2d(v))
+        assert np.max(np.abs(back - v)) < 1e-13 * np.abs(v).max()
+        want = np.zeros((n, n))
+        want[0, 0] = 3.25
+        c = ultra.vals_to_coeffs_2d(np.full((n, n), 3.25))
+        assert np.max(np.abs(c - want)) < 1e-15
+
+    @pytest.mark.parametrize("shape", [(4, 7, 3), (2, 3, 1, 9), (5, 1, 2)])
+    def test_non_square_stacks(self, shape):
+        # each grid of a stack transforms alone, a length-1 axis holds its
+        # constant, and the round trip restores the values
+        v = np.random.default_rng(len(shape)).standard_normal(shape)
+        c = ultra.vals_to_coeffs_2d(v)
+        assert c.shape == v.shape
+        t_s, t_r = (ultra.cheb_points(m) if m > 1 else np.zeros(1) for m in shape[-2:])
+        R, S = np.meshgrid(t_r, t_s)
+        for idx in np.ndindex(shape[:-2]):
+            direct = np.polynomial.chebyshev.chebval2d(S, R, c[idx])
+            assert np.max(np.abs(direct - v[idx])) < 1e-13
+        assert np.max(np.abs(ultra.coeffs_to_vals_2d(c) - v)) < 1e-13
+
     def test_dimension_checks(self):
         with pytest.raises(ValueError):
             ultra.vals_to_coeffs_2d(np.zeros(5))
