@@ -11,7 +11,8 @@ column-indexed diagonals (a DIA matrix), which are rows of LAPACK band
 storage.  Rows whose right-hand-side degree is ``n-2`` or ``n-1`` in
 either variable (4n-4 of them) are replaced by dense boundary-condition
 rows, and the bordered system is solved with a banded LU plus a low-rank
-Woodbury correction.
+Woodbury correction, or through its held dense inverse when that is no
+larger than what the Woodbury solve reads.
 """
 
 import functools
@@ -388,7 +389,11 @@ class AlmostBandedMatrix:
     (row-scaled) dense boundary row minus the unit row it replaces.  The
     factorization is a banded LU of ``A`` plus a dense capacitance solve;
     both are cached for repeated right-hand sides, and solves with ``B``
-    and with ``B^T`` both reuse them.
+    and with ``B^T`` both reuse them.  When the dense inverse is no larger
+    than what a Woodbury solve reads, ``nn <= (2 kl + ku + 1) + 2 k`` (the
+    LU's band rows plus ``Z`` and ``V``), the factorization forms
+    ``A^{-1}`` with one banded solve and takes ``Z`` as its slot columns,
+    and ``B^{-1}`` is held once formed (see :meth:`boundary_columns`).
     """
 
     def __init__(self, banded, slots, dense_rows, scale):
@@ -397,7 +402,7 @@ class AlmostBandedMatrix:
         self.V = np.asarray(dense_rows, dtype=float)
         self.scale = np.asarray(scale, dtype=float)
         self.nn = banded.shape[0]
-        self._lu = self._Z = self._cap = self._like = None
+        self._lu = self._Z = self._cap = self._like = self._Ainv = self._inv = None
 
     @property
     def k(self):
@@ -407,6 +412,12 @@ class AlmostBandedMatrix:
         """``(kl, ku)`` from the outermost stored diagonals of ``A``."""
         off = self.banded.offsets
         return int(max(0, -off.min())), int(max(0, off.max()))
+
+    def _holds_inverse(self):
+        """The size rule: the dense inverse is no larger than the LU's band
+        rows plus ``Z`` and ``V``."""
+        kl, ku = self.bandwidths()
+        return self.nn <= (2 * kl + ku + 1) + 2 * self.k
 
     def to_dense(self):
         """Dense reconstruction of the (row-scaled) bordered operator."""
@@ -422,16 +433,21 @@ class AlmostBandedMatrix:
     def _factor(self):
         if self._lu is None and self._like is not None:
             self._like._factor()
-            self._lu, self._Z = self._like._lu, self._like._Z
+            self._lu, self._Z, self._Ainv = self._like._lu, self._like._Z, self._like._Ainv
         if self._lu is None:
             # a DIA diagonal is a column-indexed row of LAPACK band storage
             kl, ku = self.bandwidths()
             ab = np.zeros((2 * kl + ku + 1, self.nn), order="F")
             ab[kl + ku - self.banded.offsets] = self.banded.data
             self._lu = BandedLU(ab, kl, ku, name="element banded part")
-            E = np.zeros((self.nn, self.k))
-            E[self.slots, np.arange(self.k)] = 1.0
-            self._Z = self._lu.solve(E) if self.k else None
+            if self._holds_inverse():
+                # Z is the slot columns of A^{-1}
+                self._Ainv = self._lu.solve(np.eye(self.nn))
+                self._Z = self._Ainv[:, self.slots]
+            elif self.k:
+                E = np.zeros((self.nn, self.k))
+                E[self.slots, np.arange(self.k)] = 1.0
+                self._Z = self._lu.solve(E)
         if self.k and self._cap is None:
             lu, piv, info = dgetrf(np.eye(self.k) + self.V @ self._Z)
             # info > 0 is an exact zero pivot; non-finite factors come
@@ -471,10 +487,22 @@ class AlmostBandedMatrix:
         self._factor()
         return y - self._Z @ self._cap_solve(self.V @ y) if self.k else y
 
+    def _inverse(self):
+        """The held ``B^{-1} = A^{-1} - Z cap^{-1} V A^{-1}``, formed once
+        from the held factors under the size rule; None otherwise."""
+        if self._inv is None and self._holds_inverse():
+            self._factor()
+            self._inv = self.woodbury(self._Ainv)
+        return self._inv
+
     def boundary_columns(self, t):
-        """Columns ``slots[t]`` of ``B^{-1}`` from the held Woodbury
-        factors: ``Z = A^{-1} U`` has ``Z[slots] = I``, so ``B^{-1} U =
-        Z cap^{-1}`` and no banded solve is needed."""
+        """Columns ``slots[t]`` of ``B^{-1}``: of the held inverse under the
+        size rule, else from the held Woodbury factors (``Z = A^{-1} U``
+        has ``Z[slots] = I``, so ``B^{-1} U = Z cap^{-1}``).  Neither
+        needs a banded solve."""
+        inv = self._inverse()
+        if inv is not None:
+            return inv[:, self.slots[t]]
         self._factor()
         return self._Z @ self._cap_solve(np.eye(self.k)[:, t])
 

@@ -225,7 +225,11 @@ class TunnelSolver:
 
     def no_slip_residual(self, ufields, vfields):
         """Largest velocity magnitude at object-boundary grid points."""
-        uv = ultra.coeffs_to_vals_2d(np.stack([ufields.matrix, vfields.matrix]))
+        return self._no_slip_max(
+            ultra.coeffs_to_vals_2d(np.stack([ufields.matrix, vfields.matrix])))
+
+    def _no_slip_max(self, uv):
+        """:meth:`no_slip_residual` of stacked (2, F, n, n) grid values."""
         return float(np.abs(uv[:, self._on_object]).max(initial=0.0))
 
     # -- stepping -----------------------------------------------------------
@@ -244,14 +248,16 @@ class TunnelSolver:
         u_star = self.helm_u.solve(f=ax - u / dt, dirichlet=self._dir_u, neumann=0.0)
         v_star = self.helm_v.solve(f=ay - v / dt, dirichlet=self._dir_v, neumann=0.0)
         self.last_star = (u_star, v_star)
-        self.last_no_slip = self.no_slip_residual(u_star, v_star)
+        # the values of (u*, v*), transformed once for the no-slip residual
+        # and the projection
+        uv = ultra.coeffs_to_vals_2d(np.stack([u_star.matrix, v_star.matrix]))
+        self.last_no_slip = self._no_slip_max(uv)
 
         div = self.divergence_values(u_star, v_star)
         p = self.pois_p.solve(f=div / dt, dirichlet=0.0, neumann=0.0)
 
-        # the projection: one transform to grid values and one back
-        uv = ultra.coeffs_to_vals_2d(np.stack([u_star.matrix, v_star.matrix])) \
-            - dt * np.stack(self._gradient(p.matrix))
+        # the projection, and one transform back
+        uv -= dt * np.stack(self._gradient(p.matrix))
         unew, vnew = CoeffVector2D.from_matrix(ultra.vals_to_coeffs_2d(uv))
         new = FlowState(u=unew, v=vnew, p=p, t=state.t + dt, step=state.step + 1)
         if not new.finite():

@@ -45,8 +45,11 @@ bitwise equal inputs get bit-identical operators and W blocks to
 building every element alone.  Setup is array operations over all
 elements and interior edges at once, with Python loops only over
 classes, groups and W blocks.  A solve multiplies by each class's
-right-hand-side operator once, places boundary data at points listed at
-setup, runs one banded solve per class (its groups share the banded part
+right-hand-side operator once and places boundary data at points listed
+at setup.  A class whose dense inverse is no larger than what a Woodbury
+solve reads, n^2 <= (2 kl + ku + 1) + 2 (4n-4) for the bandwidths of its
+banded part, holds each group's inverse and takes one product per group;
+any other class runs one banded solve (its groups share the banded part
 and its LU) and then each group's Woodbury correction.
 """
 
@@ -172,6 +175,11 @@ class SchurSystem:
         self._pin = pin_value_point and "dirichlet" not in self._edge_kind
 
         self._build_elements()
+        # for the element solves: each group's held inverse (None without),
+        # and the classes that keep the banded path
+        self._inverses = [op._inverse() for _, op, _ in self.groups]
+        self._banded = [(elems, first) for elems, _, first in self._classes
+                        if not first._holds_inverse()]
         # the coupling's build temporaries are freed before Sigma is factored
         self._factor_sigma(self._build_coupling())
 
@@ -317,9 +325,9 @@ class SchurSystem:
 
         # One W block per element group and coupled-slot set: the element
         # solves against its C_gamma columns, read from the group's held
-        # Woodbury factors.  It fills the W_gamma rows of its elements, and
-        # Sigma = -sum A_gamma_j inv(A_jj) A_j_gamma takes one stacked
-        # product of their matching rows with it as triplets.
+        # inverse or Woodbury factors.  It fills the W_gamma rows of its
+        # elements, and Sigma = -sum A_gamma_j inv(A_jj) A_j_gamma takes one
+        # stacked product of their matching rows with it as triplets.
         w_ptr = np.concatenate([[0], np.cumsum(np.repeat(coupled.sum(axis=1), nn))])
         w_data = np.empty(w_ptr[-1])
         w_cols = np.empty(w_ptr[-1], dtype=np.int32)
@@ -426,14 +434,15 @@ class SchurSystem:
         return project_rhs(rhs_full, values, n)
 
     def _element_solves(self, B):
-        """Stacked (F, n^2) element solves with zero interface values: one
-        banded solve per geometry class over its elements' scaled
-        right-hand sides, then each group's Woodbury correction."""
+        """Stacked (F, n^2) element solves with zero interface values of
+        the scaled right-hand sides: one product per group with its held
+        inverse, else one banded solve per geometry class and then each
+        group's Woodbury correction."""
         Y = self._scale * B
-        for elems, _, first in self._classes:
+        for elems, first in self._banded:
             Y[elems] = first.banded_solve(Y[elems].T).T
-        for elems, op, _ in self.groups:
-            Y[elems] = op.woodbury(Y[elems].T).T
+        for (elems, op, _), inv in zip(self.groups, self._inverses):
+            Y[elems] = Y[elems] @ inv.T if inv is not None else op.woodbury(Y[elems].T).T
         return Y
 
     def solve(self, f=None, dirichlet=0.0, neumann=0.0, return_info=False):

@@ -416,6 +416,18 @@ class TestWoodbury:
         t_solve = (time.perf_counter() - t0) / reps
         assert t_solve * 10 < t_factor
 
+    @pytest.mark.parametrize("n", [13, 14])
+    def test_held_inverse_under_the_size_rule(self, n):
+        # an affine Poisson element (kl = ku = 2n) holds its inverse while
+        # n^2 <= (6n + 1) + 2 (4n - 4), that is up to n = 13; its boundary
+        # columns match the dense inverse on either path
+        op = assemble_element_operator(POISSON, SQUARE, n)
+        assert op.bandwidths() == (2 * n, 2 * n)
+        assert (op._inverse() is not None) == (n <= 13)
+        want = np.linalg.inv(op.to_dense())[:, op.slots]
+        got = op.boundary_columns(np.arange(op.k))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_transpose_solve(self, rng):
         n = 9
         op = assemble_element_operator(POISSON, SQUARE, n)

@@ -204,9 +204,10 @@ class TestTimeStepping:
             deltas.append(max(np.abs(a.data - b.data).max()
                               for a, b in zip(new.u, st.u)))
             st = new
-        # contraction toward the uniform steady state after the transient
+        # contraction toward the uniform steady state after the transient,
+        # where the step-to-step change settles at round-off of the speed
         assert deltas[20] < deltas[2]
-        assert deltas[-1] <= deltas[20]
+        assert max(deltas[40:]) <= 1e-12 * 0.6
         t = ultra.cheb_points(8)
         R, S = np.meshgrid(t, t)
         for f in range(mesh.n_quads):

@@ -116,7 +116,7 @@ class TestCoupling:
     @pytest.mark.parametrize("case", ["mixed-varcoef", "sliver"])
     def test_w_blocks_match_dense_solves(self, case):
         # every element's W_gamma rows are its solves against its C_gamma
-        # columns, read from the Woodbury factors instead of banded solves
+        # columns, read from the held factors instead of banded solves
         if case == "mixed-varcoef":
             mesh = mixed_mesh()
             sys = assemble_schur(mesh, _general_pde(VARCOEF, mesh), 12)
@@ -129,23 +129,26 @@ class TestCoupling:
             want = np.linalg.solve(op.to_dense(), C[rows])
             assert np.abs(W[rows] - want).max() <= 1e-13 * np.abs(want).max()
 
-    @pytest.mark.parametrize("case", ["grid-varcoef", "neumann-side"])
+    @pytest.mark.parametrize("case", ["grid-varcoef", "neumann-side", "neumann-side-n24"])
     def test_build_banded_solves_only_to_factor(self, case, monkeypatch):
         # every element is coupled, so every geometry class is factored
-        # during the build: one banded solve each (the Woodbury Z its groups
-        # share), none for W blocks
+        # during the build with one banded solve, none for W blocks: at n = 8
+        # the solve forms A^{-1} (width n^2), whose slot columns are the Z
+        # its groups share; at n = 24 the size rule fails and it forms Z
+        # alone (width 4n-4)
         widths, solve = [], BandedLU.solve
         monkeypatch.setattr(BandedLU, "solve",
                             lambda lu, b, *a: widths.append(np.shape(b)[1]) or solve(lu, b, *a))
+        n = 24 if case == "neumann-side-n24" else 8
         if case == "grid-varcoef":
             mesh = grid_mesh(3, 3)
-            sys = assemble_schur(mesh, _general_pde(VARCOEF, mesh), 8)
+            sys = assemble_schur(mesh, _general_pde(VARCOEF, mesh), n)
         else:
             mesh, bottom = _grid_with_neumann_bottom()
-            sys = assemble_schur(mesh, POISSON, 8, bc={e: "neumann" for e in bottom})
-        classes = {"grid-varcoef": 9, "neumann-side": 1}[case]
+            sys = assemble_schur(mesh, POISSON, n, bc={e: "neumann" for e in bottom})
+        classes = 9 if case == "grid-varcoef" else 1
         assert sys.n_distinct > 1 and len(sys._classes) == classes
-        assert widths == [4 * 8 - 4] * classes
+        assert widths == [{8: n * n, 24: 4 * n - 4}[n]] * classes
 
 
 class TestSigmaStructure:
@@ -190,6 +193,13 @@ class TestSigmaStructure:
         want = 1.0 / (np.abs(S).sum(axis=0).max()
                       * np.abs(np.linalg.inv(S)).sum(axis=0).max())
         assert want / 3 <= sys.sigma_rcond <= 3 * want
+
+    def test_sigma_rcond_plateau_on_slivers(self):
+        # the mesh-level form of the conditioning plateau: Sigma's condition
+        # does not grow as the sliver thins
+        rcond = [assemble_schur(skinny_pair_mesh(eps), POISSON, 20).sigma_rcond
+                 for eps in (1e-3, 1e-6, 1e-9, 1e-12)]
+        assert max(rcond) <= 1.05 * min(rcond)
 
     def test_sigma_rcond_none_without_interfaces(self):
         assert assemble_schur(grid_mesh(1, 1), POISSON, 6).sigma_rcond is None
@@ -416,6 +426,30 @@ class TestSolves:
                 assert np.abs(got[k].data - want[f].data).max() <= 1e-10 * scale
 
 
+class TestHeldInverse:
+    @pytest.mark.parametrize("eps", [1e-6, 1e-12])
+    def test_slivers_solve_through_held_inverses(self, eps):
+        # at n = 8 the square and the sliver both meet the size rule, and
+        # the products with their held inverses stay accurate on the sliver
+        sys = assemble_schur(skinny_pair_mesh(eps), POISSON, 8)
+        assert sys._banded == [] and all(inv is not None for inv in sys._inverses)
+        u = lambda x, y: x ** 5 - 3 * x ** 3 * y ** 2 + x * y ** 4 - 2 * y ** 3 + x * y + 1
+        f = lambda x, y: 14 * x ** 3 - 6 * x * y ** 2 - 12 * y
+        sols = sys.solve(f=f, dirichlet=u)
+        assert eval_on_grid(sys, sols, u) <= 1e-12
+        got = np.array([s.data for s in sols])
+        want = np.array([s.data for s in sys.solve_dense(f=f, dirichlet=u)])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_wide_bands_keep_the_banded_path(self):
+        # variable coefficients at n = 24: the bands are too wide for the
+        # size rule, so every class keeps its banded solve
+        mesh = mixed_mesh()
+        sys = assemble_schur(mesh, _general_pde(VARCOEF, mesh), 24)
+        assert len(sys._banded) == len(sys._classes) == mesh.n_quads
+        assert all(inv is None for inv in sys._inverses)
+
+
 class TestGlobalContinuity:
     def test_random_meshes_polynomial_solutions(self, rng):
         # jiggled grids, random polynomial manufactured solutions
@@ -634,8 +668,9 @@ class TestSharedElements:
 
     def test_tunnel_factors_and_solves_once_per_class(self, monkeypatch):
         # the perfbench tunnel: each system's groups border one banded part,
-        # so three systems factor 3 element operators and 3 Sigmas, and a
-        # step makes one element banded solve per class of each system
+        # so three systems factor 3 element operators and 3 Sigmas; at n = 8
+        # every group holds its inverse, so a step makes no element banded
+        # solve, only the 3 Sigma solves
         factored, solved = [], []
         init, solve = BandedLU.__init__, BandedLU.solve
         monkeypatch.setattr(BandedLU, "__init__", lambda lu, *a, **k:
@@ -648,9 +683,10 @@ class TestSharedElements:
         systems = (solver.helm_u, solver.helm_v, solver.pois_p)
         assert [len(sys._classes) for sys in systems] == [1, 1, 1]
         assert sorted(factored) == ["element banded part"] * 3 + ["interface complement"] * 3
+        assert sorted(solved) == ["element banded part"] * 3
         del solved[:]
         solver.time_step(FlowState.rest(mesh, 8))
-        assert sorted(solved) == ["element banded part"] * 3 + ["interface complement"] * 3
+        assert solved == ["interface complement"] * 3
 
     def test_groups_of_one_class_share_rhs_op_and_equal_their_own_builds(self):
         # two groups, one class: each borders the class's interior operator
