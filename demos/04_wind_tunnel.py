@@ -38,14 +38,10 @@ def diagnostics(st, div):
 state = solver.run(state, diagnostics=diagnostics)
 
 w = solver.vorticity(state)
-print(f"final vorticity range: [{min(x.min() for x in w):.1f}, "
-      f"{max(x.max() for x in w):.1f}] 1/s")
+print(f"final vorticity range: [{w.min():.1f}, {w.max():.1f}] 1/s")
 
 # every field is one stack over the elements: one transform each
-u, v, p = (c.grid_values() for c in (state.u, state.v, state.p))
-coords = zip(solver.helm_u.grid_x, solver.helm_u.grid_y)
-grids = [{"x": X, "y": Y, "u": a, "v": b, "p": c, "omega": o}
-         for (X, Y), a, b, c, o in zip(coords, u, v, p, w)]
-write_fields_file("tunnel_final.txt", "<builtin tunnel>", 8,
-                  ["u", "v", "p", "omega"], grids, time=state.t)
+fields = {"x": solver.helm_u.grid_x, "y": solver.helm_u.grid_y, "u": state.u.grid_values(),
+          "v": state.v.grid_values(), "p": state.p.grid_values(), "omega": w}
+write_fields_file("tunnel_final.txt", "<builtin tunnel>", 8, fields, time=state.t)
 print("wrote tunnel_final.txt")

@@ -135,32 +135,23 @@ def cond_bench(epsilons, n):
 # sampled-field files
 
 
-def write_fields_file(path, mesh_path, n, names, elements, time=None):
-    """Write per-element n-by-n sampled grids.  ``elements`` is a list of
-    dicts mapping field names to grid arrays; ``x`` and ``y`` lead every
-    row."""
+def write_fields_file(path, mesh_path, n, fields, time=None):
+    """Write n-by-n sampled grids per element.  ``fields`` maps names to
+    stacked (F, n, n) arrays and holds the grid coordinates ``x`` and
+    ``y``, which lead every row."""
+    names = ["x", "y"] + [name for name in fields if name not in ("x", "y")]
+    rows = np.stack([fields[name] for name in names], axis=-1).reshape(-1, n * n, len(names))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("ultrasem-fields 1\n")
         fh.write(f"mesh {mesh_path}\n")
         fh.write(f"n {n}\n")
         if time is not None:
             fh.write(f"time {_fmt(time)}\n")
-        fh.write("fields x y " + " ".join(names) + "\n")
-        for k, fields in enumerate(elements):
+        fh.write("fields " + " ".join(names) + "\n")
+        for k, element in enumerate(rows):
             fh.write(f"element {k}\n")
-            X, Y = fields["x"], fields["y"]
-            cols = [fields[name] for name in names]
-            for i in range(n):
-                for j in range(n):
-                    row = [X[i, j], Y[i, j]] + [c[i, j] for c in cols]
-                    fh.write(" ".join(_fmt(v) for v in row) + "\n")
-
-
-def _element_grids(system, **values):
-    """Per-element dicts of the grid coordinates and of each stacked
-    (F, n, n) array of ``values``."""
-    return [{"x": X, "y": Y, **dict(zip(values, v))}
-            for X, Y, *v in zip(system.grid_x, system.grid_y, *values.values())]
+            for row in element:
+                fh.write(" ".join(_fmt(v) for v in row) + "\n")
 
 
 # ----------------------------------------------------------------------
@@ -237,13 +228,12 @@ def cmd_solve(args):
             raise ValueError(f"exact solution is not finite on element {np.argmax(bad)}")
     sols, info = system.solve(f=rhs, dirichlet=bc, return_info=True)
     print(f"max-residual {info.residual:.3e}")
-    values = {"u": sols.grid_values()}
+    values = {"x": system.grid_x, "y": system.grid_y, "u": sols.grid_values()}
     if cfg.exact:
         values["err"] = np.abs(values["u"] - exact)
         print(f"max-error {values['err'].max():.3e}")
     if cfg.out:
-        write_fields_file(cfg.out, cfg.mesh_path, cfg.n, list(values),
-                          _element_grids(system, **values))
+        write_fields_file(cfg.out, cfg.mesh_path, cfg.n, values)
         print(f"wrote {cfg.out}")
     return EXIT_OK
 
@@ -277,10 +267,10 @@ def cmd_ns_run(args):
         return os.path.join(outdir, f"frame_{step:06d}.txt")
 
     def write_frame(st):
-        grids = _element_grids(coords, u=st.u.grid_values(), v=st.v.grid_values(),
-                               p=st.p.grid_values(), omega=solver.vorticity(st))
-        write_fields_file(frame_path(st.step), args.mesh, args.n,
-                          ["u", "v", "p", "omega"], grids, time=st.t)
+        fields = {"x": coords.grid_x, "y": coords.grid_y, "u": st.u.grid_values(),
+                  "v": st.v.grid_values(), "p": st.p.grid_values(),
+                  "omega": solver.vorticity(st)}
+        write_fields_file(frame_path(st.step), args.mesh, args.n, fields, time=st.t)
 
     last_good = [state]
 

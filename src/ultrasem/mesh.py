@@ -31,7 +31,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import GeometryError, MeshError, MeshFormatError
-from .quadmap import Quad, inradius, quad_defect
+from .quadmap import Quad, _twice_area, inradius, quad_defect
 
 
 class QuadMesh:
@@ -55,70 +55,66 @@ class QuadMesh:
         if self.quads.min(initial=0) < 0 or self.quads.max(initial=-1) >= V:
             raise MeshError("quad vertex number out of range")
 
-        for f, q in enumerate(self.quads):
-            if len(set(q.tolist())) != 4:
-                raise MeshError(f"quad {f} repeats a vertex")
-            x, y = self.vertices[q, 0], self.vertices[q, 1]
-            area2 = np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y)
-            if area2 <= 0.0:
-                raise MeshError(f"quad {f} is clockwise or degenerate")
+        q = self.quads
+        repeats = (np.diff(np.sort(q, axis=1), axis=1) == 0).any(axis=1)
+        with np.errstate(invalid="ignore", over="ignore"):
+            # a non-finite vertex passes here and fails in element_vertices
+            flat = _twice_area(self.vertices[q]) <= 0.0
+        if (repeats | flat).any():
+            f = int(np.argmax(repeats | flat))
+            raise MeshError(f"quad {f} repeats a vertex" if repeats[f]
+                            else f"quad {f} is clockwise or degenerate")
 
-        edge_ids = {}
-        edges = []
-        edge_quads = []  # per edge: list of (quad, local_edge, aligned)
-        self.quad_edge = np.empty((F, 4), dtype=int)
-        self.quad_edge_aligned = np.empty((F, 4), dtype=bool)
-        for f, q in enumerate(self.quads):
-            seen = set()
-            for l in range(4):
-                a, b = int(q[l]), int(q[(l + 1) % 4])
-                key = (min(a, b), max(a, b))
-                if key in seen:
-                    raise MeshError(f"quad {f} uses edge {key} twice")
-                seen.add(key)
-                e = edge_ids.get(key)
-                if e is None:
-                    e = len(edges)
-                    edge_ids[key] = e
-                    edges.append(key)
-                    edge_quads.append([])
-                if len(edge_quads[e]) == 2:
-                    raise MeshError(
-                        f"edge {key} is shared by more than two quads (nonconforming)")
-                aligned = a == key[0]
-                if edge_quads[e] and edge_quads[e][0][2] == aligned:
-                    raise MeshError(
-                        f"edge {key} is traversed twice in the same direction "
-                        f"(orientation conflict between quads "
-                        f"{edge_quads[e][0][0]} and {f})")
-                edge_quads[e].append((f, l, aligned))
-                self.quad_edge[f, l] = e
-                self.quad_edge_aligned[f, l] = aligned
+        # one row per side (quad f, local edge l), in that order; an edge is
+        # numbered by the first side that uses it
+        a, b = q.ravel(), np.roll(q, -1, axis=1).ravel()
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        _, first, inverse = np.unique(lo * V + hi, return_index=True, return_inverse=True)
+        rank = np.empty_like(first)
+        rank[np.argsort(first)] = np.arange(len(first))
+        side_edge, first = rank[inverse], np.sort(first)
+        aligned = a == lo
+        count = np.bincount(side_edge)
+        # use[i]: the number of earlier sides on side i's edge
+        by_edge = np.argsort(side_edge, kind="stable")
+        use = np.empty_like(side_edge)
+        use[by_edge] = np.arange(4 * F) - (np.cumsum(count) - count)[side_edge[by_edge]]
+        third = use >= 2
+        conflict = (use == 1) & (aligned == aligned[first[side_edge]])
+        if (third | conflict).any():
+            i = int(np.argmax(third | conflict))
+            key = (int(lo[i]), int(hi[i]))
+            if third[i]:
+                raise MeshError(
+                    f"edge {key} is shared by more than two quads (nonconforming)")
+            raise MeshError(
+                f"edge {key} is traversed twice in the same direction "
+                f"(orientation conflict between quads "
+                f"{first[side_edge[i]] // 4} and {i // 4})")
+        self.quad_edge = side_edge.reshape(F, 4)
+        self.quad_edge_aligned = aligned.reshape(F, 4)
+        self.edges = np.column_stack([lo, hi])[first]
+        self.boundary_edge = count == 1
 
-        self.edges = np.array(edges, dtype=int)
-        self.edge_quads = edge_quads
-        self.boundary_edge = np.array([len(eq) == 1 for eq in edge_quads])
         used = np.zeros(V, dtype=bool)
-        used[self.quads.ravel()] = True
+        used[q.ravel()] = True
         if not used.all():
             raise MeshError(f"vertex {int(np.argmin(used))} is not used by any quad")
-
         self.boundary_vertex = np.zeros(V, dtype=bool)
-        for e in np.nonzero(self.boundary_edge)[0]:
-            self.boundary_vertex[self.edges[e]] = True
+        self.boundary_vertex[self.edges[self.boundary_edge]] = True
 
         self.interior_edges = np.nonzero(~self.boundary_edge)[0]
         # vertex list: each interior vertex gets the incident interior edge
         # whose other endpoint has the smallest (y, x), ties to the lower
         # edge number; only coordinates decide, not the element numbering
         self.vertex_edge = np.full(V, -1, dtype=int)
-        best = {}
-        for e in self.interior_edges:
-            for v, w in (self.edges[e], self.edges[e][::-1]):
-                key = (self.vertices[w, 1], self.vertices[w, 0], e)
-                if not self.boundary_vertex[v] and key < best.get(v, (np.inf,)):
-                    best[v] = key
-                    self.vertex_edge[v] = e
+        ends = self.edges[self.interior_edges]
+        v, w = ends.ravel(), ends[:, ::-1].ravel()
+        e = np.repeat(self.interior_edges, 2)
+        v, w, e = (z[~self.boundary_vertex[v]] for z in (v, w, e))
+        order = np.lexsort((e, self.vertices[w, 0], self.vertices[w, 1], v))
+        _, head = np.unique(v[order], return_index=True)
+        self.vertex_edge[v[order[head]]] = e[order[head]]
 
     # -- queries -------------------------------------------------------
 
@@ -169,10 +165,6 @@ class QuadMesh:
         if bad is not None:
             raise GeometryError(f"element {bad[0]}: {bad[1]}")
         return v
-
-    def local_edge(self, f, l):
-        """Global edge number of local edge ``l`` of quad ``f``."""
-        return int(self.quad_edge[f, l])
 
     def __repr__(self):
         return (f"QuadMesh(V={self.n_vertices}, E={self.n_edges}, "
@@ -305,45 +297,41 @@ def interface_bandwidth(mesh, pos=None):
 # quality metrics
 
 
+_PAIRS = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
+_TRIPLES = np.array([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
+
+
 def _circumradius(points):
-    # min enclosing circle of <= 4 points: try pair diameters, then
-    # circumcircles of triples; pick the smallest covering circle
-    pts = np.asarray(points, dtype=float)
-    best = None
-    m = len(pts)
-    eps = 1e-12
-
-    def covers(c, r):
-        return np.all(np.hypot(*(pts - c).T) <= r * (1 + 1e-12) + 1e-300)
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            c = 0.5 * (pts[i] + pts[j])
-            r = 0.5 * np.hypot(*(pts[i] - pts[j]))
-            if covers(c, r) and (best is None or r < best[1]):
-                best = (c, r)
-    if best is not None:
-        return float(best[1])
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(j + 1, m):
-                ax, ay = pts[i]
-                bx, by = pts[j]
-                cx, cy = pts[k]
-                d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-                if abs(d) < eps * max(1.0, abs(ax), abs(bx), abs(cx)):
-                    continue
-                ux = ((ax ** 2 + ay ** 2) * (by - cy) + (bx ** 2 + by ** 2) * (cy - ay)
-                      + (cx ** 2 + cy ** 2) * (ay - by)) / d
-                uy = ((ax ** 2 + ay ** 2) * (cx - bx) + (bx ** 2 + by ** 2) * (ax - cx)
-                      + (cx ** 2 + cy ** 2) * (bx - ax)) / d
-                c = np.array([ux, uy])
-                r = np.hypot(*(pts[i] - c))
-                if covers(c, r) and (best is None or r < best[1]):
-                    best = (c, r)
-    if best is None:
+    """Radius of the smallest circle containing each quad: (...) for
+    (..., 4, 2) vertex arrays."""
+    # The smallest enclosing circle of four points has two of them as a
+    # diameter or passes through three; it is the smallest candidate that
+    # covers all four.  Working relative to the mean keeps the rounding
+    # relative to the element's size, wherever the element lies.
+    p = np.asarray(points, dtype=float)
+    p = p - p.mean(axis=-2, keepdims=True)
+    a, b = p[..., _PAIRS[:, 0], :], p[..., _PAIRS[:, 1], :]
+    centers, radii = [0.5 * (a + b)], [0.5 * _norm(b - a)]
+    # the circle through a, b and c is centered at a + u
+    a, b, c = (p[..., _TRIPLES[:, k], :] for k in range(3))
+    b, c = b - a, c - a
+    d = 2.0 * (b[..., 0] * c[..., 1] - b[..., 1] * c[..., 0])
+    bb, cc = np.sum(b * b, axis=-1), np.sum(c * c, axis=-1)
+    u = (np.stack([c[..., 1] * bb - b[..., 1] * cc, b[..., 0] * cc - c[..., 0] * bb], axis=-1)
+         / np.where(d == 0.0, 1.0, d)[..., None])
+    centers.append(a + u)
+    radii.append(np.where(d == 0.0, np.inf, _norm(u)))  # collinear: no circle
+    center, r = np.concatenate(centers, axis=-2), np.concatenate(radii, axis=-1)
+    covers = np.all(_norm(p[..., None, :, :] - center[..., :, None, :])
+                    <= r[..., None] * (1 + 1e-12), axis=-1)
+    r_out = np.where(covers, r, np.inf).min(axis=-1)
+    if not np.isfinite(r_out).all():
         raise GeometryError("could not enclose the element in a circle")
-    return float(best[1])
+    return r_out
+
+
+def _norm(z):
+    return np.hypot(z[..., 0], z[..., 1])
 
 
 @dataclass
@@ -361,7 +349,7 @@ class MeshQuality:
 def quality(mesh):
     """Inradius, min-containment radius and skinniness of every element."""
     v = mesh.element_vertices()
-    return MeshQuality(r_in=inradius(v), r_out=np.array([_circumradius(q) for q in v]))
+    return MeshQuality(r_in=inradius(v), r_out=_circumradius(v))
 
 
 # ----------------------------------------------------------------------
@@ -410,18 +398,21 @@ def mesh_from_string(text, name="<string>"):
     if not header_seen:
         raise MeshFormatError(f"empty mesh file {name}", 1)
 
+    # exact coordinates -> vertex number, the first declared one for a
+    # point, so that a split midpoint on a declared vertex becomes that vertex
+    vertex_at = {}
+    for i, xy in enumerate(vertices):
+        vertex_at.setdefault(xy, i)
     vertices = [np.asarray(v, dtype=float) for v in vertices]
     n_declared = len(vertices)
     quads = []
-    extra = {}  # exact-coordinate key -> new vertex index
 
     def add_vertex(p):
         key = (float(p[0]), float(p[1]))
-        if key in extra:
-            return extra[key]
-        vertices.append(np.asarray(p, dtype=float))
-        extra[key] = len(vertices) - 1
-        return extra[key]
+        if key not in vertex_at:
+            vertices.append(np.asarray(p, dtype=float))
+            vertex_at[key] = len(vertices) - 1
+        return vertex_at[key]
 
     for tag, idx, ln in elements:
         if max(idx) >= n_declared:

@@ -181,9 +181,9 @@ class TunnelSolver:
         # row s = -1 and column r = 1 for local edges 0..3
         self._on_object = np.zeros((mesh.n_quads, n, n), dtype=bool)
         sides = ((-1, slice(None)), (slice(None), 0), (0, slice(None)), (slice(None), -1))
-        for e in boundary.edges("object"):
-            for f, l, _ in mesh.edge_quads[e]:
-                self._on_object[(f,) + sides[l]] = True
+        on = np.isin(mesh.quad_edge, boundary.edges("object"))
+        for l, side in enumerate(sides):
+            self._on_object[(on[:, l],) + side] = True
 
     # -- spectral derivative helpers ------------------------------------
 

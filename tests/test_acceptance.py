@@ -143,8 +143,9 @@ class TestAcceptance:
         # interface jump at 50 points along the shared edge
         e = mesh.interior_edges[0]
         traces = []
-        for (f, l, aligned) in mesh.edge_quads[e]:
-            traces.append(sols[f].eval(*edge_point(l, aligned, np.linspace(-1, 1, 50))))
+        for f, l in zip(*np.nonzero(mesh.quad_edge == e)):
+            traces.append(sols[f].eval(*edge_point(l, mesh.quad_edge_aligned[f, l],
+                                                   np.linspace(-1, 1, 50))))
         jump = np.max(np.abs(traces[0] - traces[1]))
         assert jump <= 1e-10
         dt = time.perf_counter() - t0
@@ -165,8 +166,9 @@ class TestAcceptance:
         err = eval_on_grid(sys, sols, uex, m=40)
         assert err <= 1e-9
         e = mesh.interior_edges[0]
-        traces = [sols[f].eval(*edge_point(l, aligned, np.linspace(-1, 1, 50)))
-                  for (f, l, aligned) in mesh.edge_quads[e]]
+        traces = [sols[f].eval(*edge_point(l, mesh.quad_edge_aligned[f, l],
+                                           np.linspace(-1, 1, 50)))
+                  for f, l in zip(*np.nonzero(mesh.quad_edge == e))]
         jump = np.max(np.abs(traces[0] - traces[1]))
         assert jump <= 1e-10
         dt = time.perf_counter() - t0

@@ -12,7 +12,7 @@ from ultrasem.cli import (
     main,
     skinny_quad,
 )
-from ultrasem.mesh import write_mesh
+from ultrasem.mesh import grid_mesh, write_mesh
 from ultrasem.quadmap import Quad
 
 from conftest import skinny_pair_mesh
@@ -313,6 +313,15 @@ class TestMeshInfo:
         assert float(out["skinniness-min"]) < 1e-5
         assert out["interior-edges"] == "1"
         assert int(out["sigma-bandwidth-bound"]) == 20
+
+    def test_small_elements_away_from_the_origin(self, tmp_path, capsys):
+        # 1600 squares of side 2.5e-4 near (7.3, 1.1): each one's
+        # min-containment radius is half its diagonal
+        p = tmp_path / "offset.txt"
+        write_mesh(grid_mesh(40, 40, x0=7.3, y0=1.1, width=0.01, height=0.01), p)
+        assert main(["mesh-info", "--mesh", str(p)]) == EXIT_OK
+        out = dict(l.split() for l in capsys.readouterr().out.splitlines())
+        assert abs(float(out["skinniness-min"]) - 1 / np.sqrt(2)) < 1e-8
 
 
 @pytest.mark.parametrize("command, value", [

@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ultrasem.element import PdeCoefficients
 from ultrasem.errors import GeometryError, MeshError, MeshFormatError
 from ultrasem.mesh import (
     _bandwidth_of,
+    _circumradius,
     _exact_min_bandwidth,
     build_mesh,
     grid_mesh,
@@ -22,8 +24,10 @@ from ultrasem.mesh import (
     split_triangle,
     write_mesh,
 )
+from ultrasem.schur import assemble_schur
 
-from conftest import skinny_pair_mesh
+from conftest import (eval_on_grid, jiggled_grid, mixed_mesh, random_convex_quad,
+                      skinny_pair_mesh)
 
 UNIT_SQUARE = ([( -1, -1), (1, -1), (1, 1), (-1, 1)], [(0, 1, 2, 3)])
 
@@ -80,11 +84,51 @@ class TestBuildMesh:
         mesh = grid_mesh(3, 3)
         for f in range(mesh.n_quads):
             for l in range(4):
-                e = mesh.local_edge(f, l)
-                assert (f, l) in [(g, k) for g, k, _ in mesh.edge_quads[e]]
+                e = mesh.quad_edge[f, l]
+                assert (f, l) in zip(*np.nonzero(mesh.quad_edge == e))
         for e in range(mesh.n_edges):
-            for f, l, _ in mesh.edge_quads[e]:
-                assert mesh.local_edge(f, l) == e
+            for f, l in zip(*np.nonzero(mesh.quad_edge == e)):
+                assert mesh.quad_edge[f, l] == e
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_topology_matches_loop(self, case, rng):
+        base = [grid_mesh(4, 3, skip=[(1, 1)]), grid_mesh(5, 5, skip=[(0, 0), (2, 3), (3, 1)]),
+                mixed_mesh(), skinny_pair_mesh(0.1), jiggled_grid(4, 4, rng),
+                grid_mesh(3, 3, skip=[(1, 0)])][case]
+        meshes = [(base.vertices, base.quads)]
+        for _ in range(8):
+            # renumber the vertices and the quads, start each quad at a
+            # random vertex, and move every vertex a little
+            pv = rng.permutation(base.n_vertices)
+            q = np.argsort(pv)[base.quads][rng.permutation(base.n_quads)]
+            q = np.array([np.roll(row, -k) for row, k in zip(q, rng.integers(0, 4, len(q)))])
+            h = np.ptp(base.vertices, axis=0).min() / 50
+            meshes.append((base.vertices[pv] + rng.uniform(-h, h, (base.n_vertices, 2)), q))
+        for vertices, quads in meshes:
+            mesh = build_mesh(vertices, quads)
+            for name, want in _loop_topology(vertices, quads).items():
+                got = getattr(mesh, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("vertices, quads, message", [
+        ([(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1, 2, 2)], "quad 0 repeats a vertex"),
+        ([(0, 0), (1, 0), (1, 1), (0, 1), (2, 0), (2, 1)], [(0, 1, 2, 3), (1, 2, 5, 4)],
+         "quad 1 is clockwise or degenerate"),
+        ([(0, 0), (1, 0), (1, 1), (0, 1), (2, 0), (2, 1), (0.5, -1), (0.5, 1.5)],
+         [(0, 1, 2, 3), (1, 4, 5, 2), (6, 1, 2, 7)],
+         "edge (1, 2) is shared by more than two quads (nonconforming)"),
+        ([(-1, -1), (1, -1), (1, 1), (-1, 1), (0.4, 0.2), (-0.8, 0.1)],
+         [(0, 1, 2, 3), (2, 4, 5, 1)],
+         "edge (1, 2) is traversed twice in the same direction "
+         "(orientation conflict between quads 0 and 1)"),
+        ([(0, 0), (1, 0), (1, 1), (0, 1), (5, 5)], [(0, 1, 2, 3)],
+         "vertex 4 is not used by any quad"),
+    ])
+    def test_invalid_topology_messages(self, vertices, quads, message):
+        for build in (build_mesh, _loop_topology):
+            with pytest.raises(MeshError) as err:
+                build(vertices, quads)
+            assert str(err.value) == message
 
     def test_vertex_list_completeness(self):
         mesh = grid_mesh(4, 3)
@@ -101,10 +145,10 @@ class TestBuildMesh:
             build_mesh(UNIT_SQUARE[0], [(3, 2, 1, 0)])
 
     def test_nonconforming_rejected(self):
-        # three quads around one edge
-        verts = [(0, 0), (1, 0), (1, 1), (0, 1), (2, 0), (2, 1), (0.5, -1)]
-        quads = [(0, 1, 2, 3), (1, 4, 5, 2), (1, 2, 5, 4)]
-        with pytest.raises(MeshError):
+        # three counterclockwise quads around one edge
+        verts = [(0, 0), (1, 0), (1, 1), (0, 1), (2, 0), (2, 1), (0.5, -1), (0.5, 1.5)]
+        quads = [(0, 1, 2, 3), (1, 4, 5, 2), (6, 1, 2, 7)]
+        with pytest.raises(MeshError, match="nonconforming"):
             build_mesh(verts, quads)
 
     def test_orientation_conflict_rejected(self):
@@ -168,6 +212,56 @@ class TestSplitTriangle:
     def test_collinear_rejected(self):
         with pytest.raises(GeometryError):
             split_triangle((0, 0), (1, 1), (2, 2))
+
+
+def _loop_topology(vertices, quads):
+    """The edge tables of a mesh, built side by side in plain loops."""
+    vertices, quads = np.asarray(vertices, dtype=float), np.asarray(quads, dtype=int)
+    for f, q in enumerate(quads):
+        if len(set(q.tolist())) != 4:
+            raise MeshError(f"quad {f} repeats a vertex")
+        x, y = vertices[q, 0], vertices[q, 1]
+        if np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y) <= 0.0:
+            raise MeshError(f"quad {f} is clockwise or degenerate")
+    number, edges, sides = {}, [], []  # sides: per edge, (quad, aligned) pairs
+    quad_edge = np.empty(quads.shape, dtype=int)
+    quad_edge_aligned = np.empty(quads.shape, dtype=bool)
+    for f, q in enumerate(quads):
+        for l in range(4):
+            a, b = int(q[l]), int(q[(l + 1) % 4])
+            key = (min(a, b), max(a, b))
+            if key not in number:
+                number[key] = len(edges)
+                edges.append(key)
+                sides.append([])
+            e = number[key]
+            if len(sides[e]) == 2:
+                raise MeshError(f"edge {key} is shared by more than two quads (nonconforming)")
+            if sides[e] and sides[e][0][1] == (a == key[0]):
+                raise MeshError(f"edge {key} is traversed twice in the same direction "
+                                f"(orientation conflict between quads {sides[e][0][0]} and {f})")
+            sides[e].append((f, a == key[0]))
+            quad_edge[f, l], quad_edge_aligned[f, l] = e, a == key[0]
+    for v in range(len(vertices)):
+        if v not in quads:
+            raise MeshError(f"vertex {v} is not used by any quad")
+    boundary_edge = np.array([len(s) == 1 for s in sides])
+    boundary_vertex = np.zeros(len(vertices), dtype=bool)
+    for e, (a, b) in enumerate(edges):
+        if boundary_edge[e]:
+            boundary_vertex[a] = boundary_vertex[b] = True
+    vertex_edge = np.full(len(vertices), -1)
+    best = {}
+    for e, (a, b) in enumerate(edges):
+        for v, w in ((a, b), (b, a)):
+            key = (vertices[w, 1], vertices[w, 0], e)
+            if not boundary_edge[e] and not boundary_vertex[v] and key < best.get(v, (np.inf,)):
+                best[v] = key
+                vertex_edge[v] = e
+    return {"edges": np.array(edges), "quad_edge": quad_edge,
+            "quad_edge_aligned": quad_edge_aligned, "boundary_edge": boundary_edge,
+            "boundary_vertex": boundary_vertex,
+            "interior_edges": np.nonzero(~boundary_edge)[0], "vertex_edge": vertex_edge}
 
 
 def brute_force_min_bandwidth(mesh):
@@ -346,6 +440,30 @@ class TestQuality:
         mesh = build_mesh(quad.vertices, [(0, 1, 2, 3)])
         assert quality(mesh).skinniness[0] < 1e-5
 
+    def test_circumradius_small_quads_away_from_origin(self, rng):
+        # Jung's bound diam/2 <= r_out <= diam/sqrt(3) holds for every
+        # quad, and r_out does not move with the quad (w - t is exact when
+        # the quad is small against its offset, and rounds relative to its
+        # size otherwise)
+        quads, offsets = [], []
+        for _ in range(300):
+            t = rng.uniform(-5, 5, 2)
+            quads.append(random_convex_quad(rng, scale=10 ** rng.uniform(-6, 3)) + t)
+            offsets.append(t)
+        trapezoid = np.array([(0, 0), (1, 0), (0.7, 0.5), (0.3, 0.5)]) * 1e-3
+        quads.append(trapezoid + 1.0)
+        offsets.append(np.ones(2))
+        w = np.array(quads)
+        r = np.array([_circumradius(q) for q in w])
+        assert np.isfinite(r).all()
+        diam = np.hypot(*(w[:, :, None] - w[:, None]).T).max(axis=(0, 1))
+        assert np.all(diam / 2 <= r * (1 + 1e-12))
+        assert np.all(r <= diam / np.sqrt(3) * (1 + 1e-12))
+        moved = np.array([_circumradius(q) for q in w - np.array(offsets)[:, None]])
+        assert np.all(np.abs(moved - r) <= 1e-12 * r)
+        # one call takes the whole stack
+        assert np.array_equal(_circumradius(w), r)
+
     def test_nonconvex_quality_error(self):
         mesh = build_mesh([(0, 0), (2, 0), (0.5, 0.5), (0, 2)], [(0, 1, 2, 3)])
         with pytest.raises(GeometryError):
@@ -363,6 +481,28 @@ v 2 0
 v 2 1
 q 1 2 3 4
 q 2 5 6 3
+"""
+
+CONFORMING_MIXED_MESH = """\
+quadmesh 1
+v 0 0
+v 1 0
+v 2 0
+v 3 0
+v 0 1
+v 1 1
+v 2 1
+v 3 1
+v 0 0.5
+v 1 0.5
+v 2 0.5
+v 3 0.5
+q 1 2 10 9
+q 9 10 6 5
+t 2 3 7
+t 2 7 6
+q 3 4 12 11
+q 11 12 8 7
 """
 
 
@@ -416,6 +556,18 @@ t 1 3 4
         assert np.array_equal(mesh.quads, [
             (0, 4, 7, 6), (1, 5, 7, 4), (2, 6, 7, 5),
             (0, 6, 10, 9), (2, 8, 10, 6), (3, 9, 10, 8)])
+
+    def test_split_midpoints_merge_with_declared_vertices(self):
+        # a median-split triangle pair between two squares, each split at
+        # y = 1/2: the split points (1, 1/2) and (2, 1/2) are declared
+        # vertices, so the mesh is conforming
+        mesh = mesh_from_string(CONFORMING_MIXED_MESH)
+        assert (mesh.n_quads, mesh.n_vertices) == (10, 17)
+        assert (int(mesh.boundary_edge.sum()), mesh.n_edges) == (12, 26)
+        uex = lambda x, y: np.sin(2 * x + y) + x * y * y
+        fex = lambda x, y: -5 * np.sin(2 * x + y) + 2 * x
+        system = assemble_schur(mesh, PdeCoefficients.poisson(), 16)
+        assert eval_on_grid(system, system.solve(f=fex, dirichlet=uex), uex) <= 1e-10
 
     def test_error_reports_line_number(self):
         bad = "quadmesh 1\nv 0 0\nv 1 0\nq 1 2 3\n"

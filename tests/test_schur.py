@@ -482,8 +482,8 @@ def _check_jumps(sys, sols, value_tol, deriv_tol):
     normals = outward_normals(mesh.element_vertices())
     for e in mesh.interior_edges:
         vals, ders = [], []
-        for (f, l, aligned) in mesh.edge_quads[e]:
-            r, s = edge_point(l, aligned, 0.0)
+        for f, l in zip(*np.nonzero(mesh.quad_edge == e)):
+            r, s = edge_point(l, mesh.quad_edge_aligned[f, l], 0.0)
             vals.append(sols[f].eval(r, s))
             ux, uy = point_derivative_rows(sys.maps[f], n, r, s)
             ders.append((normals[f, l, 0] * ux + normals[f, l, 1] * uy) @ sols[f].data)
@@ -635,7 +635,7 @@ class TestSharedElements:
         # dyadic spacing: every element has the same shape, so elements
         # differ only in which local edges carry Neumann rows
         classes = {(mesh.vertices[q] - mesh.vertices[q[0]]).tobytes()
-                   + bytes([mesh.local_edge(f, l) in bottom for l in range(4)])
+                   + bytes([mesh.quad_edge[f, l] in bottom for l in range(4)])
                    for f, q in enumerate(mesh.quads)}
         assert len(classes) == 2
         assert sys.n_distinct == len(classes)
@@ -794,3 +794,34 @@ def test_random_jiggled_grid_properties(nx, ny, n, seed):
                          POISSON, n).solve(f=f, dirichlet=g)
     for k, q in enumerate(perm):
         assert np.abs(got[k].data - want[q]).max() <= 1e-10 * np.abs(want).max()
+
+
+def _sliver_pair_mesh(eps, alpha, slope, y1, y2, theta):
+    """The square [-1, 1]^2 with a sliver on its right side, whose far
+    side lies on the line x = 1 + eps alpha (1 + slope y) between heights
+    y1 < 0 < y2 (convex for |slope| < 1), rotated by theta."""
+    x = lambda y: 1 + eps * alpha * (1 + slope * y)
+    v = np.array([(-1, -1), (1, -1), (1, 1), (-1, 1), (x(y1), y1), (x(y2), y2)])
+    c, s = np.cos(theta), np.sin(theta)
+    return build_mesh(v @ np.array([[c, s], [-s, c]]), [(0, 1, 2, 3), (2, 1, 4, 5)])
+
+
+@settings(PROPERTIES)
+@given(st.floats(-12, -3), st.floats(0.5, 2), st.floats(-0.5, 0.5),
+       st.floats(-0.95, -0.2), st.floats(0.2, 0.95), st.floats(0, 2 * np.pi))
+def test_random_sliver_pair_properties(log_eps, alpha, slope, y1, y2, theta):
+    # acceptance test 05's bounds on random square-plus-sliver meshes, and
+    # the conditioning plateau: over 1,000 random draws sigma_rcond stayed
+    # within a factor 1.075 of its value for the same shape at eps = 1e-3
+    shape = (alpha, slope, y1, y2, theta)
+    mesh = _sliver_pair_mesh(10.0 ** log_eps, *shape)
+    uex = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
+    sys = assemble_schur(mesh, POISSON, 20)
+    sols = sys.solve(f=lambda x, y: -2 * np.pi ** 2 * uex(x, y), dirichlet=uex)
+    assert eval_on_grid(sys, sols, uex, m=40) <= 1e-9
+    f, l = np.nonzero(mesh.quad_edge == mesh.interior_edges[0])
+    traces = [sols[g].eval(*edge_point(k, mesh.quad_edge_aligned[g, k], np.linspace(-1, 1, 50)))
+              for g, k in zip(f, l)]
+    assert np.max(np.abs(traces[0] - traces[1])) <= 1e-10
+    ref = assemble_schur(_sliver_pair_mesh(1e-3, *shape), POISSON, 20).sigma_rcond
+    assert 1 / 1.1 <= sys.sigma_rcond / ref <= 1.1
