@@ -23,7 +23,7 @@ from .expressions import compile_expression
 from .mesh import interface_bandwidth, order_interfaces, quality, read_mesh
 from .navierstokes import (FlowState, NsConfig, TunnelSolver,
                            classify_tunnel_boundary)
-from .quadmap import Quad
+from .quadmap import Quad, poly2d_eval
 from .schur import assemble_schur
 
 EXIT_OK = 0
@@ -186,19 +186,18 @@ def _general_pde(spec, mesh):
     ty = cy[0] + cy[1] * ultra.cheb_points(3)
     Vx = np.vander(tx, 3, increasing=True)
     Vy = np.vander(ty, 3, increasing=True)
+    X, Y = np.meshgrid(tx, ty, indexing="ij")
+    # probe points that verify each fit
+    PX, PY = np.meshgrid(np.linspace(lo[0], hi[0], 7), np.linspace(lo[1], hi[1], 7),
+                         indexing="ij")
     for item in body.split(";"):
         name, _, ex = item.partition("=")
         name = name.strip()
         if name not in ("a11", "a12", "a22", "b1", "b2", "c"):
             raise ExpressionError(f"unknown pde coefficient '{name}'")
         fn = compile_expression(ex)
-        X, Y = np.meshgrid(tx, ty, indexing="ij")
         # verify the fit: the coefficient really is such a polynomial; a
         # non-finite value fails the check instead of warning
-        probe = np.linspace(lo[0], hi[0], 7)
-        probey = np.linspace(lo[1], hi[1], 7)
-        PX, PY = np.meshgrid(probe, probey, indexing="ij")
-        from .quadmap import poly2d_eval
         with np.errstate(all="ignore"):
             table = np.linalg.solve(Vx, np.linalg.solve(Vy, fn(X, Y).T).T)
             ref = fn(PX, PY)

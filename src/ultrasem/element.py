@@ -12,9 +12,12 @@ storage.  Rows whose right-hand-side degree is ``n-2`` or ``n-1`` in
 either variable (4n-4 of them) are replaced by dense boundary-condition
 rows, and the bordered system is solved with a banded LU plus a low-rank
 Woodbury correction, or through its held dense inverse when that is no
-larger than what the Woodbury solve reads.
+larger than what the Woodbury solve reads.  Elements that differ only in
+their boundary rows are copies of one factored operator
+(:meth:`AlmostBandedMatrix.bordered`), sharing its banded part and LU.
 """
 
+import copy
 import functools
 import threading
 from dataclasses import dataclass, field, fields
@@ -387,13 +390,14 @@ class AlmostBandedMatrix:
     4n-4 boundary slots, ``U`` is a sparse selector with one unit entry
     per column picking a boundary slot, and row ``t`` of ``V`` is the
     (row-scaled) dense boundary row minus the unit row it replaces.  The
-    factorization is a banded LU of ``A`` plus a dense capacitance solve;
-    both are cached for repeated right-hand sides, and solves with ``B``
-    and with ``B^T`` both reuse them.  When the dense inverse is no larger
-    than what a Woodbury solve reads, ``nn <= (2 kl + ku + 1) + 2 k`` (the
-    LU's band rows plus ``Z`` and ``V``), the factorization forms
-    ``A^{-1}`` with one banded solve and takes ``Z`` as its slot columns,
-    and ``B^{-1}`` is held once formed (see :meth:`boundary_columns`).
+    factorization, formed on first use, is a banded LU of ``A`` plus a
+    dense capacitance solve; solves with ``B`` and with ``B^T`` both reuse
+    it.  When the dense inverse is no larger than what a Woodbury solve
+    reads, ``nn <= (2 kl + ku + 1) + 2 k`` (the LU's band rows plus ``Z``
+    and ``V``), the factorization forms ``A^{-1}`` with one banded solve,
+    takes ``Z`` as its slot columns and holds ``B^{-1}``, and solves are
+    products with it.  Copies made by :meth:`bordered` share ``A`` and its
+    factors.
     """
 
     def __init__(self, banded, slots, dense_rows, scale):
@@ -402,7 +406,7 @@ class AlmostBandedMatrix:
         self.V = np.asarray(dense_rows, dtype=float)
         self.scale = np.asarray(scale, dtype=float)
         self.nn = banded.shape[0]
-        self._lu = self._Z = self._cap = self._like = self._Ainv = self._inv = None
+        self._lu = self._Z = self._cap = self._Ainv = self._inv = None
 
     @property
     def k(self):
@@ -412,12 +416,6 @@ class AlmostBandedMatrix:
         """``(kl, ku)`` from the outermost stored diagonals of ``A``."""
         off = self.banded.offsets
         return int(max(0, -off.min())), int(max(0, off.max()))
-
-    def _holds_inverse(self):
-        """The size rule: the dense inverse is no larger than the LU's band
-        rows plus ``Z`` and ``V``."""
-        kl, ku = self.bandwidths()
-        return self.nn <= (2 * kl + ku + 1) + 2 * self.k
 
     def to_dense(self):
         """Dense reconstruction of the (row-scaled) bordered operator."""
@@ -431,17 +429,14 @@ class AlmostBandedMatrix:
         return y
 
     def _factor(self):
-        if self._lu is None and self._like is not None:
-            self._like._factor()
-            self._lu, self._Z, self._Ainv = self._like._lu, self._like._Z, self._like._Ainv
         if self._lu is None:
             # a DIA diagonal is a column-indexed row of LAPACK band storage
             kl, ku = self.bandwidths()
             ab = np.zeros((2 * kl + ku + 1, self.nn), order="F")
             ab[kl + ku - self.banded.offsets] = self.banded.data
             self._lu = BandedLU(ab, kl, ku, name="element banded part")
-            if self._holds_inverse():
-                # Z is the slot columns of A^{-1}
+            if self.nn <= (2 * kl + ku + 1) + 2 * self.k:
+                # the size rule: Z is the slot columns of A^{-1}
                 self._Ainv = self._lu.solve(np.eye(self.nn))
                 self._Z = self._Ainv[:, self.slots]
             elif self.k:
@@ -455,12 +450,19 @@ class AlmostBandedMatrix:
             if info != 0 or not np.all(np.isfinite(lu)):
                 raise SingularOperatorError("capacitance matrix singular")
             self._cap = (lu, piv)
+            if self._Ainv is not None:
+                self._inv = self.woodbury(self._Ainv)
 
-    def share_banded(self, other):
-        """Use the banded part ``A`` of ``other``, which must equal this
-        one's, and the LU and ``Z`` that ``other`` holds once factored: the
-        operators of one geometry class differ only in ``V`` and scale."""
-        self.banded, self._like = other.banded, other
+    def bordered(self, rows):
+        """This operator with other unscaled boundary ``rows``: equal to what
+        :func:`assemble_element_operator` builds from them, with its own
+        ``V``, scale and capacitance, and sharing ``A``, its LU, ``Z`` and
+        ``A^{-1}`` (this operator is factored first)."""
+        self._factor()
+        op = copy.copy(self)
+        op.V, op.scale = _border(self.scale, self.slots, rows)
+        op._cap = op._inv = None
+        return op
 
     def _cap_solve(self, b, trans=0):
         """Solve with the factored capacitance matrix (``trans=1``: its
@@ -473,13 +475,13 @@ class AlmostBandedMatrix:
 
     def solve_raw(self, rhs):
         """Solve ``B x = rhs`` where ``B`` is the (already row-scaled)
-        bordered operator, for one or many right-hand sides."""
-        return self.woodbury(self.banded_solve(rhs))
-
-    def banded_solve(self, rhs):
-        """``A^{-1} rhs``: the solve with the banded part alone."""
+        bordered operator, for one or many right-hand sides: a product with
+        the held ``B^{-1}``, else a banded solve and the Woodbury
+        correction."""
         self._factor()
-        return self._lu.solve(rhs)
+        if self._inv is not None:
+            return self._inv @ rhs
+        return self.woodbury(self._lu.solve(rhs))
 
     def woodbury(self, y):
         """``B^{-1} b`` from ``y = A^{-1} b``: the low-rank correction
@@ -487,23 +489,14 @@ class AlmostBandedMatrix:
         self._factor()
         return y - self._Z @ self._cap_solve(self.V @ y) if self.k else y
 
-    def _inverse(self):
-        """The held ``B^{-1} = A^{-1} - Z cap^{-1} V A^{-1}``, formed once
-        from the held factors under the size rule; None otherwise."""
-        if self._inv is None and self._holds_inverse():
-            self._factor()
-            self._inv = self.woodbury(self._Ainv)
-        return self._inv
-
     def boundary_columns(self, t):
         """Columns ``slots[t]`` of ``B^{-1}``: of the held inverse under the
         size rule, else from the held Woodbury factors (``Z = A^{-1} U``
         has ``Z[slots] = I``, so ``B^{-1} U = Z cap^{-1}``).  Neither
         needs a banded solve."""
-        inv = self._inverse()
-        if inv is not None:
-            return inv[:, self.slots[t]]
         self._factor()
+        if self._inv is not None:
+            return self._inv[:, self.slots[t]]
         return self._Z @ self._cap_solve(np.eye(self.k)[:, t])
 
     def solve(self, rhs):
@@ -524,24 +517,42 @@ class AlmostBandedMatrix:
         return self._lu.solve(rhs, transpose=True)
 
 
-def assemble_element_operator(pde, quad, n, rows=None, interior=None):
-    """Bordered, row-scaled element operator.
+def _border(scale, slots, rows):
+    """``V`` and the row scale of a bordered operator from its unscaled
+    boundary rows and the ``scale`` of its interior rows: each boundary
+    row is scaled to unit sup norm, less the unit row it replaces."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.shape != (slots.size, scale.size):
+        raise ValueError("expected the 4n-4 boundary rows of the traversal")
+    row_max = np.max(np.abs(rows), axis=1)
+    if np.any(row_max == 0.0):
+        raise SingularOperatorError(
+            f"row {slots[np.argmin(row_max)]} of the bordered operator is zero")
+    s = scale.copy()
+    s[slots] = 1.0 / row_max
+    V = s[slots][:, None] * rows
+    V[np.arange(slots.size), slots] -= 1.0
+    return V, s
 
-    ``rows`` supplies the 4n-4 dense boundary rows in the counterclockwise
-    traversal order of :func:`traversal_points`; by default they
-    are Dirichlet value rows at those points.  ``interior`` is the L of
-    :func:`element_interior_operator` (only read), built when None.  Row
-    scaling normalizes every row of the bordered matrix to unit sup norm
-    and is recorded so that solves can scale right-hand sides consistently.
+
+def assemble_element_operator(pde, quad, n, rows=None):
+    """Bordered, row-scaled element operator: the L of
+    :func:`element_interior_operator` with its interior equations moved to
+    their slots, bordered by dense boundary rows.
+
+    ``rows`` supplies the 4n-4 unscaled boundary rows in the
+    counterclockwise traversal order of :func:`traversal_points`; by
+    default they are Dirichlet value rows at those points.  Row scaling
+    normalizes every row of the bordered matrix to unit sup norm and is
+    recorded so that solves can scale right-hand sides consistently.
+    Elements that share L are copies of one operator through
+    :meth:`AlmostBandedMatrix.bordered`.
     """
-    L = element_interior_operator(pde, quad, n) if interior is None else interior
+    L = element_interior_operator(pde, quad, n)
     nn = n * n
     slots = boundary_slots(n)
     if rows is None:
         rows = point_value_row(n, *traversal_points(n))
-    rows = np.asarray(rows, dtype=float)
-    if rows.shape != (4 * n - 4, nn):
-        raise ValueError("expected the 4n-4 boundary rows of the traversal")
 
     # Interior equation (i, j) moves from row i + n j to slot (i+2) +
     # n (j+2): every diagonal's offset drops by 2n+2, and the entries in
@@ -553,16 +564,14 @@ def assemble_element_operator(pde, quad, n, rows=None, interior=None):
     col = np.arange(nn) + off[:, None]  # column of row m on each diagonal
     at = np.take_along_axis(D, col.clip(0, nn - 1), axis=1)
     row_max = np.abs(np.where((col >= 0) & (col < nn), at, 0.0)).max(axis=0, initial=0.0)
-    row_max[slots] = np.max(np.abs(rows), axis=1)
+    row_max[slots] = 1.0  # scaled by _border
     if np.any(row_max == 0.0):
         raise SingularOperatorError(
             f"row {int(np.argmin(row_max))} of the bordered operator is zero")
     s = 1.0 / row_max
     D *= s[(src + 2 * n + 2).clip(0, nn - 1)]
     A = _dia(np.append(off, 0), np.vstack([D, np.isin(np.arange(nn), slots)]))
-    V = s[slots][:, None] * rows
-    V[np.arange(slots.size), slots] -= 1.0
-    return AlmostBandedMatrix(A, slots, V, s)
+    return AlmostBandedMatrix(A, slots, *_border(s, slots, rows))
 
 
 # ----------------------------------------------------------------------

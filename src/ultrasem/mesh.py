@@ -356,6 +356,11 @@ def quality(mesh):
 # text format
 
 
+# how far, in ulps of a triangle's largest coordinate, a point of its split
+# may lie from a declared vertex and still be that vertex
+_SPLIT_ULPS = 4
+
+
 def mesh_from_string(text, name="<string>"):
     vertices = []
     elements = []  # ("q"|"t", indices, line_no)
@@ -399,19 +404,25 @@ def mesh_from_string(text, name="<string>"):
         raise MeshFormatError(f"empty mesh file {name}", 1)
 
     # exact coordinates -> vertex number, the first declared one for a
-    # point, so that a split midpoint on a declared vertex becomes that vertex
+    # point; declared vertices are never merged with each other
     vertex_at = {}
     for i, xy in enumerate(vertices):
         vertex_at.setdefault(xy, i)
-    vertices = [np.asarray(v, dtype=float) for v in vertices]
+    declared = np.array(vertices, dtype=float).reshape(-1, 2)
+    vertices = list(declared)
     n_declared = len(vertices)
     quads = []
 
-    def add_vertex(p):
+    def add_vertex(p, tol):
+        """The number of split point ``p``: a declared vertex within
+        ``tol`` of it (the first), else a point created before at exactly
+        ``p``, else a new vertex."""
         key = (float(p[0]), float(p[1]))
         if key not in vertex_at:
-            vertices.append(np.asarray(p, dtype=float))
-            vertex_at[key] = len(vertices) - 1
+            near = np.flatnonzero(np.abs(declared - p).max(axis=1) <= tol)
+            if not near.size:
+                vertices.append(np.asarray(p, dtype=float))
+            vertex_at[key] = near[0] if near.size else len(vertices) - 1
         return vertex_at[key]
 
     for tag, idx, ln in elements:
@@ -425,9 +436,13 @@ def mesh_from_string(text, name="<string>"):
             except GeometryError as exc:
                 raise MeshFormatError(str(exc), ln)
             # new vertices m12, m23, m31, then the centroid; a midpoint
-            # shared with a neighbor dedupes exactly, as fl(a+b) = fl(b+a)
-            mids = [add_vertex(q.vertices[1]) for q in split]
-            g = add_vertex(split[0].vertices[2])
+            # shared with a neighbor dedupes exactly, as fl(a+b) = fl(b+a),
+            # and one on a declared vertex becomes that vertex: the split
+            # arithmetic and the decimal coordinates each round by an ulp
+            # or two of the triangle's largest coordinate
+            tol = _SPLIT_ULPS * np.spacing(np.abs(declared[idx]).max())
+            mids = [add_vertex(q.vertices[1], tol) for q in split]
+            g = add_vertex(split[0].vertices[2], tol)
             quads += [[i, mids[k], g, mids[k - 1]] for k, i in enumerate(idx)]
 
     try:

@@ -223,13 +223,9 @@ class TunnelSolver:
         vx, _ = self._gradient(state.v.matrix)
         return vx - uy
 
-    def no_slip_residual(self, ufields, vfields):
-        """Largest velocity magnitude at object-boundary grid points."""
-        return self._no_slip_max(
-            ultra.coeffs_to_vals_2d(np.stack([ufields.matrix, vfields.matrix])))
-
     def _no_slip_max(self, uv):
-        """:meth:`no_slip_residual` of stacked (2, F, n, n) grid values."""
+        """Largest velocity magnitude at object-boundary grid points of
+        stacked (2, F, n, n) grid values."""
         return float(np.abs(uv[:, self._on_object]).max(initial=0.0))
 
     # -- stepping -----------------------------------------------------------

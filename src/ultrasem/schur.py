@@ -34,23 +34,22 @@ solve then decouples and reuses its cached factorization.
 
 Elements whose map coefficients agree (translation-free to
 ``_SHARE_TOL`` times the inradius of the first, the translation too when
-a PDE table varies) form a geometry class sharing one interior operator
-L and one right-hand-side operator, built from that first element.  A
-class splits into groups that agree so with their first element, in
-boundary row kinds exactly and in Neumann edge normals to ``_SHARE_TOL``:
-a group borders L with its first element's rows and shares that
-factorization and a W block per coupled-slot set.  Congruent elements
-whose coordinates round differently therefore share; elements with
-bitwise equal inputs get bit-identical operators and W blocks to
-building every element alone.  Setup is array operations over all
-elements and interior edges at once, with Python loops only over
-classes, groups and W blocks.  A solve multiplies by each class's
-right-hand-side operator once and places boundary data at points listed
-at setup.  A class whose dense inverse is no larger than what a Woodbury
-solve reads, n^2 <= (2 kl + ku + 1) + 2 (4n-4) for the bandwidths of its
-banded part, holds each group's inverse and takes one product per group;
-any other class runs one banded solve (its groups share the banded part
-and its LU) and then each group's Woodbury correction.
+a PDE table varies) form a geometry class sharing one right-hand-side
+operator, built from that first element.  A class splits into groups
+that agree so with their first element, in boundary row kinds exactly
+and in Neumann edge normals to ``_SHARE_TOL``.  The class's first group
+builds its operator from the first element and its rows; every other
+group is a :meth:`~ultrasem.element.AlmostBandedMatrix.bordered` copy of
+it with its own rows, sharing the banded part and its factorization.
+The elements of a group share its operator and a W block per
+coupled-slot set.  Congruent elements whose coordinates round
+differently therefore share; elements with bitwise equal inputs get
+bit-identical operators and W blocks to building every element alone.
+Setup is array operations over all elements and interior edges at once,
+with Python loops only over classes, groups and W blocks.  A solve
+multiplies by each class's right-hand-side operator once, places
+boundary data at points listed at setup, and makes one multi-column
+``solve_raw`` per group.
 """
 
 from dataclasses import dataclass, fields
@@ -65,7 +64,6 @@ from .element import (
     assemble_element_operator,
     boundary_slots,
     edge_points,
-    element_interior_operator,
     element_rhs_operator,
     grid_points,
     point_derivative_rows,
@@ -175,11 +173,6 @@ class SchurSystem:
         self._pin = pin_value_point and "dirichlet" not in self._edge_kind
 
         self._build_elements()
-        # for the element solves: each group's held inverse (None without),
-        # and the classes that keep the banded path
-        self._inverses = [op._inverse() for _, op, _ in self.groups]
-        self._banded = [(elems, first) for elems, _, first in self._classes
-                        if not first._holds_inverse()]
         # the coupling's build temporaries are freed before Sigma is factored
         self._factor_sigma(self._build_coupling())
 
@@ -239,18 +232,16 @@ class SchurSystem:
         value_rows = point_value_row(n, r, s)
         self._classes, self.groups = [], [None] * len(leaders)
         for c, quad in enumerate(map(mesh.element_quad, reps)):
-            L = element_interior_operator(self.pde, quad, n)
             rhs_op = element_rhs_operator(quad, n)
             first = None
             for i in np.flatnonzero(cls[leaders] == c):
                 rows = value_rows.copy()
                 rows[neumann[leaders[i]]] = normal_rows[g == i]
-                op = assemble_element_operator(self.pde, quad, n, rows=rows, interior=L)
-                if first is not None:
-                    op.share_banded(first)
-                first = op if first is None else first
+                op = (assemble_element_operator(self.pde, quad, n, rows=rows)
+                      if first is None else first.bordered(rows))
+                first = first or op
                 self.groups[i] = (np.flatnonzero(self._group == i), op, rhs_op)
-            self._classes.append((np.flatnonzero(cls == c), rhs_op, first))
+            self._classes.append((np.flatnonzero(cls == c), rhs_op))
         self.n_distinct = len(self.groups)
         ops = np.array([op for _, op, _ in self.groups], dtype=object)
         self.ops = list(ops[self._group])
@@ -412,7 +403,7 @@ class SchurSystem:
                 raise ValueError(f"forcing is not finite on element {np.argmax(bad)}")
             # each element's coefficients stacked column by column
             C = ultra.vals_to_coeffs_2d(G).transpose(0, 2, 1).reshape(len(G), n * n)
-            for elems, rhs_op, _ in self._classes:
+            for elems, rhs_op in self._classes:
                 rhs_full[elems] = (rhs_op @ C[elems].T).T
         values = np.zeros(self.point_kind.shape)
         for kind, src in (("dirichlet", dirichlet), ("neumann", neumann)):
@@ -435,14 +426,10 @@ class SchurSystem:
 
     def _element_solves(self, B):
         """Stacked (F, n^2) element solves with zero interface values of
-        the scaled right-hand sides: one product per group with its held
-        inverse, else one banded solve per geometry class and then each
-        group's Woodbury correction."""
+        the scaled right-hand sides, one multi-column solve per group."""
         Y = self._scale * B
-        for elems, first in self._banded:
-            Y[elems] = first.banded_solve(Y[elems].T).T
-        for (elems, op, _), inv in zip(self.groups, self._inverses):
-            Y[elems] = Y[elems] @ inv.T if inv is not None else op.woodbury(Y[elems].T).T
+        for elems, op, _ in self.groups:
+            Y[elems] = op.solve_raw(Y[elems].T).T
         return Y
 
     def solve(self, f=None, dirichlet=0.0, neumann=0.0, return_info=False):

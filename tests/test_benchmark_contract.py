@@ -8,14 +8,16 @@ from pathlib import Path
 
 import numpy as np
 
+from ultrasem.cli import _general_pde
 from ultrasem.element import PdeCoefficients
-from ultrasem.mesh import grid_mesh
+from ultrasem.mesh import grid_mesh, mesh_from_string
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
 from spans import Tracer  # noqa: E402
-from workloads import EPISODE, REFERENCE, Elliptic, Recorder, Tunnel  # noqa: E402
+from workloads import (  # noqa: E402
+    EPISODE, MIXED_MESH, REFERENCE, VARCOEF, Elliptic, Recorder, Tunnel, run_sliver)
 
 
 def untimed():
@@ -40,3 +42,21 @@ def test_elliptic_solve_passes_its_check():
     rec = untimed()
     assert work.operation(rec, system)
     assert len(rec.units["op"]) == 1
+
+
+def test_mixed_varcoef_solve_passes_its_check():
+    # the mixed-varcoef workload's mesh and operator at its n = 24
+    mesh = mesh_from_string(MIXED_MESH)
+    work = Elliptic(mesh, _general_pde(VARCOEF, mesh), 24, np.random.default_rng(7))
+    system = work.build()
+    rec = untimed()
+    assert work.operation(rec, system)
+    assert len(rec.units["op"]) == 1
+
+
+def test_sliver_sweep_passes_its_plateau_checks():
+    # sliver-cond's own checks, on whole sweeps of 10 eps at n = 16
+    rec = untimed()
+    run_sliver(np.random.default_rng(7), rec, 0.05, n=16)
+    assert rec.attempted and rec.attempted % 10 == 0
+    assert rec.failed == 0, rec.errors

@@ -569,6 +569,27 @@ t 1 3 4
         system = assemble_schur(mesh, PdeCoefficients.poisson(), 16)
         assert eval_on_grid(system, system.solve(f=fex, dirichlet=uex), uex) <= 1e-10
 
+    @pytest.mark.parametrize("x, merged", [("0.15", True), ("0.15000000000000002", True),
+                                           ("0.15000000000015", False)])
+    def test_split_midpoint_merges_within_rounding(self, x, merged):
+        # the split of the triangle's base at x = (0.1 + 0.2) / 2 rounds to
+        # 0.15000000000000002: it is the declared vertex x = 0.15 below it,
+        # but not one 1e-12 (relative) away
+        mesh = mesh_from_string(f"""quadmesh 1
+v 0.1 -0.05
+v {x} -0.05
+v 0.2 -0.05
+v 0.1 0
+v {x} 0
+v 0.2 0
+v 0.15 0.1
+q 1 2 5 4
+q 2 3 6 5
+t 4 6 7
+""")
+        want = (10, 8) if merged else (11, 12)
+        assert (mesh.n_vertices, int(mesh.boundary_edge.sum())) == want
+
     def test_error_reports_line_number(self):
         bad = "quadmesh 1\nv 0 0\nv 1 0\nq 1 2 3\n"
         with pytest.raises(MeshFormatError) as err:

@@ -18,7 +18,7 @@ from ultrasem.element import (
     point_value_row,
     traversal_points,
 )
-from ultrasem import schur
+from ultrasem import element, schur
 from ultrasem.errors import BookkeepingError, GeometryError, SingularOperatorError
 from ultrasem.mesh import build_mesh, grid_mesh
 from ultrasem.navierstokes import (
@@ -432,10 +432,10 @@ class TestHeldInverse:
         # at n = 8 the square and the sliver both meet the size rule, and
         # the products with their held inverses stay accurate on the sliver
         sys = assemble_schur(skinny_pair_mesh(eps), POISSON, 8)
-        assert sys._banded == [] and all(inv is not None for inv in sys._inverses)
         u = lambda x, y: x ** 5 - 3 * x ** 3 * y ** 2 + x * y ** 4 - 2 * y ** 3 + x * y + 1
         f = lambda x, y: 14 * x ** 3 - 6 * x * y ** 2 - 12 * y
         sols = sys.solve(f=f, dirichlet=u)
+        assert all(op._inv is not None for _, op, _ in sys.groups)
         assert eval_on_grid(sys, sols, u) <= 1e-12
         got = np.array([s.data for s in sols])
         want = np.array([s.data for s in sys.solve_dense(f=f, dirichlet=u)])
@@ -443,11 +443,13 @@ class TestHeldInverse:
 
     def test_wide_bands_keep_the_banded_path(self):
         # variable coefficients at n = 24: the bands are too wide for the
-        # size rule, so every class keeps its banded solve
+        # size rule, so every group, factored by a solve, keeps its banded
+        # solve
         mesh = mixed_mesh()
         sys = assemble_schur(mesh, _general_pde(VARCOEF, mesh), 24)
-        assert len(sys._banded) == len(sys._classes) == mesh.n_quads
-        assert all(inv is None for inv in sys._inverses)
+        sys.solve(f=lambda x, y: 1.0 + 0 * x)
+        assert len(sys.groups) == len(sys._classes) == mesh.n_quads
+        assert all(op._lu is not None and op._inv is None for _, op, _ in sys.groups)
 
 
 class TestGlobalContinuity:
@@ -650,13 +652,15 @@ class TestSharedElements:
         assert sys.n_distinct == len(classes) == mesh.n_quads
 
     def test_tunnel_builds_one_interior_operator_per_class(self, monkeypatch):
-        # the perfbench tunnel: one geometry class, 13 groups over three systems
+        # the perfbench tunnel: one geometry class, 13 groups over three
+        # systems; the other groups of a class are copies of its first
         calls = {"element_interior_operator": 0, "element_rhs_operator": 0}
-        for name in calls:
-            def counted(*args, _fn=getattr(schur, name), _name=name):
+        for module, name in ((element, "element_interior_operator"),
+                             (schur, "element_rhs_operator")):
+            def counted(*args, _fn=getattr(module, name), _name=name):
                 calls[_name] += 1
                 return _fn(*args)
-            monkeypatch.setattr(schur, name, counted)
+            monkeypatch.setattr(module, name, counted)
         mesh = tunnel_mesh(4, 3, width=0.003, height=0.001, hole=(1, 1))
         solver = TunnelSolver(mesh, 8, NsConfig(dt=1.667e-5, dealias=False),
                               classify_tunnel_boundary(mesh, (0.6, 0.0)))
@@ -702,6 +706,27 @@ class TestSharedElements:
             assert np.array_equal(op.scale, alone.scale)
             want = element_rhs_operator(mesh.element_quad(elems[0]), sys.n)
             assert (rhs_op != want).nnz == 0
+
+    @pytest.mark.parametrize("n", [6, 16])
+    def test_groups_are_bordered_copies_of_the_class_operator(self, n, rng):
+        # the second group is the first's operator bordered with its own
+        # rows: equal to a build from those rows, and holding the first's
+        # factors (at n = 6 with A^{-1}, at n = 16 without)
+        mesh, bottom = _grid_with_neumann_bottom()
+        sys = assemble_schur(mesh, POISSON, n, bc={e: "neumann" for e in bottom})
+        (_, first, _), (elems, op, _) = sys.groups
+        alone, _ = _fresh_element(sys, elems[0])
+        rows = rng.standard_normal((4 * n - 4, n * n))
+        pairs = [(op, alone), (first.bordered(rows), assemble_element_operator(
+            POISSON, mesh.element_quad(0), n, rows=rows))]
+        for got, want in pairs:
+            assert np.array_equal(got.to_dense(), want.to_dense())
+            assert np.array_equal(got.scale, want.scale)
+            assert got._lu is first._lu and got._Z is first._Z
+            assert (got._Ainv is first._Ainv is None) == (n == 16)
+            b = rng.standard_normal(n * n)
+            x = np.linalg.solve(want.to_dense(), b)
+            assert np.abs(got.solve_raw(b) - x).max() <= 1e-12 * np.abs(x).max()
 
     def test_congruent_grid_shares_one_operator(self):
         sys = assemble_schur(grid_mesh(8, 8), POISSON, 6)
