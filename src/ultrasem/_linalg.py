@@ -1,9 +1,31 @@
-"""LAPACK banded LU with a cached factorization."""
+"""LAPACK banded LU with a cached factorization.
+
+Solves with a vector, a narrow block or the transposed matrix go to
+LAPACK ``gbtrs``.  ``gbtrs`` back-substitutes one right-hand side at a
+time, reading the whole band for each column, so a block at least
+``_BLOCK`` columns wide (the Woodbury ``Z`` and element inverses) is
+solved panel by panel instead: for each panel of ``_BLOCK`` unknowns,
+``L`` and then ``U`` are one triangular solve and one matrix product over
+every right-hand side (Du Croz, Mayes and Radicati 1990, "Factorizations
+of band matrices using Level 3 BLAS", LAPACK Working Note 21).  Every
+BLAS call of that path goes to scipy's BLAS, as ``gbtrs`` does: numpy may
+link a second OpenBLAS, and calls alternating between two threaded
+libraries each wait for the other's spinning threads.
+"""
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
+from scipy.linalg.blas import dgemm, dtrsm
 from scipy.linalg.lapack import dgbcon, dgbtrf, dgbtrs
 
 from .errors import SingularOperatorError
+
+# panel width of the blocked solve, and the fewest right-hand sides that
+# take it; with one BLAS thread the blocked solve overtakes gbtrs from
+# about 48 columns at 100 to 144 unknowns and from 16 to 32 columns at
+# 576 to 4096, so this width is past the crossover at every size.  A
+# matrix of one panel has no band to stream repeatedly, and stays on gbtrs
+_BLOCK = 64
 
 
 class BandedLU:
@@ -14,7 +36,10 @@ class BandedLU:
     ``(2 kl + ku + 1, n)``.  It is factored once with partial pivoting
     (``gbtrf``), in place when it is Fortran-ordered.  Solves with one or
     many right-hand sides, and with the transposed matrix, reuse the
-    factorization.
+    factorization.  A non-transposed block of at least ``_BLOCK`` columns
+    on more than ``_BLOCK`` unknowns is solved by panels of ``_BLOCK``
+    unknowns with level-3 BLAS, reading the factors in place; everything
+    else, including any matrix that is a single panel, goes to ``gbtrs``.
     """
 
     def __init__(self, ab, kl, ku, name="banded operator"):
@@ -29,10 +54,69 @@ class BandedLU:
 
     def solve(self, b, transpose=False):
         b = np.asarray(b, dtype=float)
+        if not transpose and b.ndim == 2 and b.shape[1] >= _BLOCK < b.shape[0]:
+            return self._solve_blocked(b)
         x, info = dgbtrs(self._lu, self.kl, self.ku, b, self._piv,
                          trans=1 if transpose else 0)
         if info != 0:
             raise SingularOperatorError(f"{self.name}: back-substitution failed")
+        return x
+
+    def _factors(self):
+        """Read-only n-by-n view of the factors: ``U`` on and above the
+        diagonal within ``kl + ku``, the multipliers of ``L`` within ``kl``
+        below it, other entries of the band elsewhere."""
+        kv, (ldab, n) = self.kl + self.ku, self._lu.shape
+        # entry (r, c) sits at flat offset kv + r + c (ldab - 1)
+        flat = self._lu.reshape(-1, order="F")[kv:]
+        step = flat.itemsize
+        return as_strided(flat, shape=(n, n), strides=(step, step * (ldab - 1)),
+                          writeable=False)
+
+    def _solve_blocked(self, b):
+        """``A^{-1} b`` panel by panel.  The right-hand sides are copied
+        row-major, so the rows of a panel are one contiguous block, and
+        each panel is one ``dtrsm`` and one matrix product for ``L`` and
+        for ``U``.  The panel's row interchanges are folded into its
+        multipliers (the ``getrf`` form) and applied to the rows as one
+        permutation."""
+        kl, kv, nb = self.kl, self.kl + self.ku, _BLOCK
+        D, piv, n = self._factors(), self._piv, self._lu.shape[1]
+        # in-band masks of a panel's slab of L (rows j0 to j0 + nb + kl)
+        # and row block of U (columns j0 to j0 + nb + kv); only the last
+        # panel is narrower, and its masks are the leading parts of these
+        off = np.arange(nb + max(kl, kv)) - np.arange(nb)[:, None]
+        in_l = ((off >= 1) & (off <= kl)).T[: nb + kl]
+        in_u = (off >= 0) & (off <= kv)
+        x = np.array(b, order="C")
+        for j0 in range(0, n, nb):
+            j1, e = min(j0 + nb, n), min(j0 + nb + kl, n)
+            w = j1 - j0
+            L = np.where(in_l[: e - j0, :w], D[j0:e, j0:j1], 0.0)
+            swaps = np.flatnonzero(piv[j0:j1] != np.arange(j0, j1))
+            perm = list(range(j0, e))
+            for c in swaps.tolist():
+                # interchange c moves the earlier multipliers of rows c, p
+                p = int(piv[j0 + c]) - j0
+                perm[c], perm[p] = perm[p], perm[c]
+                row = L[c, :c].copy()
+                L[c, :c] = L[p, :c]
+                L[p, :c] = row
+            if swaps.size:
+                x[j0:e] = x[perm]
+            # x[j0:j1] <- L11^{-1} x[j0:j1] and x[j1:e] -= L21 x[j0:j1], as
+            # products with the transposes, in place
+            dtrsm(1.0, L[:w].T, x[j0:j1].T, side=1, diag=1, overwrite_b=1)
+            if e > j1:
+                dgemm(-1.0, x[j0:j1].T, L[w:].T, 1.0, x[j1:e].T, overwrite_c=1)
+        for j0 in reversed(range(0, n, nb)):
+            j1, e = min(j0 + nb, n), min(j0 + nb + kv, n)
+            w = j1 - j0
+            if e > j1:
+                U12 = np.where(in_u[:w, w : e - j0], D[j0:j1, j1:e], 0.0)
+                dgemm(-1.0, x[j1:e].T, U12.T, 1.0, x[j0:j1].T, overwrite_c=1)
+            U11 = np.where(in_u[:w, :w], D[j0:j1, j0:j1], 0.0)
+            dtrsm(1.0, U11.T, x[j0:j1].T, side=1, lower=1, overwrite_b=1)
         return x
 
     def rcond(self, anorm):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
 from ._linalg import BandedLU
 from .errors import SingularOperatorError
@@ -397,7 +397,9 @@ class AlmostBandedMatrix:
     and ``V``), the factorization forms ``A^{-1}`` with one banded solve,
     takes ``Z`` as its slot columns and holds ``B^{-1}``, and solves are
     products with it.  Copies made by :meth:`bordered` share ``A`` and its
-    factors.
+    factors.  ``cap_rcond`` keeps the 1-norm reciprocal condition estimate
+    of the capacitance (LAPACK ``gecon``) taken when it is factored; one
+    below machine epsilon raises :class:`SingularOperatorError`.
     """
 
     def __init__(self, banded, slots, dense_rows, scale):
@@ -407,6 +409,7 @@ class AlmostBandedMatrix:
         self.scale = np.asarray(scale, dtype=float)
         self.nn = banded.shape[0]
         self._lu = self._Z = self._cap = self._Ainv = self._inv = None
+        self.cap_rcond = None
 
     @property
     def k(self):
@@ -444,11 +447,18 @@ class AlmostBandedMatrix:
                 E[self.slots, np.arange(self.k)] = 1.0
                 self._Z = self._lu.solve(E)
         if self.k and self._cap is None:
-            lu, piv, info = dgetrf(np.eye(self.k) + self.V @ self._Z)
+            cap = np.eye(self.k) + self.V @ self._Z
+            lu, piv, info = dgetrf(cap)
             # info > 0 is an exact zero pivot; non-finite factors come
             # from non-finite entries
             if info != 0 or not np.all(np.isfinite(lu)):
                 raise SingularOperatorError("capacitance matrix singular")
+            rcond, info = dgecon(lu, np.abs(cap).sum(axis=0).max())
+            if info != 0 or not rcond >= np.finfo(float).eps:
+                raise SingularOperatorError(
+                    f"capacitance matrix singular to working precision "
+                    f"(reciprocal condition estimate {rcond:.2e})")
+            self.cap_rcond = float(rcond)
             self._cap = (lu, piv)
             if self._Ainv is not None:
                 self._inv = self.woodbury(self._Ainv)
@@ -461,7 +471,7 @@ class AlmostBandedMatrix:
         self._factor()
         op = copy.copy(self)
         op.V, op.scale = _border(self.scale, self.slots, rows)
-        op._cap = op._inv = None
+        op._cap = op._inv = op.cap_rcond = None
         return op
 
     def _cap_solve(self, b, trans=0):

@@ -30,16 +30,20 @@ from .schur import assemble_schur
 @dataclass
 class NsConfig:
     """Time stepping parameters; the screening constant of the implicit
-    velocity solve is ``1/dt``."""
+    velocity solve is ``1/dt``.  With ``max_cfl`` set, a step whose
+    advective CFL estimate exceeds it is not taken."""
 
     dt: float
     steps: int = 100
     cadence: int = 0  # snapshot every this many steps; 0 disables
     dealias: bool = False
+    max_cfl: float | None = None
 
     def __post_init__(self):
         if not 0 < self.dt < np.inf:
             raise ValueError(f"time step must be finite and positive, not {self.dt}")
+        if self.max_cfl is not None and not 0 < self.max_cfl < np.inf:
+            raise ValueError(f"max_cfl must be finite and positive, not {self.max_cfl}")
         for name in ("steps", "cadence"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative, not {getattr(self, name)}")
@@ -233,12 +237,21 @@ class TunnelSolver:
     def time_step(self, state):
         """One projection step; returns the new state.  The tentative
         velocity of sub-step 1 and its no-slip residual are kept on the
-        solver (``last_star``, ``last_no_slip``) for diagnostics."""
+        solver (``last_star``, ``last_no_slip``) for diagnostics.  Raises
+        :class:`InstabilityError` on a non-finite state, and before a step
+        whose CFL estimate exceeds ``config.max_cfl``."""
         n, dt = self.n, self.config.dt
         if not state.finite():
             raise InstabilityError(
                 f"non-finite values entering step {state.step + 1}",
                 step=state.step + 1, cfl=None)
+        if self.config.max_cfl is not None:
+            cfl = self.cfl_estimate(state)
+            if cfl > self.config.max_cfl:
+                raise InstabilityError(
+                    f"advective CFL estimate {cfl:.3g} exceeds max_cfl "
+                    f"{self.config.max_cfl:g} before step {state.step + 1}",
+                    step=state.step + 1, cfl=cfl)
         ax, ay = self.advection_term(state)
         u, v = ultra.coeffs_to_vals_2d(np.stack([state.u.matrix, state.v.matrix]))
         u_star = self.helm_u.solve(f=ax - u / dt, dirichlet=self._dir_u, neumann=0.0)

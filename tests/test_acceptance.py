@@ -99,7 +99,7 @@ class TestAcceptance:
         t0 = time.perf_counter()
         sweep = [1.0, 1e-1, 1e-2, 1e-3, 1e-6, 1e-9, 1e-12]
         lines = []
-        for n in (8, 16):
+        for n in (8, 16, 48):
             kappas = {}
             for eps in sweep:
                 op = assemble_element_operator(POISSON, skinny_quad(eps), n)

@@ -371,6 +371,27 @@ class TestAlmostBanded:
         with pytest.raises(SingularOperatorError, match="capacitance matrix singular"):
             m.solve_raw(np.ones(3))
 
+    def test_capacitance_rcond_plateau(self):
+        # the capacitance's reciprocal condition estimate is flat across
+        # the sliver family, as the operator's condition number is
+        n = 24
+        rconds = []
+        for eps in (1e-3, 1e-6, 1e-9, 1e-12):
+            op = assemble_element_operator(POISSON, skinny_quad(eps), n)
+            op.solve_raw(np.zeros(op.nn))
+            rconds.append(op.cap_rcond)
+        assert 1e-4 < min(rconds) and max(rconds) <= 1.05 * min(rconds)
+
+    def test_nearly_singular_capacitance_raises(self):
+        # no exactly zero pivot: the first dense row cancels the unit row
+        # it replaces but for 2^-53, so the capacitance is diag(2^-53, 2)
+        # and its reciprocal condition number 2^-54 is below machine epsilon
+        m = AlmostBandedMatrix(sp.eye(3), [0, 1], [[-1.0 + 2.0 ** -53, 0.0, 0.0],
+                                                   [0.0, 1.0, 0.0]], np.ones(3))
+        with pytest.raises(SingularOperatorError, match="working precision"):
+            m.solve_raw(np.ones(3))
+        assert m.cap_rcond is None
+
 
 class TestWoodbury:
     def test_plain_banded_no_dense_rows(self, rng):
