@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ultrasem import ultra
+from ultrasem import navierstokes, ultra
 from ultrasem.element import CoeffVector2D
 from ultrasem.errors import GeometryError, InstabilityError, MeshError
 from ultrasem.mesh import build_mesh
@@ -273,24 +273,22 @@ class TestTimeStepping:
         # the guard stops the second step, which would run at a CFL
         # estimate of 2.5e5
         mesh = tunnel_mesh(4, 3, width=0.003, height=0.001)
-        solver = TunnelSolver(mesh, 8, NsConfig(dt=1e-3, max_cfl=10.0),
+        solver = TunnelSolver(mesh, 8, NsConfig(dt=1e-3),
                               classify_tunnel_boundary(mesh, (1e3, 0.0)))
         st = solver.time_step(FlowState.rest(mesh, 8))
-        with pytest.raises(InstabilityError, match="max_cfl") as err:
+        with pytest.raises(InstabilityError, match="CFL estimate") as err:
             solver.time_step(st)
         assert err.value.step == 2
-        assert err.value.cfl == solver.cfl_estimate(st) > 10.0
-        with pytest.raises(ValueError, match="max_cfl"):
-            NsConfig(dt=1e-3, max_cfl=0.0)
+        assert err.value.cfl == solver.cfl_estimate(st) > navierstokes._MAX_CFL
 
-    def test_cfl_guard_leaves_a_stable_run_unchanged(self):
+    def test_cfl_guard_leaves_a_stable_run_unchanged(self, monkeypatch):
         # the benchmark tunnel, whose estimate stays near 2.5
         mesh = tunnel_mesh(4, 3, width=0.003, height=0.001, hole=(1, 1))
-        cfg = NsConfig(dt=1.667e-5, steps=200, max_cfl=10.0)
+        cfg = NsConfig(dt=1.667e-5, steps=200)
         solver = TunnelSolver(mesh, 8, cfg, classify_tunnel_boundary(mesh, (0.6, 0.0)))
         guarded = solver.run(FlowState.rest(mesh, 8))
         assert 1.0 < solver.cfl_estimate(guarded) < 10.0
-        cfg.max_cfl = None
+        monkeypatch.setattr(navierstokes, "_MAX_CFL", np.inf)
         free = solver.run(FlowState.rest(mesh, 8))
         for a, b in ((guarded.u, free.u), (guarded.v, free.v), (guarded.p, free.p)):
             assert np.array_equal(a.data, b.data)
