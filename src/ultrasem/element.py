@@ -9,10 +9,12 @@ parameter-2 coefficients of ``det^3 L(u)`` through sums of Kronecker
 products of banded 1-D factors.  Those sums are formed directly as
 column-indexed diagonals (a DIA matrix), which are rows of LAPACK band
 storage.  Rows whose right-hand-side degree is ``n-2`` or ``n-1`` in
-either variable (4n-4 of them) are replaced by dense boundary-condition
-rows, and the bordered system is solved with a banded LU plus a low-rank
-Woodbury correction, or through its held dense inverse when that is no
-larger than what the Woodbury solve reads.  Elements that differ only in
+either variable (4n-4 of them) are dropped and the rest moved to their
+slots (:func:`_to_slots`), in the operator and in the right-hand-side
+operator alike; the freed slots take dense boundary-condition rows, and
+the bordered system is solved with a banded LU plus a low-rank Woodbury
+correction, or through its held dense inverse when that is no larger
+than what the Woodbury solve reads.  Elements that differ only in
 their boundary rows are copies of one factored operator
 (:meth:`AlmostBandedMatrix.bordered`), sharing its banded part and LU.
 """
@@ -24,6 +26,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
 from ._linalg import BandedLU
@@ -136,30 +139,11 @@ class CoeffVector2D:
 
 # Boundary rows replace the rows whose right-hand side degree is n-2 or
 # n-1 in either variable.  Interior equation (i, j) (both <= n-3) is
-# stored at stacked slot (i+2) + n*(j+2), so the freed slots are exactly
-# the lowest-order coefficient positions (index 0 or 1 in either
-# variable), and the banded part keeps unit diagonal entries there.  The
-# slot maps are cached per n and shared by every caller: read only.
-
-
-@functools.lru_cache(maxsize=16)
-def interior_equation_rows(n):
-    """(n-2)^2 rows of the full stacked operator holding the interior
-    equations: entry ``i + (n-2)*j`` is row ``i + n*j`` of equation
-    ``(i, j)``."""
-    k = np.arange(n - 2)
-    rows = (k[:, None] + n * k[None, :]).ravel(order="F")
-    rows.setflags(write=False)
-    return rows
-
-
-@functools.lru_cache(maxsize=16)
-def interior_slot_map(n):
-    """(n-2)^2 stacked slot indices: entry ``i + (n-2)*j`` is the slot of
-    interior equation ``(i, j)``."""
-    slots = interior_equation_rows(n) + 2 * (n + 1)
-    slots.setflags(write=False)
-    return slots
+# stored at stacked slot (i+2) + n*(j+2) (:func:`_to_slots`), so the
+# freed slots are exactly the lowest-order coefficient positions (index 0
+# or 1 in either variable), and the banded part keeps unit diagonal
+# entries there.  The slot list is cached per n and shared by every
+# caller: read only.
 
 
 @functools.lru_cache(maxsize=16)
@@ -169,6 +153,21 @@ def boundary_slots(n):
     slots = np.sort((i + n * j)[(i < 2) | (j < 2)])
     slots.setflags(write=False)
     return slots
+
+
+def _to_slots(L, n):
+    """The n^2-by-n^2 DIA operator ``L`` with interior equation (i, j)
+    moved from row i + n j to its slot (i+2) + n (j+2): the entries in
+    the rows of the other equations go and every diagonal's offset drops
+    by 2n+2, so the boundary slot rows are empty."""
+    nn = n * n
+    # pad[nn + m] marks row m as an interior equation; a window of it
+    # starting at nn - off marks the rows c - off of a diagonal's entries
+    pad = np.zeros(3 * nn, dtype=bool)
+    pad[nn:2 * nn].reshape(n, n)[:n - 2, :n - 2] = True
+    keep = sliding_window_view(pad, nn)[nn - L.offsets]
+    D = np.where(keep, L.data, 0.0)
+    return sp.dia_matrix((D, L.offsets - (2 * n + 2)), shape=L.shape)
 
 
 def edge_points(n):
@@ -221,15 +220,15 @@ def point_derivative_rows(bm, n, r, s):
     row_us = _tensor_rows(er, ds)
     # the map's fields broadcast against the points; a new last axis then
     # runs along the rows
-    det, Ys, Yr, Xs, Xr = (a[..., None] for a in (
-        det_polynomial(bm)(r, s), bm.c2 + bm.d2 * r, bm.b2 + bm.d2 * s,
-        bm.c1 + bm.d1 * r, bm.b1 + bm.d1 * s))
-    # ux = (Ys row_ur - Yr row_us) / det and uy = (-Xs row_ur + Xr row_us)
-    # / det, formed in place: for stacked interface rows every freed
-    # temporary of their size fragments the heap that later setup uses
-    ux, uy = Ys * row_ur, -Xs * row_ur
-    ux -= np.multiply(Yr, row_us, out=row_ur)
-    uy += np.multiply(Xr, row_us, out=row_ur)
+    det, rx, ry, sx, sy = (a[..., None] for a in (det_polynomial(bm)(r, s),
+                                                  *bm.adjugate(r, s)))
+    # ux = (rx row_ur + sx row_us) / det and uy = (ry row_ur + sy row_us)
+    # / det with det-scaled factors, formed in place: for stacked interface
+    # rows every freed temporary of their size fragments the heap that
+    # later setup uses
+    ux, uy = rx * row_ur, ry * row_ur
+    ux += np.multiply(sx, row_us, out=row_ur)
+    uy += np.multiply(sy, row_us, out=row_ur)
     ux /= det
     uy /= det
     return ux, uy
@@ -322,10 +321,8 @@ def _reference_tables(pde, bm):
     det = det_polynomial(bm)
     # det from its linear form: Xr Ys - Xs Yr cancels on slivers
     D, dr, ds = det(r, s), det.dr, det.ds
-    # det times the gradients of r and s: r_x = Ys/det, r_y = -Xs/det,
-    # s_x = -Yr/det, s_y = Xr/det
-    p1, p2 = bm.c2 + bm.d2 * r, -(bm.c1 + bm.d1 * r)
-    q1, q2 = -(bm.b2 + bm.d2 * s), bm.b1 + bm.d1 * s
+    # det times the gradients of r, (p1, p2), and of s, (q1, q2)
+    p1, p2, q1, q2 = bm.adjugate(r, s)
 
     def grad_cleared(P, Pr, Ps):
         # det^3 grad(P/det) for P linear in r (or s) with derivatives Pr, Ps
@@ -558,19 +555,15 @@ def assemble_element_operator(pde, quad, n, rows=None):
     Elements that share L are copies of one operator through
     :meth:`AlmostBandedMatrix.bordered`.
     """
-    L = element_interior_operator(pde, quad, n)
+    L = _to_slots(element_interior_operator(pde, quad, n), n)
     nn = n * n
     slots = boundary_slots(n)
     if rows is None:
         rows = point_value_row(n, *traversal_points(n))
 
-    # Interior equation (i, j) moves from row i + n j to slot (i+2) +
-    # n (j+2): every diagonal's offset drops by 2n+2, and the entries in
-    # the rows of the other equations go.  The boundary slot rows are
-    # left empty and get exact unit diagonal entries.
-    src = np.arange(nn) - L.offsets[:, None]  # row of each entry (zero outside)
-    D = np.where((src % n < n - 2) & (src // n < n - 2), L.data, 0.0)
-    off = L.offsets - (2 * n + 2)
+    # the interior equations at their slots; the empty boundary slot rows
+    # get exact unit diagonal entries
+    D, off = L.data, L.offsets
     col = np.arange(nn) + off[:, None]  # column of row m on each diagonal
     at = np.take_along_axis(D, col.clip(0, nn - 1), axis=1)
     row_max = np.abs(np.where((col >= 0) & (col < nn), at, 0.0)).max(axis=0, initial=0.0)
@@ -579,7 +572,7 @@ def assemble_element_operator(pde, quad, n, rows=None):
         raise SingularOperatorError(
             f"row {int(np.argmin(row_max))} of the bordered operator is zero")
     s = 1.0 / row_max
-    D *= s[(src + 2 * n + 2).clip(0, nn - 1)]
+    D *= s[(np.arange(nn) - off[:, None]).clip(0, nn - 1)]  # the slot of each entry
     A = _dia(np.append(off, 0), np.vstack([D, np.isin(np.arange(nn), slots)]))
     return AlmostBandedMatrix(A, slots, *_border(s, slots, rows))
 
@@ -596,15 +589,17 @@ def element_rhs_operator(quad, n):
     """Sparse operator taking the Chebyshev coefficients of a sampled
     forcing to the parameter-2 coefficients of ``det^3 * f``: the det^3
     multiplication in Chebyshev space followed by basis conversion,
-    ``sum_j kron(S T_j(X_0), S M_0(C[:, j]))`` with ``S = S_1 S_0``.  It
-    is CSR, because every solve multiplies with it and the DIA diagonals
-    hold zeros that CSR skips."""
+    ``sum_j kron(S T_j(X_0), S M_0(C[:, j]))`` with ``S = S_1 S_0``, with
+    its interior equations at their slots and empty boundary slot rows,
+    as in :func:`assemble_element_operator`.  It is CSR, because every
+    solve multiplies with it and the DIA diagonals hold zeros that CSR
+    skips."""
     if not isinstance(quad, Quad):
         quad = Quad(quad)
     det3 = _reference_tables(_DET_CUBED, bilinear_coeffs(quad))["id"]
     T, M = _multipliers(det3, 0, n)
     S = _kron_factors(n)["id"][0]
-    return _kron_sum(S @ T, S @ M).tocsr()
+    return _to_slots(_kron_sum(S @ T, S @ M), n).tocsr()
 
 
 def grid_points(bm, n):
@@ -624,17 +619,6 @@ def sample_on_grid(X, Y, f):
     if F.shape != X.shape:
         raise ValueError(f"grid values must have shape {X.shape}, not {F.shape}")
     return F
-
-
-def project_rhs(rhs_full, boundary_values, n):
-    """Assemble full stacked right-hand sides over any leading axes:
-    interior equations go to their shifted slots, boundary rows carry
-    ``boundary_values`` in traversal order."""
-    rhs_full = np.asarray(rhs_full, dtype=float)
-    b = np.zeros(rhs_full.shape[:-1] + (n * n,))
-    b[..., interior_slot_map(n)] = rhs_full[..., interior_equation_rows(n)]
-    b[..., boundary_slots(n)] = boundary_values
-    return b
 
 
 # ----------------------------------------------------------------------

@@ -185,9 +185,9 @@ class TunnelSolver:
             t = ultra.cheb_points(m)
             R, S = np.meshgrid(t, t)
             det = det_polynomial(bm)(R, S)
+            rx, ry, sx, sy = bm.adjugate(R, S)
             self._grids[m] = (ultra.eval_row(t, n), ultra.deriv_eval_row(t, n),
-                              (bm.c2 + bm.d2 * R) / det, -(bm.b2 + bm.d2 * S) / det,
-                              -(bm.c1 + bm.d1 * R) / det, (bm.b1 + bm.d1 * S) / det)
+                              rx / det, sx / det, ry / det, sy / det)
         # grid points on no-slip object edges: row s = 1, column r = -1,
         # row s = -1 and column r = 1 for local edges 0..3
         self._on_object = np.zeros((mesh.n_quads, n, n), dtype=bool)
@@ -278,8 +278,7 @@ class TunnelSolver:
         if not new.finite():
             raise InstabilityError(
                 f"non-finite values after step {new.step}"
-                f" (advective CFL estimate {self.cfl_estimate(state):.3g})",
-                step=new.step, cfl=self.cfl_estimate(state))
+                f" (advective CFL estimate {cfl:.3g})", step=new.step, cfl=cfl)
         return new
 
     def cfl_estimate(self, state):

@@ -171,6 +171,15 @@ class BilinearMap:
         y = self.a2 + self.b2 * r + self.c2 * s + self.d2 * r * s
         return x, y
 
+    def adjugate(self, r, s):
+        """det times the inverse-map derivatives ``(r_x, r_y, s_x, s_y)``
+        at ``(r, s)``: the entries ``(y_s, -x_s, -y_r, x_r)`` of the
+        Jacobian's adjugate."""
+        r = np.asarray(r, dtype=float)
+        s = np.asarray(s, dtype=float)
+        return (self.c2 + self.d2 * r, -(self.c1 + self.d1 * r),
+                -(self.b2 + self.d2 * s), self.b1 + self.d1 * s)
+
 
 @dataclass(frozen=True)
 class DetPolynomial:

@@ -68,7 +68,6 @@ from .element import (
     grid_points,
     point_derivative_rows,
     point_value_row,
-    project_rhs,
     sample_on_grid,
     traversal_points,
 )
@@ -392,19 +391,19 @@ class SchurSystem:
 
     def _rhs_vectors(self, f, dirichlet, neumann):
         """Right-hand sides of every element, stacked (F, n^2): the forcing
-        sampled on all element grids at once, and the boundary data at
-        every Dirichlet and Neumann traversal point."""
+        sampled on all element grids at once, its equations at their slots,
+        and the boundary data of every Dirichlet and Neumann traversal
+        point at its boundary slot."""
         n = self.n
-        rhs_full = np.zeros((self.mesh.n_quads, n * n))
+        B = np.zeros((self.mesh.n_quads, n * n))
         if f is not None:
             G = sample_on_grid(self.grid_x, self.grid_y, f)
             bad = ~np.isfinite(G).all(axis=(1, 2))
             if bad.any():
                 raise ValueError(f"forcing is not finite on element {np.argmax(bad)}")
-            # each element's coefficients stacked column by column
-            C = ultra.vals_to_coeffs_2d(G).transpose(0, 2, 1).reshape(len(G), n * n)
+            C = CoeffVector2D.from_matrix(ultra.vals_to_coeffs_2d(G)).data
             for elems, rhs_op in self._classes:
-                rhs_full[elems] = (rhs_op @ C[elems].T).T
+                B[elems] = (rhs_op @ C[elems].T).T
         values = np.zeros(self.point_kind.shape)
         for kind, src in (("dirichlet", dirichlet), ("neumann", neumann)):
             every, per_edge = self._data_points[kind]
@@ -422,7 +421,8 @@ class SchurSystem:
             raise ValueError(f"boundary data is not finite on element {k[0]}, "
                              f"edge {self.point_edge[k]} at "
                              f"({self.point_x[k]:g}, {self.point_y[k]:g})")
-        return project_rhs(rhs_full, values, n)
+        B[:, boundary_slots(n)] = values
+        return B
 
     def _element_solves(self, B):
         """Stacked (F, n^2) element solves with zero interface values of

@@ -17,8 +17,6 @@ from ultrasem.element import (
     edge_points,
     element_interior_operator,
     element_rhs_operator,
-    interior_equation_rows,
-    interior_slot_map,
     operator_condition,
     point_derivative_rows,
     point_value_row,
@@ -38,6 +36,14 @@ POISSON = PdeCoefficients.poisson()
 def skinny_quad(eps):
     return Quad([(0.0, 0.0), (1.0, 1.0 - 0.5 * eps),
                  (1.0, 1.0), (0.5, 0.5 + 0.5 * eps)])
+
+
+def equation_rows(n):
+    """Rows ``i + n j`` of the full operator holding the interior
+    equations (i, j <= n-3), in column-stacked order; equation (i, j)
+    sits at slot ``(i+2) + n (j+2)``, 2n+2 further on."""
+    k = np.arange(n - 2)
+    return (k[:, None] + n * k[None, :]).ravel(order="F")
 
 
 def coeffs_of(fn, n, quad=SQUARE):
@@ -91,8 +97,10 @@ class TestInteriorOperator:
                                + y * ux(x, y) - 0.5 * uy(x, y)
                                + (1.0 + 2.0 * x) * u(x, y))
             L = element_interior_operator(pde, quad, n)
-            got = L @ coeffs_of(u, n, quad)
-            want = element_rhs_operator(quad, n) @ coeffs_of(Lu, n, quad)
+            rows = equation_rows(n)
+            got = (L @ coeffs_of(u, n, quad))[rows]
+            # the rhs operator holds equation (i, j) at its slot
+            want = (element_rhs_operator(quad, n) @ coeffs_of(Lu, n, quad))[rows + 2 * n + 2]
             scale = np.abs(want).max()
             assert np.max(np.abs(got - want)) < 1e-12 * scale
 
@@ -164,8 +172,13 @@ class TestBandAssembly:
             t = ultra.cheb_points(4)
             C = ultra.vals_to_coeffs_2d(det_polynomial(bilinear_coeffs(quad))(*np.meshgrid(t, t)) ** 3)
             want = _dense_kron_sum(C, 0, n, S, (np.eye(n), np.eye(n)))
-            got = element_rhs_operator(quad, n).toarray()
-            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+            got = element_rhs_operator(quad, n)
+            # the equation rows at their slots; the boundary slot rows are
+            # empty, not merely zero-valued
+            rows = equation_rows(n)
+            err = got.toarray()[rows + 2 * n + 2] - want[rows]
+            assert np.abs(err).max() <= 1e-15 * np.abs(want).max()
+            assert not np.diff(got.indptr)[boundary_slots(n)].any()
 
     def test_bordered_bandwidths_pinned(self):
         # the outermost stored diagonals are the band: rounding residue
@@ -337,14 +350,13 @@ class TestAlmostBanded:
             assert np.max(np.abs(B[m] - want)) < 1e-14
         # interior rows are the scaled operator rows at shifted slots
         L = element_interior_operator(POISSON, SQUARE, n)
-        keep = interior_slot_map(n)
-        src = (np.arange(n - 2)[:, None] + n * np.arange(n - 2)[None, :]).ravel(order="F")
+        src, k = equation_rows(n), np.arange(n - 2)
+        keep = (k[:, None] + 2 + n * (k[None, :] + 2)).ravel(order="F")
         Ld = L.toarray()
-        for k, m in enumerate(keep):
-            assert np.max(np.abs(B[m] - op.scale[m] * Ld[src[k]])) < 1e-14
+        for row, m in zip(src, keep):
+            assert np.max(np.abs(B[m] - op.scale[m] * Ld[row])) < 1e-14
 
-    @pytest.mark.parametrize("slot_map", [boundary_slots, interior_slot_map,
-                                          interior_equation_rows])
+    @pytest.mark.parametrize("slot_map", [boundary_slots])
     def test_slot_maps_are_shared_read_only(self, slot_map):
         assert slot_map(7) is slot_map(7)
         with pytest.raises(ValueError, match="read-only"):

@@ -281,6 +281,23 @@ class TestTimeStepping:
         assert err.value.step == 2
         assert err.value.cfl == solver.cfl_estimate(st) > navierstokes._MAX_CFL
 
+    def test_non_finite_step_reports_the_guard_cfl(self, monkeypatch):
+        # a pressure solve gone non-finite: the error carries the estimate
+        # the guard took of the state entering the step, not a new transform
+        solver = single_square_solver(dt=1e-3)
+        st = FlowState(u=field_from(lambda x, y: 0.5 + 0.25 * x * y, solver),
+                       v=field_from(lambda x, y: -0.5 * y, solver),
+                       p=FlowState.rest(solver.mesh, solver.n).p)
+        want = solver.cfl_estimate(st)
+        nan = CoeffVector2D(solver.n, np.full((1, solver.n ** 2), np.nan))
+        monkeypatch.setattr(solver.pois_p, "solve", lambda **kw: nan)
+        monkeypatch.setattr(solver, "cfl_estimate", lambda state: pytest.fail("recomputed"))
+        with pytest.raises(InstabilityError, match="after step 1") as err:
+            solver.time_step(st)
+        assert err.value.step == 1
+        assert err.value.cfl == want > 0.0
+        assert f"CFL estimate {want:.3g}" in str(err.value)
+
     def test_cfl_guard_leaves_a_stable_run_unchanged(self, monkeypatch):
         # the benchmark tunnel, whose estimate stays near 2.5
         mesh = tunnel_mesh(4, 3, width=0.003, height=0.001, hole=(1, 1))
