@@ -74,6 +74,12 @@ def skinny_quad(eps):
                  (1.0, 1.0), (0.5, 0.5 + 0.5 * eps)])
 
 
+def _check_sweep(eps):
+    e = np.asarray(eps, dtype=float)
+    if np.any(e <= 0) or np.any(np.diff(e) >= 0):
+        raise ValueError("eps values must be positive and descending")
+
+
 @dataclass
 class BenchReport:
     """Condition numbers of the row-scaled skinny-quad operator over a
@@ -85,9 +91,7 @@ class BenchReport:
     kappainf: list
 
     def __post_init__(self):
-        e = np.asarray(self.eps, dtype=float)
-        if np.any(e <= 0) or np.any(np.diff(e) >= 0):
-            raise ValueError("eps values must be positive and descending")
+        _check_sweep(self.eps)
 
     def to_text(self):
         lines = ["ultrasem-condbench 1", f"n {self.n}", "eps kappa1 kappainf"]
@@ -120,11 +124,14 @@ class BenchReport:
 
 
 def cond_bench(epsilons, n):
-    """Row-scaled Poisson operator condition numbers on the skinny family."""
+    """Row-scaled Poisson operator condition numbers on the skinny family.
+    The sweep and every eps are checked before any operator is built."""
+    _check_sweep(epsilons)
+    quads = [skinny_quad(eps) for eps in epsilons]
     pde = PdeCoefficients.poisson()
     k1s, kis = [], []
-    for eps in epsilons:
-        op = assemble_element_operator(pde, skinny_quad(eps), n)
+    for quad in quads:
+        op = assemble_element_operator(pde, quad, n)
         k1, ki = operator_condition(op)
         k1s.append(k1)
         kis.append(ki)

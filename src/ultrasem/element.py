@@ -27,9 +27,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
+from scipy.linalg.lapack import dgecon, dgetrf, dgetri, dgetrs
 
-from ._linalg import BandedLU
+from ._linalg import BandedLU, gemm
 from .errors import SingularOperatorError
 from .quadmap import (
     Quad,
@@ -280,7 +280,11 @@ def _kron_sum(P, Q):
     forms every diagonal."""
     n = P.shape[-1]
     (Pd, p_off), (Qd, q_off) = _diagonals(P), _diagonals(Q)
-    E = np.einsum("tac,tbd->abcd", Pd, Qd, optimize=True)
+    # E[(a, c), (b, d)] = sum_t Pd[t, a, c] Qd[t, b, d], formed as its
+    # Fortran-ordered transpose so that E is C-ordered
+    t, a, b = len(Pd), p_off.size, q_off.size
+    E = gemm(1.0, Qd.reshape(t, b * n).T, Pd.reshape(t, a * n)).T
+    E = E.reshape(a, n, b, n).transpose(0, 2, 1, 3)
     return _dia((n * p_off[:, None] + q_off).ravel(), E.reshape(-1, n * n))
 
 
@@ -303,6 +307,15 @@ def _degree(P):
     return max(i + j, default=-np.inf)
 
 
+def _table_grid(degree):
+    """Reference coordinates ``(r, s)`` of the Chebyshev grid on which the
+    tables of a PDE whose largest coefficient degree is ``degree`` are
+    sampled: at least 4 + degree points, rounded up to 2^k + 1 so that few
+    cached transform sizes serve every PDE."""
+    t = ultra.cheb_points(1 + 2 ** int(2 + max(0, degree)).bit_length())
+    return np.meshgrid(t, t)
+
+
 def _reference_tables(pde, bm):
     """Chebyshev tensor tables ``C[i_s, j_r]`` of the polynomial multiplying
     each reference derivative in ``det^3 L(u)``.
@@ -311,11 +324,8 @@ def _reference_tables(pde, bm):
     Chebyshev grid, transformed, and cropped to that degree: what lies
     beyond it is rounding noise."""
     deg = {f.name: _degree(getattr(pde, f.name)) for f in fields(pde)}
-    # at least 4 + the largest PDE degree points, rounded up to 2^k + 1 so
-    # that few cached transform sizes serve every PDE; the crop below and
-    # poly2d_trim drop the transform's rounding noise
-    t = ultra.cheb_points(1 + 2 ** int(2 + max(0, *deg.values())).bit_length())
-    r, s = np.meshgrid(t, t)
+    # the crop below and poly2d_trim drop the transform's rounding noise
+    r, s = _table_grid(max(deg.values()))
     x, y = bm(r, s)
     a11, a12, a22, b1, b2, c = (poly2d_eval(getattr(pde, f.name), x, y) for f in fields(pde))
     det = det_polynomial(bm)
@@ -425,7 +435,7 @@ class AlmostBandedMatrix:
 
     def matvec(self, x):
         y = self.banded @ x
-        y[self.slots] += self.V @ x
+        y[self.slots] += gemm(1.0, self.V, np.asarray(x, dtype=float))
         return y
 
     def _factor(self):
@@ -444,7 +454,7 @@ class AlmostBandedMatrix:
                 E[self.slots, np.arange(self.k)] = 1.0
                 self._Z = self._lu.solve(E)
         if self.k and self._cap is None:
-            cap = np.eye(self.k) + self.V @ self._Z
+            cap = gemm(1.0, self.V, self._Z, 1.0, np.eye(self.k, order="F"))
             lu, piv, info = dgetrf(cap)
             # info > 0 is an exact zero pivot; non-finite factors come
             # from non-finite entries
@@ -488,13 +498,20 @@ class AlmostBandedMatrix:
         self._factor()
         if self._inv is not None:
             return self._inv @ rhs
-        return self.woodbury(self._lu.solve(rhs))
+        return self._correct(self._lu.solve(rhs))
 
     def woodbury(self, y):
         """``B^{-1} b`` from ``y = A^{-1} b``: the low-rank correction
         ``y - Z cap^{-1} V y`` with the held factors."""
+        return self._correct(np.array(y, dtype=float))
+
+    def _correct(self, y):
+        """:meth:`woodbury` in place on the float array ``y``, which it
+        returns."""
         self._factor()
-        return y - self._Z @ self._cap_solve(self.V @ y) if self.k else y
+        if not self.k:
+            return y
+        return gemm(-1.0, self._Z, self._cap_solve(gemm(1.0, self.V, y)), 1.0, y)
 
     def boundary_columns(self, t):
         """Columns ``slots[t]`` of ``B^{-1}``: of the held inverse under the
@@ -504,7 +521,7 @@ class AlmostBandedMatrix:
         self._factor()
         if self._inv is not None:
             return self._inv[:, self.slots[t]]
-        return self._Z @ self._cap_solve(np.eye(self.k)[:, t])
+        return gemm(1.0, self._Z, self._cap_solve(np.eye(self.k)[:, t]))
 
     def solve(self, rhs):
         """Solve the bordered system for a physical right-hand side: the
@@ -520,7 +537,8 @@ class AlmostBandedMatrix:
         rhs)``: one banded solve as wide as ``rhs``."""
         self._factor()
         if self.k:
-            rhs = rhs - self.V.T @ self._cap_solve(self._Z.T @ rhs, trans=1)
+            c = self._cap_solve(gemm(1.0, self._Z.T, rhs), trans=1)
+            rhs = gemm(-1.0, self.V.T, c, 1.0, np.array(rhs, dtype=float))
         return self._lu.solve(rhs, transpose=True)
 
 
@@ -581,10 +599,6 @@ def assemble_element_operator(pde, quad, n, rows=None):
 # right-hand sides
 
 
-# the operator whose identity table is det^3 alone
-_DET_CUBED = PdeCoefficients(a11=0.0, a22=0.0, c=1.0)
-
-
 def element_rhs_operator(quad, n):
     """Sparse operator taking the Chebyshev coefficients of a sampled
     forcing to the parameter-2 coefficients of ``det^3 * f``: the det^3
@@ -596,7 +610,11 @@ def element_rhs_operator(quad, n):
     skips."""
     if not isinstance(quad, Quad):
         quad = Quad(quad)
-    det3 = _reference_tables(_DET_CUBED, bilinear_coeffs(quad))["id"]
+    # det^3, a polynomial of degree 3 in each variable, sampled on the
+    # grid of a constant PDE's tables, as its identity table would be
+    r, s = _table_grid(0)
+    D = det_polynomial(bilinear_coeffs(quad))(r, s)
+    det3 = poly2d_trim(ultra.vals_to_coeffs_2d(D * D * D)[:4, :4], rel=1e-14)
     T, M = _multipliers(det3, 0, n)
     S = _kron_factors(n)["id"][0]
     return _to_slots(_kron_sum(S @ T, S @ M), n).tocsr()
@@ -695,19 +713,26 @@ def operator_condition(abm):
     nn = abm.nn
     if nn <= _DENSE_CONDITION_LIMIT:
         B = abm.to_dense()
-        Binv = np.linalg.inv(B)
+        lu, piv, info = dgetrf(B)
+        if info == 0:
+            Binv, info = dgetri(lu, piv)
+        if info != 0:
+            raise SingularOperatorError("bordered operator singular")
         k1 = np.abs(B).sum(axis=0).max() * np.abs(Binv).sum(axis=0).max()
         kinf = np.abs(B).sum(axis=1).max() * np.abs(Binv).sum(axis=1).max()
         return float(k1), float(kinf)
     abm._factor()
-    # exact norms of B = A + UV: slot rows of B are V plus the unit rows
-    W = abm.V.copy()
-    W[np.arange(abm.k), abm.slots] += 1.0
-    colsum = np.asarray(abs(abm.banded).sum(axis=0)).ravel()
+    # exact norms of B = A + UV: slot rows of B are V plus the unit rows,
+    # so |B| there is |V| but at each slot's own column
+    t = np.arange(abm.k)
+    W = np.abs(abm.V)
+    W[t, abm.slots] = np.abs(abm.V[t, abm.slots] + 1.0)
+    A = abs(abm.banded)
+    colsum = np.asarray(A.sum(axis=0)).ravel()
     colsum[abm.slots] -= 1.0
-    colsum += np.abs(W).sum(axis=0)
-    rowsum = np.asarray(abs(abm.banded).sum(axis=1)).ravel()
-    rowsum[abm.slots] = np.abs(W).sum(axis=1)
+    colsum += W.sum(axis=0)
+    rowsum = np.asarray(A.sum(axis=1)).ravel()
+    rowsum[abm.slots] = W.sum(axis=1)
     norm1, norminf = float(colsum.max()), float(rowsum.max())
     # ||B^{-1}||_inf = ||B^{-T}||_1
     k1 = norm1 * _onenorm_lower_bound(abm.solve_raw, abm.solve_transpose, nn)

@@ -13,11 +13,15 @@ edge, which keeps the coupled system square and nonsingular.
 Every boundary and interface row is evaluated at the element's own
 boundary grid points (:func:`ultrasem.element.edge_points`), and every
 normal-derivative row, Neumann or matching, comes from
-:func:`_normal_rows` with the element's outward normal.  A matching row is
-therefore a jump across the edge: the two sides' outward normal
-derivatives add, and an endpoint value row is the side whose local edge
-runs from the lower vertex number to the higher (the aligned side) minus
-the other side.
+:func:`_normal_rows` with an outward normal.  A matching row is therefore
+a jump across the edge: the two sides' outward normal derivatives add,
+and an endpoint value row is the side whose local edge runs from the
+lower vertex number to the higher (the aligned side) minus the other
+side.  The derivative rows of a side are those of its geometry class's
+representative (see below) on the same local edge: they are formed once
+per (class, local edge) pair, on the representative's map and outward
+normal, and gathered to the sides, as the class's members already share
+the representative's operator.
 
 With the element unknowns stacked as one vector of length F n^2, the
 coupling is three sparse matrices: ``A_gamma`` (the scaled interface
@@ -56,9 +60,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgesv
 
 from . import ultra
-from ._linalg import BandedLU
+from ._linalg import BandedLU, gemm
 from .element import (
     CoeffVector2D,
     assemble_element_operator,
@@ -216,7 +221,7 @@ class SchurSystem:
         if any(getattr(self.pde, t.name).ravel()[1:].any() for t in fields(self.pde)):
             coeffs += [bm.a1, bm.a2]
         coeffs, r_in, none = np.column_stack(coeffs), inradius(vertices), np.zeros((F, 1))
-        reps, cls = _share_classes(coeffs, none, none, r_in)
+        self._reps, self._cls = reps, cls = _share_classes(coeffs, none, none, r_in)
         self._normals = outward_normals(vertices)
         on_edge = neumann.reshape(F, 4, n - 1).any(axis=2)[..., None]
         normals = np.where(on_edge, self._normals, 0.0).reshape(F, 8)
@@ -288,11 +293,18 @@ class SchurSystem:
         k = np.argsort(self.block_pos)  # interior edge at each block position
         # a side takes edge point m (counted from the edge's lower vertex)
         # from its own edge points, backwards unless its local edge is
-        # aligned, and its own outward normal: the derivative rows add
+        # aligned, and its own outward normal: the derivative rows add.
+        # Its rows are those of its geometry class's representative on the
+        # same local edge, formed once per (class, local edge) pair on the
+        # representative's map and outward normal.
         aligned = mesh.quad_edge_aligned[f, l][:, None]
         a = np.arange(n)[:, None]
-        r, s = edge_points(n)[:, l[:, None], np.where(aligned, a, n - 1 - a)]
-        rows = _normal_rows(self.maps[f[:, None]], self._normals[f, l][:, None], n, r, s)
+        along = np.where(aligned, a, n - 1 - a)
+        r, s = edge_points(n)[:, l[:, None], along]
+        pair, of_side = np.unique((self._cls[f] * 4 + l).ravel(), return_inverse=True)
+        rep, rep_l = self._reps[pair // 4], pair % 4
+        rows = _normal_rows(self.maps[rep[:, None]], self._normals[rep, rep_l][:, None], n,
+                            *edge_points(n)[:, rep_l])[of_side.reshape(f.shape)[:, None], along]
         # an endpoint matches derivatives only at an interior vertex that
         # marks this edge; elsewhere it matches values
         edge = mesh.interior_edges[k]
@@ -335,7 +347,8 @@ class SchurSystem:
             w_data[at] = W.ravel()
             w_cols[at] = np.tile(self._point_col[elems][:, on], nn)
             p, side = np.nonzero(side_block == b)
-            v = -(rows[p, :, side] @ W)
+            # W^T times the rows' transpose, so that v comes out C-ordered
+            v = gemm(-1.0, W.T, rows[p, :, side].reshape(-1, nn).T).T.reshape(p.size, n, -1)
             i = (n * p)[:, None, None] + np.arange(n)[:, None]
             j = self._point_col[f[p, side]][:, None, on]
             triplets.append([v] + [np.broadcast_to(a, v.shape).astype(np.int32)
@@ -488,7 +501,9 @@ class SchurSystem:
         """Solve through the dense monolithic matrix (oracle path)."""
         B = self._rhs_vectors(f, dirichlet, neumann)
         rhs = np.concatenate([(self._scale * B).ravel(), np.zeros(self.n_gamma)])
-        x = np.linalg.solve(self.to_dense_global(), rhs)
+        *_, x, info = dgesv(self.to_dense_global(), rhs)
+        if info != 0:
+            raise SingularOperatorError("dense global matrix singular")
         return CoeffVector2D(self.n, x[:B.size].reshape(B.shape))
 
 

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ultrasem import cli
 from ultrasem.cli import (
     EXIT_FORMAT,
     EXIT_OK,
@@ -200,6 +201,15 @@ class TestCondBench:
             assert main(["cond-bench", "--n", "24", "--out", str(out)]) == EXIT_OK
             texts.append(out.read_bytes())
         assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("eps", ["1e-3,1", "1,1", "1,0,-1", "1,1e-3,nan"])
+    def test_bad_sweep_rejected_before_any_assembly(self, eps, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "assemble_element_operator",
+                            lambda *a, **k: calls.append(a))
+        assert main(["cond-bench", "--eps", eps]) == EXIT_FORMAT
+        assert calls == []
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_invalid_eps_order(self):
         with pytest.raises(ValueError):

@@ -480,6 +480,71 @@ class TestWoodbury:
         assert np.max(np.abs(x - want)) < 1e-10 * np.abs(want).max()
 
 
+def _right_hand_side(rng, nn, kind):
+    """A right-hand side of the given layout: a vector, C- or F-ordered
+    blocks of 3 columns or of 70 (the blocked banded solve), or every
+    other column of a C-ordered block (contiguous in neither order)."""
+    if kind == "vector":
+        return rng.standard_normal(nn)
+    if kind == "slice":
+        return rng.standard_normal((nn, 10))[:, ::2]
+    order, width = kind.split("-")
+    return np.asarray(rng.standard_normal((nn, int(width))), order=order)
+
+
+class TestRoutedProducts:
+    """The BLAS products of the element solves on every operand layout,
+    beyond the size rule (a sliver at n = 24) and under it (n = 8), and
+    no input array modified by the in-place products."""
+
+    KINDS = ["vector", "C-3", "F-3", "C-70", "F-70", "slice"]
+
+    @staticmethod
+    def _check(got, want, tol=1e-11):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [8, 24])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_solves_against_dense(self, rng, n, kind):
+        op = assemble_element_operator(POISSON, skinny_quad(1e-3), n)
+        op._factor()
+        assert (op._inv is not None) == (n == 8)
+        B, A = op.to_dense(), op.banded.toarray()
+        b = _right_hand_side(rng, n * n, kind)
+        keep = b.copy()
+        self._check(op.solve_raw(b), np.linalg.solve(B, b))
+        self._check(op.woodbury(b), np.linalg.solve(B, A @ b))
+        self._check(op.solve_transpose(b), np.linalg.solve(B.T, b))
+        assert np.array_equal(b, keep)
+
+    @pytest.mark.parametrize("n", [8, 24])
+    def test_boundary_columns_against_dense(self, rng, n):
+        op = assemble_element_operator(POISSON, skinny_quad(1e-3), n)
+        Binv = np.linalg.inv(op.to_dense())
+        mask = rng.random(op.k) < 0.5
+        keep = mask.copy()
+        self._check(op.boundary_columns(mask), Binv[:, op.slots[mask]])
+        assert np.array_equal(mask, keep)
+
+    @pytest.mark.parametrize("n", [8, 24])
+    def test_held_factors_unchanged_by_solves(self, rng, n):
+        # the products write only into fresh arrays: Z, V, the capacitance
+        # factors and, when held, A^{-1} and B^{-1} stay as factored
+        op = assemble_element_operator(POISSON, skinny_quad(1e-3), n)
+        op._factor()
+
+        def factors():
+            return [a for a in (op._Z, op.V, *op._cap, op._Ainv, op._inv) if a is not None]
+
+        held = [a.copy() for a in factors()]
+        for kind in self.KINDS:
+            b = _right_hand_side(rng, n * n, kind)
+            for solve in (op.solve_raw, op.woodbury, op.solve_transpose):
+                solve(b)
+        assert all(np.array_equal(a, c) for a, c in zip(held, factors(), strict=True))
+
+
 class TestElementSolve:
     def test_harmonic_constant(self):
         sol = solve_element_dirichlet(POISSON, SQUARE, 8,

@@ -93,3 +93,34 @@ def test_sliver_woodbury_z_matches_gbtrs():
     Z, info = dgbtrs(lu._lu, lu.kl, lu.ku, E, lu._piv)
     assert info == 0
     assert np.abs(op._Z - Z).max() <= 1e-12 * np.abs(Z).max()
+
+
+def _layout(a, kind):
+    """``a`` Fortran- or C-ordered, or a strided view contiguous in
+    neither order."""
+    if kind == "strided":
+        wide = np.zeros((a.shape[0], 2 * a.shape[1]) if a.ndim == 2 else 2 * a.shape[0])
+        view = wide[..., ::2]
+        view[...] = a
+        return view
+    return np.asarray(a, order=kind)
+
+
+@pytest.mark.parametrize("la", ["F", "C", "strided"])
+@pytest.mark.parametrize("lb", ["F", "C", "strided", "vector"])
+@pytest.mark.parametrize("lc", [None, "F", "C"])
+def test_gemm_on_every_layout(rng, la, lb, lc):
+    # alpha a @ b + beta c for any operand order; a contiguous c holds the
+    # result, and a and b are left as they were
+    a0 = rng.standard_normal((7, 5))
+    b0 = rng.standard_normal(5) if lb == "vector" else rng.standard_normal((5, 3))
+    c0 = rng.standard_normal((7,) + b0.shape[1:])
+    a, b = _layout(a0, la), _layout(b0, "C" if lb == "vector" else lb)
+    if lc is None:
+        got, want = _linalg.gemm(2.0, a, b), 2.0 * a0 @ b0
+    else:
+        want, c = 2.0 * a0 @ b0 + 0.5 * c0, _layout(c0.copy(), lc)
+        got = _linalg.gemm(2.0, a, b, 0.5, c)
+        assert np.shares_memory(got, c)
+    assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
+    assert np.array_equal(a, a0) and np.array_equal(b, b0)

@@ -13,6 +13,7 @@ from ultrasem.element import (
     PdeCoefficients,
     assemble_element_operator,
     boundary_slots,
+    edge_points,
     element_rhs_operator,
     point_derivative_rows,
     point_value_row,
@@ -29,7 +30,7 @@ from ultrasem.navierstokes import (
     tunnel_mesh,
 )
 from ultrasem.quadmap import bilinear_coeffs, outward_normals
-from ultrasem.schur import _row_groups, assemble_schur
+from ultrasem.schur import _normal_rows, _row_groups, assemble_schur
 from ultrasem.ultra import cheb_points, vals_to_coeffs_2d
 
 from conftest import (
@@ -772,6 +773,45 @@ class TestSharedElements:
         assert (sys.n_distinct, want.n_distinct) == (1, 50)
         got, ref = solve(sys), solve(want)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_interface_rows_match_a_per_element_build(self):
+        # the matching rows come from each class representative's map; the
+        # derivative rows of every side, built on its own map and outward
+        # normal and scaled as one equation with the other side, agree
+        mesh, n = grid_mesh(12, 12, x0=0.1, y0=-0.35), 8
+        sys = assemble_schur(mesh, POISSON, n)
+        assert len(sys._classes) == 1
+        nn, A = n * n, sys.A_gamma.tocsr()
+        for e, p in zip(mesh.interior_edges, sys.block_pos):
+            f, l = np.nonzero(mesh.quad_edge == e)
+            own = []
+            for g, k in zip(f, l):
+                m = np.arange(n) if mesh.quad_edge_aligned[g, k] else np.arange(n)[::-1]
+                r, s = edge_points(n)[:, k, m]
+                own.append(_normal_rows(sys.maps[g], sys._normals[g, k], n, r, s))
+            scale = np.maximum(*(np.abs(o).max(axis=1) for o in own))[:, None]
+            # the endpoint rows are value rows unless the vertex marks the edge
+            ends = mesh.edges[e]
+            deriv = np.ones(n, dtype=bool)
+            deriv[[0, -1]] = ~mesh.boundary_vertex[ends] & (mesh.vertex_edge[ends] == e)
+            for g, o in zip(f, own):
+                got = A[n * p:n * (p + 1), g * nn:(g + 1) * nn].toarray()
+                assert np.abs(got[deriv] - (o / scale)[deriv]).max() <= 1e-13
+
+    def test_interface_rows_formed_once_per_class_and_local_edge(self, monkeypatch):
+        # grid_mesh(12, 12) is one geometry class: at most 4 local edges of
+        # n rows each, not n rows on each of the 2 x 264 sides
+        counted = []
+
+        def rows(*args):
+            out = _normal_rows(*args)
+            counted.append(out.size // out.shape[-1])
+            return out
+
+        monkeypatch.setattr(schur, "_normal_rows", rows)
+        n = 8
+        assemble_schur(grid_mesh(12, 12), POISSON, n)
+        assert 0 < sum(counted) <= 4 * n
 
     @pytest.mark.parametrize("case", ["neumann-side", "varcoef", "pinned"])
     def test_shared_values_equal_unshared(self, case):
