@@ -37,31 +37,6 @@ def _fmt(x):
     return f"{float(x):.17g}"
 
 
-@dataclass
-class SolveConfig:
-    """Validated inputs of the ``solve`` subcommand."""
-
-    mesh_path: str
-    n: int = 8
-    pde: str = "poisson"
-    k2: float = 0.0
-    rhs: str | None = None
-    bc: str | None = None
-    exact: str | None = None
-    out: str | None = None
-
-    def __post_init__(self):
-        if self.n < 4:
-            raise ValueError("need n >= 4")
-        if self.k2 < 0:
-            raise ValueError("screening constant must be nonnegative")
-
-    @classmethod
-    def from_args(cls, args):
-        return cls(mesh_path=args.mesh, n=args.n, pde=args.pde, k2=args.k2,
-                   rhs=args.rhs, bc=args.bc, exact=args.exact, out=args.out)
-
-
 # ----------------------------------------------------------------------
 # conditioning benchmark
 
@@ -221,26 +196,27 @@ def _general_pde(spec, mesh):
 
 
 def cmd_solve(args):
-    cfg = SolveConfig.from_args(args)
-    mesh = read_mesh(cfg.mesh_path)
-    pde = _pde_from_args(cfg, mesh)
-    rhs = compile_expression(cfg.rhs) if cfg.rhs else None
-    bc = compile_expression(cfg.bc) if cfg.bc else (lambda x, y: 0.0)
-    system = assemble_schur(mesh, pde, cfg.n)
-    if cfg.exact:
-        exact = compile_expression(cfg.exact)(system.grid_x, system.grid_y)
+    if args.k2 < 0:
+        raise ValueError("screening constant must be nonnegative")
+    mesh = read_mesh(args.mesh)
+    pde = _pde_from_args(args, mesh)
+    rhs = compile_expression(args.rhs) if args.rhs else None
+    bc = compile_expression(args.bc) if args.bc else (lambda x, y: 0.0)
+    system = assemble_schur(mesh, pde, args.n)
+    if args.exact:
+        exact = compile_expression(args.exact)(system.grid_x, system.grid_y)
         bad = ~np.isfinite(exact).all(axis=(1, 2))
         if bad.any():
             raise ValueError(f"exact solution is not finite on element {np.argmax(bad)}")
     sols, info = system.solve(f=rhs, dirichlet=bc, return_info=True)
     print(f"max-residual {info.residual:.3e}")
     values = {"x": system.grid_x, "y": system.grid_y, "u": sols.grid_values()}
-    if cfg.exact:
+    if args.exact:
         values["err"] = np.abs(values["u"] - exact)
         print(f"max-error {values['err'].max():.3e}")
-    if cfg.out:
-        write_fields_file(cfg.out, cfg.mesh_path, cfg.n, values)
-        print(f"wrote {cfg.out}")
+    if args.out:
+        write_fields_file(args.out, args.mesh, args.n, values)
+        print(f"wrote {args.out}")
     return EXIT_OK
 
 
@@ -383,6 +359,8 @@ def _bool_flag(s):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if args.n < 4:
+            raise ValueError("need n >= 4")
         return args.fn(args)
     except (MeshFormatError, ExpressionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

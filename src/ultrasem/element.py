@@ -513,15 +513,15 @@ class AlmostBandedMatrix:
             return y
         return gemm(-1.0, self._Z, self._cap_solve(gemm(1.0, self.V, y)), 1.0, y)
 
-    def boundary_columns(self, t):
-        """Columns ``slots[t]`` of ``B^{-1}``: of the held inverse under the
+    def boundary_columns(self):
+        """Columns ``slots`` of ``B^{-1}``: of the held inverse under the
         size rule, else from the held Woodbury factors (``Z = A^{-1} U``
         has ``Z[slots] = I``, so ``B^{-1} U = Z cap^{-1}``).  Neither
         needs a banded solve."""
         self._factor()
         if self._inv is not None:
-            return self._inv[:, self.slots[t]]
-        return gemm(1.0, self._Z, self._cap_solve(np.eye(self.k)[:, t]))
+            return self._inv[:, self.slots]
+        return gemm(1.0, self._Z, self._cap_solve(np.eye(self.k)))
 
     def solve(self, rhs):
         """Solve the bordered system for a physical right-hand side: the

@@ -23,18 +23,23 @@ per (class, local edge) pair, on the representative's map and outward
 normal, and gathered to the sides, as the class's members already share
 the representative's operator.
 
-With the element unknowns stacked as one vector of length F n^2, the
-coupling is three sparse matrices: ``A_gamma`` (the scaled interface
-matching rows), ``C_gamma`` (each element's boundary rows acting on the
-interface values) and ``W_gamma`` (each element's solves against its
-``C_gamma`` columns).  Eliminating the element blocks yields the
-interface complement
+The coupling is held as the dense blocks it is built from.  The matching
+rows of the edge at block position p are an (n, 2, n^2) block, one n^2
+row per edge point and side, acting on the coefficients of the edge's two
+side elements.  A coupled boundary row of element j ties its slot to the
+interface value at its point with coefficient -scale, so the element's
+coefficients are its solve with zero interface values plus W_j times its
+interface values, where W_j is inv(A_jj) applied to the scaled unit
+columns of its 4n-4 boundary slots (a slot that is not coupled meets a
+zero interface value).  The W_j are held as one stacked (F, n^2, 4n-4)
+array.  Eliminating the element blocks (the interface/interface block is
+zero) leaves the interface complement
 
-    Sigma = - sum_j  A_gamma_j  inv(A_jj)  A_j_gamma
+    Sigma = sum_j  A_gamma_j  W_j
 
-(the interface/interface block is zero), a banded matrix once interfaces
-are ordered well.  Solving it gives the interface values; every element
-solve then decouples and reuses its cached factorization.
+over the sides j of every interior edge, with A_gamma_j the side's
+matching rows: a banded matrix once interfaces are ordered well.  Solving it gives the interface values;
+every element solve then decouples and reuses its cached factorization.
 
 Elements whose map coefficients agree (translation-free to
 ``_SHARE_TOL`` times the inradius of the first, the translation too when
@@ -45,15 +50,15 @@ and in Neumann edge normals to ``_SHARE_TOL``.  The class's first group
 builds its operator from the first element and its rows; every other
 group is a :meth:`~ultrasem.element.AlmostBandedMatrix.bordered` copy of
 it with its own rows, sharing the banded part and its factorization.
-The elements of a group share its operator and a W block per
-coupled-slot set.  Congruent elements whose coordinates round
-differently therefore share; elements with bitwise equal inputs get
-bit-identical operators and W blocks to building every element alone.
-Setup is array operations over all elements and interior edges at once,
-with Python loops only over classes, groups and W blocks.  A solve
-multiplies by each class's right-hand-side operator once, places
-boundary data at points listed at setup, and makes one multi-column
-``solve_raw`` per group.
+The elements of a group share its operator and its W block.  Congruent
+elements whose coordinates round differently therefore share; elements
+with bitwise equal inputs get bit-identical operators and W blocks to
+building every element alone.  Setup is array operations over all
+elements and interior edges at once, with Python loops only over classes
+and groups.  A solve multiplies by each class's right-hand-side operator
+once, places boundary data at points listed at setup, makes one
+multi-column ``solve_raw`` per group, and applies the matching rows and
+W as one stacked product each.
 """
 
 from dataclasses import dataclass, fields
@@ -124,17 +129,6 @@ def _share_classes(coeffs, normals, neumann, r_in):
     return np.array(leaders), group
 
 
-def _row_groups(key):
-    """Group the rows of a 2-D array by their exact bytes: the first row of
-    every group, groups in order of first appearance, and each row's
-    group number."""
-    rows = np.ascontiguousarray(key)
-    rows = rows.view(np.dtype((np.void, rows[0].nbytes))).ravel()
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return first[order], np.argsort(order)[inverse]
-
-
 class SchurSystem:
     """Factored global solver for one mesh, operator and resolution.
 
@@ -142,17 +136,19 @@ class SchurSystem:
     element operator (``n_distinct`` of them; the groups of one geometry
     class hold the same ``rhs_op``); ``ops`` is a per-element list whose
     entries are shared between elements whose inputs agree.
-    The coupling of the stacked element unknowns (length F n^2) to the
-    interface vector is held as the sparse matrices ``A_gamma``,
-    ``C_gamma`` and ``W_gamma`` (see the module docstring); a row of
-    ``A_gamma`` is a jump across its edge, the two sides' outward normal
-    derivatives added, or at an endpoint the aligned side's value minus
-    the other side's.  ``sigma_rcond`` is the reciprocal 1-norm condition
-    estimate of Sigma (None without interfaces).  ``maps`` is one stacked
-    bilinear map with (F,) fields (``maps[f]`` is element f's own map),
-    and ``grid_x``, ``grid_y`` hold the physical coordinates of every
-    element's tensor grid as (F, n, n) arrays.  The 4n-4 boundary points
-    of every element are held as (F, 4n-4) arrays in traversal order:
+    The coupling to the interface vector is held as dense blocks (see
+    the module docstring): ``_rows`` (P, n, 2, n^2), the matching rows of
+    the P interior edges in block order, each a jump across its edge (the
+    two sides' outward normal derivatives added, or at an endpoint the
+    aligned side's value minus the other side's); ``_sides`` (P, 2), the
+    element of each side; and ``_W`` (F, n^2, 4n-4).  Which interface
+    value a coupled boundary point reads is ``_point_col``.
+    ``sigma_rcond`` is the reciprocal 1-norm condition estimate of Sigma
+    (None without interfaces).  ``maps`` is one stacked bilinear map with
+    (F,) fields (``maps[f]`` is element f's own map), and ``grid_x``,
+    ``grid_y`` hold the physical coordinates of every element's tensor
+    grid as (F, n, n) arrays.  The 4n-4 boundary points of every element
+    are held as (F, 4n-4) arrays in traversal order:
     ``point_kind`` ("coupled", "dirichlet", "neumann" or "pin"),
     ``point_edge`` (global edge) and ``point_x``, ``point_y``.
     """
@@ -254,36 +250,26 @@ class SchurSystem:
     # -- coupling and the Schur complement -------------------------------
 
     def _build_coupling(self):
-        """``C_gamma`` and ``A_gamma``, then ``W_gamma`` and Sigma one W
-        block at a time.  Returns Sigma (None without interfaces)."""
+        """The matching rows of every interior edge and the stacked W
+        blocks, then Sigma from them one group at a time.  Returns Sigma
+        (None without interfaces)."""
         mesh, n = self.mesh, self.n
         nn, F = n * n, mesh.n_quads
-        if self.n_gamma == 0:
-            self.A_gamma = sp.csr_matrix((0, F * nn))
-            self.C_gamma = self.W_gamma = sp.csr_matrix((F * nn, 0))
-            return None
-
-        # C_gamma: one -scale entry in the row of every coupled slot
-        coupled = self.point_kind == "coupled"
-        slots = boundary_slots(n)
-        counts = np.zeros((F, nn), dtype=int)
-        counts[:, slots] = coupled
-        self.C_gamma = sp.csr_matrix(
-            (-self._scale[:, slots][coupled], self._point_col[coupled],
-             np.concatenate([[0], np.cumsum(counts)])),
-            shape=(F * nn, self.n_gamma))
+        self._coupled = coupled = self.point_kind == "coupled"
         # every interface point is coupled from both sides, except the two
         # endpoints of each edge, which one side owns
         end = np.isin(np.arange(self.n_gamma) % n, (0, n - 1))
-        cover = np.bincount(self.C_gamma.indices, minlength=self.n_gamma)
+        cover = np.bincount(self._point_col[coupled], minlength=self.n_gamma)
         if not (np.all(cover[~end] == 2) and np.all(cover[end] == 1)):
             raise BookkeepingError(
                 "corner-exclusion rule failed to cover the interface points")
+        if self.n_gamma == 0:
+            return None
 
         # The two sides (element f, local edge l) of every interior edge,
-        # lower element first, with the edges in block order: A_gamma's
-        # matching row n p + m, for point m of the edge at block position
-        # p, holds one dense n^2 block per side at rows[p, m, side].
+        # lower element first, with the edges in block order: the matching
+        # row n p + m, for point m of the edge at block position p, holds
+        # one dense n^2 block per side at rows[p, m, side].
         pos = np.full(mesh.n_edges, -1)
         pos[mesh.interior_edges] = self.block_pos
         side_pos = pos[mesh.quad_edge]
@@ -316,47 +302,33 @@ class SchurSystem:
         rows[p, m] = sign * point_value_row(n, r[p, m], s[p, m])
         # one shared scale per matching row keeps it one equation
         rows /= np.abs(rows).max(axis=(2, 3))[:, :, None, None]
-        # the CSR arrays are filled in place with int32 indices (F n^2 and
-        # n_gamma stay far below 2^31): build temporaries would stay in the
-        # process heap after they are freed
-        a_cols = np.empty(rows.shape, dtype=np.int32)
-        a_cols[...] = (f * nn)[:, None, :, None] + np.arange(nn)
-        self.A_gamma = sp.csr_matrix(
-            (rows.ravel(), a_cols.ravel(), np.arange(self.n_gamma + 1) * 2 * nn),
-            shape=(self.n_gamma, F * nn))
+        self._rows, self._sides = rows, f
 
-        # One W block per element group and coupled-slot set: the element
-        # solves against its C_gamma columns, read from the group's held
-        # inverse or Woodbury factors.  It fills the W_gamma rows of its
-        # elements, and Sigma = -sum A_gamma_j inv(A_jj) A_j_gamma takes one
-        # stacked product of their matching rows with it as triplets.
-        w_ptr = np.concatenate([[0], np.cumsum(np.repeat(coupled.sum(axis=1), nn))])
-        w_data = np.empty(w_ptr[-1])
-        w_cols = np.empty(w_ptr[-1], dtype=np.int32)
-        leaders, block = _row_groups(np.column_stack([self._group, coupled]))
-        side_block = block[f]
+        # One W block per group with a coupled point (see the module
+        # docstring), read from the group's held inverse or Woodbury
+        # factors and filled in for each of its elements.  Sigma takes one
+        # product of it with the matching rows of the group's sides, kept
+        # at each side's coupled slots, as triplets.
+        self._W = np.zeros((F, nn, 4 * n - 4))
+        slots = boundary_slots(n)
+        side_group = self._group[f]
         triplets = []
-        for b, leader in enumerate(leaders):
-            on = coupled[leader]
-            if not on.any():
+        for g, (elems, op, _) in enumerate(self.groups):
+            if not coupled[elems].any():
                 continue
-            op = self.ops[leader]
-            W = op.boundary_columns(on) * -op.scale[slots[on]]
-            elems = np.flatnonzero(block == b)
-            at = w_ptr[elems * nn][:, None] + np.arange(W.size)
-            w_data[at] = W.ravel()
-            w_cols[at] = np.tile(self._point_col[elems][:, on], nn)
-            p, side = np.nonzero(side_block == b)
+            W = op.boundary_columns() * op.scale[slots]
+            self._W[elems] = W
+            p, side = np.nonzero(side_group == g)
             # W^T times the rows' transpose, so that v comes out C-ordered
-            v = gemm(-1.0, W.T, rows[p, :, side].reshape(-1, nn).T).T.reshape(p.size, n, -1)
+            v = gemm(1.0, W.T, rows[p, :, side].reshape(-1, nn).T).T.reshape(p.size, n, -1)
+            elem = f[p, side]
+            on = np.broadcast_to(coupled[elem][:, None], v.shape)
             i = (n * p)[:, None, None] + np.arange(n)[:, None]
-            j = self._point_col[f[p, side]][:, None, on]
-            triplets.append([v] + [np.broadcast_to(a, v.shape).astype(np.int32)
-                                   for a in (i, j)])
-        self.W_gamma = sp.csr_matrix((w_data, w_cols, w_ptr), shape=(F * nn, self.n_gamma))
+            j = self._point_col[elem][:, None]
+            triplets.append([v[on]] + [np.broadcast_to(a, v.shape)[on] for a in (i, j)])
         # An entry of Sigma gets at most two contributions, so summing the
         # duplicates is exact in any order.
-        v, i, j = (np.concatenate([a.ravel() for a in t]) for t in zip(*triplets))
+        v, i, j = (np.concatenate(t) for t in zip(*triplets))
         del triplets
         sigma = sp.csr_matrix((v, (i, j)), shape=(self.n_gamma, self.n_gamma))
         sigma.eliminate_zeros()
@@ -460,8 +432,8 @@ class SchurSystem:
         X = self._element_solves(B)
         u_gamma = np.zeros(self.n_gamma)
         if self.n_gamma:
-            u_gamma = self._sigma_solve(-(self.A_gamma @ X.ravel()))
-            X -= (self.W_gamma @ u_gamma).reshape(X.shape)
+            u_gamma = self._sigma_solve(-self._match(X))
+            X += np.einsum("fkb,fb->fk", self._W, self._interface_values(u_gamma))
         sols = CoeffVector2D(self.n, X)
         if not return_info:
             return sols
@@ -477,9 +449,20 @@ class SchurSystem:
         R -= SB
         top = 0.0
         if self.n_gamma:
-            R += (self.C_gamma @ u_gamma).reshape(R.shape)
-            top = np.abs(self.A_gamma @ X.ravel()).max()
+            slots = boundary_slots(self.n)
+            R[:, slots] -= self._scale[:, slots] * self._interface_values(u_gamma)
+            top = np.abs(self._match(X)).max()
         return max(top, np.abs(R).max()) / max(1.0, np.abs(SB).max())
+
+    def _match(self, X):
+        """The matching rows applied to stacked element coefficients X,
+        in interface order."""
+        return np.einsum("pmsk,psk->pm", self._rows, X[self._sides]).ravel()
+
+    def _interface_values(self, u_gamma):
+        """(F, 4n-4): the interface value at each coupled boundary point,
+        zero elsewhere."""
+        return np.where(self._coupled, u_gamma[self._point_col], 0.0)
 
     # -- dense oracle -------------------------------------------------------
 
@@ -493,8 +476,14 @@ class SchurSystem:
         for elems, op, _ in self.groups:
             idx = elems[:, None] * nn + np.arange(nn)
             G[idx[:, :, None], idx[:, None, :]] = op.to_dense()
-        G[:FN, FN:] = self.C_gamma.toarray()
-        G[FN:, :FN] = self.A_gamma.toarray()
+        if self.n_gamma:
+            # a coupled slot's row: -scale at its interface value
+            f, k = np.nonzero(self._coupled)
+            at = f * nn + boundary_slots(self.n)[k]
+            G[at, FN + self._point_col[f, k]] = -self._scale.flat[at]
+            # matching row n p + m: side s's block at its element's columns
+            cols = (nn * self._sides)[:, None, :, None] + np.arange(nn)
+            G[FN + np.arange(self.n_gamma).reshape(-1, self.n, 1, 1), cols] = self._rows
         return G
 
     def solve_dense(self, f=None, dirichlet=0.0, neumann=0.0):
@@ -515,7 +504,7 @@ class SolveInfo:
 
 def assemble_schur(mesh, pde, n, bc=None, pin_value_point=False):
     """Assemble and factor the coupled mesh solver (element operators,
-    coupling matrices and the banded interface complement)."""
+    coupling blocks and the banded interface complement)."""
     return SchurSystem(mesh, pde, n, bc=bc, pin_value_point=pin_value_point)
 
 

@@ -354,3 +354,14 @@ def test_nonfinite_parameter_is_format_error(command, value, tmp_path, capsys):
     assert code == EXIT_FORMAT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.rstrip().endswith(value)
+
+
+@pytest.mark.parametrize("command, message", [
+    (["mesh-info", "--n", "0"], "need n >= 4"),
+    (["ns-run", "--n", "2"], "need n >= 4"),
+    (["solve", "--pde", "poisson", "--k2", "-1"], "screening constant must be nonnegative"),
+])
+def test_out_of_range_parameter_is_format_error(command, message, square_mesh_path, capsys):
+    # checked before the mesh is read, for every subcommand that takes it
+    assert main([*command, "--mesh", square_mesh_path]) == EXIT_FORMAT
+    assert capsys.readouterr().err == f"error: {message}\n"

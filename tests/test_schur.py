@@ -30,7 +30,7 @@ from ultrasem.navierstokes import (
     tunnel_mesh,
 )
 from ultrasem.quadmap import bilinear_coeffs, outward_normals
-from ultrasem.schur import _normal_rows, _row_groups, assemble_schur
+from ultrasem.schur import _normal_rows, assemble_schur
 from ultrasem.ultra import cheb_points, vals_to_coeffs_2d
 
 from conftest import (
@@ -51,6 +51,15 @@ def two_squares():
     return build_mesh(verts, [(0, 1, 4, 3), (1, 2, 5, 4)])
 
 
+def _coupling_blocks(sys):
+    """The off-diagonal blocks of the dense global matrix: the matching
+    rows (n_gamma, F n^2) and the interface columns of the element
+    boundary rows (F n^2, n_gamma)."""
+    FN = sys.mesh.n_quads * sys.n ** 2
+    G = sys.to_dense_global()
+    return G[FN:, :FN], G[:FN, FN:]
+
+
 class TestCoupling:
     @pytest.mark.parametrize("case", ["grid", "jiggled", "tunnel"])
     def test_matching_rows_vanish_on_a_global_polynomial(self, case):
@@ -66,15 +75,17 @@ class TestCoupling:
         x, y = ((g - c) / h for g, c, h in zip((sys.grid_x, sys.grid_y), lo, size))
         u = 1 + x - 2 * y + x * y + 0.5 * x ** 3 * y ** 2 - y ** 5 + x ** 4 * y ** 3
         X = vals_to_coeffs_2d(u).transpose(0, 2, 1).reshape(mesh.n_quads, n * n)
-        assert np.abs(sys.A_gamma @ X.ravel()).max() < 1e-14
+        A, _ = _coupling_blocks(sys)
+        assert np.abs(A @ X.ravel()).max() < 1e-14
 
     def test_two_element_point_counts(self):
         n = 8
         sys = assemble_schur(two_squares(), POISSON, n)
         # the one interior edge holds every interface column
-        rows = [sys.C_gamma[f * n * n:(f + 1) * n * n] for f in (0, 1)]
-        c0, c1 = (r.indices for r in rows)
-        v0, v1 = (r.data for r in rows)
+        _, C = _coupling_blocks(sys)
+        rows = [C[f * n * n:(f + 1) * n * n] for f in (0, 1)]
+        c0, c1 = (np.nonzero(r)[1] for r in rows)
+        v0, v1 = (r[r != 0] for r in rows)
         assert len(c0) == n - 1 and len(c1) == n - 1
         union = set(c0.tolist()) | set(c1.tolist())
         inter = set(c0.tolist()) & set(c1.tolist())
@@ -85,7 +96,8 @@ class TestCoupling:
     def test_single_element_no_coupling(self):
         mesh = build_mesh([(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1, 2, 3)])
         sys = assemble_schur(mesh, POISSON, 6)
-        assert sys.C_gamma.nnz == 0 and sys.A_gamma.nnz == 0 and sys.n_gamma == 0
+        assert sys.n_gamma == 0
+        assert np.array_equal(sys.to_dense_global(), sys.ops[0].to_dense())
 
     def test_2x2_interior_vertex_coverage(self):
         # assembly itself asserts each interface endpoint is covered exactly
@@ -107,28 +119,40 @@ class TestCoupling:
     def test_matching_rows_pair_up(self):
         sys = assemble_schur(two_squares(), POISSON, 7)
         # the one interior edge holds every matching row: one dense block
-        # per incident element
-        assert sys.A_gamma.shape == (7, 2 * 49)
-        rows = sys.A_gamma.toarray().reshape(7, 2, 49)
+        # per incident element, held as one (n, 2, n^2) block
+        A, _ = _coupling_blocks(sys)
+        assert A.shape == (7, 2 * 49)
+        rows = A.reshape(7, 2, 49)
         blocks = [rows[:, f] for f in range(2) if np.any(rows[:, f])]
         assert len(blocks) == 2
         assert blocks[0].shape == (7, 49)
+        assert sys._sides.tolist() == [[0, 1]]
+        assert np.array_equal(sys._rows, rows[None])
 
     @pytest.mark.parametrize("case", ["mixed-varcoef", "sliver"])
     def test_w_blocks_match_dense_solves(self, case):
-        # every element's W_gamma rows are its solves against its C_gamma
-        # columns, read from the held factors instead of banded solves
+        # every element's W block is its solves against its scaled
+        # boundary slots, read from the held factors instead of banded
+        # solves; the dense matrix's interface columns are those slots
+        # with the opposite sign at the coupled points
         if case == "mixed-varcoef":
             mesh = mixed_mesh()
             sys = assemble_schur(mesh, _general_pde(VARCOEF, mesh), 12)
         else:
             sys = assemble_schur(skinny_pair_mesh(1e-6), POISSON, 16)
-        nn = sys.n ** 2
-        C, W = sys.C_gamma.toarray(), sys.W_gamma.toarray()
+        nn, slots = sys.n ** 2, boundary_slots(sys.n)
+        _, C = _coupling_blocks(sys)
         for f, op in enumerate(sys.ops):
-            rows = slice(f * nn, (f + 1) * nn)
-            want = np.linalg.solve(op.to_dense(), C[rows])
-            assert np.abs(W[rows] - want).max() <= 1e-13 * np.abs(want).max()
+            coupled = sys.point_kind[f] == "coupled"
+            if not coupled.any():  # an element with no interior edge
+                assert not sys._W[f].any() and not C[f * nn:(f + 1) * nn].any()
+                continue
+            E = np.zeros((nn, slots.size))
+            E[slots, np.arange(slots.size)] = op.scale[slots]
+            want = np.linalg.solve(op.to_dense(), E)
+            assert np.abs(sys._W[f] - want).max() <= 1e-13 * np.abs(want).max()
+            cols = C[f * nn:(f + 1) * nn][:, sys._point_col[f][coupled]]
+            assert np.array_equal(cols, -E[:, coupled])
 
     @pytest.mark.parametrize("case", ["grid-varcoef", "neumann-side", "neumann-side-n24"])
     def test_build_banded_solves_only_to_factor(self, case, monkeypatch):
@@ -310,6 +334,29 @@ class TestSolves:
                                dirichlet=0.0, return_info=True)
         assert info.residual < 1e-11
 
+    @pytest.mark.parametrize("case", ["mixed-neumann", "pinned-all-neumann"])
+    def test_residual_is_the_dense_systems(self, case, rng):
+        # for any (X, u_gamma), a solution or not, the reported residual is
+        # the dense global matrix's.  X and B are small beside u_gamma, so
+        # the largest entry is at a coupled boundary row, and a coupling
+        # term of the wrong sign changes it.
+        if case == "mixed-neumann":
+            mesh = mixed_mesh()
+            top = next(e for e in range(mesh.n_edges) if mesh.boundary_edge[e]
+                       and np.all(mesh.vertices[mesh.edges[e], 1] == 1.0))
+            sys = assemble_schur(mesh, POISSON, 8, bc={top: "neumann"})
+        else:
+            mesh = grid_mesh(2, 2)
+            bc = {e: "neumann" for e in range(mesh.n_edges) if mesh.boundary_edge[e]}
+            sys = assemble_schur(mesh, POISSON, 8, bc=bc, pin_value_point=True)
+        X, B = 1e-3 * rng.standard_normal((2, mesh.n_quads, sys.n ** 2))
+        u = rng.standard_normal(sys.n_gamma)
+        SB = sys._scale * B
+        r = (sys.to_dense_global() @ np.concatenate([X.ravel(), u])
+             - np.concatenate([SB.ravel(), np.zeros(sys.n_gamma)]))
+        want = np.abs(r).max() / max(1.0, np.abs(SB).max())
+        assert abs(sys._residual(X, u, B) - want) <= 1e-12 * want
+
     def test_dense_oracle_small_meshes(self):
         uex = lambda x, y: np.cos(x) * np.exp(0.2 * y)
         fex = lambda x, y: -np.cos(x) * np.exp(0.2 * y) \
@@ -378,12 +425,12 @@ class TestSolves:
         # any element in any order from the grouped element solves
         # reproduces the exact same coefficients
         sys = assemble_schur(grid_mesh(2, 2), POISSON, 8)
-        nn = sys.n ** 2
         f = lambda x, y: np.sin(3 * x) + y
         sols, info = sys.solve(f=f, dirichlet=0.0, return_info=True)
         X0 = sys._element_solves(sys._rhs_vectors(f, 0.0, 0.0))
+        u = np.where(sys.point_kind == "coupled", info.u_gamma[sys._point_col], 0.0)
         for fidx in rng.permutation(sys.mesh.n_quads):
-            x = X0[fidx] - sys.W_gamma[fidx * nn:(fidx + 1) * nn] @ info.u_gamma
+            x = X0[fidx] + np.einsum("kb,b->k", sys._W[fidx], u[fidx])
             assert np.array_equal(x, sols[fidx].data)
 
     def test_forcing_forms_agree(self):
@@ -602,8 +649,7 @@ def _fresh_element(sys, f):
             rows.append(point_value_row(n, r, s))
     rows = np.array(rows)
     op = assemble_element_operator(sys.pde, quad, n, rows=rows)
-    coupled = sys.point_kind[f] == "coupled"
-    return op, op.boundary_columns(coupled) * -op.scale[boundary_slots(n)[coupled]]
+    return op, op.boundary_columns() * op.scale[boundary_slots(n)]
 
 
 def _grid_with_neumann_bottom(size=4):
@@ -617,7 +663,13 @@ def _exact_key_solution(mesh, n, bc, monkeypatch):
     """The system whose elements share only when every key entry is
     bitwise equal, and a solve of it for fixed smooth data."""
     def exact_key(coeffs, normals, neumann, r_in):
-        return _row_groups(np.column_stack([coeffs, neumann, normals]))
+        # group the key rows by their exact bytes: the first row of every
+        # group, groups in order of first appearance, and each row's group
+        key = np.ascontiguousarray(np.column_stack([coeffs, neumann, normals]))
+        key = key.view(np.dtype((np.void, key[0].nbytes))).ravel()
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        return first[order], np.argsort(order)[inverse]
 
     with monkeypatch.context() as m:
         m.setattr(schur, "_share_classes", exact_key)
@@ -762,8 +814,8 @@ class TestSharedElements:
             assert np.array_equal(op1.to_dense(), op2.to_dense())
             assert np.array_equal(op1.scale, op2.scale)
             assert (rhs1 != rhs2).nnz == 0
-        for M in ("A_gamma", "C_gamma", "W_gamma"):
-            assert (getattr(sys, M) != getattr(want, M)).nnz == 0
+        for M in ("_rows", "_sides", "_W"):
+            assert np.array_equal(getattr(sys, M), getattr(want, M))
         assert np.array_equal(solve(sys), solve(want))
 
     def test_shared_solution_near_exact_key(self, monkeypatch):
@@ -781,9 +833,9 @@ class TestSharedElements:
         mesh, n = grid_mesh(12, 12, x0=0.1, y0=-0.35), 8
         sys = assemble_schur(mesh, POISSON, n)
         assert len(sys._classes) == 1
-        nn, A = n * n, sys.A_gamma.tocsr()
         for e, p in zip(mesh.interior_edges, sys.block_pos):
             f, l = np.nonzero(mesh.quad_edge == e)
+            assert sorted(sys._sides[p]) == sorted(f)
             own = []
             for g, k in zip(f, l):
                 m = np.arange(n) if mesh.quad_edge_aligned[g, k] else np.arange(n)[::-1]
@@ -795,7 +847,7 @@ class TestSharedElements:
             deriv = np.ones(n, dtype=bool)
             deriv[[0, -1]] = ~mesh.boundary_vertex[ends] & (mesh.vertex_edge[ends] == e)
             for g, o in zip(f, own):
-                got = A[n * p:n * (p + 1), g * nn:(g + 1) * nn].toarray()
+                got = sys._rows[p, :, np.flatnonzero(sys._sides[p] == g)[0]]
                 assert np.abs(got[deriv] - (o / scale)[deriv]).max() <= 1e-13
 
     def test_interface_rows_formed_once_per_class_and_local_edge(self, monkeypatch):
@@ -830,13 +882,10 @@ class TestSharedElements:
             op, W = _fresh_element(sys, f)
             assert np.array_equal(sys.ops[f].to_dense(), op.to_dense())
             assert np.array_equal(sys.ops[f].scale, op.scale)
-            nn, coupled = sys.n ** 2, sys.point_kind[f] == "coupled"
-            if not coupled.any():  # an element with no interior edge
-                assert W.size == 0 and sys.A_gamma[:, f * nn:(f + 1) * nn].nnz == 0
+            if not (sys.point_kind[f] == "coupled").any():  # no interior edge
+                assert not sys._W[f].any()
             else:
-                # the element's rows of W_gamma at its coupled columns
-                block = sys.W_gamma[f * nn:(f + 1) * nn][:, sys._point_col[f][coupled]]
-                assert np.array_equal(block.toarray(), W)
+                assert np.array_equal(sys._W[f], W)
 
 
 @settings(PROPERTIES)
