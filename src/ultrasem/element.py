@@ -14,9 +14,11 @@ slots (:func:`_to_slots`), in the operator and in the right-hand-side
 operator alike; the freed slots take dense boundary-condition rows, and
 the bordered system is solved with a banded LU plus a low-rank Woodbury
 correction, or through its held dense inverse when that is no larger
-than what the Woodbury solve reads.  Elements that differ only in
-their boundary rows are copies of one factored operator
-(:meth:`AlmostBandedMatrix.bordered`), sharing its banded part and LU.
+than what the Woodbury solve reads.  Every operator is factored when it
+is built, so solves only read it.  Elements that differ only in their
+boundary rows are copies of one operator
+(:meth:`AlmostBandedMatrix.bordered`), sharing its banded part and LU
+and each with its own factored border.
 """
 
 import copy
@@ -126,9 +128,10 @@ class CoeffVector2D:
         return ultra.coeffs_to_vals_2d(self.matrix)
 
     def eval(self, r, s):
-        """Evaluate one element at reference coordinates (scalar or
-        broadcastable)."""
-        return np.polynomial.chebyshev.chebval2d(s, r, self.matrix)
+        """Evaluate every element at the reference coordinates ``(r, s)``,
+        arrays of one shape: a stack of F elements gives shape ``(F,) +
+        r.shape``."""
+        return np.polynomial.chebyshev.chebval2d(s, r, np.moveaxis(self.matrix, (-2, -1), (0, 1)))
 
     def __repr__(self):
         return f"CoeffVector2D(n={self.n}, shape={self.data.shape[:-1]})"
@@ -397,16 +400,17 @@ class AlmostBandedMatrix:
     4n-4 boundary slots, ``U`` is a sparse selector with one unit entry
     per column picking a boundary slot, and row ``t`` of ``V`` is the
     (row-scaled) dense boundary row minus the unit row it replaces.  The
-    factorization, formed on first use, is a banded LU of ``A`` plus a
-    dense capacitance solve; solves with ``B`` and with ``B^T`` both reuse
-    it.  When the dense inverse is no larger than what a Woodbury solve
-    reads, ``nn <= (2 kl + ku + 1) + 2 k`` (the LU's band rows plus ``Z``
-    and ``V``), the factorization forms ``A^{-1}`` with one banded solve,
-    takes ``Z`` as its slot columns and holds ``B^{-1}``, and solves are
+    constructor factors it: a banded LU of ``A``, ``Z = A^{-1} U`` and a
+    dense capacitance ``I + V Z``; solves with ``B`` and with ``B^T`` both
+    reuse them and change nothing, so one operator serves concurrent
+    solves.  When the dense inverse is no larger than what a Woodbury
+    solve reads, ``nn <= (2 kl + ku + 1) + 2 k`` (the LU's band rows plus
+    ``Z`` and ``V``), it forms ``A^{-1}`` with one banded solve, takes
+    ``Z`` as its slot columns and holds ``B^{-1}``, and solves are
     products with it.  Copies made by :meth:`bordered` share ``A`` and its
-    factors.  ``cap_rcond`` keeps the 1-norm reciprocal condition estimate
-    of the capacitance (LAPACK ``gecon``) taken when it is factored; one
-    below machine epsilon raises :class:`SingularOperatorError`.
+    factors.  ``cap_rcond`` is the 1-norm reciprocal condition estimate of
+    the capacitance (LAPACK ``gecon``); one below machine epsilon raises
+    :class:`SingularOperatorError`.
     """
 
     def __init__(self, banded, slots, dense_rows, scale):
@@ -415,8 +419,7 @@ class AlmostBandedMatrix:
         self.V = np.asarray(dense_rows, dtype=float)
         self.scale = np.asarray(scale, dtype=float)
         self.nn = banded.shape[0]
-        self._lu = self._Z = self._cap = self._Ainv = self._inv = None
-        self.cap_rcond = None
+        self._factor()
 
     @property
     def k(self):
@@ -439,46 +442,51 @@ class AlmostBandedMatrix:
         return y
 
     def _factor(self):
-        if self._lu is None:
-            # a DIA diagonal is a column-indexed row of LAPACK band storage
-            kl, ku = self.bandwidths()
-            ab = np.zeros((2 * kl + ku + 1, self.nn), order="F")
-            ab[kl + ku - self.banded.offsets] = self.banded.data
-            self._lu = BandedLU(ab, kl, ku, name="element banded part")
-            if self.nn <= (2 * kl + ku + 1) + 2 * self.k:
-                # the size rule: Z is the slot columns of A^{-1}
-                self._Ainv = self._lu.solve(np.eye(self.nn))
-                self._Z = self._Ainv[:, self.slots]
-            elif self.k:
-                E = np.zeros((self.nn, self.k))
-                E[self.slots, np.arange(self.k)] = 1.0
-                self._Z = self._lu.solve(E)
-        if self.k and self._cap is None:
-            cap = gemm(1.0, self.V, self._Z, 1.0, np.eye(self.k, order="F"))
-            lu, piv, info = dgetrf(cap)
-            # info > 0 is an exact zero pivot; non-finite factors come
-            # from non-finite entries
-            if info != 0 or not np.all(np.isfinite(lu)):
-                raise SingularOperatorError("capacitance matrix singular")
-            rcond, info = dgecon(lu, np.abs(cap).sum(axis=0).max())
-            if info != 0 or not rcond >= np.finfo(float).eps:
-                raise SingularOperatorError(
-                    f"capacitance matrix singular to working precision "
-                    f"(reciprocal condition estimate {rcond:.2e})")
-            self.cap_rcond = float(rcond)
-            self._cap = (lu, piv)
-            if self._Ainv is not None:
-                self._inv = self.woodbury(self._Ainv)
+        """The banded LU of ``A`` and ``Z``, with ``A^{-1}`` under the size
+        rule, then the border's factors."""
+        # a DIA diagonal is a column-indexed row of LAPACK band storage
+        kl, ku = self.bandwidths()
+        ab = np.zeros((2 * kl + ku + 1, self.nn), order="F")
+        ab[kl + ku - self.banded.offsets] = self.banded.data
+        self._lu = BandedLU(ab, kl, ku, name="element banded part")
+        self._Ainv = None
+        if self.nn <= (2 * kl + ku + 1) + 2 * self.k:
+            # the size rule: Z is the slot columns of A^{-1}
+            self._Ainv = self._lu.solve(np.eye(self.nn))
+            self._Z = self._Ainv[:, self.slots]
+        else:
+            E = np.zeros((self.nn, self.k))
+            E[self.slots, np.arange(self.k)] = 1.0
+            self._Z = self._lu.solve(E)
+        self._factor_border()
+
+    def _factor_border(self):
+        """The capacitance ``I + V Z``: its LU and ``cap_rcond``, and
+        ``B^{-1}`` when ``A^{-1}`` is held."""
+        cap = gemm(1.0, self.V, self._Z, 1.0, np.eye(self.k, order="F"))
+        lu, piv, info = dgetrf(cap)
+        # info > 0 is an exact zero pivot; non-finite factors come from
+        # non-finite entries
+        if info != 0 or not np.all(np.isfinite(lu)):
+            raise SingularOperatorError("capacitance matrix singular")
+        rcond, info = dgecon(lu, np.abs(cap).sum(axis=0).max())
+        if info != 0 or not rcond >= np.finfo(float).eps:
+            raise SingularOperatorError(
+                f"capacitance matrix singular to working precision "
+                f"(reciprocal condition estimate {rcond:.2e})")
+        self.cap_rcond = float(rcond)
+        self._cap = (lu, piv)
+        # A^{-1} is copied in its own memory order, on which B^{-1}'s last bits depend
+        self._inv = None if self._Ainv is None else self._correct(self._Ainv.copy(order="K"))
 
     def bordered(self, rows):
         """This operator with other unscaled boundary ``rows``: equal to what
         :func:`assemble_element_operator` builds from them, with its own
-        ``V``, scale and capacitance, and sharing ``A``, its LU, ``Z`` and
-        ``A^{-1}`` (this operator is factored first)."""
-        self._factor()
+        ``V``, scale and factored capacitance, and sharing ``A``, its LU,
+        ``Z`` and ``A^{-1}``."""
         op = copy.copy(self)
         op.V, op.scale = _border(self.scale, self.slots, rows)
-        op._cap = op._inv = op.cap_rcond = None
+        op._factor_border()
         return op
 
     def _cap_solve(self, b, trans=0):
@@ -495,22 +503,13 @@ class AlmostBandedMatrix:
         bordered operator, for one or many right-hand sides: a product with
         the held ``B^{-1}``, else a banded solve and the Woodbury
         correction."""
-        self._factor()
         if self._inv is not None:
             return self._inv @ rhs
         return self._correct(self._lu.solve(rhs))
 
-    def woodbury(self, y):
-        """``B^{-1} b`` from ``y = A^{-1} b``: the low-rank correction
-        ``y - Z cap^{-1} V y`` with the held factors."""
-        return self._correct(np.array(y, dtype=float))
-
     def _correct(self, y):
-        """:meth:`woodbury` in place on the float array ``y``, which it
-        returns."""
-        self._factor()
-        if not self.k:
-            return y
+        """``B^{-1} b`` from the float array ``y = A^{-1} b``, which it
+        overwrites and returns: ``y - Z cap^{-1} V y``."""
         return gemm(-1.0, self._Z, self._cap_solve(gemm(1.0, self.V, y)), 1.0, y)
 
     def boundary_columns(self):
@@ -518,7 +517,6 @@ class AlmostBandedMatrix:
         size rule, else from the held Woodbury factors (``Z = A^{-1} U``
         has ``Z[slots] = I``, so ``B^{-1} U = Z cap^{-1}``).  Neither
         needs a banded solve."""
-        self._factor()
         if self._inv is not None:
             return self._inv[:, self.slots]
         return gemm(1.0, self._Z, self._cap_solve(np.eye(self.k)))
@@ -535,10 +533,8 @@ class AlmostBandedMatrix:
         condition-number estimation).  Transposing ``B^{-1} = (I - Z
         cap^{-1} V) A^{-1}`` gives ``x = A^{-T} (rhs - V^T cap^{-T} Z^T
         rhs)``: one banded solve as wide as ``rhs``."""
-        self._factor()
-        if self.k:
-            c = self._cap_solve(gemm(1.0, self._Z.T, rhs), trans=1)
-            rhs = gemm(-1.0, self.V.T, c, 1.0, np.array(rhs, dtype=float))
+        c = self._cap_solve(gemm(1.0, self._Z.T, rhs), trans=1)
+        rhs = gemm(-1.0, self.V.T, c, 1.0, np.array(rhs, dtype=float))
         return self._lu.solve(rhs, transpose=True)
 
 
@@ -592,7 +588,9 @@ def assemble_element_operator(pde, quad, n, rows=None):
     s = 1.0 / row_max
     D *= s[(np.arange(nn) - off[:, None]).clip(0, nn - 1)]  # the slot of each entry
     A = _dia(np.append(off, 0), np.vstack([D, np.isin(np.arange(nn), slots)]))
-    return AlmostBandedMatrix(A, slots, *_border(s, slots, rows))
+    V, s = _border(s, slots, rows)
+    del L, D, col, at, rows  # freed before the constructor factors A
+    return AlmostBandedMatrix(A, slots, V, s)
 
 
 # ----------------------------------------------------------------------
@@ -721,7 +719,6 @@ def operator_condition(abm):
         k1 = np.abs(B).sum(axis=0).max() * np.abs(Binv).sum(axis=0).max()
         kinf = np.abs(B).sum(axis=1).max() * np.abs(Binv).sum(axis=1).max()
         return float(k1), float(kinf)
-    abm._factor()
     # exact norms of B = A + UV: slot rows of B are V plus the unit rows,
     # so |B| there is |V| but at each slot's own column
     t = np.arange(abm.k)

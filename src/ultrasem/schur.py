@@ -132,9 +132,9 @@ def _share_classes(coeffs, normals, neumann, r_in):
 class SchurSystem:
     """Factored global solver for one mesh, operator and resolution.
 
-    ``groups`` holds one ``(elements, op, rhs_op)`` triple per distinct
-    element operator (``n_distinct`` of them; the groups of one geometry
-    class hold the same ``rhs_op``); ``ops`` is a per-element list whose
+    ``classes`` holds one ``(elements, rhs_op)`` pair per geometry class,
+    and ``groups`` one ``(elements, op)`` pair per distinct element
+    operator (``n_distinct`` of them); ``ops`` is a per-element list whose
     entries are shared between elements whose inputs agree.
     The coupling to the interface vector is held as dense blocks (see
     the module docstring): ``_rows`` (P, n, 2, n^2), the matching rows of
@@ -230,7 +230,7 @@ class SchurSystem:
         normal_rows = _normal_rows(bm[leaders[g]], self._normals[leaders[g], k // (n - 1)],
                                    n, r[k], s[k])
         value_rows = point_value_row(n, r, s)
-        self._classes, self.groups = [], [None] * len(leaders)
+        self.classes, self.groups = [], [None] * len(leaders)
         for c, quad in enumerate(map(mesh.element_quad, reps)):
             rhs_op = element_rhs_operator(quad, n)
             first = None
@@ -240,10 +240,10 @@ class SchurSystem:
                 op = (assemble_element_operator(self.pde, quad, n, rows=rows)
                       if first is None else first.bordered(rows))
                 first = first or op
-                self.groups[i] = (np.flatnonzero(self._group == i), op, rhs_op)
-            self._classes.append((np.flatnonzero(cls == c), rhs_op))
+                self.groups[i] = (np.flatnonzero(self._group == i), op)
+            self.classes.append((np.flatnonzero(cls == c), rhs_op))
         self.n_distinct = len(self.groups)
-        ops = np.array([op for _, op, _ in self.groups], dtype=object)
+        ops = np.array([op for _, op in self.groups], dtype=object)
         self.ops = list(ops[self._group])
         self._scale = np.array([op.scale for op in ops])[self._group]
 
@@ -313,7 +313,7 @@ class SchurSystem:
         slots = boundary_slots(n)
         side_group = self._group[f]
         triplets = []
-        for g, (elems, op, _) in enumerate(self.groups):
+        for g, (elems, op) in enumerate(self.groups):
             if not coupled[elems].any():
                 continue
             W = op.boundary_columns() * op.scale[slots]
@@ -387,7 +387,7 @@ class SchurSystem:
             if bad.any():
                 raise ValueError(f"forcing is not finite on element {np.argmax(bad)}")
             C = CoeffVector2D.from_matrix(ultra.vals_to_coeffs_2d(G)).data
-            for elems, rhs_op in self._classes:
+            for elems, rhs_op in self.classes:
                 B[elems] = (rhs_op @ C[elems].T).T
         values = np.zeros(self.point_kind.shape)
         for kind, src in (("dirichlet", dirichlet), ("neumann", neumann)):
@@ -413,7 +413,7 @@ class SchurSystem:
         """Stacked (F, n^2) element solves with zero interface values of
         the scaled right-hand sides, one multi-column solve per group."""
         Y = self._scale * B
-        for elems, op, _ in self.groups:
+        for elems, op in self.groups:
             Y[elems] = op.solve_raw(Y[elems].T).T
         return Y
 
@@ -443,7 +443,7 @@ class SchurSystem:
         """Largest residual of the coupled system, relative to the largest
         scaled right-hand side entry (at least 1)."""
         R = np.empty_like(X)
-        for elems, op, _ in self.groups:
+        for elems, op in self.groups:
             R[elems] = op.matvec(X[elems].T).T
         SB = self._scale * B
         R -= SB
@@ -473,7 +473,7 @@ class SchurSystem:
         nn = self.n * self.n
         FN = self.mesh.n_quads * nn
         G = np.zeros((FN + self.n_gamma, FN + self.n_gamma))
-        for elems, op, _ in self.groups:
+        for elems, op in self.groups:
             idx = elems[:, None] * nn + np.arange(nn)
             G[idx[:, :, None], idx[:, None, :]] = op.to_dense()
         if self.n_gamma:

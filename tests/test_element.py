@@ -379,9 +379,8 @@ class TestAlmostBanded:
     def test_exactly_singular_capacitance_raises(self):
         # the dense row cancels the unit row it replaces: the capacitance
         # matrix is exactly zero, while its LU factors are finite
-        m = AlmostBandedMatrix(sp.eye(3), [0], [[-1.0, 0.0, 0.0]], np.ones(3))
         with pytest.raises(SingularOperatorError, match="capacitance matrix singular"):
-            m.solve_raw(np.ones(3))
+            AlmostBandedMatrix(sp.eye(3), [0], [[-1.0, 0.0, 0.0]], np.ones(3))
 
     def test_capacitance_rcond_plateau(self):
         # the capacitance's reciprocal condition estimate is flat across
@@ -389,34 +388,31 @@ class TestAlmostBanded:
         n = 24
         rconds = []
         for eps in (1e-3, 1e-6, 1e-9, 1e-12):
-            op = assemble_element_operator(POISSON, skinny_quad(eps), n)
-            op.solve_raw(np.zeros(op.nn))
-            rconds.append(op.cap_rcond)
+            rconds.append(assemble_element_operator(POISSON, skinny_quad(eps), n).cap_rcond)
         assert 1e-4 < min(rconds) and max(rconds) <= 1.05 * min(rconds)
 
     def test_nearly_singular_capacitance_raises(self):
         # no exactly zero pivot: the first dense row cancels the unit row
         # it replaces but for 2^-53, so the capacitance is diag(2^-53, 2)
         # and its reciprocal condition number 2^-54 is below machine epsilon
-        m = AlmostBandedMatrix(sp.eye(3), [0, 1], [[-1.0 + 2.0 ** -53, 0.0, 0.0],
-                                                   [0.0, 1.0, 0.0]], np.ones(3))
         with pytest.raises(SingularOperatorError, match="working precision"):
-            m.solve_raw(np.ones(3))
-        assert m.cap_rcond is None
+            AlmostBandedMatrix(sp.eye(3), [0, 1], [[-1.0 + 2.0 ** -53, 0.0, 0.0],
+                                                   [0.0, 1.0, 0.0]], np.ones(3))
+
+    @pytest.mark.parametrize("n", [8, 24])
+    def test_built_and_bordered_operators_are_factored(self, rng, n):
+        # the constructor and bordered factor the border, on either side of
+        # the size rule: the capacitance estimate is there before any solve
+        quad = skinny_quad(1e-3)
+        op = assemble_element_operator(POISSON, quad, n)
+        rows = point_value_row(n, *traversal_points(n))
+        rows += 1e-3 * rng.standard_normal(rows.shape)
+        assert op.cap_rcond > 0.0
+        want = assemble_element_operator(POISSON, quad, n, rows=rows).cap_rcond
+        assert op.bordered(rows).cap_rcond == want != op.cap_rcond
 
 
 class TestWoodbury:
-    def test_plain_banded_no_dense_rows(self, rng):
-        nn = 256
-        diags = [rng.standard_normal(nn - abs(k)) for k in (-3, -1, 0, 2, 5)]
-        A = sp.diags(diags, [-3, -1, 0, 2, 5], format="csr") + sp.identity(nn) * 6.0
-        m = AlmostBandedMatrix(A, np.zeros(0, dtype=int), np.zeros((0, nn)),
-                               np.ones(nn))
-        b = rng.standard_normal(nn)
-        x = m.solve_raw(b)
-        want = np.linalg.solve(A.toarray(), b)
-        assert np.max(np.abs(x - want)) < 1e-12 * np.abs(want).max()
-
     def test_bordered_poisson_vs_dense(self, rng):
         n = 12
         op = assemble_element_operator(POISSON, SQUARE, n)
@@ -508,13 +504,11 @@ class TestRoutedProducts:
     @pytest.mark.parametrize("kind", KINDS)
     def test_solves_against_dense(self, rng, n, kind):
         op = assemble_element_operator(POISSON, skinny_quad(1e-3), n)
-        op._factor()
         assert (op._inv is not None) == (n == 8)
-        B, A = op.to_dense(), op.banded.toarray()
+        B = op.to_dense()
         b = _right_hand_side(rng, n * n, kind)
         keep = b.copy()
         self._check(op.solve_raw(b), np.linalg.solve(B, b))
-        self._check(op.woodbury(b), np.linalg.solve(B, A @ b))
         self._check(op.solve_transpose(b), np.linalg.solve(B.T, b))
         assert np.array_equal(b, keep)
 
@@ -529,7 +523,6 @@ class TestRoutedProducts:
         # the products write only into fresh arrays: Z, V, the capacitance
         # factors and, when held, A^{-1} and B^{-1} stay as factored
         op = assemble_element_operator(POISSON, skinny_quad(1e-3), n)
-        op._factor()
 
         def factors():
             return [a for a in (op._Z, op.V, *op._cap, op._Ainv, op._inv) if a is not None]
@@ -537,7 +530,7 @@ class TestRoutedProducts:
         held = [a.copy() for a in factors()]
         for kind in self.KINDS:
             b = _right_hand_side(rng, n * n, kind)
-            for solve in (op.solve_raw, op.woodbury, op.solve_transpose):
+            for solve in (op.solve_raw, op.solve_transpose):
                 solve(b)
         assert all(np.array_equal(a, c) for a, c in zip(held, factors(), strict=True))
 

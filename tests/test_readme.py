@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ultrasem.element import PdeCoefficients
+from ultrasem.element import PdeCoefficients, assemble_element_operator
 from ultrasem.mesh import grid_mesh
 from ultrasem.schur import assemble_schur
 
@@ -37,9 +37,21 @@ def test_library_tour_names_resolve(module, names):
             obj = getattr(obj, part)
 
 
-def test_system_attributes_resolve():
-    attrs = set(re.findall(r"`system\.(\w+)", README))
+def _missing(names, obj):
+    """The attributes the README names as ``name.attr``, for any of the
+    ``names``, that ``obj`` lacks."""
+    attrs = set(re.findall(rf"`(?:{'|'.join(names)})\.(\w+)", README))
     assert attrs
+    return sorted(a for a in attrs if not hasattr(obj, a))
+
+
+def test_system_attributes_resolve():
     system = assemble_schur(grid_mesh(2, 1), PdeCoefficients.poisson(), 6)
-    missing = sorted(a for a in attrs if not hasattr(system, a))
+    missing = _missing(["system"], system)
     assert not missing, f"README names system attributes that do not exist: {missing}"
+
+
+def test_operator_attributes_resolve():
+    op = assemble_element_operator(PdeCoefficients.poisson(), [(0, 0), (1, 0), (1, 1), (0, 1)], 6)
+    missing = _missing(["op", "AlmostBandedMatrix"], op)
+    assert not missing, f"README names operator attributes that do not exist: {missing}"

@@ -1,7 +1,9 @@
 import gc
 import re
+import threading
 import time
 import weakref
+from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
 import pytest
@@ -172,7 +174,7 @@ class TestCoupling:
             mesh, bottom = _grid_with_neumann_bottom()
             sys = assemble_schur(mesh, POISSON, n, bc={e: "neumann" for e in bottom})
         classes = 9 if case == "grid-varcoef" else 1
-        assert sys.n_distinct > 1 and len(sys._classes) == classes
+        assert sys.n_distinct > 1 and len(sys.classes) == classes
         assert widths == [{8: n * n, 24: 4 * n - 4}[n]] * classes
 
 
@@ -238,6 +240,16 @@ class TestSolves:
             want = np.zeros((8, 8))
             want[0, 0] = 1.0
             assert np.max(np.abs(s.matrix - want)) < 1e-12
+
+    def test_stacked_eval_is_every_element_view(self, rng):
+        # a stack evaluates each element at the same points
+        sys = assemble_schur(mixed_mesh(), POISSON, 8)
+        sols = sys.solve(f=lambda x, y: np.exp(x) * y, dirichlet=lambda x, y: x * y)
+        r, s = rng.uniform(-1, 1, (2, 3, 5))
+        for pts in ((r, s), (r[0, 0], s[0, 0])):
+            want = np.array([sols[f].eval(*pts) for f in range(len(sols))])
+            assert want.shape == (len(sols),) + np.shape(pts[0])
+            assert np.array_equal(sols.eval(*pts), want)
 
     def test_linear_solution_exact_across_interface(self):
         sys = assemble_schur(two_squares(), POISSON, 8)
@@ -420,6 +432,38 @@ class TestSolves:
             for a, b in zip(want, got):
                 assert np.array_equal(a.data, b.data)
 
+    @pytest.mark.parametrize("mesh", [
+        lambda: build_mesh([(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1, 2, 3)]), mixed_mesh],
+        ids=["one-element", "mixed"])
+    def test_threaded_first_solves_bitwise_identical(self, mesh):
+        # a system is factored when it is built: 4 threads making the first
+        # solves of a fresh system each get the sequential result, whether
+        # they start together or up to 2.7 ms apart (an element
+        # factorization here takes about 1 ms)
+        from concurrent.futures import ThreadPoolExecutor
+
+        mesh, n = mesh(), 24
+        f = lambda x, y: np.cos(2 * x) * y
+        want = assemble_schur(mesh, POISSON, n).solve(f=f, dirichlet=1.0).data
+        barrier = threading.Barrier(4, timeout=60)
+
+        def first_solve(system, delay):
+            barrier.wait()
+            time.sleep(delay)
+            return system.solve(f=f, dirichlet=1.0).data
+
+        interval = getswitchinterval()
+        setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                for t in range(10):
+                    system = assemble_schur(mesh, POISSON, n)
+                    futures = [pool.submit(first_solve, system, 1e-4 * t * k) for k in range(4)]
+                    for fut in futures:
+                        assert np.array_equal(fut.result(timeout=60), want)
+        finally:
+            setswitchinterval(interval)
+
     def test_back_substitution_order_independent(self, rng):
         # back-substitution touches disjoint rows per element; recomputing
         # any element in any order from the grouped element solves
@@ -483,7 +527,7 @@ class TestHeldInverse:
         u = lambda x, y: x ** 5 - 3 * x ** 3 * y ** 2 + x * y ** 4 - 2 * y ** 3 + x * y + 1
         f = lambda x, y: 14 * x ** 3 - 6 * x * y ** 2 - 12 * y
         sols = sys.solve(f=f, dirichlet=u)
-        assert all(op._inv is not None for _, op, _ in sys.groups)
+        assert all(op._inv is not None for _, op in sys.groups)
         assert eval_on_grid(sys, sols, u) <= 1e-12
         got = np.array([s.data for s in sols])
         want = np.array([s.data for s in sys.solve_dense(f=f, dirichlet=u)])
@@ -491,13 +535,11 @@ class TestHeldInverse:
 
     def test_wide_bands_keep_the_banded_path(self):
         # variable coefficients at n = 24: the bands are too wide for the
-        # size rule, so every group, factored by a solve, keeps its banded
-        # solve
+        # size rule, so every group keeps its banded solve
         mesh = mixed_mesh()
         sys = assemble_schur(mesh, _general_pde(VARCOEF, mesh), 24)
-        sys.solve(f=lambda x, y: 1.0 + 0 * x)
-        assert len(sys.groups) == len(sys._classes) == mesh.n_quads
-        assert all(op._lu is not None and op._inv is None for _, op, _ in sys.groups)
+        assert len(sys.groups) == len(sys.classes) == mesh.n_quads
+        assert all(op._inv is None for _, op in sys.groups)
 
 
 class TestGlobalContinuity:
@@ -721,7 +763,7 @@ class TestSharedElements:
         assert tuple(sys.n_distinct for sys in systems) == (6, 2, 5)
         assert calls == {"element_interior_operator": 3, "element_rhs_operator": 3}
         for sys in systems:
-            assert len({id(rhs_op) for _, _, rhs_op in sys.groups}) == 1
+            assert len(sys.classes) == 1
 
     def test_tunnel_factors_and_solves_once_per_class(self, monkeypatch):
         # the perfbench tunnel: each system's groups border one banded part,
@@ -738,7 +780,7 @@ class TestSharedElements:
         solver = TunnelSolver(mesh, 8, NsConfig(dt=1.667e-5, dealias=False),
                               classify_tunnel_boundary(mesh, (0.6, 0.0)))
         systems = (solver.helm_u, solver.helm_v, solver.pois_p)
-        assert [len(sys._classes) for sys in systems] == [1, 1, 1]
+        assert [len(sys.classes) for sys in systems] == [1, 1, 1]
         assert sorted(factored) == ["element banded part"] * 3 + ["interface complement"] * 3
         assert sorted(solved) == ["element banded part"] * 3
         del solved[:]
@@ -751,9 +793,9 @@ class TestSharedElements:
         mesh, bottom = _grid_with_neumann_bottom()
         sys = assemble_schur(mesh, POISSON, 6, bc={e: "neumann" for e in bottom})
         assert sys.n_distinct == 2
-        (_, _, rhs1), (_, _, rhs2) = sys.groups
-        assert rhs1 is rhs2
-        for elems, op, rhs_op in sys.groups:
+        [(elements, rhs_op)] = sys.classes
+        assert np.array_equal(elements, np.arange(mesh.n_quads))
+        for elems, op in sys.groups:
             alone, _ = _fresh_element(sys, elems[0])
             assert np.array_equal(op.to_dense(), alone.to_dense())
             assert np.array_equal(op.scale, alone.scale)
@@ -767,7 +809,7 @@ class TestSharedElements:
         # factors (at n = 6 with A^{-1}, at n = 16 without)
         mesh, bottom = _grid_with_neumann_bottom()
         sys = assemble_schur(mesh, POISSON, n, bc={e: "neumann" for e in bottom})
-        (_, first, _), (elems, op, _) = sys.groups
+        (_, first), (elems, op) = sys.groups
         alone, _ = _fresh_element(sys, elems[0])
         rows = rng.standard_normal((4 * n - 4, n * n))
         pairs = [(op, alone), (first.bordered(rows), assemble_element_operator(
@@ -809,10 +851,12 @@ class TestSharedElements:
         sys = assemble_schur(mesh, POISSON, 6, bc=bc)
         assert sys.n_distinct == want.n_distinct > 2
         assert np.array_equal(sys._group, want._group)
-        for (e1, op1, rhs1), (e2, op2, rhs2) in zip(sys.groups, want.groups):
+        for (e1, op1), (e2, op2) in zip(sys.groups, want.groups, strict=True):
             assert np.array_equal(e1, e2)
             assert np.array_equal(op1.to_dense(), op2.to_dense())
             assert np.array_equal(op1.scale, op2.scale)
+        for (e1, rhs1), (e2, rhs2) in zip(sys.classes, want.classes, strict=True):
+            assert np.array_equal(e1, e2)
             assert (rhs1 != rhs2).nnz == 0
         for M in ("_rows", "_sides", "_W"):
             assert np.array_equal(getattr(sys, M), getattr(want, M))
@@ -832,7 +876,7 @@ class TestSharedElements:
         # normal and scaled as one equation with the other side, agree
         mesh, n = grid_mesh(12, 12, x0=0.1, y0=-0.35), 8
         sys = assemble_schur(mesh, POISSON, n)
-        assert len(sys._classes) == 1
+        assert len(sys.classes) == 1
         for e, p in zip(mesh.interior_edges, sys.block_pos):
             f, l = np.nonzero(mesh.quad_edge == e)
             assert sorted(sys._sides[p]) == sorted(f)
