@@ -51,6 +51,8 @@ def skinny_quad(eps):
 
 def _check_sweep(eps):
     e = np.asarray(eps, dtype=float)
+    if not e.size:
+        raise ValueError("eps sweep is empty")
     if np.any(e <= 0) or np.any(np.diff(e) >= 0):
         raise ValueError("eps values must be positive and descending")
 
@@ -233,46 +235,42 @@ def cmd_cond_bench(args):
     return EXIT_OK
 
 
+def _write_frame(outdir, args, solver, state):
+    fields = {"x": solver.helm_u.grid_x, "y": solver.helm_u.grid_y, "u": state.u.grid_values(),
+              "v": state.v.grid_values(), "p": state.p.grid_values(),
+              "omega": solver.vorticity(state)}
+    write_fields_file(os.path.join(outdir, f"frame_{state.step:06d}.txt"), args.mesh,
+                      args.n, fields, time=state.t)
+
+
 def cmd_ns_run(args):
+    """Step from rest: a frame every ``--cadence`` steps from step 0 (else at the last
+    step), a divergence line every 100 steps and the last good frame on instability."""
+    for name in ("steps", "cadence"):
+        if getattr(args, name) < 0:
+            raise ValueError(f"{name} must be nonnegative, not {getattr(args, name)}")
     mesh = read_mesh(args.mesh)
-    inlet = compile_expression(args.bc) if args.bc else (lambda x, y: 0.0)
+    inlet = compile_expression(args.bc) if args.bc else 0.0
     boundary = classify_tunnel_boundary(mesh, inlet_velocity=(inlet, 0.0))
-    config = NsConfig(dt=args.dt, steps=args.steps, cadence=args.cadence,
-                      dealias=args.dealias)
-    solver = TunnelSolver(mesh, args.n, config, boundary)
-    state = FlowState.rest(mesh, args.n)
+    solver = TunnelSolver(mesh, args.n, NsConfig(dt=args.dt, dealias=args.dealias), boundary)
+    state = good = FlowState.rest(mesh, args.n)
     outdir = args.out or "frames"
     os.makedirs(outdir, exist_ok=True)
-    coords = solver.helm_u  # every system of the solver holds the grid coordinates
-
-    def frame_path(step):
-        return os.path.join(outdir, f"frame_{step:06d}.txt")
-
-    def write_frame(st):
-        fields = {"x": coords.grid_x, "y": coords.grid_y, "u": st.u.grid_values(),
-                  "v": st.v.grid_values(), "p": st.p.grid_values(),
-                  "omega": solver.vorticity(st)}
-        write_fields_file(frame_path(st.step), args.mesh, args.n, fields, time=st.t)
-
-    last_good = [state]
-
-    def on_frame(st):
-        write_frame(st)
-        last_good[0] = st
-
-    def diagnostics(st, div):
-        rel = div / max(st.max_speed(), 1e-30)
-        print(f"step {st.step} t {_fmt(st.t)} divergence {div:.3e} ({rel:.3e} rel)")
-
     try:
-        state = solver.run(state, on_frame=on_frame, diagnostics=diagnostics)
+        for step in range(args.steps + 1):
+            if step:
+                state = solver.time_step(state)
+            if (step % args.cadence == 0) if args.cadence else (step == args.steps):
+                _write_frame(outdir, args, solver, state)
+                good = state
+            if step and step % 100 == 0:
+                div = float(np.abs(solver.divergence_values(state.u, state.v)).max())
+                rel = div / max(state.max_speed(), 1e-30)
+                print(f"step {step} t {_fmt(state.t)} divergence {div:.3e} ({rel:.3e} rel)")
     except InstabilityError:
-        write_frame(last_good[0])
-        print(f"instability; last good frame saved at step {last_good[0].step}",
-              file=sys.stderr)
+        _write_frame(outdir, args, solver, good)
+        print(f"instability; last good frame saved at step {good.step}", file=sys.stderr)
         raise
-    if not args.cadence:
-        write_frame(state)
     print(f"finished {state.step} steps, t {_fmt(state.t)}")
     return EXIT_OK
 

@@ -479,7 +479,10 @@ def write_mesh(mesh, path):
 
 def grid_mesh(nx, ny, x0=0.0, y0=0.0, width=1.0, height=1.0, skip=()):
     """Mesh of ``nx * ny`` axis-aligned rectangles; ``skip`` removes cells
-    by ``(col, row)`` index (leaving a hole)."""
+    by ``(col, row)`` index (leaving a hole) and must lie in the grid."""
+    for i, j in skip:
+        if not (0 <= i < nx and 0 <= j < ny):
+            raise MeshError(f"skipped cell {(i, j)} is outside the {nx} x {ny} grid")
     xs = x0 + width * np.arange(nx + 1) / nx
     ys = y0 + height * np.arange(ny + 1) / ny
     vid = {}

@@ -32,6 +32,10 @@ from .schur import assemble_schur
 # implicit) and reaches 2.6e5 on a runaway one.
 _MAX_CFL = 1e3
 
+# An edge lies on a side of the mesh's bounding box when both its ends lie
+# within this fraction of the box's larger extent of that side.
+_SIDE_TOL = 1e-9
+
 
 @dataclass
 class NsConfig:
@@ -39,16 +43,11 @@ class NsConfig:
     velocity solve is ``1/dt``."""
 
     dt: float
-    steps: int = 100
-    cadence: int = 0  # snapshot every this many steps; 0 disables
     dealias: bool = False
 
     def __post_init__(self):
         if not 0 < self.dt < np.inf:
             raise ValueError(f"time step must be finite and positive, not {self.dt}")
-        for name in ("steps", "cadence"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative, not {getattr(self, name)}")
 
     @property
     def k2(self):
@@ -56,50 +55,44 @@ class NsConfig:
 
 
 class TunnelBoundary:
-    """Per-edge labels for a wind tunnel: ``inlet``, ``outlet``, ``wall``
-    (free slip) or ``object`` (no slip), plus the inlet velocity."""
+    """Per-edge labels ``inlet``, ``outlet``, ``wall`` (free slip) or ``object`` (no slip)
+    of a wind tunnel, and the inlet velocity: a constant or callable ``(x, y)`` per component."""
 
     KINDS = ("inlet", "outlet", "wall", "object")
 
     def __init__(self, mesh, labels, inlet_velocity=(0.0, 0.0)):
         self.labels = dict(labels)
-        ux, uy = inlet_velocity if isinstance(inlet_velocity, tuple) \
+        self.inlet_u, self.inlet_v = inlet_velocity if isinstance(inlet_velocity, tuple) \
             else (inlet_velocity, 0.0)
-        self.inlet_u = ux if callable(ux) else (lambda x, y, c=float(ux): c)
-        self.inlet_v = uy if callable(uy) else (lambda x, y, c=float(uy): c)
-        for e in range(mesh.n_edges):
-            if mesh.boundary_edge[e]:
-                if self.labels.get(e) not in self.KINDS:
-                    raise MeshError(f"boundary edge {e} is unlabeled")
-            elif e in self.labels:
-                raise MeshError(f"edge {e} is interior and cannot be labeled")
+        edges = np.fromiter(self.labels, dtype=float, count=len(self.labels))
+        outside = edges[(edges != np.round(edges)) | (edges < 0) | (edges >= mesh.n_edges)]
+        if outside.size:
+            raise MeshError(f"edge {outside[0]:g} is labeled but is not an edge of the mesh")
+        valid = np.zeros(mesh.n_edges, dtype=bool)  # labeled with one of KINDS
+        valid[edges.astype(int)] = np.isin(list(self.labels.values()), self.KINDS)
+        bad = np.where(mesh.boundary_edge, ~valid, np.isin(np.arange(mesh.n_edges), edges))
+        if bad.any():
+            e = np.argmax(bad)
+            raise MeshError(f"boundary edge {e} is unlabeled" if mesh.boundary_edge[e]
+                            else f"edge {e} is interior and cannot be labeled")
 
     def edges(self, kind):
         return [e for e, k in self.labels.items() if k == kind]
 
 
-def classify_tunnel_boundary(mesh, inlet_velocity=(0.0, 0.0), tol=1e-9):
+def classify_tunnel_boundary(mesh, inlet_velocity=(0.0, 0.0)):
     """Label boundary edges by bounding-box position: left side inlet,
     right side outlet, top/bottom walls, anything else (interior holes)
     is a no-slip object."""
-    lo = mesh.vertices.min(axis=0)
-    hi = mesh.vertices.max(axis=0)
-    eps = tol * max(hi[0] - lo[0], hi[1] - lo[1])
-    labels = {}
-    for e in range(mesh.n_edges):
-        if not mesh.boundary_edge[e]:
-            continue
-        p, q = mesh.vertices[mesh.edges[e]]
-        if abs(p[0] - lo[0]) < eps and abs(q[0] - lo[0]) < eps:
-            labels[e] = "inlet"
-        elif abs(p[0] - hi[0]) < eps and abs(q[0] - hi[0]) < eps:
-            labels[e] = "outlet"
-        elif (abs(p[1] - lo[1]) < eps and abs(q[1] - lo[1]) < eps) or \
-             (abs(p[1] - hi[1]) < eps and abs(q[1] - hi[1]) < eps):
-            labels[e] = "wall"
-        else:
-            labels[e] = "object"
-    return TunnelBoundary(mesh, labels, inlet_velocity)
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    eps = _SIDE_TOL * (hi - lo).max()
+    b = np.flatnonzero(mesh.boundary_edge)
+    ends = mesh.vertices[mesh.edges[b]]  # (B, 2 ends, 2 coordinates)
+    on_lo = (np.abs(ends - lo) < eps).all(axis=1)  # (B, 2): both ends on x = lo[0]; on y = lo[1]
+    on_hi = (np.abs(ends - hi) < eps).all(axis=1)
+    kind = np.select([on_lo[:, 0], on_hi[:, 0], on_lo[:, 1] | on_hi[:, 1]],
+                     ["inlet", "outlet", "wall"], "object")
+    return TunnelBoundary(mesh, dict(zip(b.tolist(), kind.tolist())), inlet_velocity)
 
 
 @dataclass
@@ -242,9 +235,9 @@ class TunnelSolver:
     # -- stepping -----------------------------------------------------------
 
     def time_step(self, state):
-        """One projection step; returns the new state.  The tentative
-        velocity of sub-step 1 and its no-slip residual are kept on the
-        solver (``last_star``, ``last_no_slip``) for diagnostics.  Raises
+        """One projection step; returns the new state.  The no-slip
+        residual of the tentative velocity of sub-step 1 is kept on the
+        solver (``last_no_slip``) for diagnostics.  Raises
         :class:`InstabilityError` on a non-finite state, and before a step
         whose CFL estimate exceeds ``_MAX_CFL``."""
         n, dt = self.n, self.config.dt
@@ -262,7 +255,6 @@ class TunnelSolver:
         ax, ay = self.advection_term(state)
         u_star = self.helm_u.solve(f=ax - u / dt, dirichlet=self._dir_u, neumann=0.0)
         v_star = self.helm_v.solve(f=ay - v / dt, dirichlet=self._dir_v, neumann=0.0)
-        self.last_star = (u_star, v_star)
         # the values of (u*, v*), transformed once for the no-slip residual
         # and the projection
         uv = ultra.coeffs_to_vals_2d(np.stack([u_star.matrix, v_star.matrix]))
@@ -284,24 +276,6 @@ class TunnelSolver:
     def cfl_estimate(self, state):
         """Advective CFL number against the finest grid spacing."""
         return state.max_speed() * self.config.dt / self._hmin
-
-    def run(self, state, steps=None, on_frame=None, diagnostics=None):
-        """Advance ``steps`` steps (default from the config).  ``on_frame``
-        is called with the state at step 0 and then every ``cadence``
-        steps; ``diagnostics`` is called every 100 steps with the state
-        and its post-projection divergence."""
-        steps = self.config.steps if steps is None else steps
-        if on_frame is not None and self.config.cadence:
-            on_frame(state)
-        for _ in range(steps):
-            state = self.time_step(state)
-            if on_frame is not None and self.config.cadence and \
-                    state.step % self.config.cadence == 0:
-                on_frame(state)
-            if diagnostics is not None and state.step % 100 == 0:
-                div = self.divergence_values(state.u, state.v)
-                diagnostics(state, float(np.abs(div).max()))
-        return state
 
 
 def tunnel_mesh(nx=4, ny=3, width=0.03, height=0.01, hole=(1, 1)):

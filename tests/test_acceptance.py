@@ -300,7 +300,7 @@ class TestAcceptance:
         dt_step = 1.667e-5
         # (a) obstacle tunnel: 200 steps, finite fields, no-slip residual
         mesh = tunnel_mesh(nx=4, ny=3, width=0.003, height=0.001, hole=(1, 1))
-        cfg = NsConfig(dt=dt_step, steps=200)
+        cfg = NsConfig(dt=dt_step)
         solver = TunnelSolver(mesh, 8, cfg,
                               classify_tunnel_boundary(mesh, (0.6, 0.0)))
         st = FlowState.rest(mesh, 8)

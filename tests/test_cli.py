@@ -211,6 +211,13 @@ class TestCondBench:
         assert calls == []
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("eps", ["", ",", " , "])
+    def test_empty_sweep_rejected(self, eps, capsys):
+        assert main(["cond-bench", "--eps", eps]) == EXIT_FORMAT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: eps sweep is empty\n"
+
     def test_invalid_eps_order(self):
         with pytest.raises(ValueError):
             BenchReport(n=4, eps=[1e-3, 1e-1], kappa1=[1, 1], kappainf=[1, 1])
@@ -223,7 +230,10 @@ class TestCondBench:
 
 
 class TestNsRun:
-    def test_frame_count_matches_cadence(self, tmp_path, capsys):
+    @staticmethod
+    def _run(tmp_path, capsys, cadence):
+        """200 steps on a small channel: the frame names written, the last
+        frame's fields and the stdout lines."""
         mesh_path = tmp_path / "tunnel.txt"
         from ultrasem.navierstokes import tunnel_mesh
 
@@ -231,16 +241,27 @@ class TestNsRun:
                                hole=None), mesh_path)
         outdir = tmp_path / "frames"
         code = main(["ns-run", "--mesh", str(mesh_path), "--n", "6",
-                     "--dt", "1.667e-5", "--steps", "200", "--cadence", "50",
+                     "--dt", "1.667e-5", "--steps", "200", "--cadence", cadence,
                      "--bc", "0.6", "--out", str(outdir)])
         assert code == EXIT_OK
         frames = sorted(outdir.glob("frame_*.txt"))
-        assert len(frames) == 5  # initial frame plus four snapshots
-        header, names, elements = parse_fields_file(frames[-1])
-        assert names == ["x", "y", "u", "v", "p", "omega"]
+        lines = capsys.readouterr().out.splitlines()
+        assert [l.split()[:2] for l in lines if "divergence" in l] == [
+            ["step", "100"], ["step", "200"]]
+        assert lines[-1].startswith("finished 200 steps")
+        return [f.name for f in frames], parse_fields_file(frames[-1])
+
+    def test_frame_count_matches_cadence(self, tmp_path, capsys):
+        # a frame at step 0 and every --cadence steps, and a divergence
+        # line every 100 steps
+        names, (header, fields, elements) = self._run(tmp_path, capsys, "50")
+        assert names == [f"frame_{k:06d}.txt" for k in (0, 50, 100, 150, 200)]
+        assert fields == ["x", "y", "u", "v", "p", "omega"]
         assert len(elements) == 6
-        out = capsys.readouterr().out
-        assert "divergence" in out
+
+    def test_cadence_zero_writes_only_the_last_frame(self, tmp_path, capsys):
+        names, _ = self._run(tmp_path, capsys, "0")
+        assert names == ["frame_000200.txt"]
 
     def test_instability_saves_last_good_frame(self, tmp_path, monkeypatch):
         from ultrasem.cli import EXIT_INSTABILITY

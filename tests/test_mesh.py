@@ -1,5 +1,6 @@
 import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -129,6 +130,18 @@ class TestBuildMesh:
             with pytest.raises(MeshError) as err:
                 build(vertices, quads)
             assert str(err.value) == message
+
+    @pytest.mark.parametrize("skip, cell", [([(10, 10)], (10, 10)), ([(1, 1), (4, 0)], (4, 0)),
+                                            ([(0, -1)], (0, -1)), ([(-1, 2)], (-1, 2))])
+    def test_skipped_cell_outside_the_grid_rejected(self, skip, cell):
+        with pytest.raises(MeshError, match=re.escape(f"skipped cell {cell} is outside the 4 x 3 grid")):
+            grid_mesh(4, 3, skip=skip)
+
+    def test_tunnel_hole_outside_the_grid_rejected(self):
+        from ultrasem.navierstokes import tunnel_mesh
+
+        with pytest.raises(MeshError, match=r"skipped cell \(10, 10\)"):
+            tunnel_mesh(3, 2, hole=(10, 10))
 
     def test_vertex_list_completeness(self):
         mesh = grid_mesh(4, 3)

@@ -4,7 +4,7 @@ import pytest
 from ultrasem import navierstokes, ultra
 from ultrasem.element import CoeffVector2D
 from ultrasem.errors import GeometryError, InstabilityError, MeshError
-from ultrasem.mesh import build_mesh
+from ultrasem.mesh import build_mesh, grid_mesh
 from ultrasem.navierstokes import (
     FlowState,
     NsConfig,
@@ -19,7 +19,7 @@ from conftest import eval_on_grid
 
 def single_square_solver(n=8, dt=1e-3, dealias=False, inlet=(0.0, 0.0)):
     mesh = build_mesh([(-1, -1), (1, -1), (1, 1), (-1, 1)], [(0, 1, 2, 3)])
-    cfg = NsConfig(dt=dt, steps=1, dealias=dealias)
+    cfg = NsConfig(dt=dt, dealias=dealias)
     bnd = classify_tunnel_boundary(mesh, inlet_velocity=inlet)
     return TunnelSolver(mesh, n, cfg, bnd)
 
@@ -58,6 +58,33 @@ class TestBoundaryClassification:
         labels.pop(next(iter(labels)))
         with pytest.raises(MeshError):
             TunnelBoundary(mesh, labels)
+
+    @pytest.mark.parametrize("edge", [999, 17, -1, 2.5])
+    def test_label_of_a_missing_edge_rejected(self, edge):
+        mesh = tunnel_mesh(3, 2, width=0.003, height=0.001, hole=None)  # 17 edges
+        labels = {**classify_tunnel_boundary(mesh).labels, edge: "wall"}
+        with pytest.raises(MeshError, match=f"edge {edge} is labeled but is not an edge"):
+            TunnelBoundary(mesh, labels)
+
+    def test_constant_inlet_velocity_is_kept(self):
+        mesh = tunnel_mesh(3, 2, width=0.003, height=0.001, hole=None)
+        bnd = classify_tunnel_boundary(mesh, (0.6, 0.0))
+        assert (bnd.inlet_u, bnd.inlet_v) == (0.6, 0.0)
+
+    def test_labels_match_the_edge_loop(self):
+        # the per-edge rule, inlet before outlet before wall, on an offset
+        # grid with two holes
+        mesh = grid_mesh(5, 4, x0=2.5, y0=-7.25, width=1.3, height=0.7, skip=[(2, 1), (3, 2)])
+        lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+        eps = 1e-9 * (hi - lo).max()
+        want = {}
+        for e in np.flatnonzero(mesh.boundary_edge):
+            p, q = mesh.vertices[mesh.edges[e]]
+            on = lambda c, side: abs(p[c] - side[c]) < eps and abs(q[c] - side[c]) < eps
+            want[int(e)] = ("inlet" if on(0, lo) else "outlet" if on(0, hi)
+                            else "wall" if on(1, lo) or on(1, hi) else "object")
+        assert classify_tunnel_boundary(mesh).labels == want
+        assert list(want.values()).count("object") == 8
 
     def test_slanted_wall_rejected(self):
         verts = [(0, 0), (1, 0.2), (1, 1), (0, 1)]
@@ -139,7 +166,7 @@ class TestStackedElements:
     def solver_and_state(self, dealias):
         verts = [(0, 0), (1, 0.1), (2.2, 0), (0.1, 1.1), (1.2, 0.9), (2, 1.3)]
         mesh = build_mesh(verts, [(0, 1, 4, 3), (1, 2, 5, 4)])
-        cfg = NsConfig(dt=1e-3, steps=1, dealias=dealias)
+        cfg = NsConfig(dt=1e-3, dealias=dealias)
         solver = TunnelSolver(mesh, 8, cfg, classify_tunnel_boundary(mesh))
         st = FlowState(u=field_from(self.U, solver), v=field_from(self.V, solver),
                        p=field_from(lambda x, y: 0 * x, solver))
@@ -185,7 +212,7 @@ class TestStackedElements:
 class TestTimeStepping:
     def test_zero_input_fixed_point(self):
         mesh = tunnel_mesh(nx=3, ny=2, width=0.003, height=0.001, hole=None)
-        cfg = NsConfig(dt=1.667e-5, steps=100)
+        cfg = NsConfig(dt=1.667e-5)
         solver = TunnelSolver(mesh, 6, cfg,
                               classify_tunnel_boundary(mesh, (0.0, 0.0)))
         st = FlowState.rest(mesh, 6)
@@ -196,7 +223,7 @@ class TestTimeStepping:
 
     def test_channel_converges_to_uniform_flow(self):
         mesh = tunnel_mesh(nx=4, ny=2, width=0.003, height=0.001, hole=None)
-        cfg = NsConfig(dt=1.667e-5, steps=60)
+        cfg = NsConfig(dt=1.667e-5)
         solver = TunnelSolver(mesh, 8, cfg,
                               classify_tunnel_boundary(mesh, (0.6, 0.0)))
         st = FlowState.rest(mesh, 8)
@@ -218,7 +245,7 @@ class TestTimeStepping:
 
     def test_post_projection_divergence(self):
         mesh = tunnel_mesh(nx=4, ny=3, width=0.003, height=0.001, hole=None)
-        cfg = NsConfig(dt=1.667e-5, steps=60)
+        cfg = NsConfig(dt=1.667e-5)
         solver = TunnelSolver(mesh, 8, cfg,
                               classify_tunnel_boundary(mesh, (0.6, 0.0)))
         st = FlowState.rest(mesh, 8)
@@ -230,7 +257,7 @@ class TestTimeStepping:
 
     def test_obstacle_run_no_slip_and_finite(self):
         mesh = tunnel_mesh(nx=4, ny=3, width=0.003, height=0.001, hole=(1, 1))
-        cfg = NsConfig(dt=1.667e-5, steps=30)
+        cfg = NsConfig(dt=1.667e-5)
         solver = TunnelSolver(mesh, 8, cfg,
                               classify_tunnel_boundary(mesh, (0.6, 0.0)))
         st = FlowState.rest(mesh, 8)
@@ -301,27 +328,19 @@ class TestTimeStepping:
     def test_cfl_guard_leaves_a_stable_run_unchanged(self, monkeypatch):
         # the benchmark tunnel, whose estimate stays near 2.5
         mesh = tunnel_mesh(4, 3, width=0.003, height=0.001, hole=(1, 1))
-        cfg = NsConfig(dt=1.667e-5, steps=200)
-        solver = TunnelSolver(mesh, 8, cfg, classify_tunnel_boundary(mesh, (0.6, 0.0)))
-        guarded = solver.run(FlowState.rest(mesh, 8))
+        solver = TunnelSolver(mesh, 8, NsConfig(dt=1.667e-5),
+                              classify_tunnel_boundary(mesh, (0.6, 0.0)))
+        runs = []
+        for bound in (navierstokes._MAX_CFL, np.inf):
+            monkeypatch.setattr(navierstokes, "_MAX_CFL", bound)
+            st = FlowState.rest(mesh, 8)
+            for _ in range(200):
+                st = solver.time_step(st)
+            runs.append(st)
+        guarded, free = runs
         assert 1.0 < solver.cfl_estimate(guarded) < 10.0
-        monkeypatch.setattr(navierstokes, "_MAX_CFL", np.inf)
-        free = solver.run(FlowState.rest(mesh, 8))
         for a, b in ((guarded.u, free.u), (guarded.v, free.v), (guarded.p, free.p)):
             assert np.array_equal(a.data, b.data)
-
-    def test_run_frames_and_diagnostics(self):
-        mesh = tunnel_mesh(nx=3, ny=2, width=0.003, height=0.001, hole=None)
-        cfg = NsConfig(dt=1.667e-5, steps=200, cadence=50)
-        solver = TunnelSolver(mesh, 6, cfg,
-                              classify_tunnel_boundary(mesh, (0.6, 0.0)))
-        frames, diags = [], []
-        st = solver.run(FlowState.rest(mesh, 6),
-                        on_frame=lambda s: frames.append(s.step),
-                        diagnostics=lambda s, d: diags.append((s.step, d)))
-        assert frames == [0, 50, 100, 150, 200]
-        assert [s for s, _ in diags] == [100, 200]
-        assert st.step == 200
 
 
 class TestPressureConditions:

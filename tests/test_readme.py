@@ -1,11 +1,13 @@
 """The README names only what the library has."""
 
+import argparse
 import importlib
 import re
 from pathlib import Path
 
 import pytest
 
+from ultrasem import cli
 from ultrasem.element import PdeCoefficients, assemble_element_operator
 from ultrasem.mesh import grid_mesh
 from ultrasem.schur import assemble_schur
@@ -55,3 +57,27 @@ def test_operator_attributes_resolve():
     op = assemble_element_operator(PdeCoefficients.poisson(), [(0, 0), (1, 0), (1, 1), (0, 1)], 6)
     missing = _missing(["op", "AlmostBandedMatrix"], op)
     assert not missing, f"README names operator attributes that do not exist: {missing}"
+
+
+def _synopsis_flags():
+    """``{subcommand: set of --flags}`` from the code block of the "CLI"
+    section, where each subcommand's line starts ``ultrasem NAME`` and
+    its continuation lines are indented."""
+    block = README.split("## CLI", 1)[1].split("```", 2)[1]
+    flags, name = {}, None
+    for line in block.splitlines():
+        if line.startswith("ultrasem "):
+            name = line.split()[1]
+            flags[name] = set()
+        if name:
+            flags[name] |= set(re.findall(r"--[a-z0-9][a-z0-9-]*", line))
+    return flags
+
+
+def test_cli_synopsis_matches_the_parser():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    want = {name: {o for a in sp._actions for o in a.option_strings
+                   if o.startswith("--") and o != "--help"}
+            for name, sp in sub.choices.items()}
+    assert _synopsis_flags() == want
