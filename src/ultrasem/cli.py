@@ -57,6 +57,20 @@ def _check_sweep(eps):
         raise ValueError("eps values must be positive and descending")
 
 
+def _report_fields(k, line, *want):
+    """The fields of line ``k`` of a report, one per entry of ``want``: a
+    str is a literal word, a type converts the field.  Raises
+    :class:`MeshFormatError` naming the line on any mismatch."""
+    got = line.split()
+    try:
+        if len(got) != len(want) or any(w != g for w, g in zip(want, got) if isinstance(w, str)):
+            raise ValueError
+        return [g if isinstance(w, str) else w(g) for w, g in zip(want, got)]
+    except ValueError:
+        form = " ".join(w if isinstance(w, str) else w.__name__ for w in want)
+        raise MeshFormatError(f"expected '{form}', got {line.strip()!r}", k) from None
+
+
 @dataclass
 class BenchReport:
     """Condition numbers of the row-scaled skinny-quad operator over a
@@ -78,16 +92,16 @@ class BenchReport:
 
     @classmethod
     def from_text(cls, text):
-        lines = [l for l in text.splitlines() if l.strip()]
-        if not lines or lines[0] != "ultrasem-condbench 1":
+        lines = [(k, l) for k, l in enumerate(text.splitlines(), 1) if l.strip()]
+        if not lines or lines[0][1] != "ultrasem-condbench 1":
             raise MeshFormatError("not a condbench report", 1)
-        n = int(lines[1].split()[1])
-        eps, k1, ki = [], [], []
-        for l in lines[3:]:
-            a, b, c = l.split()
-            eps.append(float(a))
-            k1.append(float(b))
-            ki.append(float(c))
+        if len(lines) < 3:
+            raise MeshFormatError("condbench report ends before its column header",
+                                  lines[-1][0] + 1)
+        _, n = _report_fields(*lines[1], "n", int)
+        _report_fields(*lines[2], "eps", "kappa1", "kappainf")
+        rows = [_report_fields(k, l, float, float, float) for k, l in lines[3:]]
+        eps, k1, ki = (list(c) for c in zip(*rows)) if rows else ([], [], [])
         return cls(n=n, eps=eps, kappa1=k1, kappainf=ki)
 
     def write(self, path):
@@ -245,7 +259,8 @@ def _write_frame(outdir, args, solver, state):
 
 def cmd_ns_run(args):
     """Step from rest: a frame every ``--cadence`` steps from step 0 (else at the last
-    step), a divergence line every 100 steps and the last good frame on instability."""
+    step), a divergence line every 100 steps and, on instability, a frame of the state
+    after the last step that succeeded."""
     for name in ("steps", "cadence"):
         if getattr(args, name) < 0:
             raise ValueError(f"{name} must be nonnegative, not {getattr(args, name)}")
@@ -253,7 +268,7 @@ def cmd_ns_run(args):
     inlet = compile_expression(args.bc) if args.bc else 0.0
     boundary = classify_tunnel_boundary(mesh, inlet_velocity=(inlet, 0.0))
     solver = TunnelSolver(mesh, args.n, NsConfig(dt=args.dt, dealias=args.dealias), boundary)
-    state = good = FlowState.rest(mesh, args.n)
+    state = FlowState.rest(mesh, args.n)
     outdir = args.out or "frames"
     os.makedirs(outdir, exist_ok=True)
     try:
@@ -262,14 +277,14 @@ def cmd_ns_run(args):
                 state = solver.time_step(state)
             if (step % args.cadence == 0) if args.cadence else (step == args.steps):
                 _write_frame(outdir, args, solver, state)
-                good = state
             if step and step % 100 == 0:
                 div = float(np.abs(solver.divergence_values(state.u, state.v)).max())
                 rel = div / max(state.max_speed(), 1e-30)
                 print(f"step {step} t {_fmt(state.t)} divergence {div:.3e} ({rel:.3e} rel)")
     except InstabilityError:
-        _write_frame(outdir, args, solver, good)
-        print(f"instability; last good frame saved at step {good.step}", file=sys.stderr)
+        # a step that fails assigns nothing, so state is the last good one
+        _write_frame(outdir, args, solver, state)
+        print(f"instability; last good frame saved at step {state.step}", file=sys.stderr)
         raise
     print(f"finished {state.step} steps, t {_fmt(state.t)}")
     return EXIT_OK

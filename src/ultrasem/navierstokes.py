@@ -61,13 +61,15 @@ class TunnelBoundary:
     KINDS = ("inlet", "outlet", "wall", "object")
 
     def __init__(self, mesh, labels, inlet_velocity=(0.0, 0.0)):
-        self.labels = dict(labels)
+        labels = dict(labels)
         self.inlet_u, self.inlet_v = inlet_velocity if isinstance(inlet_velocity, tuple) \
             else (inlet_velocity, 0.0)
-        edges = np.fromiter(self.labels, dtype=float, count=len(self.labels))
+        edges = np.fromiter(labels, dtype=float, count=len(labels))
         outside = edges[(edges != np.round(edges)) | (edges < 0) | (edges >= mesh.n_edges)]
         if outside.size:
             raise MeshError(f"edge {outside[0]:g} is labeled but is not an edge of the mesh")
+        # keyed by int edge numbers, whatever whole numbers named them
+        self.labels = dict(zip(edges.astype(int).tolist(), labels.values()))
         valid = np.zeros(mesh.n_edges, dtype=bool)  # labeled with one of KINDS
         valid[edges.astype(int)] = np.isin(list(self.labels.values()), self.KINDS)
         bad = np.where(mesh.boundary_edge, ~valid, np.isin(np.arange(mesh.n_edges), edges))

@@ -17,29 +17,27 @@ normal-derivative row, Neumann or matching, comes from
 a jump across the edge: the two sides' outward normal derivatives add,
 and an endpoint value row is the side whose local edge runs from the
 lower vertex number to the higher (the aligned side) minus the other
-side.  The derivative rows of a side are those of its geometry class's
-representative (see below) on the same local edge: they are formed once
-per (class, local edge) pair, on the representative's map and outward
-normal, and gathered to the sides, as the class's members already share
-the representative's operator.
+side.
 
-The coupling is held as the dense blocks it is built from.  The matching
-rows of the edge at block position p are an (n, 2, n^2) block, one n^2
-row per edge point and side, acting on the coefficients of the edge's two
-side elements.  A coupled boundary row of element j ties its slot to the
-interface value at its point with coefficient -scale, so the element's
-coefficients are its solve with zero interface values plus W_j times its
-interface values, where W_j is inv(A_jj) applied to the scaled unit
-columns of its 4n-4 boundary slots (a slot that is not coupled meets a
-zero interface value).  The W_j are held as one stacked (F, n^2, 4n-4)
-array.  Eliminating the element blocks (the interface/interface block is
-zero) leaves the interface complement
+The coupling is held once per distinct block.  Each (class, local edge)
+pair that occurs holds n^2 x (n+2) columns, shared by its sides as the
+class shares its operator: the normal derivative of the class's
+representative (see below) at the edge's n points, then its value at the
+two ends.  A matching row takes one column of each side's pair, signed and
+divided by the row's shared scale.  A coupled boundary row of element j
+ties its slot to the interface value at its point with coefficient -scale,
+so the element's coefficients are its solve with zero interface values
+plus W_j times its interface values, W_j being inv(A_jj) applied to the
+scaled unit columns of its 4n-4 boundary slots; W is held once per group.
+Eliminating the element blocks (the interface/interface block is zero)
+leaves the interface complement
 
     Sigma = sum_j  A_gamma_j  W_j
 
 over the sides j of every interior edge, with A_gamma_j the side's
-matching rows: a banded matrix once interfaces are ordered well.  Solving it gives the interface values;
-every element solve then decouples and reuses its cached factorization.
+matching rows, formed from one product per pair and group: a banded
+matrix once interfaces are ordered well.  Solving it gives the interface
+values; every element solve then decouples and reuses its factorization.
 
 Elements whose map coefficients agree (translation-free to
 ``_SHARE_TOL`` times the inradius of the first, the translation too when
@@ -54,11 +52,11 @@ The elements of a group share its operator and its W block.  Congruent
 elements whose coordinates round differently therefore share; elements
 with bitwise equal inputs get bit-identical operators and W blocks to
 building every element alone.  Setup is array operations over all
-elements and interior edges at once, with Python loops only over classes
-and groups.  A solve multiplies by each class's right-hand-side operator
-once, places boundary data at points listed at setup, makes one
-multi-column ``solve_raw`` per group, and applies the matching rows and
-W as one stacked product each.
+elements and interior edges at once, with Python loops only over classes,
+groups and their pairs.  A solve multiplies by each class's
+right-hand-side operator once, places boundary data at points listed at
+setup, makes one multi-column ``solve_raw`` per group, and applies the
+pairs' rows and the groups' W as one batched product each.
 """
 
 from dataclasses import dataclass, fields
@@ -129,6 +127,18 @@ def _share_classes(coeffs, normals, neumann, r_in):
     return np.array(leaders), group
 
 
+def _pad(label, items, fill):
+    """``items`` in the rows of their ``label`` of a (labels, most items of
+    a label, ...) array, in order, and ``fill`` elsewhere; and the flat
+    position of each item in its first two axes."""
+    count = np.bincount(label)
+    rank = np.argsort(np.argsort(label, kind="stable"), kind="stable")
+    at = label * count.max() + rank - (np.cumsum(count) - count)[label]
+    out = np.full((count.size * count.max(),) + items.shape[1:], fill)
+    out[at] = items
+    return out.reshape(count.size, count.max(), *items.shape[1:]), at
+
+
 class SchurSystem:
     """Factored global solver for one mesh, operator and resolution.
 
@@ -136,13 +146,12 @@ class SchurSystem:
     and ``groups`` one ``(elements, op)`` pair per distinct element
     operator (``n_distinct`` of them); ``ops`` is a per-element list whose
     entries are shared between elements whose inputs agree.
-    The coupling to the interface vector is held as dense blocks (see
-    the module docstring): ``_rows`` (P, n, 2, n^2), the matching rows of
-    the P interior edges in block order, each a jump across its edge (the
-    two sides' outward normal derivatives added, or at an endpoint the
-    aligned side's value minus the other side's); ``_sides`` (P, 2), the
-    element of each side; and ``_W`` (F, n^2, 4n-4).  Which interface
-    value a coupled boundary point reads is ``_point_col``.
+    The coupling is held once per distinct block (see the module
+    docstring): ``_pair_rows`` (Q, n^2, n+2) for the Q (class, local
+    edge) pairs that occur, ``_w`` (G, 4n-4, n^2) for the G groups, and
+    the indices that gather their products to the matching rows and to
+    the elements.  ``_point_col`` is the interface
+    value each boundary point reads (n_gamma where it is not coupled).
     ``sigma_rcond`` is the reciprocal 1-norm condition estimate of Sigma
     (None without interfaces).  ``maps`` is one stacked bilinear map with
     (F,) fields (``maps[f]`` is element f's own map), and ``grid_x``,
@@ -163,6 +172,8 @@ class SchurSystem:
         # per edge: its boundary condition, or "coupled" for an interior edge
         self._edge_kind = np.where(mesh.boundary_edge, "dirichlet", "coupled")
         for e, kind in (bc or {}).items():
+            if isinstance(e, (bool, np.bool_)) or not isinstance(e, (int, np.integer)):
+                raise BookkeepingError(f"bc key {e!r} is not an integer edge number")
             if kind not in ("dirichlet", "neumann"):
                 raise BookkeepingError(f"edge {e}: unknown boundary condition {kind!r}")
             if e not in range(mesh.n_edges):
@@ -187,13 +198,7 @@ class SchurSystem:
         r, s = traversal_points(n)
         self.point_x, self.point_y = self.maps[:, None](r, s)
 
-        # per traversal point: its edge, and its interface unknown if coupled
         self.point_edge = np.repeat(mesh.quad_edge, n - 1, axis=1)
-        a = np.tile(np.arange(n - 1), 4)
-        along = np.where(np.repeat(mesh.quad_edge_aligned, n - 1, axis=1), a, n - 1 - a)
-        first_col = np.zeros(mesh.n_edges, dtype=int)
-        first_col[mesh.interior_edges] = n * self.block_pos
-        self._point_col = first_col[self.point_edge] + along
         self.point_kind = self._edge_kind[self.point_edge]
         if self._pin:
             # the first Neumann point in element order takes a value row
@@ -250,87 +255,84 @@ class SchurSystem:
     # -- coupling and the Schur complement -------------------------------
 
     def _build_coupling(self):
-        """The matching rows of every interior edge and the stacked W
-        blocks, then Sigma from them one group at a time.  Returns Sigma
-        (None without interfaces)."""
-        mesh, n = self.mesh, self.n
-        nn, F = n * n, mesh.n_quads
-        self._coupled = coupled = self.point_kind == "coupled"
+        """Each boundary point's interface column, the rows of each (class,
+        local edge) pair that occurs, the W of each group, and Sigma from
+        their products (None without interfaces)."""
+        mesh, n, ng = self.mesh, self.n, self.n_gamma
+        # per traversal point: the interface value it reads, or n_gamma (a
+        # zero appended to u_gamma) where it is not coupled
+        coupled = self.point_kind == "coupled"
+        a = np.tile(np.arange(n - 1), 4)
+        along = np.where(np.repeat(mesh.quad_edge_aligned, n - 1, axis=1), a, n - 1 - a)
+        first_col = np.zeros(mesh.n_edges, dtype=int)
+        first_col[mesh.interior_edges] = n * self.block_pos
+        self._point_col = np.where(coupled, first_col[self.point_edge] + along, ng)
         # every interface point is coupled from both sides, except the two
         # endpoints of each edge, which one side owns
-        end = np.isin(np.arange(self.n_gamma) % n, (0, n - 1))
-        cover = np.bincount(self._point_col[coupled], minlength=self.n_gamma)
-        if not (np.all(cover[~end] == 2) and np.all(cover[end] == 1)):
-            raise BookkeepingError(
-                "corner-exclusion rule failed to cover the interface points")
-        if self.n_gamma == 0:
+        cover = np.bincount(self._point_col.ravel(), minlength=ng + 1)[:ng]
+        if not np.array_equal(cover, 2 - np.isin(np.arange(ng) % n, (0, n - 1))):
+            raise BookkeepingError("corner-exclusion rule failed to cover the interface points")
+        if ng == 0:
             return None
 
         # The two sides (element f, local edge l) of every interior edge,
-        # lower element first, with the edges in block order: the matching
-        # row n p + m, for point m of the edge at block position p, holds
-        # one dense n^2 block per side at rows[p, m, side].
-        pos = np.full(mesh.n_edges, -1)
-        pos[mesh.interior_edges] = self.block_pos
-        side_pos = pos[mesh.quad_edge]
-        f, l = np.nonzero(side_pos >= 0)
-        by_pos = np.argsort(side_pos[f, l], kind="stable")
-        f, l = f[by_pos].reshape(-1, 2), l[by_pos].reshape(-1, 2)
-        k = np.argsort(self.block_pos)  # interior edge at each block position
-        # a side takes edge point m (counted from the edge's lower vertex)
-        # from its own edge points, backwards unless its local edge is
-        # aligned, and its own outward normal: the derivative rows add.
-        # Its rows are those of its geometry class's representative on the
-        # same local edge, formed once per (class, local edge) pair on the
-        # representative's map and outward normal.
-        aligned = mesh.quad_edge_aligned[f, l][:, None]
-        a = np.arange(n)[:, None]
-        along = np.where(aligned, a, n - 1 - a)
-        r, s = edge_points(n)[:, l[:, None], along]
-        pair, of_side = np.unique((self._cls[f] * 4 + l).ravel(), return_inverse=True)
+        # as (2, P) arrays with the edges in block order, lower element
+        # first, and the rows of each (class, local edge) pair that occurs:
+        # its outward normal derivative at the edge's n points from the
+        # starting corner, then its value at the two ends, as columns.
+        f, l = np.nonzero(~mesh.boundary_edge[mesh.quad_edge])
+        by_pos = np.argsort(first_col[mesh.quad_edge[f, l]], kind="stable")
+        f, l = f[by_pos].reshape(-1, 2).T, l[by_pos].reshape(-1, 2).T
+        pair, q = np.unique((self._cls[f] * 4 + l).ravel(), return_inverse=True)
+        q, Q = q.reshape(f.shape), pair.size
         rep, rep_l = self._reps[pair // 4], pair % 4
-        rows = _normal_rows(self.maps[rep[:, None]], self._normals[rep, rep_l][:, None], n,
-                            *edge_points(n)[:, rep_l])[of_side.reshape(f.shape)[:, None], along]
-        # an endpoint matches derivatives only at an interior vertex that
-        # marks this edge; elsewhere it matches values
-        edge = mesh.interior_edges[k]
+        r, s = edge_points(n)[:, rep_l]
+        rows = (_normal_rows(self.maps[rep[:, None]], self._normals[rep, rep_l][:, None], n, r, s),
+                point_value_row(n, r[:, [0, -1]], s[:, [0, -1]]))
+        top = np.concatenate([np.maximum(a.max(axis=2), -a.min(axis=2)) for a in rows], axis=1)
+        self._pair_rows = rows = np.concatenate([a.transpose(0, 2, 1) for a in rows], axis=2,
+                                                out=np.empty((Q, n * n, n + 2)))
+        # Matching row n p + m, for point m from the lower vertex of the edge
+        # at block position p, reads column col of each side's pair: its
+        # point m, backwards unless its local edge is aligned.  An endpoint
+        # matches derivatives only at an interior vertex that marks this
+        # edge, elsewhere values: the aligned side's minus the other's.
+        aligned = mesh.quad_edge_aligned[f, l][..., None]
+        col = np.where(aligned, np.arange(n), np.arange(n)[::-1])
+        edge = mesh.interior_edges[np.argsort(self.block_pos)]
         ends = mesh.edges[edge]
-        p, m = np.nonzero(mesh.boundary_vertex[ends] | (mesh.vertex_edge[ends] != edge[:, None]))
-        m *= n - 1
-        # the aligned side's value minus the other side's
-        sign = np.where(aligned[p, 0], 1.0, -1.0)[..., None]
-        rows[p, m] = sign * point_value_row(n, r[p, m], s[p, m])
+        value = np.zeros((edge.size, n), dtype=bool)
+        value[:, [0, -1]] = mesh.boundary_vertex[ends] | (mesh.vertex_edge[ends] != edge[:, None])
+        sign = np.where(value & ~aligned, -1.0, 1.0)
+        col = np.where(value, n + col // (n - 1), col)
         # one shared scale per matching row keeps it one equation
-        rows /= np.abs(rows).max(axis=(2, 3))[:, :, None, None]
-        self._rows, self._sides = rows, f
+        scale = top[q[..., None], col].max(axis=0)
+        self._match_coef = sign / scale
+        # the sides of each pair, padded (a pad reads element 0), so that one
+        # batched product applies every side's pair to its element
+        self._pair_elems, at = _pad(q.ravel(), f.ravel(), 0)
+        self._match_at = at.reshape(q.shape)[..., None] * (n + 2) + col
 
-        # One W block per group with a coupled point (see the module
-        # docstring), read from the group's held inverse or Woodbury
-        # factors and filled in for each of its elements.  Sigma takes one
-        # product of it with the matching rows of the group's sides, kept
-        # at each side's coupled slots, as triplets.
-        self._W = np.zeros((F, nn, 4 * n - 4))
+        # One W per group, from its held inverse or Woodbury factors, held
+        # transposed; the elements of each group, padded, read their
+        # interface values through one column index.
         slots = boundary_slots(n)
-        side_group = self._group[f]
-        triplets = []
-        for g, (elems, op) in enumerate(self.groups):
-            if not coupled[elems].any():
-                continue
-            W = op.boundary_columns() * op.scale[slots]
-            self._W[elems] = W
-            p, side = np.nonzero(side_group == g)
-            # W^T times the rows' transpose, so that v comes out C-ordered
-            v = gemm(1.0, W.T, rows[p, :, side].reshape(-1, nn).T).T.reshape(p.size, n, -1)
-            elem = f[p, side]
-            on = np.broadcast_to(coupled[elem][:, None], v.shape)
-            i = (n * p)[:, None, None] + np.arange(n)[:, None]
-            j = self._point_col[elem][:, None]
-            triplets.append([v[on]] + [np.broadcast_to(a, v.shape)[on] for a in (i, j)])
+        cols = ((op.boundary_columns() * op.scale[slots]).T for _, op in self.groups)
+        self._w = np.fromiter(cols, np.dtype((float, (slots.size, n * n))), self.n_distinct)
+        self._w_cols, self._w_from = _pad(self._group, self._point_col, ng)
+
+        # Sigma takes one (4n-4, n+2) product of each group's W with each
+        # pair in which it has a side, gathered to the sides, scaled as
+        # their matching rows and kept at their coupled slots, as triplets.
+        combo, which = np.unique((self._group[f] * Q + q).ravel(), return_inverse=True)
+        prod = np.array([gemm(1.0, self._w[c // Q], self._pair_rows[c % Q]) for c in combo])
+        v = self._match_coef[..., None] * prod[which.reshape(q.shape)[..., None], :, col]
+        i = np.broadcast_to(np.arange(ng).reshape(-1, n, 1), v.shape)
+        j = np.broadcast_to(self._point_col[f][:, :, None], v.shape)
+        on = j < ng
         # An entry of Sigma gets at most two contributions, so summing the
         # duplicates is exact in any order.
-        v, i, j = (np.concatenate(t) for t in zip(*triplets))
-        del triplets
-        sigma = sp.csr_matrix((v, (i, j)), shape=(self.n_gamma, self.n_gamma))
+        sigma = sp.csr_matrix((v[on], (i[on], j[on])), shape=(ng, ng))
         sigma.eliminate_zeros()
         return sigma
 
@@ -433,7 +435,8 @@ class SchurSystem:
         u_gamma = np.zeros(self.n_gamma)
         if self.n_gamma:
             u_gamma = self._sigma_solve(-self._match(X))
-            X += np.einsum("fkb,fb->fk", self._W, self._interface_values(u_gamma))
+            U = np.append(u_gamma, 0.0)[self._w_cols]
+            X += np.matmul(U, self._w).reshape(-1, X.shape[1])[self._w_from]
         sols = CoeffVector2D(self.n, X)
         if not return_info:
             return sols
@@ -447,22 +450,16 @@ class SchurSystem:
             R[elems] = op.matvec(X[elems].T).T
         SB = self._scale * B
         R -= SB
-        top = 0.0
-        if self.n_gamma:
-            slots = boundary_slots(self.n)
-            R[:, slots] -= self._scale[:, slots] * self._interface_values(u_gamma)
-            top = np.abs(self._match(X)).max()
+        at = boundary_slots(self.n)
+        R[:, at] -= self._scale[:, at] * np.append(u_gamma, 0.0)[self._point_col]
+        top = np.abs(self._match(X)).max() if self.n_gamma else 0.0
         return max(top, np.abs(R).max()) / max(1.0, np.abs(SB).max())
 
     def _match(self, X):
-        """The matching rows applied to stacked element coefficients X,
-        in interface order."""
-        return np.einsum("pmsk,psk->pm", self._rows, X[self._sides]).ravel()
-
-    def _interface_values(self, u_gamma):
-        """(F, 4n-4): the interface value at each coupled boundary point,
-        zero elsewhere."""
-        return np.where(self._coupled, u_gamma[self._point_col], 0.0)
+        """The matching rows applied to stacked element coefficients X, in
+        interface order: one batched product over the pairs, gathered."""
+        V = np.matmul(X[self._pair_elems], self._pair_rows)
+        return (self._match_coef * V.ravel()[self._match_at]).sum(axis=0).ravel()
 
     # -- dense oracle -------------------------------------------------------
 
@@ -478,12 +475,15 @@ class SchurSystem:
             G[idx[:, :, None], idx[:, None, :]] = op.to_dense()
         if self.n_gamma:
             # a coupled slot's row: -scale at its interface value
-            f, k = np.nonzero(self._coupled)
+            f, k = np.nonzero(self._point_col < self.n_gamma)
             at = f * nn + boundary_slots(self.n)[k]
             G[at, FN + self._point_col[f, k]] = -self._scale.flat[at]
-            # matching row n p + m: side s's block at its element's columns
-            cols = (nn * self._sides)[:, None, :, None] + np.arange(nn)
-            G[FN + np.arange(self.n_gamma).reshape(-1, self.n, 1, 1), cols] = self._rows
+            # matching row n p + m: each side's scaled pair column
+            slot, col = np.divmod(self._match_at, self.n + 2)
+            rows = self._pair_rows[slot // self._pair_elems.shape[1], :, col]
+            cols = (nn * self._pair_elems.flat[slot])[..., None] + np.arange(nn)
+            G[FN + np.arange(self.n_gamma).reshape(-1, self.n, 1), cols] = \
+                self._match_coef[..., None] * rows
         return G
 
     def solve_dense(self, f=None, dirichlet=0.0, neumann=0.0):

@@ -126,3 +126,13 @@ def eval_on_grid(system, sols, fn, m=25):
         X, Y = system.maps[k](R, S)
         err = max(err, np.max(np.abs(s.eval(R, S) - fn(X, Y))))
     return err
+
+
+# the arrays a SchurSystem holds for its coupling to the interface values
+COUPLING_ARRAYS = ("_point_col", "_pair_rows", "_pair_elems", "_match_at", "_match_coef",
+                   "_w", "_w_cols", "_w_from")
+
+
+def coupling_nbytes(system):
+    """Bytes of the held coupling arrays of a SchurSystem."""
+    return sum(getattr(system, name).nbytes for name in COUPLING_ARRAYS)

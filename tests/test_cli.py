@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from ultrasem.cli import (
     main,
     skinny_quad,
 )
+from ultrasem.errors import MeshFormatError
 from ultrasem.mesh import grid_mesh, write_mesh
 from ultrasem.quadmap import Quad
 
@@ -218,6 +220,22 @@ class TestCondBench:
         assert captured.out == ""
         assert captured.err == "error: eps sweep is empty\n"
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("ultrasem-condbench 1\n", 2, "condbench report ends before its column header"),
+        ("ultrasem-condbench 1\nn 8\n", 3, "condbench report ends before its column header"),
+        ("ultrasem-condbench 1\nn x\neps kappa1 kappainf\n1 2 3\n", 2,
+         "expected 'n int', got 'n x'"),
+        ("ultrasem-condbench 1\nn 8\neps kappa1 kappainf\n1 2 3 4\n", 4,
+         "expected 'float float float', got '1 2 3 4'"),
+        ("ultrasem-condbench 1\n\nn 8\neps kappa1 kappainf\n1 2 x\n", 5,
+         "expected 'float float float', got '1 2 x'"),
+    ], ids=["cut-after-header", "cut-after-n", "bad-n", "four-fields", "blank-line"])
+    def test_malformed_report_names_its_line(self, text, line, message):
+        # a cut report or a bad field is a format error at its line (they
+        # raised a raw IndexError or ValueError)
+        with pytest.raises(MeshFormatError, match=f"^line {line}: {re.escape(message)}$"):
+            BenchReport.from_text(text)
+
     def test_invalid_eps_order(self):
         with pytest.raises(ValueError):
             BenchReport(n=4, eps=[1e-3, 1e-1], kappa1=[1, 1], kappainf=[1, 1])
@@ -263,7 +281,10 @@ class TestNsRun:
         names, _ = self._run(tmp_path, capsys, "0")
         assert names == ["frame_000200.txt"]
 
-    def test_instability_saves_last_good_frame(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _run_failing_at_step_13(tmp_path, monkeypatch, capsys, cadence):
+        """The frame names an ns-run leaves when step 13 raises
+        InstabilityError, and its standard error."""
         from ultrasem.cli import EXIT_INSTABILITY
         from ultrasem.errors import InstabilityError
         from ultrasem.navierstokes import TunnelSolver, tunnel_mesh
@@ -281,11 +302,23 @@ class TestNsRun:
         monkeypatch.setattr(TunnelSolver, "time_step", exploding_step)
         outdir = tmp_path / "frames"
         code = main(["ns-run", "--mesh", str(mesh_path), "--n", "6",
-                     "--steps", "100", "--cadence", "10", "--bc", "0.6",
+                     "--steps", "100", "--cadence", cadence, "--bc", "0.6",
                      "--out", str(outdir)])
         assert code == EXIT_INSTABILITY
-        frames = sorted(outdir.glob("frame_*.txt"))
-        assert frames[-1].name == "frame_000010.txt"  # last good snapshot
+        return [f.name for f in sorted(outdir.glob("frame_*.txt"))], capsys.readouterr().err
+
+    def test_instability_saves_last_good_frame(self, tmp_path, monkeypatch, capsys):
+        # the state after step 12, not the last frame the cadence wrote
+        names, err = self._run_failing_at_step_13(tmp_path, monkeypatch, capsys, "10")
+        assert names == ["frame_000000.txt", "frame_000010.txt", "frame_000012.txt"]
+        assert "last good frame saved at step 12" in err
+
+    def test_instability_at_cadence_zero_saves_last_good_frame(self, tmp_path, monkeypatch,
+                                                                capsys):
+        # no frame is due before step 100; the initial state is not the last good one
+        names, err = self._run_failing_at_step_13(tmp_path, monkeypatch, capsys, "0")
+        assert names == ["frame_000012.txt"]
+        assert "last good frame saved at step 12" in err
 
     @pytest.mark.parametrize("option, value", [("--steps", "-3"), ("--cadence", "-2")])
     def test_negative_count_is_format_error(self, option, value, tmp_path, capsys):

@@ -66,6 +66,19 @@ class TestBoundaryClassification:
         with pytest.raises(MeshError, match=f"edge {edge} is labeled but is not an edge"):
             TunnelBoundary(mesh, labels)
 
+    def test_whole_number_float_labels_name_int_edges(self):
+        # {3.0: "wall", ...} labels edge 3: the keys are kept as int, so the
+        # solver builds and steps as with int keys (it raised IndexError)
+        mesh = tunnel_mesh(3, 2, width=0.003, height=0.001, hole=None)
+        labels = classify_tunnel_boundary(mesh, (0.6, 0.0)).labels
+        bnd = TunnelBoundary(mesh, {float(e): k for e, k in labels.items()}, (0.6, 0.0))
+        assert bnd.labels == labels and {type(e) for e in bnd.labels} == {int}
+        cfg = NsConfig(dt=1e-3)
+        steps = [TunnelSolver(mesh, 6, cfg, b).time_step(FlowState.rest(mesh, 6))
+                 for b in (bnd, TunnelBoundary(mesh, labels, (0.6, 0.0)))]
+        for field in ("u", "v", "p"):
+            assert np.array_equal(getattr(steps[0], field).data, getattr(steps[1], field).data)
+
     def test_constant_inlet_velocity_is_kept(self):
         mesh = tunnel_mesh(3, 2, width=0.003, height=0.001, hole=None)
         bnd = classify_tunnel_boundary(mesh, (0.6, 0.0))

@@ -12,6 +12,8 @@ from ultrasem.element import PdeCoefficients, assemble_element_operator
 from ultrasem.mesh import grid_mesh
 from ultrasem.schur import assemble_schur
 
+from conftest import coupling_nbytes
+
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
 
@@ -81,3 +83,12 @@ def test_cli_synopsis_matches_the_parser():
                    if o.startswith("--") and o != "--help"}
             for name, sp in sub.choices.items()}
     assert _synopsis_flags() == want
+
+
+def test_held_coupling_size_matches_the_build():
+    # the README's figure for grid_mesh(8, 8) at n = 24, to its 0.01 MiB
+    found = re.findall(r"On `grid_mesh\(8, 8\)`\s+at n = 24 the held coupling arrays take "
+                       r"([\d.]+) MiB", README)
+    assert len(found) == 1
+    system = assemble_schur(grid_mesh(8, 8), PdeCoefficients.poisson(), 24)
+    assert found[0] == f"{coupling_nbytes(system) / 2 ** 20:.2f}"

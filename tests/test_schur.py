@@ -36,8 +36,10 @@ from ultrasem.schur import _normal_rows, assemble_schur
 from ultrasem.ultra import cheb_points, vals_to_coeffs_2d
 
 from conftest import (
+    COUPLING_ARRAYS,
     PROPERTIES,
     VARCOEF,
+    coupling_nbytes,
     edge_point,
     eval_on_grid,
     jiggled_grid,
@@ -60,6 +62,22 @@ def _coupling_blocks(sys):
     FN = sys.mesh.n_quads * sys.n ** 2
     G = sys.to_dense_global()
     return G[FN:, :FN], G[:FN, FN:]
+
+
+def _held_matching_rows(sys):
+    """The matching rows gathered from the held pair columns, (P, n, 2,
+    n^2) by edge point and side, and the element of each side, (P, 2)."""
+    slot, col = np.divmod(sys._match_at, sys.n + 2)  # (2, P, n)
+    rows = sys._pair_rows[slot // sys._pair_elems.shape[1], :, col]
+    rows = sys._match_coef[..., None] * rows
+    return rows.transpose(1, 2, 0, 3), sys._pair_elems.flat[slot[:, :, 0]].T
+
+
+def _held_w(sys, f):
+    """Element f's W, (n^2, 4n-4), from its group's held block, and its
+    row in its group's padded product."""
+    g, i = np.divmod(sys._w_from[f], sys._w_cols.shape[1])
+    return sys._w[g].T, (g, i)
 
 
 class TestCoupling:
@@ -121,15 +139,28 @@ class TestCoupling:
     def test_matching_rows_pair_up(self):
         sys = assemble_schur(two_squares(), POISSON, 7)
         # the one interior edge holds every matching row: one dense block
-        # per incident element, held as one (n, 2, n^2) block
+        # per incident element, gathered from the n + 2 columns held for
+        # each side's (class, local edge) pair
         A, _ = _coupling_blocks(sys)
         assert A.shape == (7, 2 * 49)
         rows = A.reshape(7, 2, 49)
         blocks = [rows[:, f] for f in range(2) if np.any(rows[:, f])]
         assert len(blocks) == 2
         assert blocks[0].shape == (7, 49)
-        assert sys._sides.tolist() == [[0, 1]]
-        assert np.array_equal(sys._rows, rows[None])
+        assert sys._pair_rows.shape == (2, 49, 9)
+        held, sides = _held_matching_rows(sys)
+        assert sides.tolist() == [[0, 1]]
+        assert np.array_equal(held, rows[None])
+
+    def test_coupling_is_held_once_per_distinct_block(self):
+        # grid_mesh(8, 8) at n = 24 is one class and one group: 4 pairs'
+        # columns and one W, where one block per edge side and one W per
+        # element took 49.5 MiB
+        sys = assemble_schur(grid_mesh(8, 8), POISSON, 24)
+        assert sys._pair_rows.shape == (4, 576, 26) and sys._w.shape == (1, 92, 576)
+        assert coupling_nbytes(sys) <= 2 * 2 ** 20
+        big = [k for k, v in vars(sys).items() if isinstance(v, np.ndarray) and v.nbytes > 2 ** 20]
+        assert not big
 
     @pytest.mark.parametrize("case", ["mixed-varcoef", "sliver"])
     def test_w_blocks_match_dense_solves(self, case):
@@ -146,13 +177,14 @@ class TestCoupling:
         _, C = _coupling_blocks(sys)
         for f, op in enumerate(sys.ops):
             coupled = sys.point_kind[f] == "coupled"
-            if not coupled.any():  # an element with no interior edge
-                assert not sys._W[f].any() and not C[f * nn:(f + 1) * nn].any()
-                continue
             E = np.zeros((nn, slots.size))
             E[slots, np.arange(slots.size)] = op.scale[slots]
             want = np.linalg.solve(op.to_dense(), E)
-            assert np.abs(sys._W[f] - want).max() <= 1e-13 * np.abs(want).max()
+            W, _ = _held_w(sys, f)
+            assert np.abs(W - want).max() <= 1e-13 * np.abs(want).max()
+            if not coupled.any():  # an element with no interior edge
+                assert not C[f * nn:(f + 1) * nn].any()
+                continue
             cols = C[f * nn:(f + 1) * nn][:, sys._point_col[f][coupled]]
             assert np.array_equal(cols, -E[:, coupled])
 
@@ -466,15 +498,17 @@ class TestSolves:
 
     def test_back_substitution_order_independent(self, rng):
         # back-substitution touches disjoint rows per element; recomputing
-        # any element in any order from the grouped element solves
-        # reproduces the exact same coefficients
+        # any element in any order from the grouped element solves and its
+        # row of its group's W product (a one-row product may round
+        # differently) reproduces the exact same coefficients
         sys = assemble_schur(grid_mesh(2, 2), POISSON, 8)
         f = lambda x, y: np.sin(3 * x) + y
         sols, info = sys.solve(f=f, dirichlet=0.0, return_info=True)
         X0 = sys._element_solves(sys._rhs_vectors(f, 0.0, 0.0))
-        u = np.where(sys.point_kind == "coupled", info.u_gamma[sys._point_col], 0.0)
+        U = np.append(info.u_gamma, 0.0)[sys._w_cols]
         for fidx in rng.permutation(sys.mesh.n_quads):
-            x = X0[fidx] + np.einsum("kb,b->k", sys._W[fidx], u[fidx])
+            _, (g, i) = _held_w(sys, fidx)
+            x = X0[fidx] + np.matmul(U[g], sys._w[g])[i]
             assert np.array_equal(x, sols[fidx].data)
 
     def test_forcing_forms_agree(self):
@@ -598,6 +632,20 @@ class TestErrors:
         }[case]
         with pytest.raises(BookkeepingError, match=rf"edge {edge}\b.*{kind}"):
             assemble_schur(mesh, POISSON, 6, bc={edge: kind})
+
+    @pytest.mark.parametrize("key", [0.0, True, np.True_], ids=["float", "bool", "np-bool"])
+    def test_non_integer_bc_key_rejected(self, key):
+        # a whole-number float or a bool is no edge number (they raised a raw
+        # IndexError, or a ValueError from indexing by a bool)
+        msg = f"bc key {key!r} is not an integer edge number"
+        with pytest.raises(BookkeepingError, match=f"^{re.escape(msg)}$"):
+            assemble_schur(two_squares(), POISSON, 6, bc={key: "neumann"})
+
+    def test_numpy_integer_bc_key_accepted(self):
+        mesh = two_squares()
+        e = np.flatnonzero(mesh.boundary_edge)[0]
+        sys = assemble_schur(mesh, POISSON, 6, bc={e: "neumann"})
+        assert set(sys.point_kind[sys.point_edge == e]) == {"neumann"}
 
     @pytest.mark.parametrize("data", [
         {"dirichlet": {0: 5.0}},  # edge 0 is a Neumann edge
@@ -858,7 +906,7 @@ class TestSharedElements:
         for (e1, rhs1), (e2, rhs2) in zip(sys.classes, want.classes, strict=True):
             assert np.array_equal(e1, e2)
             assert (rhs1 != rhs2).nnz == 0
-        for M in ("_rows", "_sides", "_W"):
+        for M in COUPLING_ARRAYS:
             assert np.array_equal(getattr(sys, M), getattr(want, M))
         assert np.array_equal(solve(sys), solve(want))
 
@@ -877,9 +925,10 @@ class TestSharedElements:
         mesh, n = grid_mesh(12, 12, x0=0.1, y0=-0.35), 8
         sys = assemble_schur(mesh, POISSON, n)
         assert len(sys.classes) == 1
+        held, sides = _held_matching_rows(sys)
         for e, p in zip(mesh.interior_edges, sys.block_pos):
             f, l = np.nonzero(mesh.quad_edge == e)
-            assert sorted(sys._sides[p]) == sorted(f)
+            assert sorted(sides[p]) == sorted(f)
             own = []
             for g, k in zip(f, l):
                 m = np.arange(n) if mesh.quad_edge_aligned[g, k] else np.arange(n)[::-1]
@@ -891,7 +940,7 @@ class TestSharedElements:
             deriv = np.ones(n, dtype=bool)
             deriv[[0, -1]] = ~mesh.boundary_vertex[ends] & (mesh.vertex_edge[ends] == e)
             for g, o in zip(f, own):
-                got = sys._rows[p, :, np.flatnonzero(sys._sides[p] == g)[0]]
+                got = held[p, :, np.flatnonzero(sides[p] == g)[0]]
                 assert np.abs(got[deriv] - (o / scale)[deriv]).max() <= 1e-13
 
     def test_interface_rows_formed_once_per_class_and_local_edge(self, monkeypatch):
@@ -926,10 +975,7 @@ class TestSharedElements:
             op, W = _fresh_element(sys, f)
             assert np.array_equal(sys.ops[f].to_dense(), op.to_dense())
             assert np.array_equal(sys.ops[f].scale, op.scale)
-            if not (sys.point_kind[f] == "coupled").any():  # no interior edge
-                assert not sys._W[f].any()
-            else:
-                assert np.array_equal(sys._W[f], W)
+            assert np.array_equal(_held_w(sys, f)[0], W)
 
 
 @settings(PROPERTIES)
