@@ -22,9 +22,7 @@ from .errors import (
     UltrasemError,
 )
 from .mesh import (
-    MeshQuality,
     QuadMesh,
-    build_mesh,
     grid_mesh,
     interface_bandwidth,
     mesh_from_string,
@@ -45,7 +43,6 @@ from .navierstokes import (
 )
 from .quadmap import (
     BilinearMap,
-    DetPolynomial,
     Quad,
     bilinear_coeffs,
     det_polynomial,
@@ -63,7 +60,6 @@ from .ultra import (
     deriv_eval_row,
     diff_operator,
     eval_row,
-    mult_operator,
     vals_to_coeffs_2d,
 )
 

@@ -98,9 +98,9 @@ class CoeffVector2D:
     coefficients stacked column by column.  ``len``, indexing and iteration
     over a stack give views, not copies."""
 
-    def __init__(self, n, data=None):
+    def __init__(self, n, data):
         self.n = int(n)
-        self.data = np.asarray(np.zeros(self.n * self.n) if data is None else data, dtype=float)
+        self.data = np.asarray(data, dtype=float)
         if self.data.shape[-1:] != (self.n * self.n,):
             raise ValueError("coefficient vectors must have length n^2")
 
@@ -361,7 +361,7 @@ def _reference_tables(pde, bm):
     for ref, C in zip(vals, ultra.vals_to_coeffs_2d(np.stack(list(vals.values())))):
         ks, kr = np.max([(i + deg[f], j + deg[f]) for i, j, names in terms[ref] for f in names],
                         axis=0, initial=0).astype(int)
-        tables[ref] = poly2d_trim(C[: ks + 1, : kr + 1], rel=1e-14)
+        tables[ref] = poly2d_trim(C[: ks + 1, : kr + 1])
     return tables
 
 
@@ -612,7 +612,7 @@ def element_rhs_operator(quad, n):
     # grid of a constant PDE's tables, as its identity table would be
     r, s = _table_grid(0)
     D = det_polynomial(bilinear_coeffs(quad))(r, s)
-    det3 = poly2d_trim(ultra.vals_to_coeffs_2d(D * D * D)[:4, :4], rel=1e-14)
+    det3 = poly2d_trim(ultra.vals_to_coeffs_2d(D * D * D)[:4, :4])
     T, M = _multipliers(det3, 0, n)
     S = _kron_factors(n)["id"][0]
     return _to_slots(_kron_sum(S @ T, S @ M), n).tocsr()

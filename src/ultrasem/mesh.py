@@ -152,6 +152,16 @@ class QuadMesh:
         # computed once per mesh: hand out copies through order_interfaces
         return _compute_interface_order(self)
 
+    def edge_number(self, key, error, what):
+        """``key`` as an int if it numbers an edge: a Python or numpy
+        integer, not a bool, from 0 to ``n_edges - 1``.  Anything else
+        raises ``error`` naming the key and ``what`` it keys."""
+        if isinstance(key, bool) or not isinstance(key, (int, np.integer)):
+            raise error(f"edge key {key!r} ({what}) is not an integer edge number")
+        if not 0 <= key < self.n_edges:
+            raise error(f"edge {key} ({what}) is not an edge of the mesh")
+        return int(key)
+
     def element_quad(self, f):
         """Geometry of element ``f`` as a :class:`Quad`."""
         return Quad(self.vertices[self.quads[f]])
@@ -169,11 +179,6 @@ class QuadMesh:
     def __repr__(self):
         return (f"QuadMesh(V={self.n_vertices}, E={self.n_edges}, "
                 f"F={self.n_quads}, interior_edges={self.n_interior_edges})")
-
-
-def build_mesh(vertices, quads):
-    """Validate and index a mesh from vertex coordinates and quad lists."""
-    return QuadMesh(vertices, quads)
 
 
 # ----------------------------------------------------------------------
@@ -285,11 +290,9 @@ def _compute_interface_order(mesh):
     return pos
 
 
-def interface_bandwidth(mesh, pos=None):
-    """``max |a - b|`` over interface pairs sharing a quad for a given
-    ordering (defaults to :func:`order_interfaces`)."""
-    if pos is None:
-        pos = order_interfaces(mesh)
+def interface_bandwidth(mesh, pos):
+    """``max |a - b|`` over interface pairs sharing a quad for the
+    ordering ``pos`` (as returned by :func:`order_interfaces`)."""
     return _bandwidth_of(mesh._interface_pairs, np.asarray(pos))
 
 
@@ -446,7 +449,7 @@ def mesh_from_string(text, name="<string>"):
             quads += [[i, mids[k], g, mids[k - 1]] for k, i in enumerate(idx)]
 
     try:
-        return build_mesh(np.array(vertices), np.array(quads, dtype=int))
+        return QuadMesh(vertices, quads)
     except MeshError as exc:
         raise MeshFormatError(str(exc), None) from exc
 
@@ -500,4 +503,4 @@ def grid_mesh(nx, ny, x0=0.0, y0=0.0, width=1.0, height=1.0, skip=()):
             if (i, j) in skip:
                 continue
             quads.append([v(i, j), v(i + 1, j), v(i + 1, j + 1), v(i, j + 1)])
-    return build_mesh(np.array(vertices), np.array(quads, dtype=int))
+    return QuadMesh(vertices, quads)

@@ -15,6 +15,7 @@ velocity), outlet (fixed pressure, zero velocity gradient), free-slip
 walls (axis aligned) and no-slip test objects.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,22 +57,23 @@ class NsConfig:
 
 class TunnelBoundary:
     """Per-edge labels ``inlet``, ``outlet``, ``wall`` (free slip) or ``object`` (no slip)
-    of a wind tunnel, and the inlet velocity: a constant or callable ``(x, y)`` per component."""
+    of a wind tunnel, keyed by integer edge numbers, and the inlet velocity: a pair
+    ``(u, v)`` whose components are each a constant or a callable ``(x, y)``."""
 
     KINDS = ("inlet", "outlet", "wall", "object")
 
     def __init__(self, mesh, labels, inlet_velocity=(0.0, 0.0)):
-        labels = dict(labels)
-        self.inlet_u, self.inlet_v = inlet_velocity if isinstance(inlet_velocity, tuple) \
-            else (inlet_velocity, 0.0)
-        edges = np.fromiter(labels, dtype=float, count=len(labels))
-        outside = edges[(edges != np.round(edges)) | (edges < 0) | (edges >= mesh.n_edges)]
-        if outside.size:
-            raise MeshError(f"edge {outside[0]:g} is labeled but is not an edge of the mesh")
-        # keyed by int edge numbers, whatever whole numbers named them
-        self.labels = dict(zip(edges.astype(int).tolist(), labels.values()))
+        uv = inlet_velocity
+        listed = isinstance(uv, (tuple, list)) or isinstance(uv, np.ndarray) and uv.ndim == 1
+        if not (listed and len(uv) == 2
+                and all(callable(c) or isinstance(c, numbers.Real) for c in uv)):
+            raise ValueError(f"inlet velocity {uv!r} is not a pair (u, v) of constants or callables")
+        self.inlet_u, self.inlet_v = uv
+        self.labels = {mesh.edge_number(e, MeshError, f"labeled {kind!r}"): kind
+                       for e, kind in dict(labels).items()}
+        edges = np.fromiter(self.labels, dtype=int, count=len(self.labels))
         valid = np.zeros(mesh.n_edges, dtype=bool)  # labeled with one of KINDS
-        valid[edges.astype(int)] = np.isin(list(self.labels.values()), self.KINDS)
+        valid[edges] = np.isin(list(self.labels.values()), self.KINDS)
         bad = np.where(mesh.boundary_edge, ~valid, np.isin(np.arange(mesh.n_edges), edges))
         if bad.any():
             e = np.argmax(bad)

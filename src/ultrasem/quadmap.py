@@ -37,18 +37,15 @@ def poly2d_eval(P, r, s):
     return np.polynomial.polynomial.polyval2d(r, s, poly2d(P))
 
 
-def poly2d_trim(P, rel=0.0):
-    """Drop trailing zero rows/columns; entries below ``rel * max`` are
-    zeroed first."""
+def poly2d_trim(P):
+    """Zero the entries below ``1e-14`` times the largest (transform
+    rounding noise), then drop trailing zero rows/columns."""
     P = poly2d(P).copy()
     m = np.max(np.abs(P))
     if m == 0.0:
         return np.zeros((1, 1))
-    if rel > 0.0:
-        P[np.abs(P) < rel * m] = 0.0
+    P[np.abs(P) < 1e-14 * m] = 0.0
     nz = np.nonzero(P)
-    if nz[0].size == 0:
-        return np.zeros((1, 1))
     return P[: nz[0].max() + 1, : nz[1].max() + 1]
 
 

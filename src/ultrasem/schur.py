@@ -80,7 +80,7 @@ from .element import (
     traversal_points,
 )
 from .errors import BookkeepingError, SingularOperatorError
-from .mesh import build_mesh, interface_bandwidth, order_interfaces
+from .mesh import QuadMesh, interface_bandwidth, order_interfaces
 from .quadmap import Quad, bilinear_coeffs, inradius, outward_normals
 
 
@@ -172,15 +172,12 @@ class SchurSystem:
         # per edge: its boundary condition, or "coupled" for an interior edge
         self._edge_kind = np.where(mesh.boundary_edge, "dirichlet", "coupled")
         for e, kind in (bc or {}).items():
-            if isinstance(e, (bool, np.bool_)) or not isinstance(e, (int, np.integer)):
-                raise BookkeepingError(f"bc key {e!r} is not an integer edge number")
+            e = mesh.edge_number(e, BookkeepingError, f"bc {kind!r}")
             if kind not in ("dirichlet", "neumann"):
                 raise BookkeepingError(f"edge {e}: unknown boundary condition {kind!r}")
-            if e not in range(mesh.n_edges):
-                raise BookkeepingError(f"edge {e} ({kind}) is not an edge of the mesh")
             if not mesh.boundary_edge[e]:
                 raise BookkeepingError(f"edge {e} ({kind}) is interior, not a boundary edge")
-            self._edge_kind[int(e)] = kind
+            self._edge_kind[e] = kind
         self._pin = pin_value_point and "dirichlet" not in self._edge_kind
 
         self._build_elements()
@@ -394,8 +391,10 @@ class SchurSystem:
         values = np.zeros(self.point_kind.shape)
         for kind, src in (("dirichlet", dirichlet), ("neumann", neumann)):
             every, per_edge = self._data_points[kind]
-            for e, s in src.items() if isinstance(src, dict) else [(None, src)]:
-                pick = every if e is None else per_edge.get(e)
+            keyed = isinstance(src, dict)
+            for e, s in src.items() if keyed else [(None, src)]:
+                pick = (per_edge.get(self.mesh.edge_number(e, BookkeepingError, f"{kind} data"))
+                        if keyed else every)
                 if pick is None:
                     raise BookkeepingError(
                         f"{kind} data names edge {e}, which is not a {kind} boundary edge")
@@ -517,5 +516,5 @@ def solve_element_dirichlet(pde, quad, n, f, g):
         quad = Quad(quad)
     if not callable(f):
         f = np.asarray(f, dtype=float)[None]
-    mesh = build_mesh(quad.vertices, [(0, 1, 2, 3)])
+    mesh = QuadMesh(quad.vertices, [(0, 1, 2, 3)])
     return SchurSystem(mesh, pde, n).solve(f=f, dirichlet=g)[0]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from ultrasem.mesh import build_mesh, grid_mesh, mesh_from_string
+from ultrasem.mesh import QuadMesh, grid_mesh, mesh_from_string
 
 # mesh property tests (``@settings(PROPERTIES)``): few examples, drawn
 # the same way every run, so that their cost stays small and fixed
@@ -69,7 +69,7 @@ def jiggled_grid(nx, ny, rng):
     for k in range(len(v)):
         if not mesh.boundary_vertex[k]:
             v[k] += rng.uniform(-0.08, 0.08, size=2) / max(nx, ny)
-    return build_mesh(v, mesh.quads)
+    return QuadMesh(v, mesh.quads)
 
 
 def skinny_pair_mesh(eps):
@@ -78,7 +78,7 @@ def skinny_pair_mesh(eps):
     verts = [(-1, -1), (1, -1), (1, 1), (-1, 1),
              (1 + 2 * eps, -0.9), (1 + eps, 0.9)]
     quads = [(0, 1, 2, 3), (2, 1, 4, 5)]
-    return build_mesh(verts, quads)
+    return QuadMesh(verts, quads)
 
 
 def mixed_mesh():

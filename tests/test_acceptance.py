@@ -17,7 +17,7 @@ from ultrasem.element import (
     operator_condition,
 )
 from ultrasem.mesh import (
-    build_mesh,
+    QuadMesh,
     grid_mesh,
     interface_bandwidth,
     order_interfaces,
@@ -118,7 +118,7 @@ class TestAcceptance:
     def test_04_single_element_extreme_aspect(self):
         t0 = time.perf_counter()
         quad = skinny_quad(1e-6)  # aspect ratio ~ 1e6
-        q = quality(build_mesh(quad.vertices, [(0, 1, 2, 3)]))
+        q = quality(QuadMesh(quad.vertices, [(0, 1, 2, 3)]))
         assert q.skinniness[0] < 1e-5
         uex = lambda x, y: np.sin(np.pi * x) * np.cos(np.pi * y) + x * y
         fex = lambda x, y: -2 * np.pi ** 2 * np.sin(np.pi * x) * np.cos(np.pi * y)
@@ -183,7 +183,7 @@ class TestAcceptance:
         uex = lambda x, y: np.cos(x) * np.exp(0.2 * y) + x
         fex = lambda x, y: (0.04 - 1.0) * np.cos(x) * np.exp(0.2 * y)
         worst = 0.0
-        meshes = [build_mesh([(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)],
+        meshes = [QuadMesh([(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)],
                              [(0, 1, 4, 3), (1, 2, 5, 4)]),
                   grid_mesh(2, 2), grid_mesh(4, 1), grid_mesh(3, 1)]
         for mesh in meshes:

@@ -17,13 +17,14 @@ from ultrasem.element import (
     edge_points,
     element_interior_operator,
     element_rhs_operator,
+    grid_points,
     operator_condition,
     point_derivative_rows,
     point_value_row,
     traversal_points,
 )
 from ultrasem.errors import GeometryError, SingularOperatorError
-from ultrasem.mesh import build_mesh, grid_mesh
+from ultrasem.mesh import QuadMesh, grid_mesh
 from ultrasem.quadmap import Quad, bilinear_coeffs, det_polynomial
 from ultrasem.schur import _normal_rows, assemble_schur, solve_element_dirichlet
 
@@ -280,7 +281,7 @@ class TestBoundaryRows:
         # all-Neumann square the pinned value takes corner (1, 1), the
         # first traversal point; the other three keep Neumann rows.
         n = 6
-        mesh = build_mesh(SQUARE.vertices, [(0, 1, 2, 3)])
+        mesh = QuadMesh(SQUARE.vertices, [(0, 1, 2, 3)])
         sys = assemble_schur(mesh, POISSON, n, bc={e: "neumann" for e in range(4)},
                              pin_value_point=True)
         assert sys.point_kind[0, 0] == "pin"
@@ -335,6 +336,20 @@ class TestRowScaling:
         # the zero operator: every interior row is zero and cannot be scaled
         with pytest.raises(SingularOperatorError):
             assemble_element_operator(PdeCoefficients(a11=0, a22=0), SQUARE, 6)
+
+    def test_wrong_number_of_boundary_rows_raises(self):
+        n = 6
+        rows = point_value_row(n, *traversal_points(n))[:-1]  # 4n - 5 rows
+        with pytest.raises(ValueError, match="^expected the 4n-4 boundary rows of the traversal$"):
+            assemble_element_operator(POISSON, SQUARE, n, rows=rows)
+
+    def test_zero_boundary_row_raises_naming_its_row(self):
+        n = 6
+        rows = point_value_row(n, *traversal_points(n))
+        rows[7] = 0.0
+        msg = f"row {boundary_slots(n)[7]} of the bordered operator is zero"
+        with pytest.raises(SingularOperatorError, match=f"^{msg}$"):
+            assemble_element_operator(POISSON, SQUARE, n, rows=rows)
 
 
 class TestAlmostBanded:
@@ -457,6 +472,14 @@ class TestWoodbury:
         assert (op._inv is not None) == (n <= 13)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    @pytest.mark.parametrize("n", [13, 14])  # held inverse, Woodbury factors
+    def test_physical_solve_is_raw_solve_of_scaled_rhs(self, rng, n):
+        op = assemble_element_operator(POISSON, SQUARE, n)
+        assert (op._inv is not None) == (n <= 13)
+        for b in (rng.standard_normal(n * n), rng.standard_normal((n * n, 3))):
+            want = op.solve_raw(op.scale.reshape((-1,) + (1,) * (b.ndim - 1)) * b)
+            assert np.array_equal(op.solve(b), want)
+
     def test_transpose_solve(self, rng):
         n = 9
         op = assemble_element_operator(POISSON, SQUARE, n)
@@ -575,6 +598,16 @@ class TestElementSolve:
         s1 = solve_element_dirichlet(POISSON, SQUARE, 16, f, uex)
         s2 = solve_element_dirichlet(PdeCoefficients.screened(0.0), SQUARE, 16, f, uex)
         assert np.max(np.abs(s1.data - s2.data)) < 1e-12
+
+    def test_grid_forcing_matches_callable(self):
+        # an n-by-n grid of forcing values on the ascending tensor grid
+        n, quad = 10, skinny_quad(1e-3)
+        f = lambda x, y: np.sin(3 * x) * np.cos(2 * y)
+        g = lambda x, y: x * y - y
+        X, Y = grid_points(bilinear_coeffs(quad), n)
+        by_grid = solve_element_dirichlet(POISSON, quad, n, f(X, Y), g)
+        by_call = solve_element_dirichlet(POISSON, quad, n, f, g)
+        assert np.array_equal(by_grid.data, by_call.data)
 
     def test_nonconvex_rejected(self):
         with pytest.raises(GeometryError):

@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from ultrasem import navierstokes, ultra
 from ultrasem.element import CoeffVector2D
 from ultrasem.errors import GeometryError, InstabilityError, MeshError
-from ultrasem.mesh import build_mesh, grid_mesh
+from ultrasem.mesh import QuadMesh, grid_mesh
 from ultrasem.navierstokes import (
     FlowState,
     NsConfig,
@@ -18,7 +20,7 @@ from conftest import eval_on_grid
 
 
 def single_square_solver(n=8, dt=1e-3, dealias=False, inlet=(0.0, 0.0)):
-    mesh = build_mesh([(-1, -1), (1, -1), (1, 1), (-1, 1)], [(0, 1, 2, 3)])
+    mesh = QuadMesh([(-1, -1), (1, -1), (1, 1), (-1, 1)], [(0, 1, 2, 3)])
     cfg = NsConfig(dt=dt, dealias=dealias)
     bnd = classify_tunnel_boundary(mesh, inlet_velocity=inlet)
     return TunnelSolver(mesh, n, cfg, bnd)
@@ -63,26 +65,58 @@ class TestBoundaryClassification:
     def test_label_of_a_missing_edge_rejected(self, edge):
         mesh = tunnel_mesh(3, 2, width=0.003, height=0.001, hole=None)  # 17 edges
         labels = {**classify_tunnel_boundary(mesh).labels, edge: "wall"}
-        with pytest.raises(MeshError, match=f"edge {edge} is labeled but is not an edge"):
+        msg = (f"edge {edge} (labeled 'wall') is not an edge of the mesh"
+               if isinstance(edge, int)
+               else f"edge key {edge!r} (labeled 'wall') is not an integer edge number")
+        with pytest.raises(MeshError, match=f"^{re.escape(msg)}$"):
             TunnelBoundary(mesh, labels)
 
-    def test_whole_number_float_labels_name_int_edges(self):
-        # {3.0: "wall", ...} labels edge 3: the keys are kept as int, so the
-        # solver builds and steps as with int keys (it raised IndexError)
+    @pytest.mark.parametrize("key", [3.0, False, np.float64(3.0)],
+                             ids=["float", "bool", "np-float"])
+    def test_non_integer_label_key_rejected(self, key):
+        # a whole-number float or a bool is no edge number, as for bc keys
         mesh = tunnel_mesh(3, 2, width=0.003, height=0.001, hole=None)
-        labels = classify_tunnel_boundary(mesh, (0.6, 0.0)).labels
-        bnd = TunnelBoundary(mesh, {float(e): k for e, k in labels.items()}, (0.6, 0.0))
+        labels = classify_tunnel_boundary(mesh).labels
+        kind = labels.pop(int(key))
+        msg = f"edge key {key!r} (labeled {kind!r}) is not an integer edge number"
+        with pytest.raises(MeshError, match=f"^{re.escape(msg)}$"):
+            TunnelBoundary(mesh, {key: kind, **labels})
+
+    def test_numpy_integer_label_keys_accepted(self):
+        mesh = tunnel_mesh(3, 2, width=0.003, height=0.001, hole=None)
+        labels = classify_tunnel_boundary(mesh).labels
+        bnd = TunnelBoundary(mesh, {np.int64(e): k for e, k in labels.items()})
         assert bnd.labels == labels and {type(e) for e in bnd.labels} == {int}
-        cfg = NsConfig(dt=1e-3)
-        steps = [TunnelSolver(mesh, 6, cfg, b).time_step(FlowState.rest(mesh, 6))
-                 for b in (bnd, TunnelBoundary(mesh, labels, (0.6, 0.0)))]
-        for field in ("u", "v", "p"):
-            assert np.array_equal(getattr(steps[0], field).data, getattr(steps[1], field).data)
 
     def test_constant_inlet_velocity_is_kept(self):
         mesh = tunnel_mesh(3, 2, width=0.003, height=0.001, hole=None)
         bnd = classify_tunnel_boundary(mesh, (0.6, 0.0))
         assert (bnd.inlet_u, bnd.inlet_v) == (0.6, 0.0)
+
+    @pytest.mark.parametrize("inlet", [0.6, (0.6,), (0.6, 0.0, 0.0), "uv", {0.6: 0.0},
+                                       np.array(0.6), np.zeros((2, 2)), (0.6, None)],
+                             ids=["scalar", "one", "three", "str", "dict", "0-d", "2x2", "none"])
+    def test_inlet_velocity_other_than_a_pair_rejected(self, inlet):
+        # a scalar was taken as u with v = 0
+        mesh = tunnel_mesh(3, 2, width=0.003, height=0.001, hole=None)
+        msg = f"inlet velocity {inlet!r} is not a pair (u, v) of constants or callables"
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            classify_tunnel_boundary(mesh, inlet)
+
+    @pytest.mark.parametrize("inlet", [[0.6, 0.0], np.array([0.6, 0.0])], ids=["list", "array"])
+    def test_listed_inlet_velocity_is_a_pair(self, inlet):
+        # a list or array was taken whole as u, broadcast along the inlet:
+        # the flow reached a max speed of 0.891 instead of 0.6
+        mesh = tunnel_mesh(4, 2, width=0.003, height=0.001, hole=None)
+        cfg = NsConfig(dt=1.667e-5)
+        solvers = [TunnelSolver(mesh, 8, cfg, classify_tunnel_boundary(mesh, iv))
+                   for iv in (inlet, (0.6, 0.0))]
+        st = [FlowState.rest(mesh, 8)] * 2
+        for _ in range(60):
+            st = [solver.time_step(s) for solver, s in zip(solvers, st)]
+            for field in ("u", "v", "p"):
+                assert np.array_equal(getattr(st[0], field).data, getattr(st[1], field).data)
+        assert abs(st[0].max_speed() - 0.6) < 1e-7
 
     def test_labels_match_the_edge_loop(self):
         # the per-edge rule, inlet before outlet before wall, on an offset
@@ -101,7 +135,7 @@ class TestBoundaryClassification:
 
     def test_slanted_wall_rejected(self):
         verts = [(0, 0), (1, 0.2), (1, 1), (0, 1)]
-        mesh = build_mesh(verts, [(0, 1, 2, 3)])
+        mesh = QuadMesh(verts, [(0, 1, 2, 3)])
         bnd = classify_tunnel_boundary(mesh)  # bottom edge becomes "object"
         labels = dict(bnd.labels)
         for e, k in labels.items():
@@ -178,7 +212,7 @@ class TestStackedElements:
 
     def solver_and_state(self, dealias):
         verts = [(0, 0), (1, 0.1), (2.2, 0), (0.1, 1.1), (1.2, 0.9), (2, 1.3)]
-        mesh = build_mesh(verts, [(0, 1, 4, 3), (1, 2, 5, 4)])
+        mesh = QuadMesh(verts, [(0, 1, 4, 3), (1, 2, 5, 4)])
         cfg = NsConfig(dt=1e-3, dealias=dealias)
         solver = TunnelSolver(mesh, 8, cfg, classify_tunnel_boundary(mesh))
         st = FlowState(u=field_from(self.U, solver), v=field_from(self.V, solver),
@@ -255,6 +289,34 @@ class TestTimeStepping:
         for f in range(mesh.n_quads):
             assert np.max(np.abs(st.u[f].eval(R, S) - 0.6)) < 1e-7
             assert np.max(np.abs(st.v[f].eval(R, S))) < 1e-7
+
+    def test_vertical_channel_with_free_slip_side_walls(self):
+        # the channel above turned upright: inlet at the bottom, outlet at
+        # the top, so the free-slip walls are the vertical sides
+        mesh = grid_mesh(2, 4, width=0.001, height=0.003)
+        edges = np.flatnonzero(mesh.boundary_edge)
+        y = mesh.vertices[mesh.edges[edges], 1]  # (B, 2 ends)
+        kind = np.select([(y == 0.0).all(axis=1), (y == 0.003).all(axis=1)],
+                         ["inlet", "outlet"], "wall")
+        bnd = TunnelBoundary(mesh, dict(zip(edges.tolist(), kind.tolist())), (0.0, 0.6))
+        assert len(bnd.edges("wall")) == 8
+        solver = TunnelSolver(mesh, 8, NsConfig(dt=1.667e-5), bnd)
+        wall = np.isin(solver.helm_u.point_edge, bnd.edges("wall"))
+        assert (solver.helm_u.point_kind[wall] == "dirichlet").all()
+        assert (solver.helm_v.point_kind[wall] == "neumann").all()
+        st = FlowState.rest(mesh, 8)
+        deltas = []
+        for _ in range(60):
+            new = solver.time_step(st)
+            deltas.append(max(np.abs(a.data - b.data).max()
+                              for a, b in zip(new.v, st.v)))
+            st = new
+        assert deltas[20] < deltas[2]
+        assert max(deltas[40:]) <= 1e-12 * 0.6
+        t = ultra.cheb_points(8)
+        R, S = np.meshgrid(t, t)
+        assert np.max(np.abs(st.v.eval(R, S) - 0.6)) < 1e-7
+        assert np.max(np.abs(st.u.eval(R, S))) < 1e-7
 
     def test_post_projection_divergence(self):
         mesh = tunnel_mesh(nx=4, ny=3, width=0.003, height=0.001, hole=None)

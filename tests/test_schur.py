@@ -23,7 +23,7 @@ from ultrasem.element import (
 )
 from ultrasem import element, schur
 from ultrasem.errors import BookkeepingError, GeometryError, SingularOperatorError
-from ultrasem.mesh import build_mesh, grid_mesh
+from ultrasem.mesh import QuadMesh, grid_mesh
 from ultrasem.navierstokes import (
     FlowState,
     NsConfig,
@@ -52,7 +52,7 @@ POISSON = PdeCoefficients.poisson()
 
 def two_squares():
     verts = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)]
-    return build_mesh(verts, [(0, 1, 4, 3), (1, 2, 5, 4)])
+    return QuadMesh(verts, [(0, 1, 4, 3), (1, 2, 5, 4)])
 
 
 def _coupling_blocks(sys):
@@ -114,7 +114,7 @@ class TestCoupling:
         assert np.all(v0 == -1.0) and np.all(v1 == -1.0)
 
     def test_single_element_no_coupling(self):
-        mesh = build_mesh([(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1, 2, 3)])
+        mesh = QuadMesh([(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1, 2, 3)])
         sys = assemble_schur(mesh, POISSON, 6)
         assert sys.n_gamma == 0
         assert np.array_equal(sys.to_dense_global(), sys.ops[0].to_dense())
@@ -335,7 +335,7 @@ class TestSolves:
     def test_all_neumann_pinned(self):
         # pure Neumann data determines u up to a constant; the pinned value
         # row anchors it
-        mesh = build_mesh([(-1, -1), (1, -1), (1, 1), (-1, 1)], [(0, 1, 2, 3)])
+        mesh = QuadMesh([(-1, -1), (1, -1), (1, 1), (-1, 1)], [(0, 1, 2, 3)])
         uex = lambda x, y: x * x - y * y  # harmonic
         grad = lambda x, y: (2 * x, -2 * y)
         normals = {}
@@ -465,7 +465,7 @@ class TestSolves:
                 assert np.array_equal(a.data, b.data)
 
     @pytest.mark.parametrize("mesh", [
-        lambda: build_mesh([(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1, 2, 3)]), mixed_mesh],
+        lambda: QuadMesh([(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1, 2, 3)]), mixed_mesh],
         ids=["one-element", "mixed"])
     def test_threaded_first_solves_bitwise_identical(self, mesh):
         # a system is factored when it is built: 4 threads making the first
@@ -547,7 +547,7 @@ class TestSolves:
         scale = max(np.abs(s.data).max() for s in want)
         for _ in range(6):
             perm = rng.permutation(mesh.n_quads)
-            got = solve(build_mesh(mesh.vertices, mesh.quads[perm]))
+            got = solve(QuadMesh(mesh.vertices, mesh.quads[perm]))
             for k, f in enumerate(perm):
                 assert np.abs(got[k].data - want[f].data).max() <= 1e-10 * scale
 
@@ -637,7 +637,7 @@ class TestErrors:
     def test_non_integer_bc_key_rejected(self, key):
         # a whole-number float or a bool is no edge number (they raised a raw
         # IndexError, or a ValueError from indexing by a bool)
-        msg = f"bc key {key!r} is not an integer edge number"
+        msg = f"edge key {key!r} (bc 'neumann') is not an integer edge number"
         with pytest.raises(BookkeepingError, match=f"^{re.escape(msg)}$"):
             assemble_schur(two_squares(), POISSON, 6, bc={key: "neumann"})
 
@@ -660,6 +660,19 @@ class TestErrors:
         (edge, _), = entries.items()
         with pytest.raises(BookkeepingError, match=rf"edge {edge}\b.*{kind}"):
             sys.solve(f=lambda x, y: 1.0 + 0 * x, **data)
+
+    @pytest.mark.parametrize("kind, key", [("dirichlet", False), ("dirichlet", 0.0),
+                                           ("neumann", True), ("neumann", np.True_)],
+                             ids=["dirichlet-bool", "dirichlet-float", "neumann-bool",
+                                  "neumann-np-bool"])
+    def test_non_integer_boundary_data_key_rejected(self, kind, key):
+        # one rule for edge keys, as for bc: these keys looked up edges 0
+        # and 1 (0 == False == 0.0), so the data went on those edges
+        mesh = QuadMesh([(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1, 2, 3)])
+        sys = assemble_schur(mesh, POISSON, 6, bc={1: "neumann"})
+        msg = f"edge key {key!r} ({kind} data) is not an integer edge number"
+        with pytest.raises(BookkeepingError, match=f"^{re.escape(msg)}$"):
+            sys.solve(f=None, **{kind: {key: 1.0}})
 
     @pytest.mark.parametrize("kind, edge", [("dirichlet", 1), ("neumann", 1),
                                             ("dirichlet", 0), ("neumann", 2)])
@@ -704,7 +717,7 @@ class TestErrors:
         # the second quad has a reflex angle at vertex 2 (its area is
         # positive, so the mesh itself builds)
         verts = [(0, 0), (1, 0), (1, 1), (0, 1), (2, 0), (1.2, 0.5)]
-        mesh = build_mesh(verts, [(0, 1, 2, 3), (1, 4, 5, 2)])
+        mesh = QuadMesh(verts, [(0, 1, 2, 3), (1, 4, 5, 2)])
         with pytest.raises(GeometryError,
                            match="element 1: quadrilateral is not strictly convex at vertex 2"):
             assemble_schur(mesh, POISSON, 6)
@@ -888,7 +901,7 @@ class TestSharedElements:
         # thicknesses differ by 5%, yet the coefficients agree to 5e-14 of
         # the largest one, so only an inradius scale keeps them apart
         verts = [(0, 0), (1, 0), (1, 1e-12), (0, 1e-12), (1, 2.05e-12), (0, 2.05e-12)]
-        mesh = build_mesh(verts, [(0, 1, 2, 3), (3, 2, 4, 5)])
+        mesh = QuadMesh(verts, [(0, 1, 2, 3), (3, 2, 4, 5)])
         assert assemble_schur(mesh, POISSON, 6).n_distinct == 2
 
     def test_zero_tolerance_is_the_exact_key(self, monkeypatch):
@@ -994,7 +1007,7 @@ def test_random_jiggled_grid_properties(nx, ny, n, seed):
     dense = np.array([s.data for s in sys.solve_dense(f=f, dirichlet=g)])
     assert np.abs(want - dense).max() <= 1e-10 * np.abs(dense).max()
     perm = rng.permutation(mesh.n_quads)
-    got = assemble_schur(build_mesh(mesh.vertices, mesh.quads[perm]),
+    got = assemble_schur(QuadMesh(mesh.vertices, mesh.quads[perm]),
                          POISSON, n).solve(f=f, dirichlet=g)
     for k, q in enumerate(perm):
         assert np.abs(got[k].data - want[q]).max() <= 1e-10 * np.abs(want).max()
@@ -1007,7 +1020,7 @@ def _sliver_pair_mesh(eps, alpha, slope, y1, y2, theta):
     x = lambda y: 1 + eps * alpha * (1 + slope * y)
     v = np.array([(-1, -1), (1, -1), (1, 1), (-1, 1), (x(y1), y1), (x(y2), y2)])
     c, s = np.cos(theta), np.sin(theta)
-    return build_mesh(v @ np.array([[c, s], [-s, c]]), [(0, 1, 2, 3), (2, 1, 4, 5)])
+    return QuadMesh(v @ np.array([[c, s], [-s, c]]), [(0, 1, 2, 3), (2, 1, 4, 5)])
 
 
 @settings(PROPERTIES)
