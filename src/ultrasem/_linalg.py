@@ -20,8 +20,9 @@ contraction of element assembly go through it, and the dense condition
 numbers and the dense oracle call scipy's LAPACK, so numpy's thread pool
 does no threaded work on those paths and default threads run at pinned
 speed.  The products left on numpy (the stacked transforms and gradients,
-the held element inverses at n = 8, a solve's batched coupling products)
-measure the same under default and pinned threads.
+the held element inverses at n = 8, a solve's batched element solve with
+the held blocks and its batched coupling products) measure the same under
+default and pinned threads.
 """
 
 import numpy as np

@@ -53,12 +53,21 @@ elements whose coordinates round differently therefore share; elements
 with bitwise equal inputs get bit-identical operators and W blocks to
 building every element alone.  Setup is array operations over all
 elements and interior edges at once, with Python loops only over classes,
-groups and their pairs.  A solve multiplies by each class's
-right-hand-side operator once, places boundary data at points listed at
-setup, makes one multi-column ``solve_raw`` per group, and applies the
-pairs' rows and the groups' W as one batched product each.
+groups and their pairs.
+
+When every group holds its inverse, each group's zero-interface element
+solve is held as one block as well: ``_k``, (G, n^2 + 4n-4, n^2), holds
+``(B_g^{-1} diag(s_g) [R_c | P])^T`` with R_c the class's right-hand-side
+operator and P placing boundary values at their slots, and W is a view
+of its last 4n-4 rows.  A solve is then one batched product of every
+element's forcing coefficients and boundary values with ``_k``.  A
+system with any Woodbury group instead multiplies by each class's
+right-hand-side operator once, places the boundary data at their slots
+and makes one multi-column ``solve_raw`` per group.  Either way it
+applies the pairs' rows and the groups' W as one batched product each.
 """
 
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -150,7 +159,9 @@ class SchurSystem:
     docstring): ``_pair_rows`` (Q, n^2, n+2) for the Q (class, local
     edge) pairs that occur, ``_w`` (G, 4n-4, n^2) for the G groups, and
     the indices that gather their products to the matching rows and to
-    the elements.  ``_point_col`` is the interface
+    the elements.  ``_k`` (G, n^2 + 4n-4, n^2) holds every group's
+    zero-interface element solve when every group holds its inverse, with
+    ``_w`` a view of it, and is None otherwise.  ``_point_col`` is the interface
     value each boundary point reads (n_gamma where it is not coupled).
     ``sigma_rcond`` is the reciprocal 1-norm condition estimate of Sigma
     (None without interfaces).  ``maps`` is one stacked bilinear map with
@@ -181,6 +192,7 @@ class SchurSystem:
         self._pin = pin_value_point and "dirichlet" not in self._edge_kind
 
         self._build_elements()
+        self._k = self._hold_element_solves()
         # the coupling's build temporaries are freed before Sigma is factored
         self._factor_sigma(self._build_coupling())
 
@@ -249,6 +261,25 @@ class SchurSystem:
         self.ops = list(ops[self._group])
         self._scale = np.array([op.scale for op in ops])[self._group]
 
+    def _hold_element_solves(self):
+        """When every group holds its inverse, each group's zero-interface
+        element solve as one block: (G, n^2 + 4n-4, n^2), group g's block
+        ``(B_g^{-1} diag(s_g) [R_c | P])^T`` with ``R_c`` its class's
+        right-hand-side operator and ``P`` placing the boundary values at
+        their slots, formed with one product per class.  None when any
+        group solves through its Woodbury factors."""
+        ops = [op for _, op in self.groups]
+        if any(op._inv is None for op in ops):
+            return None
+        nn, slots = self.n * self.n, boundary_slots(self.n)
+        k = np.empty((self.n_distinct, nn + slots.size, nn))
+        for elems, rhs_op in self.classes:
+            g = np.unique(self._group[elems])
+            scaled = np.concatenate([ops[i]._inv * ops[i].scale for i in g])
+            k[g, :nn] = (scaled @ rhs_op).reshape(g.size, nn, nn).transpose(0, 2, 1)
+            k[g, nn:] = scaled[:, slots].reshape(g.size, nn, slots.size).transpose(0, 2, 1)
+        return k
+
     # -- coupling and the Schur complement -------------------------------
 
     def _build_coupling(self):
@@ -269,6 +300,9 @@ class SchurSystem:
         cover = np.bincount(self._point_col.ravel(), minlength=ng + 1)[:ng]
         if not np.array_equal(cover, 2 - np.isin(np.arange(ng) % n, (0, n - 1))):
             raise BookkeepingError("corner-exclusion rule failed to cover the interface points")
+        # the elements of each group, padded, read their interface values
+        # and their held solves' data through one row index
+        self._w_cols, self._w_from = _pad(self._group, self._point_col, ng)
         if ng == 0:
             return None
 
@@ -310,13 +344,14 @@ class SchurSystem:
         self._pair_elems, at = _pad(q.ravel(), f.ravel(), 0)
         self._match_at = at.reshape(q.shape)[..., None] * (n + 2) + col
 
-        # One W per group, from its held inverse or Woodbury factors, held
-        # transposed; the elements of each group, padded, read their
-        # interface values through one column index.
-        slots = boundary_slots(n)
-        cols = ((op.boundary_columns() * op.scale[slots]).T for _, op in self.groups)
-        self._w = np.fromiter(cols, np.dtype((float, (slots.size, n * n))), self.n_distinct)
-        self._w_cols, self._w_from = _pad(self._group, self._point_col, ng)
+        # One W per group, held transposed: the last rows of its held
+        # solves, else from its Woodbury factors.
+        if self._k is not None:
+            self._w = self._k[:, n * n:]
+        else:
+            slots = boundary_slots(n)
+            cols = ((op.boundary_columns() * op.scale[slots]).T for _, op in self.groups)
+            self._w = np.fromiter(cols, np.dtype((float, (slots.size, n * n))), self.n_distinct)
 
         # Sigma takes one (4n-4, n+2) product of each group's W with each
         # pair in which it has a side, gathered to the sides, scaled as
@@ -373,21 +408,18 @@ class SchurSystem:
 
     # -- right-hand sides and solving --------------------------------------
 
-    def _rhs_vectors(self, f, dirichlet, neumann):
-        """Right-hand sides of every element, stacked (F, n^2): the forcing
-        sampled on all element grids at once, its equations at their slots,
-        and the boundary data of every Dirichlet and Neumann traversal
-        point at its boundary slot."""
-        n = self.n
-        B = np.zeros((self.mesh.n_quads, n * n))
+    def _rhs_data(self, f, dirichlet, neumann):
+        """The forcing's Chebyshev coefficients on every element, stacked
+        (F, n^2) (None without forcing), and the boundary data of every
+        traversal point, (F, 4n-4): a constant is written as it is, a
+        callable evaluated on the points of its edges, zero elsewhere."""
+        C = None
         if f is not None:
             G = sample_on_grid(self.grid_x, self.grid_y, f)
             bad = ~np.isfinite(G).all(axis=(1, 2))
             if bad.any():
                 raise ValueError(f"forcing is not finite on element {np.argmax(bad)}")
             C = CoeffVector2D.from_matrix(ultra.vals_to_coeffs_2d(G)).data
-            for elems, rhs_op in self.classes:
-                B[elems] = (rhs_op @ C[elems].T).T
         values = np.zeros(self.point_kind.shape)
         for kind, src in (("dirichlet", dirichlet), ("neumann", neumann)):
             every, per_edge = self._data_points[kind]
@@ -398,25 +430,57 @@ class SchurSystem:
                 if pick is None:
                     raise BookkeepingError(
                         f"{kind} data names edge {e}, which is not a {kind} boundary edge")
-                if pick.size:
+                where = f"{kind} data on " + (f"edge {e}" if keyed else f"every {kind} edge")
+                if isinstance(s, numbers.Real):
+                    values.flat[pick] = s
+                elif not callable(s):
+                    raise ValueError(
+                        f"{where} is {s!r}, not a real constant or a callable (x, y)")
+                elif pick.size:
                     x, y = self.point_x.flat[pick], self.point_y.flat[pick]
-                    values.flat[pick] = s(x, y) if callable(s) else s
+                    got = s(x, y)
+                    try:
+                        values.flat[pick] = np.broadcast_to(np.asarray(got, dtype=float), x.shape)
+                    except ValueError:
+                        raise ValueError(f"{where} gave shape {np.shape(got)}, not real values "
+                                         f"broadcasting to its {x.size} points") from None
         bad = ~np.isfinite(values)
         if bad.any():
             k = np.unravel_index(np.argmax(bad), bad.shape)
             raise ValueError(f"boundary data is not finite on element {k[0]}, "
                              f"edge {self.point_edge[k]} at "
                              f"({self.point_x[k]:g}, {self.point_y[k]:g})")
-        B[:, boundary_slots(n)] = values
+        return C, values
+
+    def _rhs_vectors(self, C, values):
+        """Right-hand sides of every element, stacked (F, n^2), from
+        :meth:`_rhs_data`: each class's right-hand-side operator applied
+        to its forcing coefficients puts the equations at their slots, and
+        the boundary values fill the boundary slots."""
+        B = np.zeros((self.mesh.n_quads, self.n * self.n))
+        if C is not None:
+            for elems, rhs_op in self.classes:
+                B[elems] = (rhs_op @ C[elems].T).T
+        B[:, boundary_slots(self.n)] = values
         return B
 
-    def _element_solves(self, B):
+    def _element_solves(self, C, values):
         """Stacked (F, n^2) element solves with zero interface values of
-        the scaled right-hand sides, one multi-column solve per group."""
-        Y = self._scale * B
-        for elems, op in self.groups:
-            Y[elems] = op.solve_raw(Y[elems].T).T
-        return Y
+        the data from :meth:`_rhs_data`: with held solves ``_k``, one
+        batched product of every element's [forcing coefficients | boundary
+        values], padded by group; else the scaled right-hand sides and one
+        multi-column solve per group."""
+        if self._k is None:
+            Y = self._scale * self._rhs_vectors(C, values)
+            for elems, op in self.groups:
+                Y[elems] = op.solve_raw(Y[elems].T).T
+            return Y
+        nn, (G, most) = self.n * self.n, self._w_cols.shape[:2]
+        D = np.zeros((G * most, self._k.shape[1]))
+        if C is not None:
+            D[self._w_from, :nn] = C
+        D[self._w_from, nn:] = values
+        return np.matmul(D.reshape(G, most, -1), self._k).reshape(-1, nn)[self._w_from]
 
     def solve(self, f=None, dirichlet=0.0, neumann=0.0, return_info=False):
         """Solve the PDE on the whole mesh.
@@ -424,13 +488,14 @@ class SchurSystem:
         ``f`` is a callable of physical coordinates, evaluated once on the
         stacked (F, n, n) element grids, an (F, n, n) array of grid values
         (a list of n-by-n grids converts), or None (zero).
-        ``dirichlet``/``neumann`` supply boundary data as a constant, a
-        callable ``(x, y)`` evaluated once on arrays of boundary points, or
-        a dict mapping global boundary edge numbers to either.
+        ``dirichlet``/``neumann`` supply boundary data as a real constant,
+        a callable ``(x, y)`` evaluated once on arrays of boundary points
+        (its result must broadcast to their shape), or a dict mapping
+        global boundary edge numbers to either.
         Returns one stacked :class:`CoeffVector2D` of the F elements.
         """
-        B = self._rhs_vectors(f, dirichlet, neumann)
-        X = self._element_solves(B)
+        C, values = self._rhs_data(f, dirichlet, neumann)
+        X = self._element_solves(C, values)
         u_gamma = np.zeros(self.n_gamma)
         if self.n_gamma:
             u_gamma = self._sigma_solve(-self._match(X))
@@ -439,6 +504,7 @@ class SchurSystem:
         sols = CoeffVector2D(self.n, X)
         if not return_info:
             return sols
+        B = self._rhs_vectors(C, values)
         return sols, SolveInfo(u_gamma=u_gamma, residual=self._residual(X, u_gamma, B))
 
     def _residual(self, X, u_gamma, B):
@@ -487,7 +553,7 @@ class SchurSystem:
 
     def solve_dense(self, f=None, dirichlet=0.0, neumann=0.0):
         """Solve through the dense monolithic matrix (oracle path)."""
-        B = self._rhs_vectors(f, dirichlet, neumann)
+        B = self._rhs_vectors(*self._rhs_data(f, dirichlet, neumann))
         rhs = np.concatenate([(self._scale * B).ravel(), np.zeros(self.n_gamma)])
         *_, x, info = dgesv(self.to_dense_global(), rhs)
         if info != 0:

@@ -318,6 +318,21 @@ class TestTimeStepping:
         assert np.max(np.abs(st.v.eval(R, S) - 0.6)) < 1e-7
         assert np.max(np.abs(st.u.eval(R, S))) < 1e-7
 
+    def test_left_out_edges_get_zero_data(self, rng):
+        # the stepper passes only the inlet's velocity data: listing every
+        # other Dirichlet edge, wall or object, with 0.0 changes no bit
+        mesh = tunnel_mesh(nx=4, ny=3, width=0.003, height=0.001, hole=(1, 1))
+        bnd = classify_tunnel_boundary(mesh, (0.6, 0.0))
+        solver = TunnelSolver(mesh, 8, NsConfig(dt=1.667e-5), bnd)
+        assert set(solver._dir_u) == set(solver._dir_v) == set(bnd.edges("inlet"))
+        f = rng.standard_normal((mesh.n_quads, 8, 8))
+        for system, data in ((solver.helm_u, solver._dir_u), (solver.helm_v, solver._dir_v)):
+            dirichlet = set(system.point_edge[system.point_kind == "dirichlet"].tolist())
+            zero = dirichlet - set(data)
+            assert zero and zero <= set(bnd.edges("wall") + bnd.edges("object"))
+            want = system.solve(f=f, dirichlet={**dict.fromkeys(zero, 0.0), **data})
+            assert np.array_equal(system.solve(f=f, dirichlet=data).data, want.data)
+
     def test_post_projection_divergence(self):
         mesh = tunnel_mesh(nx=4, ny=3, width=0.003, height=0.001, hole=None)
         cfg = NsConfig(dt=1.667e-5)

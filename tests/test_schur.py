@@ -504,7 +504,7 @@ class TestSolves:
         sys = assemble_schur(grid_mesh(2, 2), POISSON, 8)
         f = lambda x, y: np.sin(3 * x) + y
         sols, info = sys.solve(f=f, dirichlet=0.0, return_info=True)
-        X0 = sys._element_solves(sys._rhs_vectors(f, 0.0, 0.0))
+        X0 = sys._element_solves(*sys._rhs_data(f, 0.0, 0.0))
         U = np.append(info.u_gamma, 0.0)[sys._w_cols]
         for fidx in rng.permutation(sys.mesh.n_quads):
             _, (g, i) = _held_w(sys, fidx)
@@ -574,6 +574,44 @@ class TestHeldInverse:
         sys = assemble_schur(mesh, _general_pde(VARCOEF, mesh), 24)
         assert len(sys.groups) == len(sys.classes) == mesh.n_quads
         assert all(op._inv is None for _, op in sys.groups)
+
+
+    @pytest.mark.parametrize("case, held, solves", [
+        ("grid-n13", 1, 0), ("grid-n14", 0, 1), ("mixed-n14", 6, 7)])
+    def test_held_solves_only_when_every_group_holds(self, case, held, solves, monkeypatch):
+        # one batched product with the held blocks when every group holds
+        # its inverse (Poisson up to n = 13), else each class's
+        # right-hand-side product and one solve_raw per group
+        mesh = mixed_mesh() if case == "mixed-n14" else grid_mesh(3, 3)
+        sys = assemble_schur(mesh, POISSON, 13 if case == "grid-n13" else 14)
+        assert len(sys.groups) == {"mixed-n14": 7}.get(case, 1)
+        assert sum(op._inv is not None for _, op in sys.groups) == held
+        assert (sys._k is not None) == (held == len(sys.groups))
+        calls, solve_raw = [], element.AlmostBandedMatrix.solve_raw
+        monkeypatch.setattr(element.AlmostBandedMatrix, "solve_raw",
+                            lambda op, b: calls.append("solve_raw") or solve_raw(op, b))
+
+        class Counted:
+            def __init__(self, op):
+                self.op = op
+
+            def __matmul__(self, b):
+                calls.append("rhs")
+                return self.op @ b
+
+        monkeypatch.setattr(sys, "classes", [(e, Counted(op)) for e, op in sys.classes])
+        f = lambda x, y: np.exp(x) * np.sin(2 * y)
+        got = sys.solve(f=f, dirichlet=lambda x, y: x * y).data
+        products = len(sys.classes) if solves else 0
+        assert sorted(calls) == ["rhs"] * products + ["solve_raw"] * solves
+        want = sys.solve_dense(f=f, dirichlet=lambda x, y: x * y).data
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_held_solves_hold_w(self):
+        # W is the last 4n-4 rows of each group's held solve block
+        sys = assemble_schur(grid_mesh(12, 12), POISSON, 8)
+        assert sys._k.shape == (1, 92, 64) and sys._w.shape == (1, 28, 64)
+        assert np.shares_memory(sys._w, sys._k)
 
 
 class TestGlobalContinuity:
@@ -684,6 +722,26 @@ class TestErrors:
         msg = f"{kind} data names edge {edge}, which is not a {kind} boundary edge"
         with pytest.raises(BookkeepingError, match=f"^{re.escape(msg)}$"):
             sys.solve(f=None, **{kind: {edge: 1.0}})
+
+    @pytest.mark.parametrize("data", [
+        {"dirichlet": {2: lambda x, y: np.ones(3)}},  # 3 values for 5 points
+        {"dirichlet": [1.0, 2.0]},
+        {"dirichlet": np.ones(5)},
+        {"neumann": "1"},
+    ], ids=["short-callable", "list", "array", "string"])
+    def test_malformed_boundary_data_rejected(self, data):
+        # each was written with values.flat[...] = ..., which tiles a short
+        # array and reads "1" as 1.0
+        sys = assemble_schur(grid_mesh(2, 1), POISSON, 6, bc={0: "neumann"})
+        (kind, _), = data.items()
+        with pytest.raises(ValueError, match=f"^{kind} data on (edge 2|every {kind} edge) "):
+            sys.solve(f=None, **data)
+
+    def test_scalar_callable_data_broadcasts(self):
+        sys = assemble_schur(grid_mesh(2, 1), POISSON, 6, bc={0: "neumann"})
+        want = sys.solve(f=None, dirichlet={2: 0.5}, neumann=0.25)
+        got = sys.solve(f=None, dirichlet={2: lambda x, y: 0.5}, neumann=lambda x, y: 0.25)
+        assert np.array_equal(got.data, want.data)
 
     def test_per_edge_data_sees_only_its_edge(self):
         # u = x y on the unit square: zero constants on the edges at x = 0
