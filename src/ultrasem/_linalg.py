@@ -4,8 +4,8 @@ through the same BLAS.
 Solves with a vector, a narrow block or the transposed matrix go to
 LAPACK ``gbtrs``.  ``gbtrs`` back-substitutes one right-hand side at a
 time, reading the whole band for each column, so a block at least
-``_BLOCK`` columns wide (the Woodbury ``Z`` and element inverses) is
-solved panel by panel instead: for each panel of ``_BLOCK`` unknowns,
+``_BLOCK`` columns wide (the Woodbury ``Z`` and the held element solves)
+is solved panel by panel instead: for each panel of ``_BLOCK`` unknowns,
 ``L`` and then ``U`` are one triangular solve and one matrix product over
 every right-hand side (Du Croz, Mayes and Radicati 1990, "Factorizations
 of band matrices using Level 3 BLAS", LAPACK Working Note 21).  Every
@@ -20,9 +20,8 @@ contraction of element assembly go through it, and the dense condition
 numbers and the dense oracle call scipy's LAPACK, so numpy's thread pool
 does no threaded work on those paths and default threads run at pinned
 speed.  The products left on numpy (the stacked transforms and gradients,
-the held element inverses at n = 8, a solve's batched element solve with
-the held blocks and its batched coupling products) measure the same under
-default and pinned threads.
+a solve's batched element solve with the held blocks and its batched
+coupling products) measure the same under default and pinned threads.
 """
 
 import numpy as np

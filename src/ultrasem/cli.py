@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ultra
-from .element import PdeCoefficients, assemble_element_operator, operator_condition
+from .element import (PdeCoefficients, assemble_element_operator, check_n,
+                      operator_condition)
 from .errors import (ExpressionError, InstabilityError, MeshFormatError,
                      UltrasemError)
 from .expressions import compile_expression
@@ -372,8 +373,7 @@ def _bool_flag(s):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.n < 4:
-            raise ValueError("need n >= 4")
+        check_n(args.n)
         return args.fn(args)
     except (MeshFormatError, ExpressionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

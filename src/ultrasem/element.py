@@ -13,12 +13,11 @@ either variable (4n-4 of them) are dropped and the rest moved to their
 slots (:func:`_to_slots`), in the operator and in the right-hand-side
 operator alike; the freed slots take dense boundary-condition rows, and
 the bordered system is solved with a banded LU plus a low-rank Woodbury
-correction, or through its held dense inverse when that is no larger
-than what the Woodbury solve reads.  Every operator is factored when it
-is built, so solves only read it.  Elements that differ only in their
-boundary rows are copies of one operator
-(:meth:`AlmostBandedMatrix.bordered`), sharing its banded part and LU
-and each with its own factored border.
+correction: a banded solve, then the border correction.  Every operator
+is factored when it is built, so solves only read it.  Elements that
+differ only in their boundary rows are copies of one operator
+(:meth:`AlmostBandedMatrix.bordered`), sharing its banded part, LU and
+banded solves and each with its own factored border.
 """
 
 import copy
@@ -92,6 +91,14 @@ class PdeCoefficients:
 # coefficient vectors
 
 
+def check_n(n, least=4):
+    """``n`` as an int if it is a Python or numpy integer, not a bool, of at
+    least ``least``; anything else raises ``ValueError`` naming it."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
+        raise ValueError(f"need an integer n >= {least}, not {n!r}")
+    return int(n)
+
+
 class CoeffVector2D:
     """Tensor Chebyshev coefficients of one element's scalar field, or of a
     stack of them: ``data`` has shape ``(..., n^2)``, each element's
@@ -99,7 +106,7 @@ class CoeffVector2D:
     over a stack give views, not copies."""
 
     def __init__(self, n, data):
-        self.n = int(n)
+        self.n = check_n(n, least=0)
         self.data = np.asarray(data, dtype=float)
         if self.data.shape[-1:] != (self.n * self.n,):
             raise ValueError("coefficient vectors must have length n^2")
@@ -372,8 +379,7 @@ def element_interior_operator(pde, quad, n):
     matrix: ``sum_ref sum_j kron(T_j(X_2) A_ref, M_2(C_ref[:, j]) B_ref)``
     over the 1-D factors ``(A_ref, B_ref)`` of each reference
     derivative."""
-    if n < 4:
-        raise ValueError("need n >= 4")
+    n = check_n(n)
     if not isinstance(quad, Quad):
         quad = Quad(quad)
     P, Q = [], []
@@ -401,16 +407,14 @@ class AlmostBandedMatrix:
     per column picking a boundary slot, and row ``t`` of ``V`` is the
     (row-scaled) dense boundary row minus the unit row it replaces.  The
     constructor factors it: a banded LU of ``A``, ``Z = A^{-1} U`` and a
-    dense capacitance ``I + V Z``; solves with ``B`` and with ``B^T`` both
-    reuse them and change nothing, so one operator serves concurrent
-    solves.  When the dense inverse is no larger than what a Woodbury
-    solve reads, ``nn <= (2 kl + ku + 1) + 2 k`` (the LU's band rows plus
-    ``Z`` and ``V``), it forms ``A^{-1}`` with one banded solve, takes
-    ``Z`` as its slot columns and holds ``B^{-1}``, and solves are
-    products with it.  Copies made by :meth:`bordered` share ``A`` and its
-    factors.  ``cap_rcond`` is the 1-norm reciprocal condition estimate of
-    the capacitance (LAPACK ``gecon``); one below machine epsilon raises
-    :class:`SingularOperatorError`.
+    dense capacitance ``I + V Z``.  A solve with ``B`` is a banded solve
+    with ``A`` (:meth:`banded_solve`) followed by the Woodbury border
+    correction (:meth:`correct`); solves with ``B`` and with ``B^T``
+    reuse the factors and change nothing, so one operator serves
+    concurrent solves.  Copies made by :meth:`bordered` share ``A``, its
+    LU and ``Z``.  ``cap_rcond`` is the 1-norm reciprocal condition
+    estimate of the capacitance (LAPACK ``gecon``); one below machine
+    epsilon raises :class:`SingularOperatorError`.
     """
 
     def __init__(self, banded, slots, dense_rows, scale):
@@ -442,27 +446,20 @@ class AlmostBandedMatrix:
         return y
 
     def _factor(self):
-        """The banded LU of ``A`` and ``Z``, with ``A^{-1}`` under the size
-        rule, then the border's factors."""
+        """The banded LU of ``A``, ``Z`` from the unit border columns, then
+        the border's factors."""
         # a DIA diagonal is a column-indexed row of LAPACK band storage
         kl, ku = self.bandwidths()
         ab = np.zeros((2 * kl + ku + 1, self.nn), order="F")
         ab[kl + ku - self.banded.offsets] = self.banded.data
         self._lu = BandedLU(ab, kl, ku, name="element banded part")
-        self._Ainv = None
-        if self.nn <= (2 * kl + ku + 1) + 2 * self.k:
-            # the size rule: Z is the slot columns of A^{-1}
-            self._Ainv = self._lu.solve(np.eye(self.nn))
-            self._Z = self._Ainv[:, self.slots]
-        else:
-            E = np.zeros((self.nn, self.k))
-            E[self.slots, np.arange(self.k)] = 1.0
-            self._Z = self._lu.solve(E)
+        E = np.zeros((self.nn, self.k))
+        E[self.slots, np.arange(self.k)] = 1.0
+        self._Z = self._lu.solve(E)
         self._factor_border()
 
     def _factor_border(self):
-        """The capacitance ``I + V Z``: its LU and ``cap_rcond``, and
-        ``B^{-1}`` when ``A^{-1}`` is held."""
+        """The capacitance ``I + V Z``: its LU and ``cap_rcond``."""
         cap = gemm(1.0, self.V, self._Z, 1.0, np.eye(self.k, order="F"))
         lu, piv, info = dgetrf(cap)
         # info > 0 is an exact zero pivot; non-finite factors come from
@@ -476,14 +473,12 @@ class AlmostBandedMatrix:
                 f"(reciprocal condition estimate {rcond:.2e})")
         self.cap_rcond = float(rcond)
         self._cap = (lu, piv)
-        # A^{-1} is copied in its own memory order, on which B^{-1}'s last bits depend
-        self._inv = None if self._Ainv is None else self._correct(self._Ainv.copy(order="K"))
 
     def bordered(self, rows):
         """This operator with other unscaled boundary ``rows``: equal to what
         :func:`assemble_element_operator` builds from them, with its own
-        ``V``, scale and factored capacitance, and sharing ``A``, its LU,
-        ``Z`` and ``A^{-1}``."""
+        ``V``, scale and factored capacitance, and sharing ``A``, its LU
+        and ``Z``, so that its banded solves are this operator's."""
         op = copy.copy(self)
         op.V, op.scale = _border(self.scale, self.slots, rows)
         op._factor_border()
@@ -498,27 +493,25 @@ class AlmostBandedMatrix:
             raise SingularOperatorError(f"capacitance solve failed (info {info})")
         return x
 
-    def solve_raw(self, rhs):
-        """Solve ``B x = rhs`` where ``B`` is the (already row-scaled)
-        bordered operator, for one or many right-hand sides: a product with
-        the held ``B^{-1}``, else a banded solve and the Woodbury
-        correction."""
-        if self._inv is not None:
-            return self._inv @ rhs
-        return self._correct(self._lu.solve(rhs))
+    def banded_solve(self, rhs):
+        """``A^{-1} rhs`` for one or many right-hand sides, the same for
+        every :meth:`bordered` copy."""
+        return self._lu.solve(rhs)
 
-    def _correct(self, y):
+    def correct(self, y):
         """``B^{-1} b`` from the float array ``y = A^{-1} b``, which it
-        overwrites and returns: ``y - Z cap^{-1} V y``."""
+        overwrites when contiguous and returns: ``y - Z cap^{-1} V y``."""
         return gemm(-1.0, self._Z, self._cap_solve(gemm(1.0, self.V, y)), 1.0, y)
 
+    def solve_raw(self, rhs):
+        """Solve ``B x = rhs`` where ``B`` is the (already row-scaled)
+        bordered operator, for one or many right-hand sides."""
+        return self.correct(self.banded_solve(rhs))
+
     def boundary_columns(self):
-        """Columns ``slots`` of ``B^{-1}``: of the held inverse under the
-        size rule, else from the held Woodbury factors (``Z = A^{-1} U``
-        has ``Z[slots] = I``, so ``B^{-1} U = Z cap^{-1}``).  Neither
-        needs a banded solve."""
-        if self._inv is not None:
-            return self._inv[:, self.slots]
+        """Columns ``slots`` of ``B^{-1}`` from the held Woodbury factors
+        (``Z = A^{-1} U`` has ``Z[slots] = I``, so ``B^{-1} U = Z
+        cap^{-1}``), with no banded solve."""
         return gemm(1.0, self._Z, self._cap_solve(np.eye(self.k)))
 
     def solve(self, rhs):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ultra
-from .element import CoeffVector2D, PdeCoefficients
+from .element import CoeffVector2D, PdeCoefficients, check_n
 from .errors import GeometryError, InstabilityError, MeshError
 from .mesh import grid_mesh
 from .quadmap import det_polynomial
@@ -128,7 +128,7 @@ class TunnelSolver:
 
     def __init__(self, mesh, n, config, boundary):
         self.mesh = mesh
-        self.n = int(n)
+        self.n = n = check_n(n)
         self.config = config
         self.boundary = boundary
         helm = PdeCoefficients.screened(config.k2)

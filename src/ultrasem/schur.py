@@ -28,7 +28,7 @@ divided by the row's shared scale.  A coupled boundary row of element j
 ties its slot to the interface value at its point with coefficient -scale,
 so the element's coefficients are its solve with zero interface values
 plus W_j times its interface values, W_j being inv(A_jj) applied to the
-scaled unit columns of its 4n-4 boundary slots; W is held once per group.
+scaled unit columns of its 4n-4 boundary slots, held once per group.
 Eliminating the element blocks (the interface/interface block is zero)
 leaves the interface complement
 
@@ -47,7 +47,8 @@ that agree so with their first element, in boundary row kinds exactly
 and in Neumann edge normals to ``_SHARE_TOL``.  The class's first group
 builds its operator from the first element and its rows; every other
 group is a :meth:`~ultrasem.element.AlmostBandedMatrix.bordered` copy of
-it with its own rows, sharing the banded part and its factorization.
+it with its own rows, sharing the banded part, its factorization and
+its banded solves.
 The elements of a group share its operator and its W block.  Congruent
 elements whose coordinates round differently therefore share; elements
 with bitwise equal inputs get bit-identical operators and W blocks to
@@ -55,16 +56,15 @@ building every element alone.  Setup is array operations over all
 elements and interior edges at once, with Python loops only over classes,
 groups and their pairs.
 
-When every group holds its inverse, each group's zero-interface element
-solve is held as one block as well: ``_k``, (G, n^2 + 4n-4, n^2), holds
-``(B_g^{-1} diag(s_g) [R_c | P])^T`` with R_c the class's right-hand-side
-operator and P placing boundary values at their slots, and W is a view
-of its last 4n-4 rows.  A solve is then one batched product of every
-element's forcing coefficients and boundary values with ``_k``.  A
-system with any Woodbury group instead multiplies by each class's
-right-hand-side operator once, places the boundary data at their slots
-and makes one multi-column ``solve_raw`` per group.  Either way it
-applies the pairs' rows and the groups' W as one batched product each.
+Under a size rule, each group's zero-interface element solve is held as
+one block too: ``_k``, (G, n^2 + 4n-4, n^2), holds ``(B_g^{-1} diag(s_g)
+[R_c | P])^T`` with R_c the class's right-hand-side operator and P placing
+boundary values at their slots, W being its last 4n-4 rows.  A solve is
+then one batched product of every element's forcing coefficients and
+boundary values with ``_k``.  Any other system multiplies by each class's
+right-hand-side operator once, places the boundary data at their slots and
+makes one multi-column ``solve_raw`` per group.  Either way it applies the
+pairs' rows and the groups' W as one batched product each.
 """
 
 import numbers
@@ -80,6 +80,7 @@ from .element import (
     CoeffVector2D,
     assemble_element_operator,
     boundary_slots,
+    check_n,
     edge_points,
     element_rhs_operator,
     grid_points,
@@ -160,8 +161,8 @@ class SchurSystem:
     edge) pairs that occur, ``_w`` (G, 4n-4, n^2) for the G groups, and
     the indices that gather their products to the matching rows and to
     the elements.  ``_k`` (G, n^2 + 4n-4, n^2) holds every group's
-    zero-interface element solve when every group holds its inverse, with
-    ``_w`` a view of it, and is None otherwise.  ``_point_col`` is the interface
+    zero-interface element solve under the size rule, with ``_w`` a view
+    of its last rows, and is None otherwise.  ``_point_col`` is the interface
     value each boundary point reads (n_gamma where it is not coupled).
     ``sigma_rcond`` is the reciprocal 1-norm condition estimate of Sigma
     (None without interfaces).  ``maps`` is one stacked bilinear map with
@@ -176,7 +177,7 @@ class SchurSystem:
     def __init__(self, mesh, pde, n, bc=None, pin_value_point=False):
         self.mesh = mesh
         self.pde = pde
-        self.n = int(n)
+        self.n = check_n(n)
         self.block_pos = order_interfaces(mesh)
         self.n_gamma = self.n * mesh.n_interior_edges
 
@@ -262,23 +263,25 @@ class SchurSystem:
         self._scale = np.array([op.scale for op in ops])[self._group]
 
     def _hold_element_solves(self):
-        """When every group holds its inverse, each group's zero-interface
-        element solve as one block: (G, n^2 + 4n-4, n^2), group g's block
-        ``(B_g^{-1} diag(s_g) [R_c | P])^T`` with ``R_c`` its class's
-        right-hand-side operator and ``P`` placing the boundary values at
-        their slots, formed with one product per class.  None when any
-        group solves through its Woodbury factors."""
+        """``_k`` (see the module docstring) when every group's n^2 columns
+        are no more than what its Woodbury solve reads, n^2 <= (2 kl + ku +
+        1) + 2 (4n-4) (the LU's band rows, ``Z`` and ``V``), else None.
+        Each class makes one banded solve of its scaled ``R_c``, which each
+        group corrects into its block; :meth:`_hold_w` fills the W rows."""
+        nn, k = self.n * self.n, 4 * self.n - 4
         ops = [op for _, op in self.groups]
-        if any(op._inv is None for op in ops):
+        if any(nn > 2 * kl + ku + 1 + 2 * k for kl, ku in (op.bandwidths() for op in ops)):
             return None
-        nn, slots = self.n * self.n, boundary_slots(self.n)
-        k = np.empty((self.n_distinct, nn + slots.size, nn))
+        held = np.empty((self.n_distinct, nn + k, nn))
         for elems, rhs_op in self.classes:
             g = np.unique(self._group[elems])
-            scaled = np.concatenate([ops[i]._inv * ops[i].scale for i in g])
-            k[g, :nn] = (scaled @ rhs_op).reshape(g.size, nn, nn).transpose(0, 2, 1)
-            k[g, nn:] = scaled[:, slots].reshape(g.size, nn, slots.size).transpose(0, 2, 1)
-        return k
+            # groups of a class differ in scale only at the slots, where R_c's rows are empty
+            y = ops[g[0]].banded_solve(ops[g[0]].scale[:, None] * rhs_op.toarray())
+            for i in g:
+                # correct overwrites the block's Fortran-contiguous view
+                held[i, :nn] = y.T
+                ops[i].correct(held[i, :nn].T)
+        return held
 
     # -- coupling and the Schur complement -------------------------------
 
@@ -304,6 +307,8 @@ class SchurSystem:
         # and their held solves' data through one row index
         self._w_cols, self._w_from = _pad(self._group, self._point_col, ng)
         if ng == 0:
+            if self._k is not None:  # the held blocks still read W
+                self._hold_w()
             return None
 
         # The two sides (element f, local edge l) of every interior edge,
@@ -344,14 +349,7 @@ class SchurSystem:
         self._pair_elems, at = _pad(q.ravel(), f.ravel(), 0)
         self._match_at = at.reshape(q.shape)[..., None] * (n + 2) + col
 
-        # One W per group, held transposed: the last rows of its held
-        # solves, else from its Woodbury factors.
-        if self._k is not None:
-            self._w = self._k[:, n * n:]
-        else:
-            slots = boundary_slots(n)
-            cols = ((op.boundary_columns() * op.scale[slots]).T for _, op in self.groups)
-            self._w = np.fromiter(cols, np.dtype((float, (slots.size, n * n))), self.n_distinct)
+        self._hold_w()
 
         # Sigma takes one (4n-4, n+2) product of each group's W with each
         # pair in which it has a side, gathered to the sides, scaled as
@@ -367,6 +365,14 @@ class SchurSystem:
         sigma = sp.csr_matrix((v[on], (i[on], j[on])), shape=(ng, ng))
         sigma.eliminate_zeros()
         return sigma
+
+    def _hold_w(self):
+        """One W per group, (G, 4n-4, n^2), in the last rows of ``_k`` when held."""
+        nn, slots = self.n * self.n, boundary_slots(self.n)
+        self._w = (np.empty((self.n_distinct, slots.size, nn)) if self._k is None
+                   else self._k[:, nn:])
+        for g, (_, op) in enumerate(self.groups):
+            self._w[g] = (op.boundary_columns() * op.scale[slots]).T
 
     def _factor_sigma(self, sigma):
         """Check Sigma's bandwidth against the ordering bound, factor it

@@ -411,8 +411,8 @@ def test_nonfinite_parameter_is_format_error(command, value, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, message", [
-    (["mesh-info", "--n", "0"], "need n >= 4"),
-    (["ns-run", "--n", "2"], "need n >= 4"),
+    (["mesh-info", "--n", "0"], "need an integer n >= 4, not 0"),
+    (["ns-run", "--n", "2"], "need an integer n >= 4, not 2"),
     (["solve", "--pde", "poisson", "--k2", "-1"], "screening constant must be nonnegative"),
 ])
 def test_out_of_range_parameter_is_format_error(command, message, square_mesh_path, capsys):

@@ -462,20 +462,19 @@ class TestWoodbury:
 
     @pytest.mark.parametrize("n", [13, 14])
     def test_held_inverse_under_the_size_rule(self, n):
-        # an affine Poisson element (kl = ku = 2n) holds its inverse while
-        # n^2 <= (6n + 1) + 2 (4n - 4), that is up to n = 13; its boundary
-        # columns match the dense inverse on either path
+        # an affine Poisson element (kl = ku = 2n) meets the size rule of
+        # SchurSystem's held solves while n^2 <= (6n + 1) + 2 (4n - 4),
+        # that is up to n = 13; its boundary columns match the dense
+        # inverse on either side of it
         op = assemble_element_operator(POISSON, SQUARE, n)
         assert op.bandwidths() == (2 * n, 2 * n)
         want = np.linalg.inv(op.to_dense())[:, op.slots]
         got = op.boundary_columns()
-        assert (op._inv is not None) == (n <= 13)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    @pytest.mark.parametrize("n", [13, 14])  # held inverse, Woodbury factors
+    @pytest.mark.parametrize("n", [13, 14])  # either side of the size rule
     def test_physical_solve_is_raw_solve_of_scaled_rhs(self, rng, n):
         op = assemble_element_operator(POISSON, SQUARE, n)
-        assert (op._inv is not None) == (n <= 13)
         for b in (rng.standard_normal(n * n), rng.standard_normal((n * n, 3))):
             want = op.solve_raw(op.scale.reshape((-1,) + (1,) * (b.ndim - 1)) * b)
             assert np.array_equal(op.solve(b), want)
@@ -513,8 +512,8 @@ def _right_hand_side(rng, nn, kind):
 
 class TestRoutedProducts:
     """The BLAS products of the element solves on every operand layout,
-    beyond the size rule (a sliver at n = 24) and under it (n = 8), and
-    no input array modified by the in-place products."""
+    on a sliver at n = 8 and n = 24, and no input array modified by the
+    in-place products."""
 
     KINDS = ["vector", "C-3", "F-3", "C-70", "F-70", "slice"]
 
@@ -527,7 +526,6 @@ class TestRoutedProducts:
     @pytest.mark.parametrize("kind", KINDS)
     def test_solves_against_dense(self, rng, n, kind):
         op = assemble_element_operator(POISSON, skinny_quad(1e-3), n)
-        assert (op._inv is not None) == (n == 8)
         B = op.to_dense()
         b = _right_hand_side(rng, n * n, kind)
         keep = b.copy()
@@ -543,12 +541,12 @@ class TestRoutedProducts:
 
     @pytest.mark.parametrize("n", [8, 24])
     def test_held_factors_unchanged_by_solves(self, rng, n):
-        # the products write only into fresh arrays: Z, V, the capacitance
-        # factors and, when held, A^{-1} and B^{-1} stay as factored
+        # the products write only into fresh arrays: Z, V and the
+        # capacitance factors stay as factored
         op = assemble_element_operator(POISSON, skinny_quad(1e-3), n)
 
         def factors():
-            return [a for a in (op._Z, op.V, *op._cap, op._Ainv, op._inv) if a is not None]
+            return [op._Z, op.V, *op._cap]
 
         held = [a.copy() for a in factors()]
         for kind in self.KINDS:

@@ -82,10 +82,9 @@ def test_narrow_and_transposed_solves_stay_on_gbtrs(rng, gbtrs_calls):
 
 
 def test_sliver_woodbury_z_matches_gbtrs():
-    # at n = 48 the size rule fails, so the operator forms Z alone: 188 columns
-    # of the unit border, solved by panels
+    # at n = 48 Z is 188 columns of the unit border, solved by panels
     op = assemble_element_operator(PdeCoefficients.poisson(), skinny_quad(1e-12), 48)
-    assert op._Ainv is None and op._Z.shape == (op.nn, op.k)
+    assert op._Z.shape == (op.nn, op.k)
     lu = op._lu
     E = np.zeros((op.nn, op.k))
     E[op.slots, np.arange(op.k)] = 1.0

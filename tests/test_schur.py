@@ -1,8 +1,10 @@
+import ast
 import gc
 import re
 import threading
 import time
 import weakref
+from pathlib import Path
 from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
@@ -191,10 +193,10 @@ class TestCoupling:
     @pytest.mark.parametrize("case", ["grid-varcoef", "neumann-side", "neumann-side-n24"])
     def test_build_banded_solves_only_to_factor(self, case, monkeypatch):
         # every element is coupled, so every geometry class is factored
-        # during the build with one banded solve, none for W blocks: at n = 8
-        # the solve forms A^{-1} (width n^2), whose slot columns are the Z
-        # its groups share; at n = 24 the size rule fails and it forms Z
-        # alone (width 4n-4)
+        # during the build with one banded solve, Z (width 4n-4), which its
+        # groups share, and none for W blocks; at n = 8, under the size
+        # rule, each class then makes one more solve (width n^2) for its
+        # groups' held blocks, and at n = 24 none
         widths, solve = [], BandedLU.solve
         monkeypatch.setattr(BandedLU, "solve",
                             lambda lu, b, *a: widths.append(np.shape(b)[1]) or solve(lu, b, *a))
@@ -207,7 +209,7 @@ class TestCoupling:
             sys = assemble_schur(mesh, POISSON, n, bc={e: "neumann" for e in bottom})
         classes = 9 if case == "grid-varcoef" else 1
         assert sys.n_distinct > 1 and len(sys.classes) == classes
-        assert widths == [{8: n * n, 24: 4 * n - 4}[n]] * classes
+        assert widths == [4 * n - 4] * classes + {8: [n * n] * classes, 24: []}[n]
 
 
 class TestSigmaStructure:
@@ -556,12 +558,13 @@ class TestHeldInverse:
     @pytest.mark.parametrize("eps", [1e-6, 1e-12])
     def test_slivers_solve_through_held_inverses(self, eps):
         # at n = 8 the square and the sliver both meet the size rule, and
-        # the products with their held inverses stay accurate on the sliver
+        # the products with their held solve blocks stay accurate on the
+        # sliver
         sys = assemble_schur(skinny_pair_mesh(eps), POISSON, 8)
         u = lambda x, y: x ** 5 - 3 * x ** 3 * y ** 2 + x * y ** 4 - 2 * y ** 3 + x * y + 1
         f = lambda x, y: 14 * x ** 3 - 6 * x * y ** 2 - 12 * y
         sols = sys.solve(f=f, dirichlet=u)
-        assert all(op._inv is not None for _, op in sys.groups)
+        assert sys._k is not None
         assert eval_on_grid(sys, sols, u) <= 1e-12
         got = np.array([s.data for s in sols])
         want = np.array([s.data for s in sys.solve_dense(f=f, dirichlet=u)])
@@ -573,20 +576,19 @@ class TestHeldInverse:
         mesh = mixed_mesh()
         sys = assemble_schur(mesh, _general_pde(VARCOEF, mesh), 24)
         assert len(sys.groups) == len(sys.classes) == mesh.n_quads
-        assert all(op._inv is None for _, op in sys.groups)
+        assert sys._k is None
 
 
-    @pytest.mark.parametrize("case, held, solves", [
-        ("grid-n13", 1, 0), ("grid-n14", 0, 1), ("mixed-n14", 6, 7)])
-    def test_held_solves_only_when_every_group_holds(self, case, held, solves, monkeypatch):
-        # one batched product with the held blocks when every group holds
-        # its inverse (Poisson up to n = 13), else each class's
+    @pytest.mark.parametrize("case, solves", [
+        ("grid-n13", 0), ("grid-n14", 1), ("mixed-n14", 7)])
+    def test_held_solves_only_when_every_group_holds(self, case, solves, monkeypatch):
+        # one batched product with the held blocks when every group meets
+        # the size rule (Poisson up to n = 13), else each class's
         # right-hand-side product and one solve_raw per group
         mesh = mixed_mesh() if case == "mixed-n14" else grid_mesh(3, 3)
         sys = assemble_schur(mesh, POISSON, 13 if case == "grid-n13" else 14)
         assert len(sys.groups) == {"mixed-n14": 7}.get(case, 1)
-        assert sum(op._inv is not None for _, op in sys.groups) == held
-        assert (sys._k is not None) == (held == len(sys.groups))
+        assert (sys._k is not None) == (solves == 0)
         calls, solve_raw = [], element.AlmostBandedMatrix.solve_raw
         monkeypatch.setattr(element.AlmostBandedMatrix, "solve_raw",
                             lambda op, b: calls.append("solve_raw") or solve_raw(op, b))
@@ -612,6 +614,27 @@ class TestHeldInverse:
         sys = assemble_schur(grid_mesh(12, 12), POISSON, 8)
         assert sys._k.shape == (1, 92, 64) and sys._w.shape == (1, 28, 64)
         assert np.shares_memory(sys._w, sys._k)
+
+    @pytest.mark.parametrize("case", ["neumann-side", "tunnel"])
+    def test_held_blocks_of_every_group_match_dense_solves(self, case):
+        # the groups of one class correct its one banded solve into their
+        # own blocks: each block is (B_g^{-1} diag(s_g) [R_c | P])^T
+        if case == "tunnel":
+            mesh = tunnel_mesh(4, 3, width=0.003, height=0.001, hole=(1, 1))
+            sys = TunnelSolver(mesh, 8, NsConfig(dt=1.667e-5, dealias=False),
+                               classify_tunnel_boundary(mesh, (0.6, 0.0))).helm_u
+        else:
+            mesh, bottom = _grid_with_neumann_bottom()
+            sys = assemble_schur(mesh, POISSON, 6, bc={e: "neumann" for e in bottom})
+        [(_, rhs_op)] = sys.classes
+        assert sys.n_distinct == {"tunnel": 6, "neumann-side": 2}[case]
+        nn, slots = sys.n ** 2, boundary_slots(sys.n)
+        P = np.zeros((nn, slots.size))
+        P[slots, np.arange(slots.size)] = 1.0
+        for g, (_, op) in enumerate(sys.groups):
+            rhs = op.scale[:, None] * np.hstack([rhs_op.toarray(), P])
+            want = np.linalg.solve(op.to_dense(), rhs).T
+            assert np.abs(sys._k[g] - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestGlobalContinuity:
@@ -678,6 +701,27 @@ class TestErrors:
         msg = f"edge key {key!r} (bc 'neumann') is not an integer edge number"
         with pytest.raises(BookkeepingError, match=f"^{re.escape(msg)}$"):
             assemble_schur(two_squares(), POISSON, 6, bc={key: "neumann"})
+
+    @pytest.mark.parametrize("value", [8.5, "8", True], ids=["float", "str", "bool"])
+    @pytest.mark.parametrize("target", ["schur", "tunnel", "coeffs"])
+    def test_n_other_than_an_integer_rejected(self, target, value):
+        # one check for every entry point: n is never rounded, parsed or
+        # read from a bool, and the error names the value
+        least = 0 if target == "coeffs" else 4
+        msg = f"need an integer n >= {least}, not {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            if target == "schur":
+                schur.SchurSystem(grid_mesh(2, 2), POISSON, value)
+            elif target == "tunnel":
+                mesh = tunnel_mesh(3, 2, width=0.003, height=0.001, hole=None)
+                TunnelSolver(mesh, value, NsConfig(dt=1.667e-5),
+                             classify_tunnel_boundary(mesh, (0.6, 0.0)))
+            else:
+                element.CoeffVector2D(value, np.zeros(64))
+
+    def test_numpy_integer_n_accepted(self):
+        sys = schur.SchurSystem(grid_mesh(2, 2), POISSON, np.int64(6))
+        assert type(sys.n) is int and sys.n == 6
 
     def test_numpy_integer_bc_key_accepted(self):
         mesh = two_squares()
@@ -886,9 +930,10 @@ class TestSharedElements:
 
     def test_tunnel_factors_and_solves_once_per_class(self, monkeypatch):
         # the perfbench tunnel: each system's groups border one banded part,
-        # so three systems factor 3 element operators and 3 Sigmas; at n = 8
-        # every group holds its inverse, so a step makes no element banded
-        # solve, only the 3 Sigma solves
+        # so three systems factor 3 element operators and 3 Sigmas, and each
+        # class solves once for Z and once for its held blocks; at n = 8
+        # every group meets the size rule, so a step makes no element
+        # banded solve, only the 3 Sigma solves
         factored, solved = [], []
         init, solve = BandedLU.__init__, BandedLU.solve
         monkeypatch.setattr(BandedLU, "__init__", lambda lu, *a, **k:
@@ -901,7 +946,7 @@ class TestSharedElements:
         systems = (solver.helm_u, solver.helm_v, solver.pois_p)
         assert [len(sys.classes) for sys in systems] == [1, 1, 1]
         assert sorted(factored) == ["element banded part"] * 3 + ["interface complement"] * 3
-        assert sorted(solved) == ["element banded part"] * 3
+        assert sorted(solved) == ["element banded part"] * 6
         del solved[:]
         solver.time_step(FlowState.rest(mesh, 8))
         assert solved == ["interface complement"] * 3
@@ -925,7 +970,7 @@ class TestSharedElements:
     def test_groups_are_bordered_copies_of_the_class_operator(self, n, rng):
         # the second group is the first's operator bordered with its own
         # rows: equal to a build from those rows, and holding the first's
-        # factors (at n = 6 with A^{-1}, at n = 16 without)
+        # factors (at n = 6 under the size rule, at n = 16 beyond it)
         mesh, bottom = _grid_with_neumann_bottom()
         sys = assemble_schur(mesh, POISSON, n, bc={e: "neumann" for e in bottom})
         (_, first), (elems, op) = sys.groups
@@ -937,7 +982,6 @@ class TestSharedElements:
             assert np.array_equal(got.to_dense(), want.to_dense())
             assert np.array_equal(got.scale, want.scale)
             assert got._lu is first._lu and got._Z is first._Z
-            assert (got._Ainv is first._Ainv is None) == (n == 16)
             b = rng.standard_normal(n * n)
             x = np.linalg.solve(want.to_dense(), b)
             assert np.abs(got.solve_raw(b) - x).max() <= 1e-12 * np.abs(x).max()
@@ -1100,3 +1144,14 @@ def test_random_sliver_pair_properties(log_eps, alpha, slope, y1, y2, theta):
     assert np.max(np.abs(traces[0] - traces[1])) <= 1e-10
     ref = assemble_schur(_sliver_pair_mesh(1e-3, *shape), POISSON, 20).sigma_rcond
     assert 1 / 1.1 <= sys.sigma_rcond / ref <= 1.1
+
+
+def test_schur_reads_no_private_attribute_of_another_object():
+    # element operators are used through their public methods only, so
+    # what an operator holds and how it solves stays with element.py
+    path = Path(schur.__file__)
+    private = [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+               and not (isinstance(node.value, ast.Name) and node.value.id == "self")]
+    assert not private
