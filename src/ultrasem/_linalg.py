@@ -15,7 +15,8 @@ libraries each wait for the other's spinning threads.
 
 :func:`gemm` is that BLAS's matrix product for the rest of the package.
 The element Woodbury correction, capacitance, boundary columns and
-transposed solve, the Sigma contributions and the Kronecker-sum
+transposed solve (products with the capacitance inverse, formed with
+this BLAS's ``dtrsm``), the Sigma contributions and the Kronecker-sum
 contraction of element assembly go through it, and the dense condition
 numbers and the dense oracle call scipy's LAPACK, so numpy's thread pool
 does no threaded work on those paths and default threads run at pinned

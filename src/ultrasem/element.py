@@ -13,22 +13,22 @@ either variable (4n-4 of them) are dropped and the rest moved to their
 slots (:func:`_to_slots`), in the operator and in the right-hand-side
 operator alike; the freed slots take dense boundary-condition rows, and
 the bordered system is solved with a banded LU plus a low-rank Woodbury
-correction: a banded solve, then the border correction.  Every operator
-is factored when it is built, so solves only read it.  Elements that
-differ only in their boundary rows are copies of one operator
-(:meth:`AlmostBandedMatrix.bordered`), sharing its banded part, LU and
-banded solves and each with its own factored border.
+correction: a banded solve, then the border correction, products with
+held arrays.  Every operator is factored when it is built, so solves
+only read it.  Elements that differ only in their boundary rows are
+copies of one operator (:meth:`AlmostBandedMatrix.bordered`), sharing
+its banded part, LU and banded solves and each with its own border.
 """
 
 import copy
 import functools
-import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg.lapack import dgecon, dgetrf, dgetri, dgetrs
+from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dgecon, dgetrf, dgetri, dlaswp
 
 from ._linalg import BandedLU, gemm
 from .errors import SingularOperatorError
@@ -394,11 +394,6 @@ def element_interior_operator(pde, quad, n):
 # bordered almost-banded operator
 
 
-# OpenBLAS (seen with 0.3.31) runs getrs with several right-hand sides on
-# its thread pool and corrupts the heap when two callers enter it at once
-_GETRS_LOCK = threading.Lock()
-
-
 class AlmostBandedMatrix:
     """Banded matrix plus a low-rank dense-row correction.
 
@@ -406,11 +401,11 @@ class AlmostBandedMatrix:
     4n-4 boundary slots, ``U`` is a sparse selector with one unit entry
     per column picking a boundary slot, and row ``t`` of ``V`` is the
     (row-scaled) dense boundary row minus the unit row it replaces.  The
-    constructor factors it: a banded LU of ``A``, ``Z = A^{-1} U`` and a
-    dense capacitance ``I + V Z``.  A solve with ``B`` is a banded solve
-    with ``A`` (:meth:`banded_solve`) followed by the Woodbury border
-    correction (:meth:`correct`); solves with ``B`` and with ``B^T``
-    reuse the factors and change nothing, so one operator serves
+    constructor factors it: a banded LU of ``A``, ``Z = A^{-1} U`` and
+    the inverse of the k-by-k capacitance ``I + V Z``.  A solve with
+    ``B`` is a banded solve with ``A`` (:meth:`banded_solve`) followed by
+    the Woodbury border correction (:meth:`correct`), products only;
+    solves with ``B`` and ``B^T`` change nothing, so one operator serves
     concurrent solves.  Copies made by :meth:`bordered` share ``A``, its
     LU and ``Z``.  ``cap_rcond`` is the 1-norm reciprocal condition
     estimate of the capacitance (LAPACK ``gecon``); one below machine
@@ -459,7 +454,8 @@ class AlmostBandedMatrix:
         self._factor_border()
 
     def _factor_border(self):
-        """The capacitance ``I + V Z``: its LU and ``cap_rcond``."""
+        """The capacitance ``I + V Z``: ``cap_rcond`` and, from its LU ``P
+        cap = L U``, its inverse ``U^{-1} L^{-1} P``."""
         cap = gemm(1.0, self.V, self._Z, 1.0, np.eye(self.k, order="F"))
         lu, piv, info = dgetrf(cap)
         # info > 0 is an exact zero pivot; non-finite factors come from
@@ -472,26 +468,17 @@ class AlmostBandedMatrix:
                 f"capacitance matrix singular to working precision "
                 f"(reciprocal condition estimate {rcond:.2e})")
         self.cap_rcond = float(rcond)
-        self._cap = (lu, piv)
+        self._cap_inv = dtrsm(1.0, lu, dtrsm(1.0, lu, dlaswp(np.eye(self.k), piv), lower=1, diag=1))
 
     def bordered(self, rows):
         """This operator with other unscaled boundary ``rows``: equal to what
         :func:`assemble_element_operator` builds from them, with its own
-        ``V``, scale and factored capacitance, and sharing ``A``, its LU
+        ``V``, scale and capacitance inverse, and sharing ``A``, its LU
         and ``Z``, so that its banded solves are this operator's."""
         op = copy.copy(self)
         op.V, op.scale = _border(self.scale, self.slots, rows)
         op._factor_border()
         return op
-
-    def _cap_solve(self, b, trans=0):
-        """Solve with the factored capacitance matrix (``trans=1``: its
-        transpose)."""
-        with _GETRS_LOCK:
-            x, info = dgetrs(*self._cap, b, trans=trans)
-        if info != 0:
-            raise SingularOperatorError(f"capacitance solve failed (info {info})")
-        return x
 
     def banded_solve(self, rhs):
         """``A^{-1} rhs`` for one or many right-hand sides, the same for
@@ -501,7 +488,7 @@ class AlmostBandedMatrix:
     def correct(self, y):
         """``B^{-1} b`` from the float array ``y = A^{-1} b``, which it
         overwrites when contiguous and returns: ``y - Z cap^{-1} V y``."""
-        return gemm(-1.0, self._Z, self._cap_solve(gemm(1.0, self.V, y)), 1.0, y)
+        return gemm(-1.0, self._Z, gemm(1.0, self._cap_inv, gemm(1.0, self.V, y)), 1.0, y)
 
     def solve_raw(self, rhs):
         """Solve ``B x = rhs`` where ``B`` is the (already row-scaled)
@@ -512,7 +499,7 @@ class AlmostBandedMatrix:
         """Columns ``slots`` of ``B^{-1}`` from the held Woodbury factors
         (``Z = A^{-1} U`` has ``Z[slots] = I``, so ``B^{-1} U = Z
         cap^{-1}``), with no banded solve."""
-        return gemm(1.0, self._Z, self._cap_solve(np.eye(self.k)))
+        return gemm(1.0, self._Z, self._cap_inv)
 
     def solve(self, rhs):
         """Solve the bordered system for a physical right-hand side: the
@@ -526,7 +513,7 @@ class AlmostBandedMatrix:
         condition-number estimation).  Transposing ``B^{-1} = (I - Z
         cap^{-1} V) A^{-1}`` gives ``x = A^{-T} (rhs - V^T cap^{-T} Z^T
         rhs)``: one banded solve as wide as ``rhs``."""
-        c = self._cap_solve(gemm(1.0, self._Z.T, rhs), trans=1)
+        c = gemm(1.0, self._cap_inv.T, gemm(1.0, self._Z.T, rhs))
         rhs = gemm(-1.0, self.V.T, c, 1.0, np.array(rhs, dtype=float))
         return self._lu.solve(rhs, transpose=True)
 

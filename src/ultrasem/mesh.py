@@ -39,7 +39,7 @@ class QuadMesh:
 
     def __init__(self, vertices, quads):
         self.vertices = np.asarray(vertices, dtype=float)
-        self.quads = np.asarray(quads, dtype=int)
+        self.quads = np.asarray(quads)
         self._build()
 
     # -- construction -------------------------------------------------
@@ -50,6 +50,13 @@ class QuadMesh:
             raise MeshError("vertices must be an (V, 2) array")
         if self.quads.ndim != 2 or self.quads.shape[1] != 4:
             raise MeshError("quads must be an (F, 4) array of vertex numbers")
+        q = np.asarray(self.quads, dtype=float)  # the cast to int truncates 1.9
+        whole = (np.isfinite(q) & (q == np.trunc(q))).all(axis=1)
+        if not whole.all():
+            f = int(np.argmin(whole))
+            raise MeshError(f"quad {f} has a vertex number that is not an integer: "
+                            f"{self.quads[f].tolist()}")
+        self.quads = self.quads.astype(int)
         if F == 0:
             raise MeshError("mesh has no elements")
         if self.quads.min(initial=0) < 0 or self.quads.max(initial=-1) >= V:
@@ -481,26 +488,25 @@ def write_mesh(mesh, path):
 
 
 def grid_mesh(nx, ny, x0=0.0, y0=0.0, width=1.0, height=1.0, skip=()):
-    """Mesh of ``nx * ny`` axis-aligned rectangles; ``skip`` removes cells
-    by ``(col, row)`` index (leaving a hole) and must lie in the grid."""
-    for i, j in skip:
+    """Mesh of ``nx * ny`` axis-aligned rectangles, row by row from the
+    bottom left, each vertex numbered at its first use; ``skip`` removes
+    the cells (leaving holes) at its integer ``(col, row)`` pairs."""
+    keep = np.ones((ny, nx), dtype=bool)
+    for c in skip:
+        if not (isinstance(c, (tuple, list, np.ndarray)) and len(c) == 2
+                and all(isinstance(t, (int, np.integer)) and not isinstance(t, bool) for t in c)):
+            raise MeshError(f"skipped cell {c!r} is not an integer (col, row) pair")
+        i, j = map(int, c)
         if not (0 <= i < nx and 0 <= j < ny):
             raise MeshError(f"skipped cell {(i, j)} is outside the {nx} x {ny} grid")
+        keep[j, i] = False
+    # grid point i + (nx+1) j at the four corners of each kept cell, and
+    # the grid points in order of first use
+    j, i = np.nonzero(keep)
+    corners = (i + (nx + 1) * j)[:, None] + np.array([0, 1, nx + 2, nx + 1])
+    point = corners.ravel()[np.sort(np.unique(corners, return_index=True)[1])]
+    number = np.zeros((nx + 1) * (ny + 1), dtype=int)
+    number[point] = np.arange(point.size)
     xs = x0 + width * np.arange(nx + 1) / nx
     ys = y0 + height * np.arange(ny + 1) / ny
-    vid = {}
-    vertices = []
-
-    def v(i, j):
-        if (i, j) not in vid:
-            vid[(i, j)] = len(vertices)
-            vertices.append((xs[i], ys[j]))
-        return vid[(i, j)]
-
-    quads = []
-    for j in range(ny):
-        for i in range(nx):
-            if (i, j) in skip:
-                continue
-            quads.append([v(i, j), v(i + 1, j), v(i + 1, j + 1), v(i, j + 1)])
-    return QuadMesh(vertices, quads)
+    return QuadMesh(np.column_stack([xs[point % (nx + 1)], ys[point // (nx + 1)]]), number[corners])

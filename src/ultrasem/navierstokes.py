@@ -235,10 +235,15 @@ class TunnelSolver:
     def time_step(self, state):
         """One projection step; returns the new state.  The no-slip
         residual of the tentative velocity of sub-step 1 is kept on the
-        solver (``last_no_slip``) for diagnostics.  Raises
+        solver (``last_no_slip``) for diagnostics.  Raises ``ValueError``
+        on fields not (F, n^2) for the solver's mesh and n, and
         :class:`InstabilityError` on a non-finite state, and before a step
         whose CFL estimate exceeds ``_MAX_CFL``."""
         n, dt = self.n, self.config.dt
+        for name, field in (("u", state.u), ("v", state.v), ("p", state.p)):
+            if field.data.shape != (self.mesh.n_quads, n * n):
+                raise ValueError(f"state field {name} has shape {field.data.shape}, "
+                                 f"not {(self.mesh.n_quads, n * n)} for this solver")
         if not state.finite():
             raise InstabilityError(
                 f"non-finite values entering step {state.step + 1}",

@@ -1,4 +1,7 @@
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
+from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
 import pytest
@@ -542,11 +545,11 @@ class TestRoutedProducts:
     @pytest.mark.parametrize("n", [8, 24])
     def test_held_factors_unchanged_by_solves(self, rng, n):
         # the products write only into fresh arrays: Z, V and the
-        # capacitance factors stay as factored
+        # capacitance inverse stay as factored
         op = assemble_element_operator(POISSON, skinny_quad(1e-3), n)
 
         def factors():
-            return [op._Z, op.V, *op._cap]
+            return [op._Z, op.V, op._cap_inv]
 
         held = [a.copy() for a in factors()]
         for kind in self.KINDS:
@@ -554,6 +557,39 @@ class TestRoutedProducts:
             for solve in (op.solve_raw, op.solve_transpose):
                 solve(b)
         assert all(np.array_equal(a, c) for a, c in zip(held, factors(), strict=True))
+
+    def test_concurrent_builds_match_serial(self, rng):
+        # the capacitance inverse is formed at build time with no lock: 4
+        # threads building one operator and a bordered copy at once, then
+        # solving with 64 columns, each get the serial arrays bit for bit
+        n = 24
+        quad = skinny_quad(1e-3)
+        rows = point_value_row(n, *traversal_points(n))
+        rows += 1e-3 * rng.standard_normal(rows.shape)
+        b = rng.standard_normal((n * n, 64))
+
+        def build_and_solve():
+            op = assemble_element_operator(POISSON, quad, n)
+            return [a for o in (op, op.bordered(rows))
+                    for a in (o._Z, o.V, o._cap_inv, o.solve_raw(b), o.solve_transpose(b))]
+
+        want = build_and_solve()
+        barrier = threading.Barrier(4, timeout=60)
+
+        def together():
+            barrier.wait()
+            return build_and_solve()
+
+        interval = getswitchinterval()
+        setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(together) for _ in range(4)]
+                for fut in futures:
+                    got = fut.result(timeout=60)
+                    assert all(np.array_equal(a, c) for a, c in zip(got, want, strict=True))
+        finally:
+            setswitchinterval(interval)
 
 
 class TestElementSolve:

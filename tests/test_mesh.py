@@ -137,6 +137,49 @@ class TestBuildMesh:
         with pytest.raises(MeshError, match=re.escape(f"skipped cell {cell} is outside the 4 x 3 grid")):
             grid_mesh(4, 3, skip=skip)
 
+    @pytest.mark.parametrize("skip", [[(1, 1)], [[1, 1]], np.array([[1, 1]]), {(1, 1)},
+                                      [(np.int64(1), np.uint8(1))]],
+                             ids=["tuple", "list", "array", "set", "numpy-ints"])
+    def test_skipped_cell_is_an_integer_pair(self, skip):
+        # a list pair used to remove nothing and an array row five cells
+        mesh = grid_mesh(3, 3, skip=skip)
+        assert mesh.n_quads == 8
+        assert np.array_equal(mesh.quads, grid_mesh(3, 3, skip=[(1, 1)]).quads)
+
+    @pytest.mark.parametrize("entry", [(1.5, 1), (1, 1.0), (True, 1), 1, (1, 2, 3), "ab", [[1, 1]]])
+    def test_skipped_cell_other_than_an_integer_pair_rejected(self, entry):
+        with pytest.raises(MeshError, match=re.escape(
+                f"skipped cell {entry!r} is not an integer (col, row) pair")):
+            grid_mesh(3, 3, skip=[entry])
+
+    @pytest.mark.parametrize("nx, ny, skip", [(1, 1, []), (3, 3, []), (4, 3, [(1, 1)]),
+                                              (5, 4, [(0, 0), (4, 3), (2, 1), (2, 2)])])
+    def test_grid_vertices_numbered_at_first_use(self, nx, ny, skip):
+        # cells row by row from the bottom left, corners counterclockwise
+        # from the lower left, each grid point numbered when first used
+        mesh = grid_mesh(nx, ny, x0=0.5, y0=-2.0, width=3.0, height=0.7, skip=skip)
+        number, quads = {}, []
+        for j in range(ny):
+            for i in range(nx):
+                if (i, j) not in skip:
+                    corners = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
+                    quads.append([number.setdefault(c, len(number)) for c in corners])
+        i, j = np.array(list(number)).T
+        assert np.array_equal(mesh.quads, quads)
+        assert np.array_equal(mesh.vertices, np.column_stack([0.5 + 3.0 * i / nx,
+                                                              -2.0 + 0.7 * j / ny]))
+
+    @pytest.mark.parametrize("quads, f", [([(0, 1.9, 2, 3)], 0), ([(0, 1, 2, 3), (0, 1, 2, 3.5)], 1),
+                                          ([(0, 1, 2, np.nan)], 0), ([(0, 1, np.inf, 3)], 0)])
+    def test_non_integer_vertex_number_rejected(self, quads, f):
+        # a cast used to truncate 1.9 to 1 and build the quad (0, 1, 2, 3)
+        with pytest.raises(MeshError, match=f"quad {f} has a vertex number that is not an integer"):
+            QuadMesh(UNIT_SQUARE[0], quads)
+
+    def test_integral_vertex_numbers_accepted(self):
+        mesh = QuadMesh(UNIT_SQUARE[0], np.array([(0.0, 1.0, 2.0, 3.0)]))
+        assert mesh.quads.dtype == int and np.array_equal(mesh.quads, [(0, 1, 2, 3)])
+
     def test_tunnel_hole_outside_the_grid_rejected(self):
         from ultrasem.navierstokes import tunnel_mesh
 

@@ -358,6 +358,26 @@ class TestTimeStepping:
         w = solver.vorticity(st)
         assert all(np.all(np.isfinite(x)) for x in w)
 
+    @pytest.mark.parametrize("field", ["u", "v", "p", "all"])
+    def test_state_of_another_mesh_rejected(self, field):
+        # a one-element state used to broadcast onto the 11-element tunnel
+        mesh = tunnel_mesh(4, 3, width=0.003, height=0.001)
+        solver = TunnelSolver(mesh, 8, NsConfig(dt=1e-5), classify_tunnel_boundary(mesh))
+        st = FlowState.rest(mesh, 8)
+        if field == "all":
+            st = FlowState.rest(grid_mesh(1, 1), 8)
+        else:
+            setattr(st, field, CoeffVector2D(8, np.zeros((1, 64))))
+        name = "u" if field == "all" else field
+        with pytest.raises(ValueError, match=re.escape(
+                f"state field {name} has shape (1, 64), not (11, 64)")):
+            solver.time_step(st)
+
+    def test_state_of_another_n_rejected(self):
+        solver = single_square_solver(n=8)
+        with pytest.raises(ValueError, match=re.escape("has shape (1, 36), not (1, 64)")):
+            solver.time_step(FlowState.rest(solver.mesh, 6))
+
     def test_nan_state_raises_instability(self):
         solver = single_square_solver(dt=1e-3)
         st = FlowState.rest(solver.mesh, solver.n)
