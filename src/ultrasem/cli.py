@@ -1,11 +1,14 @@
 """Command-line front end: solving, benchmarking and mesh inspection.
 
-Subcommands: ``solve``, ``cond-bench``, ``ns-run``, ``mesh-info``.  Exit
-codes distinguish failure categories: 2 format/parse errors, 3 solver
+Subcommands: ``solve``, ``cond-bench``, ``ns-run``, ``mesh-info``.  Each
+option has one form: the screening constant is part of the PDE spec
+(``--pde screened:K``) and ``--dealias``/``--no-dealias`` are a flag pair.
+Exit codes distinguish failure categories: 2 format/parse errors, 3 solver
 errors, 4 time-integration instability, 5 I/O errors.
 
 Output files are deterministic: fixed ordering and floats printed with 17
-significant digits.
+significant digits.  A ``cond-bench`` report has three header lines, so
+``numpy.loadtxt(path, skiprows=3)`` reads its ``eps kappa1 kappainf`` rows.
 """
 
 import argparse
@@ -58,20 +61,6 @@ def _check_sweep(eps):
         raise ValueError("eps values must be positive and descending")
 
 
-def _report_fields(k, line, *want):
-    """The fields of line ``k`` of a report, one per entry of ``want``: a
-    str is a literal word, a type converts the field.  Raises
-    :class:`MeshFormatError` naming the line on any mismatch."""
-    got = line.split()
-    try:
-        if len(got) != len(want) or any(w != g for w, g in zip(want, got) if isinstance(w, str)):
-            raise ValueError
-        return [g if isinstance(w, str) else w(g) for w, g in zip(want, got)]
-    except ValueError:
-        form = " ".join(w if isinstance(w, str) else w.__name__ for w in want)
-        raise MeshFormatError(f"expected '{form}', got {line.strip()!r}", k) from None
-
-
 @dataclass
 class BenchReport:
     """Condition numbers of the row-scaled skinny-quad operator over a
@@ -91,28 +80,9 @@ class BenchReport:
             lines.append(f"{_fmt(e)} {_fmt(k1)} {_fmt(ki)}")
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_text(cls, text):
-        lines = [(k, l) for k, l in enumerate(text.splitlines(), 1) if l.strip()]
-        if not lines or lines[0][1] != "ultrasem-condbench 1":
-            raise MeshFormatError("not a condbench report", 1)
-        if len(lines) < 3:
-            raise MeshFormatError("condbench report ends before its column header",
-                                  lines[-1][0] + 1)
-        _, n = _report_fields(*lines[1], "n", int)
-        _report_fields(*lines[2], "eps", "kappa1", "kappainf")
-        rows = [_report_fields(k, l, float, float, float) for k, l in lines[3:]]
-        eps, k1, ki = (list(c) for c in zip(*rows)) if rows else ([], [], [])
-        return cls(n=n, eps=eps, kappa1=k1, kappainf=ki)
-
     def write(self, path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_text())
-
-    @classmethod
-    def read(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
 
 
 def cond_bench(epsilons, n):
@@ -158,11 +128,17 @@ def write_fields_file(path, mesh_path, n, fields, time=None):
 
 
 def _pde_from_args(args, mesh):
+    name, _, body = args.pde.partition(":")
     if args.pde == "poisson":
         return PdeCoefficients.poisson()
-    if args.pde == "screened":
-        return PdeCoefficients.screened(args.k2)
-    if args.pde.startswith("general"):
+    if name == "screened":
+        try:
+            k2 = float(body)
+        except ValueError:
+            raise ExpressionError("screened pde needs its screening constant, "
+                                  f"'screened:K', not '{args.pde}'") from None
+        return PdeCoefficients.screened(k2)
+    if name == "general":
         return _general_pde(args.pde, mesh)
     raise ExpressionError(f"unknown pde '{args.pde}'")
 
@@ -213,12 +189,10 @@ def _general_pde(spec, mesh):
 
 
 def cmd_solve(args):
-    if args.k2 < 0:
-        raise ValueError("screening constant must be nonnegative")
     mesh = read_mesh(args.mesh)
     pde = _pde_from_args(args, mesh)
     rhs = compile_expression(args.rhs) if args.rhs else None
-    bc = compile_expression(args.bc) if args.bc else (lambda x, y: 0.0)
+    bc = compile_expression(args.bc) if args.bc else 0.0
     system = assemble_schur(mesh, pde, args.n)
     if args.exact:
         exact = compile_expression(args.exact)(system.grid_x, system.grid_y)
@@ -326,8 +300,7 @@ def build_parser():
     sp = sub.add_parser("solve", help="solve an elliptic problem on a mesh")
     common(sp)
     sp.add_argument("--pde", default="poisson",
-                    help="poisson | screened | general:a11=..;..")
-    sp.add_argument("--k2", type=float, default=0.0, help="screening constant")
+                    help="poisson | screened:K | general:a11=..;..")
     sp.add_argument("--rhs", default=None, help="forcing expression f(x, y)")
     sp.add_argument("--bc", default=None, help="Dirichlet data expression")
     sp.add_argument("--exact", default=None,
@@ -349,7 +322,7 @@ def build_parser():
     sp.add_argument("--steps", type=int, default=200)
     sp.add_argument("--cadence", type=int, default=0,
                     help="write a frame every this many steps")
-    sp.add_argument("--dealias", type=_bool_flag, default=False,
+    sp.add_argument("--dealias", action=argparse.BooleanOptionalAction, default=False,
                     help="form nonlinear products on a doubled grid")
     sp.add_argument("--bc", default=None,
                     help="inlet x-velocity expression (default 0)")
@@ -360,14 +333,6 @@ def build_parser():
     common(sp)
     sp.set_defaults(fn=cmd_mesh_info)
     return p
-
-
-def _bool_flag(s):
-    if str(s).lower() in ("1", "true", "yes", "on"):
-        return True
-    if str(s).lower() in ("0", "false", "no", "off"):
-        return False
-    raise argparse.ArgumentTypeError(f"not a boolean: {s}")
 
 
 def main(argv=None):

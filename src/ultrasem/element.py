@@ -248,14 +248,14 @@ def point_derivative_rows(bm, n, r, s):
 # interior operator assembly
 
 
-def _multipliers(C, lam, n):
-    """Stacks ``T_j(X_lam)`` and ``M_lam(C[:, j])`` over the nonzero columns
+def _multipliers(C, n):
+    """Stacks ``T_j(X_2)`` and ``M_2(C[:, j])`` over the nonzero columns
     ``j`` of a Chebyshev tensor table ``C[i_s, j_r]``: multiplying a
-    stacked parameter-``lam`` coefficient vector by that polynomial is
-    ``sum_j kron(T_j(X_lam), M_lam(C[:, j]))``."""
+    stacked parameter-2 coefficient vector by that polynomial is
+    ``sum_j kron(T_j(X_2), M_2(C[:, j]))``."""
     if max(C.shape) > n:
         raise ValueError(f"multiplier degree {max(C.shape) - 1} too large for size {n}")
-    T = ultra.chebyshev_powers(lam, n)
+    T = ultra.chebyshev_powers(2, n)
     j = np.flatnonzero(C.any(axis=0))
     return T[j], np.tensordot(C[:, j].T, T[: C.shape[0]], axes=1)
 
@@ -384,7 +384,7 @@ def element_interior_operator(pde, quad, n):
         quad = Quad(quad)
     P, Q = [], []
     for ref, C in _reference_tables(pde, bilinear_coeffs(quad)).items():
-        (T, M), (A, B) = _multipliers(C, 2, n), _kron_factors(n)[ref]
+        (T, M), (A, B) = _multipliers(C, n), _kron_factors(n)[ref]
         P.append(T @ A)
         Q.append(M @ B)
     return _kron_sum(np.concatenate(P), np.concatenate(Q))
@@ -579,9 +579,10 @@ def assemble_element_operator(pde, quad, n, rows=None):
 
 def element_rhs_operator(quad, n):
     """Sparse operator taking the Chebyshev coefficients of a sampled
-    forcing to the parameter-2 coefficients of ``det^3 * f``: the det^3
-    multiplication in Chebyshev space followed by basis conversion,
-    ``sum_j kron(S T_j(X_0), S M_0(C[:, j]))`` with ``S = S_1 S_0``, with
+    forcing to the parameter-2 coefficients of ``det^3 * f``: basis
+    conversion followed by the det^3 multiplication in parameter 2, as in
+    the zeroth-order term of :func:`element_interior_operator`,
+    ``sum_j kron(T_j(X_2) S, M_2(C[:, j]) S)`` with ``S = S_1 S_0``, with
     its interior equations at their slots and empty boundary slot rows,
     as in :func:`assemble_element_operator`.  It is CSR, because every
     solve multiplies with it and the DIA diagonals hold zeros that CSR
@@ -593,9 +594,9 @@ def element_rhs_operator(quad, n):
     r, s = _table_grid(0)
     D = det_polynomial(bilinear_coeffs(quad))(r, s)
     det3 = poly2d_trim(ultra.vals_to_coeffs_2d(D * D * D)[:4, :4])
-    T, M = _multipliers(det3, 0, n)
+    T, M = _multipliers(det3, n)
     S = _kron_factors(n)["id"][0]
-    return _to_slots(_kron_sum(S @ T, S @ M), n).tocsr()
+    return _to_slots(_kron_sum(T @ S, M @ S), n).tocsr()
 
 
 def grid_points(bm, n):

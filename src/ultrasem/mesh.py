@@ -34,6 +34,11 @@ from .errors import GeometryError, MeshError, MeshFormatError
 from .quadmap import Quad, _twice_area, inradius, quad_defect
 
 
+def _is_integer(t):
+    """True for a Python or numpy integer, not a bool."""
+    return isinstance(t, (int, np.integer)) and not isinstance(t, bool)
+
+
 class QuadMesh:
     """Immutable mesh with full local/global edge bookkeeping."""
 
@@ -163,7 +168,7 @@ class QuadMesh:
         """``key`` as an int if it numbers an edge: a Python or numpy
         integer, not a bool, from 0 to ``n_edges - 1``.  Anything else
         raises ``error`` naming the key and ``what`` it keys."""
-        if isinstance(key, bool) or not isinstance(key, (int, np.integer)):
+        if not _is_integer(key):
             raise error(f"edge key {key!r} ({what}) is not an integer edge number")
         if not 0 <= key < self.n_edges:
             raise error(f"edge {key} ({what}) is not an edge of the mesh")
@@ -490,11 +495,15 @@ def write_mesh(mesh, path):
 def grid_mesh(nx, ny, x0=0.0, y0=0.0, width=1.0, height=1.0, skip=()):
     """Mesh of ``nx * ny`` axis-aligned rectangles, row by row from the
     bottom left, each vertex numbered at its first use; ``skip`` removes
-    the cells (leaving holes) at its integer ``(col, row)`` pairs."""
+    the cells (leaving holes) at its integer ``(col, row)`` pairs.  The
+    counts must be positive integers."""
+    for name, count in (("nx", nx), ("ny", ny)):
+        if not (_is_integer(count) and count > 0):
+            raise MeshError(f"{name} must be a positive integer, not {count!r}")
     keep = np.ones((ny, nx), dtype=bool)
     for c in skip:
         if not (isinstance(c, (tuple, list, np.ndarray)) and len(c) == 2
-                and all(isinstance(t, (int, np.integer)) and not isinstance(t, bool) for t in c)):
+                and all(_is_integer(t) for t in c)):
             raise MeshError(f"skipped cell {c!r} is not an integer (col, row) pair")
         i, j = map(int, c)
         if not (0 <= i < nx and 0 <= j < ny):

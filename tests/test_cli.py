@@ -1,4 +1,3 @@
-import re
 import warnings
 
 import numpy as np
@@ -14,9 +13,11 @@ from ultrasem.cli import (
     main,
     skinny_quad,
 )
-from ultrasem.errors import MeshFormatError
-from ultrasem.mesh import grid_mesh, write_mesh
+from ultrasem.element import PdeCoefficients
+from ultrasem.expressions import compile_expression
+from ultrasem.mesh import grid_mesh, read_mesh, write_mesh
 from ultrasem.quadmap import Quad
+from ultrasem.schur import assemble_schur
 
 from conftest import skinny_pair_mesh
 
@@ -136,11 +137,19 @@ class TestSolve:
         out1 = str(tmp_path / "a.txt")
         out2 = str(tmp_path / "b.txt")
         assert main(["solve", *args, "--pde", "poisson", "--out", out1]) == EXIT_OK
-        assert main(["solve", *args, "--pde", "screened", "--k2", "0",
-                     "--out", out2]) == EXIT_OK
+        assert main(["solve", *args, "--pde", "screened:0", "--out", out2]) == EXIT_OK
         _, _, e1 = parse_fields_file(out1)
         _, _, e2 = parse_fields_file(out2)
         assert np.max(np.abs(e1[0] - e2[0])) < 1e-12
+
+    def test_screened_spec_matches_the_library(self, square_mesh_path, tmp_path):
+        out = str(tmp_path / "s.txt")
+        assert main(["solve", "--mesh", square_mesh_path, "--n", "10", "--pde", "screened:4",
+                     "--rhs", "sin(x+y)", "--bc", "x*y", "--out", out]) == EXIT_OK
+        system = assemble_schur(read_mesh(square_mesh_path), PdeCoefficients.screened(4.0), 10)
+        u = system.solve(f=compile_expression("sin(x+y)"), dirichlet=compile_expression("x*y"))
+        _, _, elements = parse_fields_file(out)
+        assert np.array_equal(elements[0][:, 2], u.grid_values()[0].ravel())
 
     def test_general_pde(self, square_mesh_path, capsys):
         # (1+0*x) lap u + u with u = x -> f = x
@@ -179,21 +188,22 @@ class TestSolve:
 
 class TestCondBench:
     def test_sweep_plateau_and_roundtrip(self, tmp_path, capsys):
-        out = str(tmp_path / "bench.txt")
-        code = main(["cond-bench", "--n", "8",
-                     "--eps", "1,1e-1,1e-2,1e-3,1e-6,1e-9,1e-12",
-                     "--out", out])
+        out = tmp_path / "bench.txt"
+        sweep = [1, 1e-1, 1e-2, 1e-3, 1e-6, 1e-9, 1e-12]
+        code = main(["cond-bench", "--n", "8", "--eps", ",".join(map(str, sweep)),
+                     "--out", str(out)])
         assert code == EXIT_OK
-        report = BenchReport.read(out)
-        assert report.n == 8
-        k = dict(zip(report.eps, report.kappainf))
+        assert out.read_text().splitlines()[:3] == [
+            "ultrasem-condbench 1", "n 8", "eps kappa1 kappainf"]
+        # the report is plain columns after its header, and its 17 digits
+        # give back the sweep bit for bit
+        eps, _, kappainf = np.loadtxt(out, skiprows=3, unpack=True)
+        assert eps.tolist() == sweep
+        k = dict(zip(sweep, kappainf))
         assert abs(k[1e-9] - k[1e-12]) <= 0.01 * k[1e-12]
-        assert max(report.kappainf) <= 1.02 * k[1e-12]
+        assert max(kappainf) <= 1.02 * k[1e-12]
         # growth from eps=1 to the plateau is a genuine trend
         assert k[1e-3] > 1.2 * k[1.0]
-        again = BenchReport.from_text(report.to_text())
-        assert again.to_text() == report.to_text()
-        assert again.eps == report.eps
 
     def test_default_sweep_output_ignores_global_rng(self, tmp_path):
         texts = []
@@ -219,22 +229,6 @@ class TestCondBench:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: eps sweep is empty\n"
-
-    @pytest.mark.parametrize("text, line, message", [
-        ("ultrasem-condbench 1\n", 2, "condbench report ends before its column header"),
-        ("ultrasem-condbench 1\nn 8\n", 3, "condbench report ends before its column header"),
-        ("ultrasem-condbench 1\nn x\neps kappa1 kappainf\n1 2 3\n", 2,
-         "expected 'n int', got 'n x'"),
-        ("ultrasem-condbench 1\nn 8\neps kappa1 kappainf\n1 2 3 4\n", 4,
-         "expected 'float float float', got '1 2 3 4'"),
-        ("ultrasem-condbench 1\n\nn 8\neps kappa1 kappainf\n1 2 x\n", 5,
-         "expected 'float float float', got '1 2 x'"),
-    ], ids=["cut-after-header", "cut-after-n", "bad-n", "four-fields", "blank-line"])
-    def test_malformed_report_names_its_line(self, text, line, message):
-        # a cut report or a bad field is a format error at its line (they
-        # raised a raw IndexError or ValueError)
-        with pytest.raises(MeshFormatError, match=f"^line {line}: {re.escape(message)}$"):
-            BenchReport.from_text(text)
 
     def test_invalid_eps_order(self):
         with pytest.raises(ValueError):
@@ -276,6 +270,25 @@ class TestNsRun:
         assert names == [f"frame_{k:06d}.txt" for k in (0, 50, 100, 150, 200)]
         assert fields == ["x", "y", "u", "v", "p", "omega"]
         assert len(elements) == 6
+
+    @pytest.mark.parametrize("flags, dealias", [
+        ([], False), (["--dealias"], True), (["--no-dealias"], False),
+        (["--dealias", "--no-dealias"], False)])
+    def test_dealias_flag_pair_reaches_the_config(self, flags, dealias, tmp_path, monkeypatch):
+        from ultrasem.navierstokes import TunnelSolver, tunnel_mesh
+
+        configs = []
+
+        def solver(mesh, n, config, boundary):
+            configs.append(config)
+            return TunnelSolver(mesh, n, config, boundary)
+
+        monkeypatch.setattr(cli, "TunnelSolver", solver)
+        mesh_path = tmp_path / "tunnel.txt"
+        write_mesh(tunnel_mesh(nx=3, ny=2, width=0.003, height=0.001, hole=None), mesh_path)
+        assert main(["ns-run", "--mesh", str(mesh_path), "--n", "6", "--steps", "1",
+                     "--out", str(tmp_path / "frames"), *flags]) == EXIT_OK
+        assert [c.dealias for c in configs] == [dealias]
 
     def test_cadence_zero_writes_only_the_last_frame(self, tmp_path, capsys):
         names, _ = self._run(tmp_path, capsys, "0")
@@ -391,8 +404,8 @@ class TestMeshInfo:
 @pytest.mark.parametrize("command, value", [
     (["ns-run", "--dt", "nan"], "nan"),
     (["ns-run", "--dt", "inf"], "inf"),
-    (["solve", "--pde", "screened", "--k2", "nan"], "nan"),
-    (["solve", "--pde", "screened", "--k2", "inf"], "inf"),
+    (["solve", "--pde", "screened:nan"], "nan"),
+    (["solve", "--pde", "screened:inf"], "inf"),
     (["cond-bench", "--n", "6", "--eps", "1,nan"], "nan"),
 ])
 def test_nonfinite_parameter_is_format_error(command, value, tmp_path, capsys):
@@ -413,9 +426,28 @@ def test_nonfinite_parameter_is_format_error(command, value, tmp_path, capsys):
 @pytest.mark.parametrize("command, message", [
     (["mesh-info", "--n", "0"], "need an integer n >= 4, not 0"),
     (["ns-run", "--n", "2"], "need an integer n >= 4, not 2"),
-    (["solve", "--pde", "poisson", "--k2", "-1"], "screening constant must be nonnegative"),
+    (["solve", "--pde", "screened:-1"],
+     "screening constant must be finite and nonnegative, not -1.0"),
+    (["solve", "--pde", "screened:x"],
+     "screened pde needs its screening constant, 'screened:K', not 'screened:x'"),
+    (["solve", "--pde", "screened"],
+     "screened pde needs its screening constant, 'screened:K', not 'screened'"),
 ])
 def test_out_of_range_parameter_is_format_error(command, message, square_mesh_path, capsys):
-    # checked before the mesh is read, for every subcommand that takes it
+    # n is checked before the mesh is read, for every subcommand that
+    # takes it, and the pde spec before any operator is built
     assert main([*command, "--mesh", square_mesh_path]) == EXIT_FORMAT
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command, option", [
+    (["solve", "--pde", "screened", "--k2", "4"], "--k2 4"),
+    (["ns-run", "--dealias", "true"], "true"),
+])
+def test_second_option_form_is_a_usage_error(command, option, square_mesh_path, capsys):
+    # each option has one form: the screening constant is written
+    # screened:K and --dealias takes no value
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--mesh", square_mesh_path])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err

@@ -175,7 +175,7 @@ class TestBandAssembly:
             S, _ = _one_d_factors(n)
             t = ultra.cheb_points(4)
             C = ultra.vals_to_coeffs_2d(det_polynomial(bilinear_coeffs(quad))(*np.meshgrid(t, t)) ** 3)
-            want = _dense_kron_sum(C, 0, n, S, (np.eye(n), np.eye(n)))
+            want = _dense_kron_sum(C, 2, n, np.eye(n), (S, S))
             got = element_rhs_operator(quad, n)
             # the equation rows at their slots; the boundary slot rows are
             # empty, not merely zero-valued
@@ -183,6 +183,23 @@ class TestBandAssembly:
             err = got.toarray()[rows + 2 * n + 2] - want[rows]
             assert np.abs(err).max() <= 1e-15 * np.abs(want).max()
             assert not np.diff(got.indptr)[boundary_slots(n)].any()
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("quad", [Quad([(0, 0), (1.1, 0.2), (1.3, 1.4), (-0.2, 0.9)]),
+                                      skinny_quad(1e-6)], ids=["kite", "sliver"])
+    def test_rhs_operator_exact_on_interior_rows(self, quad, n):
+        # det^3 f has degree n + 2 per variable; its parameter-2 modes up
+        # to n - 3 need its Chebyshev modes up to n + 1, which a product
+        # truncated to n modes before conversion cuts
+        A = np.random.default_rng(n).standard_normal((n, n))
+        t = ultra.cheb_points(n + 3)
+        R, S = np.meshgrid(t, t)
+        det = det_polynomial(bilinear_coeffs(quad))(R, S)
+        P = ultra.vals_to_coeffs_2d(det ** 3 * np.polynomial.chebyshev.chebval2d(S, R, A))
+        S2 = ultra.cheb_to_ultra(2, n + 3).toarray()
+        want = (S2 @ P @ S2.T)[: n - 2, : n - 2].ravel(order="F")
+        got = (element_rhs_operator(quad, n) @ A.ravel(order="F"))[equation_rows(n) + 2 * n + 2]
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_bordered_bandwidths_pinned(self):
         # the outermost stored diagonals are the band: rounding residue

@@ -152,6 +152,17 @@ class TestBuildMesh:
                 f"skipped cell {entry!r} is not an integer (col, row) pair")):
             grid_mesh(3, 3, skip=[entry])
 
+    @pytest.mark.parametrize("nx, ny, bad", [(0, 3, "nx"), (-1, 2, "nx"), (2.5, 2, "nx"),
+                                             (2, True, "ny")])
+    def test_cell_count_other_than_a_positive_integer_rejected(self, nx, ny, bad):
+        # 0 warned of an invalid divide before failing, -1 raised numpy's
+        # bare ValueError, 2.5 a TypeError and True built one row
+        value = {"nx": nx, "ny": ny}[bad]
+        with pytest.raises(MeshError, match=re.escape(f"{bad} must be a positive integer, "
+                                                      f"not {value!r}")):
+            grid_mesh(nx, ny)
+        assert grid_mesh(np.int64(2), np.uint8(3)).n_quads == 6
+
     @pytest.mark.parametrize("nx, ny, skip", [(1, 1, []), (3, 3, []), (4, 3, [(1, 1)]),
                                               (5, 4, [(0, 0), (4, 3), (2, 1), (2, 2)])])
     def test_grid_vertices_numbered_at_first_use(self, nx, ny, skip):
