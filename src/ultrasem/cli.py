@@ -170,6 +170,8 @@ def _general_pde(spec, mesh):
         name = name.strip()
         if name not in ("a11", "a12", "a22", "b1", "b2", "c"):
             raise ExpressionError(f"unknown pde coefficient '{name}'")
+        if name in tables:
+            raise ExpressionError(f"pde coefficient '{name}' is assigned twice")
         fn = compile_expression(ex)
         # verify the fit: the coefficient really is such a polynomial; a
         # non-finite value fails the check instead of warning
@@ -212,7 +214,10 @@ def cmd_solve(args):
 
 
 def cmd_cond_bench(args):
-    eps = [float(tok) for tok in args.eps.split(",") if tok.strip()]
+    tokens = [tok.strip() for tok in args.eps.split(",")]
+    if any(tokens) and not all(tokens):
+        raise ValueError(f"eps item {tokens.index('') + 1} of {len(tokens)} is empty")
+    eps = [float(tok) for tok in tokens if tok]
     report = cond_bench(eps, args.n)
     print(f"n {report.n}")
     print("eps kappa1 kappainf")

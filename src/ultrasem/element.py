@@ -6,18 +6,20 @@ coefficient matrix column by column gives the unknown vector
 operator, pulled back through the bilinear map and multiplied by
 ``det(r,s)^3``, maps those Chebyshev coefficients to ultraspherical
 parameter-2 coefficients of ``det^3 L(u)`` through sums of Kronecker
-products of banded 1-D factors.  Those sums are formed directly as
-column-indexed diagonals (a DIA matrix), which are rows of LAPACK band
-storage.  Rows whose right-hand-side degree is ``n-2`` or ``n-1`` in
-either variable (4n-4 of them) are dropped and the rest moved to their
-slots (:func:`_to_slots`), in the operator and in the right-hand-side
-operator alike; the freed slots take dense boundary-condition rows, and
-the bordered system is solved with a banded LU plus a low-rank Woodbury
-correction: a banded solve, then the border correction, products with
-held arrays.  Every operator is factored when it is built, so solves
-only read it.  Elements that differ only in their boundary rows are
-copies of one operator (:meth:`AlmostBandedMatrix.bordered`), sharing
-its banded part, LU and banded solves and each with its own border.
+products of banded 1-D factors.  The operator's sum is written once, as
+its column-indexed diagonals in offset order (a DIA matrix), which are
+rows of LAPACK band storage.  Rows whose right-hand-side degree is
+``n-2`` or ``n-1`` in either variable (4n-4 of them) are dropped and the
+rest moved to their slots (:func:`_to_slots`); the freed slots take
+dense boundary-condition rows, and the bordered system is solved with a
+banded LU plus a low-rank Woodbury correction: a banded solve, then the
+border correction, products with held arrays.  The right-hand-side
+operator stays as its Kronecker factors, applied to coefficient matrices
+with the same slot shift (:func:`apply_rhs_operator`).  Every operator
+is factored when it is built, so solves only read it.  Elements that
+differ only in their boundary rows are copies of one operator
+(:meth:`AlmostBandedMatrix.bordered`), sharing its banded part, LU and
+banded solves and each with its own border.
 """
 
 import copy
@@ -165,19 +167,29 @@ def boundary_slots(n):
     return slots
 
 
+def _by_entry_row(v, off):
+    """``v[c - off[a]]`` for the entry in column c of the column-indexed
+    diagonal at offset ``off[a]``: the value of each entry's row, zero
+    where that row lies outside the matrix."""
+    nn = v.size
+    # a window of the padded v starting at nn - off reads rows c - off
+    pad = np.zeros(3 * nn, dtype=v.dtype)
+    pad[nn:2 * nn] = v
+    return sliding_window_view(pad, nn)[nn - off]
+
+
 def _to_slots(L, n):
-    """The n^2-by-n^2 DIA operator ``L`` with interior equation (i, j)
-    moved from row i + n j to its slot (i+2) + n (j+2): the entries in
-    the rows of the other equations go and every diagonal's offset drops
-    by 2n+2, so the boundary slot rows are empty."""
-    nn = n * n
-    # pad[nn + m] marks row m as an interior equation; a window of it
-    # starting at nn - off marks the rows c - off of a diagonal's entries
-    pad = np.zeros(3 * nn, dtype=bool)
-    pad[nn:2 * nn].reshape(n, n)[:n - 2, :n - 2] = True
-    keep = sliding_window_view(pad, nn)[nn - L.offsets]
-    D = np.where(keep, L.data, 0.0)
-    return sp.dia_matrix((D, L.offsets - (2 * n + 2)), shape=L.shape)
+    """Diagonals and offsets of the n^2-by-n^2 DIA operator ``L`` with
+    interior equation (i, j) moved from row i + n j to its slot (i+2) +
+    n (j+2): the entries in the rows of the other equations are zeroed in
+    ``L``'s own data, the diagonals this leaves all zero go, and every
+    offset drops by 2n+2, so the boundary slot rows are empty."""
+    interior = np.zeros((n, n), dtype=bool)
+    interior[:n - 2, :n - 2] = True
+    D, off = L.data, L.offsets - (2 * n + 2)
+    D[~_by_entry_row(interior.ravel(), L.offsets)] = 0.0
+    nonzero = D.any(axis=1)
+    return (D, off) if nonzero.all() else (D[nonzero], off[nonzero])
 
 
 def edge_points(n):
@@ -271,31 +283,29 @@ def _diagonals(M):
     return np.where((rows >= 0) & (rows < n), M[:, rows.clip(0, n - 1), np.arange(n)], 0.0), off
 
 
-def _dia(offsets, data):
-    """Square DIA matrix from column-indexed diagonals: rows of ``data`` at
-    equal offsets are summed and all-zero diagonals dropped, so the
-    outermost stored diagonals are the bandwidths."""
-    keep = data.any(axis=1)
-    order = np.argsort(offsets[keep], kind="stable")
-    off, start = np.unique(offsets[keep][order], return_index=True)
-    out = np.add.reduceat(data[keep][order], start, axis=0)
-    return sp.dia_matrix((out, off), shape=(data.shape[1],) * 2)
-
-
 def _kron_sum(P, Q):
     """``sum_t kron(P[t], Q[t])`` for stacks of n-by-n arrays, as an
-    n^2-by-n^2 DIA matrix.  Diagonal (dj, di) of ``kron(P, Q)`` sits at
-    offset ``n dj + di`` and holds the outer product of P's diagonal dj
-    and Q's diagonal di over the columns, so one contraction over ``t``
-    forms every diagonal."""
+    n^2-by-n^2 DIA matrix holding its nonzero diagonals in offset order,
+    so the outermost stored diagonals are the bandwidths.  Diagonal (dj,
+    di) of ``kron(P, Q)`` sits at offset ``n dj + di`` and holds the outer
+    product of P's diagonal dj and Q's diagonal di over the columns, so
+    one contraction over ``t`` forms every diagonal.  Those offsets come
+    in order, each once, unless Q's diagonals span more than n offsets;
+    then the diagonals that share one are summed."""
     n = P.shape[-1]
     (Pd, p_off), (Qd, q_off) = _diagonals(P), _diagonals(Q)
     # E[(a, c), (b, d)] = sum_t Pd[t, a, c] Qd[t, b, d], formed as its
     # Fortran-ordered transpose so that E is C-ordered
     t, a, b = len(Pd), p_off.size, q_off.size
-    E = gemm(1.0, Qd.reshape(t, b * n).T, Pd.reshape(t, a * n)).T
-    E = E.reshape(a, n, b, n).transpose(0, 2, 1, 3)
-    return _dia((n * p_off[:, None] + q_off).ravel(), E.reshape(-1, n * n))
+    E = gemm(1.0, Qd.reshape(t, b * n).T, Pd.reshape(t, a * n)).T.reshape(a, n, b, n)
+    keep = E.any(axis=(1, 3))
+    off = (n * p_off[:, None] + q_off)[keep]
+    data = E.transpose(0, 2, 1, 3)[keep].reshape(-1, n * n)
+    if b > n:
+        order = np.argsort(off, kind="stable")
+        off, start = np.unique(off[order], return_index=True)
+        data = np.add.reduceat(data[order], start, axis=0)
+    return sp.dia_matrix((data, off), shape=(n * n,) * 2)
 
 
 @functools.lru_cache(maxsize=8)
@@ -549,28 +559,34 @@ def assemble_element_operator(pde, quad, n, rows=None):
     Elements that share L are copies of one operator through
     :meth:`AlmostBandedMatrix.bordered`.
     """
-    L = _to_slots(element_interior_operator(pde, quad, n), n)
+    D, off = _to_slots(element_interior_operator(pde, quad, n), n)
     nn = n * n
     slots = boundary_slots(n)
     if rows is None:
         rows = point_value_row(n, *traversal_points(n))
 
-    # the interior equations at their slots; the empty boundary slot rows
-    # get exact unit diagonal entries
-    D, off = L.data, L.offsets
-    col = np.arange(nn) + off[:, None]  # column of row m on each diagonal
-    at = np.take_along_axis(D, col.clip(0, nn - 1), axis=1)
-    row_max = np.abs(np.where((col >= 0) & (col < nn), at, 0.0)).max(axis=0, initial=0.0)
+    # the interior equations at their slots, scaled in place; the empty
+    # boundary slot rows get exact unit diagonal entries.  Row m of the
+    # diagonal at offset off is its entry m + off, so in |D| padded by the
+    # widest offset on each side every diagonal's rows are one window.
+    pad = int(np.abs(off).max(initial=0))
+    wide = np.zeros((off.size, nn + 2 * pad))
+    np.abs(D, out=wide[:, pad:pad + nn])
+    rows_of = sliding_window_view(wide, nn, axis=1)[np.arange(off.size), pad + off]
+    row_max = rows_of.max(axis=0, initial=0.0)
     row_max[slots] = 1.0  # scaled by _border
     if np.any(row_max == 0.0):
         raise SingularOperatorError(
             f"row {int(np.argmin(row_max))} of the bordered operator is zero")
     s = 1.0 / row_max
-    D *= s[(np.arange(nn) - off[:, None]).clip(0, nn - 1)]  # the slot of each entry
-    A = _dia(np.append(off, 0), np.vstack([D, np.isin(np.arange(nn), slots)]))
+    D *= _by_entry_row(s, off)
+    main = np.searchsorted(off, 0)
+    if main == off.size or off[main] != 0:
+        off, D = np.insert(off, main, 0), np.insert(D, main, 0.0, axis=0)
+    D[main, slots] = 1.0
     V, s = _border(s, slots, rows)
-    del L, D, col, at, rows  # freed before the constructor factors A
-    return AlmostBandedMatrix(A, slots, V, s)
+    del wide, rows_of, rows  # freed before the constructor factors A
+    return AlmostBandedMatrix(sp.dia_matrix((D, off), shape=(nn, nn)), slots, V, s)
 
 
 # ----------------------------------------------------------------------
@@ -578,15 +594,13 @@ def assemble_element_operator(pde, quad, n, rows=None):
 
 
 def element_rhs_operator(quad, n):
-    """Sparse operator taking the Chebyshev coefficients of a sampled
-    forcing to the parameter-2 coefficients of ``det^3 * f``: basis
-    conversion followed by the det^3 multiplication in parameter 2, as in
-    the zeroth-order term of :func:`element_interior_operator`,
-    ``sum_j kron(T_j(X_2) S, M_2(C[:, j]) S)`` with ``S = S_1 S_0``, with
-    its interior equations at their slots and empty boundary slot rows,
-    as in :func:`assemble_element_operator`.  It is CSR, because every
-    solve multiplies with it and the DIA diagonals hold zeros that CSR
-    skips."""
+    """Kronecker factors ``(P, Q)`` of the operator taking the Chebyshev
+    coefficients of a sampled forcing to the parameter-2 coefficients of
+    ``det^3 * f``: basis conversion followed by the det^3 multiplication
+    in parameter 2, as in the zeroth-order term of
+    :func:`element_interior_operator`, ``sum_t kron(P[t], Q[t])`` with the
+    stacks ``P[t] = T_j(X_2) S`` and ``Q[t] = M_2(C[:, j]) S``, ``S = S_1
+    S_0``.  :func:`apply_rhs_operator` applies them."""
     if not isinstance(quad, Quad):
         quad = Quad(quad)
     # det^3, a polynomial of degree 3 in each variable, sampled on the
@@ -596,7 +610,25 @@ def element_rhs_operator(quad, n):
     det3 = poly2d_trim(ultra.vals_to_coeffs_2d(D * D * D)[:4, :4])
     T, M = _multipliers(det3, n)
     S = _kron_factors(n)["id"][0]
-    return _to_slots(_kron_sum(T @ S, M @ S), n).tocsr()
+    return T @ S, M @ S
+
+
+def apply_rhs_operator(factors, X):
+    """Right-hand sides, (..., n^2), of stacked coefficient vectors ``X``
+    under the factors ``(P, Q)`` of :func:`element_rhs_operator`: each
+    coefficient matrix ``A`` maps to ``sum_t Q[t] A P[t]^T``, whose
+    interior equations ``[:n-2, :n-2]`` sit at their slots ``[2:, 2:]``,
+    as in :func:`assemble_element_operator`, and the boundary slots are
+    zero."""
+    P, Q = factors
+    n = P.shape[-1]
+    X = np.asarray(X, dtype=float)
+    # a stacked vector reshaped is A^T, and so is the result
+    At = X.reshape(X.shape[:-1] + (1, n, n))
+    out = np.zeros(X.shape[:-1] + (n, n))
+    out[..., 2:, 2:] = np.matmul(np.matmul(P[:, :n - 2], At),
+                                 Q[:, :n - 2].swapaxes(-1, -2)).sum(axis=-3)
+    return out.reshape(X.shape)
 
 
 def grid_points(bm, n):

@@ -42,13 +42,15 @@ values; every element solve then decouples and reuses its factorization.
 Elements whose map coefficients agree (translation-free to
 ``_SHARE_TOL`` times the inradius of the first, the translation too when
 a PDE table varies) form a geometry class sharing one right-hand-side
-operator, built from that first element.  A class splits into groups
-that agree so with their first element, in boundary row kinds exactly
-and in Neumann edge normals to ``_SHARE_TOL``.  The class's first group
-builds its operator from the first element and its rows; every other
-group is a :meth:`~ultrasem.element.AlmostBandedMatrix.bordered` copy of
-it with its own rows, sharing the banded part, its factorization and
-its banded solves.
+operator, built from that first element and held as its Kronecker
+factors (:func:`~ultrasem.element.element_rhs_operator`).  A class
+splits into groups that agree so with their first element, in boundary
+row kinds exactly and in Neumann edge normals to ``_SHARE_TOL``.  The
+class's first group builds its operator from the first element and its
+rows; every other group is a
+:meth:`~ultrasem.element.AlmostBandedMatrix.bordered` copy of it with its
+own rows, sharing the banded part, its factorization and its banded
+solves.
 The elements of a group share its operator and its W block.  Congruent
 elements whose coordinates round differently therefore share; elements
 with bitwise equal inputs get bit-identical operators and W blocks to
@@ -58,13 +60,15 @@ groups and their pairs.
 
 Under a size rule, each group's zero-interface element solve is held as
 one block too: ``_k``, (G, n^2 + 4n-4, n^2), holds ``(B_g^{-1} diag(s_g)
-[R_c | P])^T`` with R_c the class's right-hand-side operator and P placing
-boundary values at their slots, W being its last 4n-4 rows.  A solve is
-then one batched product of every element's forcing coefficients and
-boundary values with ``_k``.  Any other system multiplies by each class's
-right-hand-side operator once, places the boundary data at their slots and
-makes one multi-column ``solve_raw`` per group.  Either way it applies the
-pairs' rows and the groups' W as one batched product each.
+[R_c | P])^T`` with R_c the class's right-hand-side operator (its factors
+applied to the identity) and P placing boundary values at their slots, W
+being its last 4n-4 rows.  A solve is then one batched product of every
+element's forcing coefficients and boundary values with ``_k``.  Any
+other system applies each class's right-hand-side factors to its
+elements' forcing coefficients as one batched product, places the
+boundary data at their slots and makes one multi-column ``solve_raw`` per
+group.  Either way it applies the pairs' rows and the groups' W as one
+batched product each.
 """
 
 import numbers
@@ -78,6 +82,7 @@ from . import ultra
 from ._linalg import BandedLU, gemm
 from .element import (
     CoeffVector2D,
+    apply_rhs_operator,
     assemble_element_operator,
     boundary_slots,
     check_n,
@@ -152,10 +157,12 @@ def _pad(label, items, fill):
 class SchurSystem:
     """Factored global solver for one mesh, operator and resolution.
 
-    ``classes`` holds one ``(elements, rhs_op)`` pair per geometry class,
-    and ``groups`` one ``(elements, op)`` pair per distinct element
-    operator (``n_distinct`` of them); ``ops`` is a per-element list whose
-    entries are shared between elements whose inputs agree.
+    ``classes`` holds one ``(elements, (P, Q))`` pair per geometry class,
+    ``(P, Q)`` the Kronecker factors of its right-hand-side operator
+    (:func:`~ultrasem.element.element_rhs_operator`), and ``groups`` one
+    ``(elements, op)`` pair per distinct element operator (``n_distinct``
+    of them); ``ops`` is a per-element list whose entries are shared
+    between elements whose inputs agree.
     The coupling is held once per distinct block (see the module
     docstring): ``_pair_rows`` (Q, n^2, n+2) for the Q (class, local
     edge) pairs that occur, ``_w`` (G, 4n-4, n^2) for the G groups, and
@@ -266,8 +273,9 @@ class SchurSystem:
         """``_k`` (see the module docstring) when every group's n^2 columns
         are no more than what its Woodbury solve reads, n^2 <= (2 kl + ku +
         1) + 2 (4n-4) (the LU's band rows, ``Z`` and ``V``), else None.
-        Each class makes one banded solve of its scaled ``R_c``, which each
-        group corrects into its block; :meth:`_hold_w` fills the W rows."""
+        Each class makes one banded solve of its scaled ``R_c``, its
+        factors applied to the identity, which each group corrects into its
+        block; :meth:`_hold_w` fills the W rows."""
         nn, k = self.n * self.n, 4 * self.n - 4
         ops = [op for _, op in self.groups]
         if any(nn > 2 * kl + ku + 1 + 2 * k for kl, ku in (op.bandwidths() for op in ops)):
@@ -275,8 +283,9 @@ class SchurSystem:
         held = np.empty((self.n_distinct, nn + k, nn))
         for elems, rhs_op in self.classes:
             g = np.unique(self._group[elems])
-            # groups of a class differ in scale only at the slots, where R_c's rows are empty
-            y = ops[g[0]].banded_solve(ops[g[0]].scale[:, None] * rhs_op.toarray())
+            # groups of a class differ in scale only at the slots, where R_c's rows are zero
+            R = apply_rhs_operator(rhs_op, np.eye(nn)).T
+            y = ops[g[0]].banded_solve(ops[g[0]].scale[:, None] * R)
             for i in g:
                 # correct overwrites the block's Fortran-contiguous view
                 held[i, :nn] = y.T
@@ -460,13 +469,13 @@ class SchurSystem:
 
     def _rhs_vectors(self, C, values):
         """Right-hand sides of every element, stacked (F, n^2), from
-        :meth:`_rhs_data`: each class's right-hand-side operator applied
-        to its forcing coefficients puts the equations at their slots, and
-        the boundary values fill the boundary slots."""
+        :meth:`_rhs_data`: each class's right-hand-side factors applied to
+        its forcing coefficients put the equations at their slots, and the
+        boundary values fill the boundary slots."""
         B = np.zeros((self.mesh.n_quads, self.n * self.n))
         if C is not None:
             for elems, rhs_op in self.classes:
-                B[elems] = (rhs_op @ C[elems].T).T
+                B[elems] = apply_rhs_operator(rhs_op, C[elems])
         B[:, boundary_slots(self.n)] = values
         return B
 

@@ -174,6 +174,17 @@ class TestSolve:
         assert code == EXIT_FORMAT
         assert "coefficient 'a11' is not a finite polynomial" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["general:a11=1;a22=1;a11=5", "general:c=1; c =1;a11=1"])
+    def test_general_pde_rejects_a_coefficient_assigned_twice(self, spec, square_mesh_path,
+                                                               tmp_path, capsys):
+        out = tmp_path / "u.txt"
+        code = main(["solve", "--mesh", square_mesh_path, "--n", "6", "--pde", spec,
+                     "--out", str(out)])
+        assert code == EXIT_FORMAT
+        assert not out.exists()
+        name = spec.split(":")[1].split("=")[0]
+        assert capsys.readouterr().err == f"error: pde coefficient '{name}' is assigned twice\n"
+
     def test_n_too_small_rejected(self, square_mesh_path):
         assert main(["solve", "--mesh", square_mesh_path, "--n", "2"]) == EXIT_FORMAT
 
@@ -229,6 +240,18 @@ class TestCondBench:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: eps sweep is empty\n"
+
+    @pytest.mark.parametrize("eps, item", [("1e-3,,1e-4", "2 of 3"), ("1,1e-3,", "3 of 3"),
+                                           (",1", "1 of 2"), ("1, ,1e-2", "2 of 3")])
+    def test_empty_eps_item_rejected(self, eps, item, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "assemble_element_operator",
+                            lambda *a, **k: calls.append(a))
+        assert main(["cond-bench", "--eps", eps]) == EXIT_FORMAT
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: eps item {item} is empty\n"
 
     def test_invalid_eps_order(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from ultrasem.element import (
     AlmostBandedMatrix,
     PdeCoefficients,
     _reference_tables,
+    apply_rhs_operator,
     assemble_element_operator,
     boundary_slots,
     edge_points,
@@ -104,7 +105,8 @@ class TestInteriorOperator:
             rows = equation_rows(n)
             got = (L @ coeffs_of(u, n, quad))[rows]
             # the rhs operator holds equation (i, j) at its slot
-            want = (element_rhs_operator(quad, n) @ coeffs_of(Lu, n, quad))[rows + 2 * n + 2]
+            want = apply_rhs_operator(element_rhs_operator(quad, n),
+                                      coeffs_of(Lu, n, quad))[rows + 2 * n + 2]
             scale = np.abs(want).max()
             assert np.max(np.abs(got - want)) < 1e-12 * scale
 
@@ -170,19 +172,28 @@ class TestBandAssembly:
             got = element_interior_operator(pde, quad, n).toarray()
             assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
-    def test_rhs_operator_against_dense_kron(self):
+    def test_rhs_operator_against_dense_kron(self, rng):
         for _, quad, n in _band_cases():
             S, _ = _one_d_factors(n)
             t = ultra.cheb_points(4)
             C = ultra.vals_to_coeffs_2d(det_polynomial(bilinear_coeffs(quad))(*np.meshgrid(t, t)) ** 3)
             want = _dense_kron_sum(C, 2, n, np.eye(n), (S, S))
-            got = element_rhs_operator(quad, n)
-            # the equation rows at their slots; the boundary slot rows are
-            # empty, not merely zero-valued
+            factors = element_rhs_operator(quad, n)
+            # the factors applied to the identity give the operator's
+            # transpose: the equation rows at their slots, the boundary
+            # slot rows zero
+            got = apply_rhs_operator(factors, np.eye(n * n)).T
             rows = equation_rows(n)
-            err = got.toarray()[rows + 2 * n + 2] - want[rows]
+            err = got[rows + 2 * n + 2] - want[rows]
             assert np.abs(err).max() <= 1e-15 * np.abs(want).max()
-            assert not np.diff(got.indptr)[boundary_slots(n)].any()
+            assert not got[boundary_slots(n)].any()
+            # and their batched products with a stack of coefficient
+            # vectors are the dense operator's products on those rows
+            X = rng.standard_normal((3, n * n))
+            got = apply_rhs_operator(factors, X)
+            err = got[:, rows + 2 * n + 2] - X @ want[rows].T
+            assert np.abs(err).max() <= 1e-14 * (np.abs(X) @ np.abs(want).T).max()
+            assert not got[:, boundary_slots(n)].any()
 
     @pytest.mark.parametrize("n", [8, 16])
     @pytest.mark.parametrize("quad", [Quad([(0, 0), (1.1, 0.2), (1.3, 1.4), (-0.2, 0.9)]),
@@ -198,7 +209,8 @@ class TestBandAssembly:
         P = ultra.vals_to_coeffs_2d(det ** 3 * np.polynomial.chebyshev.chebval2d(S, R, A))
         S2 = ultra.cheb_to_ultra(2, n + 3).toarray()
         want = (S2 @ P @ S2.T)[: n - 2, : n - 2].ravel(order="F")
-        got = (element_rhs_operator(quad, n) @ A.ravel(order="F"))[equation_rows(n) + 2 * n + 2]
+        got = apply_rhs_operator(element_rhs_operator(quad, n),
+                                 A.ravel(order="F"))[equation_rows(n) + 2 * n + 2]
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_bordered_bandwidths_pinned(self):
@@ -220,6 +232,40 @@ class TestBandAssembly:
             assert {op.bandwidths() for op in system.ops} == {(band, band)}
         op = assemble_element_operator(POISSON, skinny_quad(1e-9), 48)
         assert op.bandwidths() == (146, 146)
+
+    @pytest.mark.parametrize("case, n", [(case, n) for case in ("sliver", "kite", "varcoef")
+                                         for n in (8, 13, 24, 48)] + [("uxy", 8)])
+    def test_assembled_operator_against_dense_slots(self, case, n):
+        # the banded part written in place equals the interior operator's
+        # equation rows moved to their slots, each row scaled to unit sup
+        # norm, with unit entries at the boundary slots, bordered by the
+        # scaled Dirichlet rows; at n = 8 the varcoef element puts two
+        # Kronecker diagonals on one offset, and u_xy alone on the square
+        # leaves no main diagonal for the unit entries
+        mesh = mixed_mesh()
+        pde, quad = {"sliver": (POISSON, skinny_quad(1e-6)),
+                     "kite": (POISSON, Quad([(0, 0), (1.1, 0.2), (1.3, 1.4), (-0.2, 0.9)])),
+                     "varcoef": (_general_pde(VARCOEF, mesh), mesh.element_quad(1)),
+                     "uxy": (PdeCoefficients(a11=0.0, a12=1.0, a22=0.0), SQUARE)}[case]
+        nn, slots, rows = n * n, boundary_slots(n), equation_rows(n)
+        B = np.zeros((nn, nn))
+        B[rows + 2 * n + 2] = element_interior_operator(pde, quad, n).toarray()[rows]
+        row_max = np.abs(B).max(axis=1)
+        row_max[slots] = 1.0
+        scale = 1.0 / row_max
+        B *= scale[:, None]
+        B[slots, slots] = 1.0
+        r, c = np.nonzero(B)
+        band = int((r - c).max()), int((c - r).max())
+        value_rows = point_value_row(n, *traversal_points(n))
+        scale[slots] = 1.0 / np.abs(value_rows).max(axis=1)
+        V = scale[slots, None] * value_rows
+        V[np.arange(slots.size), slots] -= 1.0
+        B[slots] += V
+        op = assemble_element_operator(pde, quad, n)
+        assert np.array_equal(op.to_dense(), B)
+        assert np.array_equal(op.scale, scale)
+        assert op.bandwidths() == band
 
     def test_every_bordered_row_has_unit_sup_norm(self):
         for pde, quad, n in _band_cases():

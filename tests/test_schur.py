@@ -9,12 +9,14 @@ from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from ultrasem.cli import _general_pde
 from ultrasem._linalg import BandedLU
 from ultrasem.element import (
     PdeCoefficients,
+    apply_rhs_operator,
     assemble_element_operator,
     boundary_slots,
     edge_points,
@@ -592,16 +594,8 @@ class TestHeldInverse:
         calls, solve_raw = [], element.AlmostBandedMatrix.solve_raw
         monkeypatch.setattr(element.AlmostBandedMatrix, "solve_raw",
                             lambda op, b: calls.append("solve_raw") or solve_raw(op, b))
-
-        class Counted:
-            def __init__(self, op):
-                self.op = op
-
-            def __matmul__(self, b):
-                calls.append("rhs")
-                return self.op @ b
-
-        monkeypatch.setattr(sys, "classes", [(e, Counted(op)) for e, op in sys.classes])
+        monkeypatch.setattr(schur, "apply_rhs_operator", lambda factors, X, _fn=schur.apply_rhs_operator:
+                            calls.append("rhs") or _fn(factors, X))
         f = lambda x, y: np.exp(x) * np.sin(2 * y)
         got = sys.solve(f=f, dirichlet=lambda x, y: x * y).data
         products = len(sys.classes) if solves else 0
@@ -632,7 +626,8 @@ class TestHeldInverse:
         P = np.zeros((nn, slots.size))
         P[slots, np.arange(slots.size)] = 1.0
         for g, (_, op) in enumerate(sys.groups):
-            rhs = op.scale[:, None] * np.hstack([rhs_op.toarray(), P])
+            R = apply_rhs_operator(rhs_op, np.eye(nn)).T
+            rhs = op.scale[:, None] * np.hstack([R, P])
             want = np.linalg.solve(op.to_dense(), rhs).T
             assert np.abs(sys._k[g] - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -928,6 +923,32 @@ class TestSharedElements:
         for sys in systems:
             assert len(sys.classes) == 1
 
+    def test_element_build_makes_no_sparse_format_conversions(self, monkeypatch):
+        # the element operators' diagonals are written once and the
+        # right-hand-side operators held as Kronecker factors, so building
+        # the eight classes of the mixed varcoef mesh converts no sparse
+        # matrix from one format to another (a first build fills the
+        # per-n caches of the 1-D factors, which ultra builds as CSR)
+        mesh = mixed_mesh()
+        pde = _general_pde(VARCOEF, mesh)
+        assemble_schur(mesh, pde, 24)
+        calls, inside = [], []
+        for fmt in ("bsr", "coo", "csc", "csr", "dia", "dok", "lil"):
+            for cls in (getattr(sp, f"{fmt}_matrix"), getattr(sp, f"{fmt}_array")):
+                for name in ("tocsr", "tocoo", "todia"):
+                    monkeypatch.setattr(cls, name, lambda m, *a, _fn=getattr(cls, name), **k:
+                                        calls.append(_fn.__name__) or _fn(m, *a, **k))
+
+        def build(system, _fn=schur.SchurSystem._build_elements):
+            start = len(calls)
+            _fn(system)
+            inside.append(calls[start:])
+
+        monkeypatch.setattr(schur.SchurSystem, "_build_elements", build)
+        sys = assemble_schur(mesh, pde, 24)
+        assert len(sys.classes) == 8
+        assert inside == [[]]
+
     def test_tunnel_factors_and_solves_once_per_class(self, monkeypatch):
         # the perfbench tunnel: each system's groups border one banded part,
         # so three systems factor 3 element operators and 3 Sigmas, and each
@@ -964,7 +985,7 @@ class TestSharedElements:
             assert np.array_equal(op.to_dense(), alone.to_dense())
             assert np.array_equal(op.scale, alone.scale)
             want = element_rhs_operator(mesh.element_quad(elems[0]), sys.n)
-            assert (rhs_op != want).nnz == 0
+            assert all(map(np.array_equal, rhs_op, want))
 
     @pytest.mark.parametrize("n", [6, 16])
     def test_groups_are_bordered_copies_of_the_class_operator(self, n, rng):
@@ -1020,7 +1041,7 @@ class TestSharedElements:
             assert np.array_equal(op1.scale, op2.scale)
         for (e1, rhs1), (e2, rhs2) in zip(sys.classes, want.classes, strict=True):
             assert np.array_equal(e1, e2)
-            assert (rhs1 != rhs2).nnz == 0
+            assert all(map(np.array_equal, rhs1, rhs2))
         for M in COUPLING_ARRAYS:
             assert np.array_equal(getattr(sys, M), getattr(want, M))
         assert np.array_equal(solve(sys), solve(want))
