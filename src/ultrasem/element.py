@@ -6,18 +6,19 @@ coefficient matrix column by column gives the unknown vector
 operator, pulled back through the bilinear map and multiplied by
 ``det(r,s)^3``, maps those Chebyshev coefficients to ultraspherical
 parameter-2 coefficients of ``det^3 L(u)`` through sums of Kronecker
-products of banded 1-D factors.  The operator's sum is written once, as
-its column-indexed diagonals in offset order (a DIA matrix), which are
-rows of LAPACK band storage.  Rows whose right-hand-side degree is
+products of banded 1-D factors.  Rows whose right-hand-side degree is
 ``n-2`` or ``n-1`` in either variable (4n-4 of them) are dropped and the
-rest moved to their slots (:func:`_to_slots`); the freed slots take
-dense boundary-condition rows, and the bordered system is solved with a
-banded LU plus a low-rank Woodbury correction: a banded solve, then the
-border correction, products with held arrays.  The right-hand-side
-operator stays as its Kronecker factors, applied to coefficient matrices
-with the same slot shift (:func:`apply_rhs_operator`).  Every operator
-is factored when it is built, so solves only read it.  Elements that
-differ only in their boundary rows are copies of one operator
+rest moved to their slots by one shift of the 1-D factors' rows
+(:func:`_slotted`); two more Kronecker terms give the freed slots unit
+rows, and the sum is written once, as its column-indexed diagonals in
+offset order (a DIA matrix), which are rows of LAPACK band storage.
+Dense boundary-condition rows border it, and the bordered system is
+solved with a banded LU plus a low-rank Woodbury correction: a banded
+solve, then the border correction, products with held arrays.  The
+right-hand-side operator stays as its shifted Kronecker factors
+(:func:`apply_rhs_operator`).  Every operator is factored when it is
+built, so solves only read it.  Elements that differ only in their
+boundary rows are copies of one operator
 (:meth:`AlmostBandedMatrix.bordered`), sharing its banded part, LU and
 banded solves and each with its own border.
 """
@@ -151,11 +152,11 @@ class CoeffVector2D:
 
 # Boundary rows replace the rows whose right-hand side degree is n-2 or
 # n-1 in either variable.  Interior equation (i, j) (both <= n-3) is
-# stored at stacked slot (i+2) + n*(j+2) (:func:`_to_slots`), so the
-# freed slots are exactly the lowest-order coefficient positions (index 0
-# or 1 in either variable), and the banded part keeps unit diagonal
-# entries there.  The slot list is cached per n and shared by every
-# caller: read only.
+# stored at stacked slot (i+2) + n*(j+2), by one shift of the 1-D
+# factors' rows (:func:`_slotted`), so the freed slots are exactly the
+# lowest-order coefficient positions (index 0 or 1 in either variable),
+# and two more Kronecker terms give the banded part unit rows there.  The
+# slot list is cached per n and shared by every caller: read only.
 
 
 @functools.lru_cache(maxsize=16)
@@ -176,20 +177,6 @@ def _by_entry_row(v, off):
     pad = np.zeros(3 * nn, dtype=v.dtype)
     pad[nn:2 * nn] = v
     return sliding_window_view(pad, nn)[nn - off]
-
-
-def _to_slots(L, n):
-    """Diagonals and offsets of the n^2-by-n^2 DIA operator ``L`` with
-    interior equation (i, j) moved from row i + n j to its slot (i+2) +
-    n (j+2): the entries in the rows of the other equations are zeroed in
-    ``L``'s own data, the diagonals this leaves all zero go, and every
-    offset drops by 2n+2, so the boundary slot rows are empty."""
-    interior = np.zeros((n, n), dtype=bool)
-    interior[:n - 2, :n - 2] = True
-    D, off = L.data, L.offsets - (2 * n + 2)
-    D[~_by_entry_row(interior.ravel(), L.offsets)] = 0.0
-    nonzero = D.any(axis=1)
-    return (D, off) if nonzero.all() else (D[nonzero], off[nonzero])
 
 
 def edge_points(n):
@@ -382,22 +369,36 @@ def _reference_tables(pde, bm):
     return tables
 
 
+def _factors(tables, n):
+    """The stacks ``P[t] = T_j(X_2) A_ref`` and ``Q[t] = M_2(C_ref[:, j])
+    B_ref`` of ``sum_t kron(P[t], Q[t])``: each reference derivative, with
+    1-D factors ``(A_ref, B_ref)``, times its table in ``{ref: C_ref}``."""
+    n = check_n(n)
+    P, Q = [], []
+    for ref, C in tables.items():
+        (T, M), (A, B) = _multipliers(C, n), _kron_factors(n)[ref]
+        P.append(T @ A)
+        Q.append(M @ B)
+    return np.concatenate(P), np.concatenate(Q)
+
+
+def _slotted(M):
+    """Rows 0..n-3 of every array of a factor stack moved down two rows: the
+    Kronecker sum of P and Q both moved holds interior equation (i, j) at
+    slot (i+2) + n (j+2) and leaves the boundary slot rows zero."""
+    out = np.zeros_like(M)
+    out[:, 2:] = M[:, :-2]
+    return out
+
+
 def element_interior_operator(pde, quad, n):
     """Full n^2-by-n^2 operator taking stacked Chebyshev coefficients of u
     to stacked parameter-2 ultraspherical coefficients of
     ``det(r,s)^3 * L(u)`` on the element (no rows removed), as a DIA
-    matrix: ``sum_ref sum_j kron(T_j(X_2) A_ref, M_2(C_ref[:, j]) B_ref)``
-    over the 1-D factors ``(A_ref, B_ref)`` of each reference
-    derivative."""
-    n = check_n(n)
+    matrix: the Kronecker sum of :func:`_factors`."""
     if not isinstance(quad, Quad):
         quad = Quad(quad)
-    P, Q = [], []
-    for ref, C in _reference_tables(pde, bilinear_coeffs(quad)).items():
-        (T, M), (A, B) = _multipliers(C, n), _kron_factors(n)[ref]
-        P.append(T @ A)
-        Q.append(M @ B)
-    return _kron_sum(np.concatenate(P), np.concatenate(Q))
+    return _kron_sum(*_factors(_reference_tables(pde, bilinear_coeffs(quad)), n))
 
 
 # ----------------------------------------------------------------------
@@ -549,7 +550,10 @@ def _border(scale, slots, rows):
 def assemble_element_operator(pde, quad, n, rows=None):
     """Bordered, row-scaled element operator: the L of
     :func:`element_interior_operator` with its interior equations moved to
-    their slots, bordered by dense boundary rows.
+    their slots (:func:`_slotted`), bordered by dense boundary rows.  With
+    ``F = diag(1, 1, 0, ..., 0)`` the boundary slots' unit rows are the
+    Kronecker terms ``kron(F, I)`` (j < 2) and ``kron(I - F, F)`` (j >= 2,
+    i < 2), summed last, as exact zeros in the equations' rows.
 
     ``rows`` supplies the 4n-4 unscaled boundary rows in the
     counterclockwise traversal order of :func:`traversal_points`; by
@@ -559,34 +563,34 @@ def assemble_element_operator(pde, quad, n, rows=None):
     Elements that share L are copies of one operator through
     :meth:`AlmostBandedMatrix.bordered`.
     """
-    D, off = _to_slots(element_interior_operator(pde, quad, n), n)
+    if not isinstance(quad, Quad):
+        quad = Quad(quad)
+    P, Q = map(_slotted, _factors(_reference_tables(pde, bilinear_coeffs(quad)), n))
+    F, I = np.diag((np.arange(n) < 2).astype(float)), np.eye(n)
+    L = _kron_sum(np.concatenate([P, [F, I - F]]), np.concatenate([Q, [I, F]]))
+    D, off = L.data, L.offsets
     nn = n * n
     slots = boundary_slots(n)
     if rows is None:
         rows = point_value_row(n, *traversal_points(n))
 
-    # the interior equations at their slots, scaled in place; the empty
-    # boundary slot rows get exact unit diagonal entries.  Row m of the
-    # diagonal at offset off is its entry m + off, so in |D| padded by the
-    # widest offset on each side every diagonal's rows are one window.
+    # every row scaled in place, the unit slot rows by 1 until _border
+    # scales them.  Row m of the diagonal at offset off is its entry m +
+    # off, so in |D| padded by the widest offset on each side every
+    # diagonal's rows are one window.
     pad = int(np.abs(off).max(initial=0))
     wide = np.zeros((off.size, nn + 2 * pad))
     np.abs(D, out=wide[:, pad:pad + nn])
     rows_of = sliding_window_view(wide, nn, axis=1)[np.arange(off.size), pad + off]
     row_max = rows_of.max(axis=0, initial=0.0)
-    row_max[slots] = 1.0  # scaled by _border
     if np.any(row_max == 0.0):
         raise SingularOperatorError(
             f"row {int(np.argmin(row_max))} of the bordered operator is zero")
     s = 1.0 / row_max
     D *= _by_entry_row(s, off)
-    main = np.searchsorted(off, 0)
-    if main == off.size or off[main] != 0:
-        off, D = np.insert(off, main, 0), np.insert(D, main, 0.0, axis=0)
-    D[main, slots] = 1.0
     V, s = _border(s, slots, rows)
-    del wide, rows_of, rows  # freed before the constructor factors A
-    return AlmostBandedMatrix(sp.dia_matrix((D, off), shape=(nn, nn)), slots, V, s)
+    del P, Q, wide, rows_of, rows  # freed before the constructor factors A
+    return AlmostBandedMatrix(L, slots, V, s)
 
 
 # ----------------------------------------------------------------------
@@ -597,10 +601,10 @@ def element_rhs_operator(quad, n):
     """Kronecker factors ``(P, Q)`` of the operator taking the Chebyshev
     coefficients of a sampled forcing to the parameter-2 coefficients of
     ``det^3 * f``: basis conversion followed by the det^3 multiplication
-    in parameter 2, as in the zeroth-order term of
-    :func:`element_interior_operator`, ``sum_t kron(P[t], Q[t])`` with the
-    stacks ``P[t] = T_j(X_2) S`` and ``Q[t] = M_2(C[:, j]) S``, ``S = S_1
-    S_0``.  :func:`apply_rhs_operator` applies them."""
+    in parameter 2, the zeroth-order term of
+    :func:`element_interior_operator` with the det^3 table, with its rows
+    moved to their slots as in :func:`assemble_element_operator`
+    (:func:`_slotted`).  :func:`apply_rhs_operator` applies them."""
     if not isinstance(quad, Quad):
         quad = Quad(quad)
     # det^3, a polynomial of degree 3 in each variable, sampled on the
@@ -608,27 +612,20 @@ def element_rhs_operator(quad, n):
     r, s = _table_grid(0)
     D = det_polynomial(bilinear_coeffs(quad))(r, s)
     det3 = poly2d_trim(ultra.vals_to_coeffs_2d(D * D * D)[:4, :4])
-    T, M = _multipliers(det3, n)
-    S = _kron_factors(n)["id"][0]
-    return T @ S, M @ S
+    return tuple(map(_slotted, _factors({"id": det3}, n)))
 
 
 def apply_rhs_operator(factors, X):
     """Right-hand sides, (..., n^2), of stacked coefficient vectors ``X``
     under the factors ``(P, Q)`` of :func:`element_rhs_operator`: each
-    coefficient matrix ``A`` maps to ``sum_t Q[t] A P[t]^T``, whose
-    interior equations ``[:n-2, :n-2]`` sit at their slots ``[2:, 2:]``,
-    as in :func:`assemble_element_operator`, and the boundary slots are
-    zero."""
+    coefficient matrix ``A`` maps to ``sum_t Q[t] A P[t]^T``, its interior
+    equations at their slots and the boundary slots zero."""
     P, Q = factors
     n = P.shape[-1]
     X = np.asarray(X, dtype=float)
     # a stacked vector reshaped is A^T, and so is the result
     At = X.reshape(X.shape[:-1] + (1, n, n))
-    out = np.zeros(X.shape[:-1] + (n, n))
-    out[..., 2:, 2:] = np.matmul(np.matmul(P[:, :n - 2], At),
-                                 Q[:, :n - 2].swapaxes(-1, -2)).sum(axis=-3)
-    return out.reshape(X.shape)
+    return np.matmul(np.matmul(P, At), Q.swapaxes(-1, -2)).sum(axis=-3).reshape(X.shape)
 
 
 def grid_points(bm, n):

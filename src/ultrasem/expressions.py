@@ -39,8 +39,10 @@ def _check(node):
         if node.id not in ("x", "y") and node.id not in _NAMES:
             raise ExpressionError(f"unknown name '{node.id}'")
     elif isinstance(node, ast.Constant):
-        if not isinstance(node.value, (int, float)):
+        if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
             raise ExpressionError("only numeric constants allowed")
+        if isinstance(node.value, int) and abs(node.value) > float(np.finfo(float).max):
+            raise ExpressionError("integer constant too large for a float")
     else:
         raise ExpressionError(f"syntax element {type(node).__name__} not allowed")
 
@@ -58,7 +60,7 @@ def _eval(node, x, y):
         return _FUNCS[node.func.id](_eval(node.args[0], x, y))
     if isinstance(node, ast.Name):
         return {"x": x, "y": y, **_NAMES}[node.id]
-    return node.value  # Constant
+    return float(node.value)  # Constant: no int64 wrap-around in powers
 
 
 def compile_expression(text):

@@ -234,19 +234,24 @@ class TestBandAssembly:
         assert op.bandwidths() == (146, 146)
 
     @pytest.mark.parametrize("case, n", [(case, n) for case in ("sliver", "kite", "varcoef")
-                                         for n in (8, 13, 24, 48)] + [("uxy", 8)])
+                                         for n in (8, 13, 24, 48)]
+                             + [(case, n) for case in ("sliver", "kite") for n in (4, 5)]
+                             + [("uxy", 8), ("kite-lower-order", 4), ("kite-lower-order", 7)])
     def test_assembled_operator_against_dense_slots(self, case, n):
         # the banded part written in place equals the interior operator's
         # equation rows moved to their slots, each row scaled to unit sup
         # norm, with unit entries at the boundary slots, bordered by the
         # scaled Dirichlet rows; at n = 8 the varcoef element puts two
-        # Kronecker diagonals on one offset, and u_xy alone on the square
-        # leaves no main diagonal for the unit entries
+        # Kronecker diagonals on one offset, u_xy alone on the square
+        # leaves the equations no main diagonal, and at n = 4 and 5 the
+        # slot shift keeps only 2 or 3 rows of each 1-D factor
         mesh = mixed_mesh()
+        kite = Quad([(0, 0), (1.1, 0.2), (1.3, 1.4), (-0.2, 0.9)])
         pde, quad = {"sliver": (POISSON, skinny_quad(1e-6)),
-                     "kite": (POISSON, Quad([(0, 0), (1.1, 0.2), (1.3, 1.4), (-0.2, 0.9)])),
+                     "kite": (POISSON, kite),
                      "varcoef": (_general_pde(VARCOEF, mesh), mesh.element_quad(1)),
-                     "uxy": (PdeCoefficients(a11=0.0, a12=1.0, a22=0.0), SQUARE)}[case]
+                     "uxy": (PdeCoefficients(a11=0.0, a12=1.0, a22=0.0), SQUARE),
+                     "kite-lower-order": (PdeCoefficients(b1=1.0, c=-3.0), kite)}[case]
         nn, slots, rows = n * n, boundary_slots(n), equation_rows(n)
         B = np.zeros((nn, nn))
         B[rows + 2 * n + 2] = element_interior_operator(pde, quad, n).toarray()[rows]

@@ -9,6 +9,11 @@ class TestGrammar:
     def test_arithmetic_and_caret_power(self):
         f = compile_expression("x^2 + 2*x*y - y/2 + 1")
         assert f(2.0, 3.0) == 4 + 12 - 1.5 + 1
+        # integer literals evaluate as floats: no int64 wrap-around, and
+        # negative integer powers are allowed
+        for text, want in (("10^20", 1e20), ("3^40", float(3 ** 40)),
+                           ("2^62*4", 2.0 ** 64), ("2^-1", 0.5)):
+            assert compile_expression(text)(0.0, 0.0) == pytest.approx(want, rel=1e-15)
 
     def test_functions_and_pi(self):
         f = compile_expression("sin(pi*x)*cos(y) + exp(-x)")
@@ -55,6 +60,9 @@ class TestRejections:
         "[1, 2]",
         "x if y else 0",
         "f(x)",
+        "True",
+        "False + x",
+        pytest.param("1" + "0" * 400, id="integer-beyond-float-range"),
     ])
     def test_rejected(self, bad):
         with pytest.raises(ExpressionError):

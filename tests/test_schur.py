@@ -906,10 +906,10 @@ class TestSharedElements:
 
     def test_tunnel_builds_one_interior_operator_per_class(self, monkeypatch):
         # the perfbench tunnel: one geometry class, 13 groups over three
-        # systems; the other groups of a class are copies of its first
-        calls = {"element_interior_operator": 0, "element_rhs_operator": 0}
-        for module, name in ((element, "element_interior_operator"),
-                             (schur, "element_rhs_operator")):
+        # systems; the other groups of a class are copies of its first, and
+        # only a class's operator build writes a Kronecker sum
+        calls = {"_kron_sum": 0, "element_rhs_operator": 0}
+        for module, name in ((element, "_kron_sum"), (schur, "element_rhs_operator")):
             def counted(*args, _fn=getattr(module, name), _name=name):
                 calls[_name] += 1
                 return _fn(*args)
@@ -919,7 +919,7 @@ class TestSharedElements:
                               classify_tunnel_boundary(mesh, (0.6, 0.0)))
         systems = (solver.helm_u, solver.helm_v, solver.pois_p)
         assert tuple(sys.n_distinct for sys in systems) == (6, 2, 5)
-        assert calls == {"element_interior_operator": 3, "element_rhs_operator": 3}
+        assert calls == {"_kron_sum": 3, "element_rhs_operator": 3}
         for sys in systems:
             assert len(sys.classes) == 1
 
