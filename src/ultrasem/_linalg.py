@@ -4,10 +4,11 @@ through the same BLAS.
 Solves with a vector, a narrow block or the transposed matrix go to
 LAPACK ``gbtrs``.  ``gbtrs`` back-substitutes one right-hand side at a
 time, reading the whole band for each column, so a block at least
-``_BLOCK`` columns wide (the Woodbury ``Z`` and the held element solves)
-is solved panel by panel instead: for each panel of ``_BLOCK`` unknowns,
-``L`` and then ``U`` are one triangular solve and one matrix product over
-every right-hand side (Du Croz, Mayes and Radicati 1990, "Factorizations
+``_BLOCK`` columns wide (the Woodbury ``Z`` and the identity whose
+solve a held system scales into its element inverses) is solved panel
+by panel instead: for each panel of ``_BLOCK`` unknowns, ``L`` and then
+``U`` are one triangular solve and one matrix product over every
+right-hand side (Du Croz, Mayes and Radicati 1990, "Factorizations
 of band matrices using Level 3 BLAS", LAPACK Working Note 21).  Every
 BLAS call of that path goes to scipy's BLAS, as ``gbtrs`` does: numpy may
 link a second OpenBLAS, and calls alternating between two threaded
@@ -21,8 +22,9 @@ contraction of element assembly go through it, and the dense condition
 numbers and the dense oracle call scipy's LAPACK, so numpy's thread pool
 does no threaded work on those paths and default threads run at pinned
 speed.  The products left on numpy (the stacked transforms and gradients,
-a solve's batched element solve with the held blocks and its batched
-coupling products) measure the same under default and pinned threads.
+the element-solve kernel's batched product with the held inverses and a
+solve's batched coupling products) measure the same under default and
+pinned threads.
 """
 
 import numpy as np

@@ -47,13 +47,15 @@ def _fmt(x):
 
 def skinny_quad(eps):
     """The skinny benchmark quadrilateral family (counterclockwise)."""
-    if not 0 < eps < np.inf:
+    if isinstance(eps, (bool, np.bool_)) or not 0 < eps < np.inf:
         raise ValueError(f"eps must be finite and positive, not {eps}")
     return Quad([(0.0, 0.0), (1.0, 1.0 - 0.5 * eps),
                  (1.0, 1.0), (0.5, 0.5 + 0.5 * eps)])
 
 
 def _check_sweep(eps):
+    if any(isinstance(x, (bool, np.bool_)) for x in np.asarray(eps, dtype=object).ravel()):
+        raise ValueError(f"eps values must be numbers, not {eps!r}")
     e = np.asarray(eps, dtype=float)
     if not e.size:
         raise ValueError("eps sweep is empty")

@@ -84,7 +84,7 @@ class PdeCoefficients:
     @classmethod
     def screened(cls, k2):
         """Laplacian minus ``k2`` times the identity (finite k2 >= 0)."""
-        if not 0 <= k2 < np.inf:
+        if isinstance(k2, (bool, np.bool_)) or not 0 <= k2 < np.inf:
             raise ValueError(
                 f"screening constant must be finite and nonnegative, not {k2}")
         return cls(c=-float(k2))
@@ -621,11 +621,13 @@ def apply_rhs_operator(factors, X):
     coefficient matrix ``A`` maps to ``sum_t Q[t] A P[t]^T``, its interior
     equations at their slots and the boundary slots zero."""
     P, Q = factors
-    n = P.shape[-1]
+    T, n = P.shape[0], P.shape[-1]
     X = np.asarray(X, dtype=float)
-    # a stacked vector reshaped is A^T, and so is the result
-    At = X.reshape(X.shape[:-1] + (1, n, n))
-    return np.matmul(np.matmul(P, At), Q.swapaxes(-1, -2)).sum(axis=-3).reshape(X.shape)
+    # a stacked vector reshaped is A^T, and so is the result: every A^T
+    # Q[t]^T in one product, then their sum under P[t] in one more
+    Y = np.matmul(X.reshape(-1, n), Q.transpose(2, 0, 1).reshape(n, T * n))
+    Y = Y.reshape(-1, n, T, n).transpose(0, 2, 1, 3).reshape(-1, T * n, n)
+    return np.matmul(P.transpose(1, 0, 2).reshape(n, T * n), Y).reshape(X.shape)
 
 
 def grid_points(bm, n):

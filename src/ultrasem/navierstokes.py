@@ -47,7 +47,7 @@ class NsConfig:
     dealias: bool = False
 
     def __post_init__(self):
-        if not 0 < self.dt < np.inf:
+        if isinstance(self.dt, (bool, np.bool_)) or not 0 < self.dt < np.inf:
             raise ValueError(f"time step must be finite and positive, not {self.dt}")
 
     @property

@@ -43,7 +43,9 @@ Elements whose map coefficients agree (translation-free to
 ``_SHARE_TOL`` times the inradius of the first, the translation too when
 a PDE table varies) form a geometry class sharing one right-hand-side
 operator, built from that first element and held as its Kronecker
-factors (:func:`~ultrasem.element.element_rhs_operator`).  A class
+factors (:func:`~ultrasem.element.element_rhs_operator`) composed with
+the 1-D values-to-coefficients transform, so that they take the
+forcing's sampled values to right-hand sides.  A class
 splits into groups that agree so with their first element, in boundary
 row kinds exactly and in Neumann edge normals to ``_SHARE_TOL``.  The
 class's first group builds its operator from the first element and its
@@ -58,17 +60,13 @@ building every element alone.  Setup is array operations over all
 elements and interior edges at once, with Python loops only over classes,
 groups and their pairs.
 
-Under a size rule, each group's zero-interface element solve is held as
-one block too: ``_k``, (G, n^2 + 4n-4, n^2), holds ``(B_g^{-1} diag(s_g)
-[R_c | P])^T`` with R_c the class's right-hand-side operator (its factors
-applied to the identity) and P placing boundary values at their slots, W
-being its last 4n-4 rows.  A solve is then one batched product of every
-element's forcing coefficients and boundary values with ``_k``.  Any
-other system applies each class's right-hand-side factors to its
-elements' forcing coefficients as one batched product, places the
-boundary data at their slots and makes one multi-column ``solve_raw`` per
-group.  Either way it applies the pairs' rows and the groups' W as one
-batched product each.
+A solve stacks every element's right-hand side, one product per class
+and the boundary data at their slots, and one kernel applies
+``B_g^{-1} diag(s_g)``, s_g the row scale of group g, to every element's
+row of it.  Under a size rule the kernel is one batched product with
+``_k``, (G, n^2, n^2), which holds ``(B_g^{-1} diag(s_g))^T``; else it is
+one multi-column ``solve_raw`` per group.  The pairs' rows and the
+groups' W then apply as one batched product each.
 """
 
 import numbers
@@ -159,7 +157,8 @@ class SchurSystem:
 
     ``classes`` holds one ``(elements, (P, Q))`` pair per geometry class,
     ``(P, Q)`` the Kronecker factors of its right-hand-side operator
-    (:func:`~ultrasem.element.element_rhs_operator`), and ``groups`` one
+    (:func:`~ultrasem.element.element_rhs_operator`) composed with the
+    values-to-coefficients transform, and ``groups`` one
     ``(elements, op)`` pair per distinct element operator (``n_distinct``
     of them); ``ops`` is a per-element list whose entries are shared
     between elements whose inputs agree.
@@ -167,10 +166,10 @@ class SchurSystem:
     docstring): ``_pair_rows`` (Q, n^2, n+2) for the Q (class, local
     edge) pairs that occur, ``_w`` (G, 4n-4, n^2) for the G groups, and
     the indices that gather their products to the matching rows and to
-    the elements.  ``_k`` (G, n^2 + 4n-4, n^2) holds every group's
-    zero-interface element solve under the size rule, with ``_w`` a view
-    of its last rows, and is None otherwise.  ``_point_col`` is the interface
-    value each boundary point reads (n_gamma where it is not coupled).
+    the elements; ``_w`` exists only with interfaces.  ``_k`` (G, n^2,
+    n^2) holds every group's ``(B_g^{-1} diag(s_g))^T`` under the size
+    rule, and is None otherwise.  ``_point_col`` is the interface value
+    each boundary point reads (n_gamma where it is not coupled).
     ``sigma_rcond`` is the reciprocal 1-norm condition estimate of Sigma
     (None without interfaces).  ``maps`` is one stacked bilinear map with
     (F,) fields (``maps[f]`` is element f's own map), and ``grid_x``,
@@ -252,9 +251,10 @@ class SchurSystem:
         normal_rows = _normal_rows(bm[leaders[g]], self._normals[leaders[g], k // (n - 1)],
                                    n, r[k], s[k])
         value_rows = point_value_row(n, r, s)
+        to_coeffs = ultra.transform_matrices(n)[0]
         self.classes, self.groups = [], [None] * len(leaders)
         for c, quad in enumerate(map(mesh.element_quad, reps)):
-            rhs_op = element_rhs_operator(quad, n)
+            rhs_op = tuple(M @ to_coeffs for M in element_rhs_operator(quad, n))
             first = None
             for i in np.flatnonzero(cls[leaders] == c):
                 rows = value_rows.copy()
@@ -273,23 +273,21 @@ class SchurSystem:
         """``_k`` (see the module docstring) when every group's n^2 columns
         are no more than what its Woodbury solve reads, n^2 <= (2 kl + ku +
         1) + 2 (4n-4) (the LU's band rows, ``Z`` and ``V``), else None.
-        Each class makes one banded solve of its scaled ``R_c``, its
-        factors applied to the identity, which each group corrects into its
-        block; :meth:`_hold_w` fills the W rows."""
+        The groups of a class share its banded part, so each class makes
+        one banded solve of the identity, which each group scales by its
+        row scale and corrects into its block."""
         nn, k = self.n * self.n, 4 * self.n - 4
         ops = [op for _, op in self.groups]
         if any(nn > 2 * kl + ku + 1 + 2 * k for kl, ku in (op.bandwidths() for op in ops)):
             return None
-        held = np.empty((self.n_distinct, nn + k, nn))
-        for elems, rhs_op in self.classes:
+        held = np.empty((self.n_distinct, nn, nn))
+        for elems, _ in self.classes:
             g = np.unique(self._group[elems])
-            # groups of a class differ in scale only at the slots, where R_c's rows are zero
-            R = apply_rhs_operator(rhs_op, np.eye(nn)).T
-            y = ops[g[0]].banded_solve(ops[g[0]].scale[:, None] * R)
+            y = ops[g[0]].banded_solve(np.eye(nn))
             for i in g:
                 # correct overwrites the block's Fortran-contiguous view
-                held[i, :nn] = y.T
-                ops[i].correct(held[i, :nn].T)
+                np.multiply(y, ops[i].scale, out=held[i].T)
+                ops[i].correct(held[i].T)
         return held
 
     # -- coupling and the Schur complement -------------------------------
@@ -316,8 +314,6 @@ class SchurSystem:
         # and their held solves' data through one row index
         self._w_cols, self._w_from = _pad(self._group, self._point_col, ng)
         if ng == 0:
-            if self._k is not None:  # the held blocks still read W
-                self._hold_w()
             return None
 
         # The two sides (element f, local edge l) of every interior edge,
@@ -376,10 +372,10 @@ class SchurSystem:
         return sigma
 
     def _hold_w(self):
-        """One W per group, (G, 4n-4, n^2), in the last rows of ``_k`` when held."""
-        nn, slots = self.n * self.n, boundary_slots(self.n)
-        self._w = (np.empty((self.n_distinct, slots.size, nn)) if self._k is None
-                   else self._k[:, nn:])
+        """One W per group, (G, 4n-4, n^2), from its operator's scaled
+        boundary columns."""
+        slots = boundary_slots(self.n)
+        self._w = np.empty((self.n_distinct, slots.size, self.n * self.n))
         for g, (_, op) in enumerate(self.groups):
             self._w[g] = (op.boundary_columns() * op.scale[slots]).T
 
@@ -424,17 +420,18 @@ class SchurSystem:
     # -- right-hand sides and solving --------------------------------------
 
     def _rhs_data(self, f, dirichlet, neumann):
-        """The forcing's Chebyshev coefficients on every element, stacked
-        (F, n^2) (None without forcing), and the boundary data of every
-        traversal point, (F, 4n-4): a constant is written as it is, a
-        callable evaluated on the points of its edges, zero elsewhere."""
-        C = None
+        """The forcing's grid values on every element, stacked (F, n^2) as
+        coefficient vectors are (None without forcing), and the boundary
+        data of every traversal point, (F, 4n-4): a constant is written as
+        it is, a callable evaluated on the points of its edges, zero
+        elsewhere."""
+        V = None
         if f is not None:
             G = sample_on_grid(self.grid_x, self.grid_y, f)
             bad = ~np.isfinite(G).all(axis=(1, 2))
             if bad.any():
                 raise ValueError(f"forcing is not finite on element {np.argmax(bad)}")
-            C = CoeffVector2D.from_matrix(ultra.vals_to_coeffs_2d(G)).data
+            V = G.swapaxes(1, 2).reshape(len(G), -1)
         values = np.zeros(self.point_kind.shape)
         for kind, src in (("dirichlet", dirichlet), ("neumann", neumann)):
             every, per_edge = self._data_points[kind]
@@ -465,37 +462,34 @@ class SchurSystem:
             raise ValueError(f"boundary data is not finite on element {k[0]}, "
                              f"edge {self.point_edge[k]} at "
                              f"({self.point_x[k]:g}, {self.point_y[k]:g})")
-        return C, values
+        return V, values
 
-    def _rhs_vectors(self, C, values):
+    def _rhs_vectors(self, V, values):
         """Right-hand sides of every element, stacked (F, n^2), from
-        :meth:`_rhs_data`: each class's right-hand-side factors applied to
-        its forcing coefficients put the equations at their slots, and the
-        boundary values fill the boundary slots."""
+        :meth:`_rhs_data`: each class's composed factors applied to its
+        forcing values put the equations at their slots, one product per
+        class, and the boundary values fill the boundary slots."""
         B = np.zeros((self.mesh.n_quads, self.n * self.n))
-        if C is not None:
+        if V is not None:
             for elems, rhs_op in self.classes:
-                B[elems] = apply_rhs_operator(rhs_op, C[elems])
+                B[elems] = apply_rhs_operator(rhs_op, V[elems])
         B[:, boundary_slots(self.n)] = values
         return B
 
-    def _element_solves(self, C, values):
-        """Stacked (F, n^2) element solves with zero interface values of
-        the data from :meth:`_rhs_data`: with held solves ``_k``, one
-        batched product of every element's [forcing coefficients | boundary
-        values], padded by group; else the scaled right-hand sides and one
-        multi-column solve per group."""
+    def _element_solves(self, B):
+        """``B_g^{-1} diag(s_g)`` applied to every element's row of the
+        stacked (F, n^2) right-hand sides ``B``, g its group: with held
+        solves ``_k``, one batched product of the rows padded by group;
+        else the scaled rows and one multi-column solve per group."""
         if self._k is None:
-            Y = self._scale * self._rhs_vectors(C, values)
+            Y = self._scale * B
             for elems, op in self.groups:
                 Y[elems] = op.solve_raw(Y[elems].T).T
             return Y
-        nn, (G, most) = self.n * self.n, self._w_cols.shape[:2]
-        D = np.zeros((G * most, self._k.shape[1]))
-        if C is not None:
-            D[self._w_from, :nn] = C
-        D[self._w_from, nn:] = values
-        return np.matmul(D.reshape(G, most, -1), self._k).reshape(-1, nn)[self._w_from]
+        nn, (G, most) = B.shape[1], self._w_cols.shape[:2]
+        D = np.zeros((G * most, nn))
+        D[self._w_from] = B
+        return np.matmul(D.reshape(G, most, nn), self._k).reshape(-1, nn)[self._w_from]
 
     def solve(self, f=None, dirichlet=0.0, neumann=0.0, return_info=False):
         """Solve the PDE on the whole mesh.
@@ -509,8 +503,8 @@ class SchurSystem:
         global boundary edge numbers to either.
         Returns one stacked :class:`CoeffVector2D` of the F elements.
         """
-        C, values = self._rhs_data(f, dirichlet, neumann)
-        X = self._element_solves(C, values)
+        B = self._rhs_vectors(*self._rhs_data(f, dirichlet, neumann))
+        X = self._element_solves(B)
         u_gamma = np.zeros(self.n_gamma)
         if self.n_gamma:
             u_gamma = self._sigma_solve(-self._match(X))
@@ -519,7 +513,6 @@ class SchurSystem:
         sols = CoeffVector2D(self.n, X)
         if not return_info:
             return sols
-        B = self._rhs_vectors(C, values)
         return sols, SolveInfo(u_gamma=u_gamma, residual=self._residual(X, u_gamma, B))
 
     def _residual(self, X, u_gamma, B):

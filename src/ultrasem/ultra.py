@@ -136,7 +136,7 @@ def cheb_points(n):
 
 
 @functools.lru_cache(maxsize=16)
-def _transform_matrices(n):
+def transform_matrices(n):
     """Read-only ``(P, Q)`` for an n-point axis: ``Q[j, k] = T_k(x_j)`` on
     the grid of :func:`cheb_points` and its inverse ``P``, the type-I cosine
     transform.  The angle ``pi k (n-1-j) / (n-1)`` is reduced in integers
@@ -159,7 +159,7 @@ def vals_to_coeffs_2d(values):
     v = np.asarray(values, dtype=float)
     if v.ndim < 2:
         raise ValueError("expected an array of 2-D value grids")
-    return _transform_matrices(v.shape[-2])[0] @ v @ _transform_matrices(v.shape[-1])[0].T
+    return transform_matrices(v.shape[-2])[0] @ v @ transform_matrices(v.shape[-1])[0].T
 
 
 def coeffs_to_vals_2d(coeffs):
@@ -168,7 +168,7 @@ def coeffs_to_vals_2d(coeffs):
     c = np.asarray(coeffs, dtype=float)
     if c.ndim < 2:
         raise ValueError("expected an array of 2-D coefficient grids")
-    return _transform_matrices(c.shape[-2])[1] @ c @ _transform_matrices(c.shape[-1])[1].T
+    return transform_matrices(c.shape[-2])[1] @ c @ transform_matrices(c.shape[-1])[1].T
 
 
 def eval_row(x, n):

@@ -355,3 +355,33 @@ class TestAcceptance:
         assert bw <= 4 * 10
         report(11, f"interface ordering optimal at 2x2 (={got}) and 3x3 "
                    f"(={got3}); 10x10 bandwidth {bw} <= 40")
+
+    def test_12_boundary_layers_resolved_uniformly_in_eps(self):
+        # u = exp(-x/eps) + exp(-y/eps) solves Laplace(u) - u/eps^2 = 0 with
+        # layers along x = 0 and y = 0.  The tensor mesh with breakpoints
+        # {0, delta, 1}, delta = n eps / 2, puts one element of aspect ratio
+        # up to 1/delta against each layer, and resolves them uniformly in
+        # eps (Schwab and Suri 1996, Math. Comp. 65); the uniform 2 x 2 mesh
+        # of the same n does not
+        t0 = time.perf_counter()
+        n = 28
+        R, S = np.meshgrid(ultra.cheb_points(41), ultra.cheb_points(41))
+
+        def error(eps, delta):
+            b = (0.0, delta, 1.0)
+            mesh = QuadMesh([(x, y) for y in b for x in b],
+                            [(0, 1, 4, 3), (1, 2, 5, 4), (3, 4, 7, 6), (4, 5, 8, 7)])
+            u = lambda x, y: np.exp(-x / eps) + np.exp(-y / eps)
+            sys = assemble_schur(mesh, PdeCoefficients.screened(eps ** -2), n)
+            sols = sys.solve(dirichlet=u)
+            return max(float(np.abs(s.eval(R, S) - u(*sys.maps[k](R, S))).max())
+                       for k, s in enumerate(sols))
+
+        errs = [error(eps, min(0.5, 0.5 * n * eps)) for eps in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)]
+        assert max(errs) <= 1e-5
+        uniform = error(1e-4, 0.5)
+        assert uniform > 0.1
+        dt = time.perf_counter() - t0
+        report(12, f"boundary layers at n={n}, layer mesh errors "
+                   + " ".join(f"{e:.1e}" for e in errs)
+                   + f" for eps 1e-2..1e-10; uniform 2x2 at eps=1e-4 {uniform:.2f}, {dt:.2f}s")

@@ -263,6 +263,16 @@ class TestCondBench:
         with pytest.raises(ValueError):
             skinny_quad(0.0)
 
+    def test_skinny_quad_rejects_a_bool(self):
+        # True is not the eps = 1 quad
+        with pytest.raises(ValueError, match="not True"):
+            skinny_quad(True)
+
+    @pytest.mark.parametrize("eps", [[True], [1e-3, np.True_]])
+    def test_cond_bench_rejects_a_bool_eps(self, eps):
+        with pytest.raises(ValueError, match="True"):
+            cond_bench(eps, 6)
+
 
 class TestNsRun:
     @staticmethod

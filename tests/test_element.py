@@ -401,6 +401,12 @@ class TestPdeCoefficients:
         with pytest.raises(ValueError, match=f"coefficient {field} is not finite"):
             PdeCoefficients(**{field: value})
 
+    @pytest.mark.parametrize("k2", [True, np.True_])
+    def test_screening_constant_rejects_a_bool(self, k2):
+        # a bool would give c = -1
+        with pytest.raises(ValueError, match="not True"):
+            PdeCoefficients.screened(k2)
+
 
 class TestRowScaling:
     def test_zero_row_raises(self):

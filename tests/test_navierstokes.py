@@ -257,6 +257,11 @@ class TestStackedElements:
 
 
 class TestTimeStepping:
+    @pytest.mark.parametrize("dt", [True, np.True_])
+    def test_time_step_rejects_a_bool(self, dt):
+        with pytest.raises(ValueError, match="not True"):
+            NsConfig(dt=dt)
+
     def test_zero_input_fixed_point(self):
         mesh = tunnel_mesh(nx=3, ny=2, width=0.003, height=0.001, hole=None)
         cfg = NsConfig(dt=1.667e-5)

@@ -16,7 +16,6 @@ from ultrasem.cli import _general_pde
 from ultrasem._linalg import BandedLU
 from ultrasem.element import (
     PdeCoefficients,
-    apply_rhs_operator,
     assemble_element_operator,
     boundary_slots,
     edge_points,
@@ -25,7 +24,7 @@ from ultrasem.element import (
     point_value_row,
     traversal_points,
 )
-from ultrasem import element, schur
+from ultrasem import element, schur, ultra
 from ultrasem.errors import BookkeepingError, GeometryError, SingularOperatorError
 from ultrasem.mesh import QuadMesh, grid_mesh
 from ultrasem.navierstokes import (
@@ -37,7 +36,7 @@ from ultrasem.navierstokes import (
 )
 from ultrasem.quadmap import bilinear_coeffs, outward_normals
 from ultrasem.schur import _normal_rows, assemble_schur
-from ultrasem.ultra import cheb_points, vals_to_coeffs_2d
+from ultrasem.ultra import cheb_points, transform_matrices, vals_to_coeffs_2d
 
 from conftest import (
     COUPLING_ARRAYS,
@@ -508,7 +507,7 @@ class TestSolves:
         sys = assemble_schur(grid_mesh(2, 2), POISSON, 8)
         f = lambda x, y: np.sin(3 * x) + y
         sols, info = sys.solve(f=f, dirichlet=0.0, return_info=True)
-        X0 = sys._element_solves(*sys._rhs_data(f, 0.0, 0.0))
+        X0 = sys._element_solves(sys._rhs_vectors(*sys._rhs_data(f, 0.0, 0.0)))
         U = np.append(info.u_gamma, 0.0)[sys._w_cols]
         for fidx in rng.permutation(sys.mesh.n_quads):
             _, (g, i) = _held_w(sys, fidx)
@@ -584,9 +583,11 @@ class TestHeldInverse:
     @pytest.mark.parametrize("case, solves", [
         ("grid-n13", 0), ("grid-n14", 1), ("mixed-n14", 7)])
     def test_held_solves_only_when_every_group_holds(self, case, solves, monkeypatch):
-        # one batched product with the held blocks when every group meets
-        # the size rule (Poisson up to n = 13), else each class's
-        # right-hand-side product and one solve_raw per group
+        # the forcing values reach their right-hand sides through one
+        # product per class on both paths, with no separate transform to
+        # coefficients; then one batched product with the held blocks when
+        # every group meets the size rule (Poisson up to n = 13), else one
+        # solve_raw per group
         mesh = mixed_mesh() if case == "mixed-n14" else grid_mesh(3, 3)
         sys = assemble_schur(mesh, POISSON, 13 if case == "grid-n13" else 14)
         assert len(sys.groups) == {"mixed-n14": 7}.get(case, 1)
@@ -596,23 +597,45 @@ class TestHeldInverse:
                             lambda op, b: calls.append("solve_raw") or solve_raw(op, b))
         monkeypatch.setattr(schur, "apply_rhs_operator", lambda factors, X, _fn=schur.apply_rhs_operator:
                             calls.append("rhs") or _fn(factors, X))
+        monkeypatch.setattr(ultra, "vals_to_coeffs_2d", lambda v, _fn=ultra.vals_to_coeffs_2d:
+                            calls.append("transform") or _fn(v))
         f = lambda x, y: np.exp(x) * np.sin(2 * y)
         got = sys.solve(f=f, dirichlet=lambda x, y: x * y).data
-        products = len(sys.classes) if solves else 0
-        assert sorted(calls) == ["rhs"] * products + ["solve_raw"] * solves
+        assert sorted(calls) == ["rhs"] * len(sys.classes) + ["solve_raw"] * solves
         want = sys.solve_dense(f=f, dirichlet=lambda x, y: x * y).data
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    @pytest.mark.parametrize("case", ["held", "woodbury"])
+    def test_element_solves_of_arbitrary_right_hand_sides(self, case, rng):
+        # the one element-solve kernel applies B_g^{-1} diag(s_g) to any
+        # stacked rows, through the held blocks or per-group solves alike
+        mesh, n = (grid_mesh(3, 3), 8) if case == "held" else (mixed_mesh(), 14)
+        sys = assemble_schur(mesh, POISSON, n)
+        assert (sys._k is not None) == (case == "held")
+        B = rng.standard_normal((mesh.n_quads, n * n))
+        got = sys._element_solves(B)
+        for f, op in enumerate(sys.ops):
+            want = np.linalg.solve(op.to_dense(), op.scale * B[f])
+            assert np.abs(got[f] - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_held_solves_hold_w(self):
-        # W is the last 4n-4 rows of each group's held solve block
+        # W, built from the boundary columns on its own, is the boundary
+        # slot rows of each group's held block, on the grid and on the
+        # tunnel's velocity and pressure systems
         sys = assemble_schur(grid_mesh(12, 12), POISSON, 8)
-        assert sys._k.shape == (1, 92, 64) and sys._w.shape == (1, 28, 64)
-        assert np.shares_memory(sys._w, sys._k)
+        assert sys._k.shape == (1, 64, 64) and sys._w.shape == (1, 28, 64)
+        mesh = tunnel_mesh(4, 3, width=0.003, height=0.001, hole=(1, 1))
+        tunnel = TunnelSolver(mesh, 8, NsConfig(dt=1.667e-5, dealias=False),
+                              classify_tunnel_boundary(mesh, (0.6, 0.0)))
+        for sys in (sys, tunnel.helm_u, tunnel.pois_p):
+            assert not np.shares_memory(sys._w, sys._k)
+            want = sys._k[:, boundary_slots(sys.n)]
+            assert np.abs(sys._w - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("case", ["neumann-side", "tunnel"])
     def test_held_blocks_of_every_group_match_dense_solves(self, case):
-        # the groups of one class correct its one banded solve into their
-        # own blocks: each block is (B_g^{-1} diag(s_g) [R_c | P])^T
+        # the groups of one class scale and correct its one banded solve
+        # of the identity into their own blocks: each is (B_g^{-1} diag(s_g))^T
         if case == "tunnel":
             mesh = tunnel_mesh(4, 3, width=0.003, height=0.001, hole=(1, 1))
             sys = TunnelSolver(mesh, 8, NsConfig(dt=1.667e-5, dealias=False),
@@ -620,15 +643,10 @@ class TestHeldInverse:
         else:
             mesh, bottom = _grid_with_neumann_bottom()
             sys = assemble_schur(mesh, POISSON, 6, bc={e: "neumann" for e in bottom})
-        [(_, rhs_op)] = sys.classes
+        assert len(sys.classes) == 1
         assert sys.n_distinct == {"tunnel": 6, "neumann-side": 2}[case]
-        nn, slots = sys.n ** 2, boundary_slots(sys.n)
-        P = np.zeros((nn, slots.size))
-        P[slots, np.arange(slots.size)] = 1.0
         for g, (_, op) in enumerate(sys.groups):
-            R = apply_rhs_operator(rhs_op, np.eye(nn)).T
-            rhs = op.scale[:, None] * np.hstack([R, P])
-            want = np.linalg.solve(op.to_dense(), rhs).T
+            want = np.linalg.solve(op.to_dense(), np.diag(op.scale)).T
             assert np.abs(sys._k[g] - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -984,7 +1002,8 @@ class TestSharedElements:
             alone, _ = _fresh_element(sys, elems[0])
             assert np.array_equal(op.to_dense(), alone.to_dense())
             assert np.array_equal(op.scale, alone.scale)
-            want = element_rhs_operator(mesh.element_quad(elems[0]), sys.n)
+            want = [M @ transform_matrices(sys.n)[0]
+                    for M in element_rhs_operator(mesh.element_quad(elems[0]), sys.n)]
             assert all(map(np.array_equal, rhs_op, want))
 
     @pytest.mark.parametrize("n", [6, 16])
